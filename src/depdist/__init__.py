@@ -1,7 +1,7 @@
 """Dependency distance distributions: extraction, fitting, sampling, and
 optimality scores for syntactic dependency treebanks."""
 
-from .arrangement import ArrangementBudgetError, min_arrangement_cost
+from .arrangement import min_arrangement_cost
 from .estimation import (
     FitResult,
     SelectionReport,
@@ -58,7 +58,6 @@ from .validation import run_validation
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrangementBudgetError",
     "DepTree",
     "DistanceSample",
     "FitResult",

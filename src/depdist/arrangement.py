@@ -1,78 +1,126 @@
-"""Exact minimum linear arrangement of trees.
+"""Exact minimum linear arrangement of free trees in polynomial time.
 
-The total edge length of an arrangement equals the sum over gap positions of
-the number of edges crossing each gap, so arranging vertices left to right
-is a shortest path through prefix sets: placing one more vertex moves from
-prefix S to S + {v} at cost cut(S + {v}).  Both solvers below work on that
-lattice and are exact for any connected graph:
+The solver follows F. R. K. Chung, "On optimal linear arrangements of
+trees" (1984).  Alongside the free problem (the minimum total edge length
+D(T) of a tree T) it solves the anchored one: for T rooted at r, the
+minimum of D plus the number of vertices between r and one chosen end,
+i.e. the in-interval length of an edge from r to a vertex beyond that end.
 
-* a layered dynamic program over all vertex subsets (small n), and
-* best-first search with an admissible completion bound, sibling-leaf
-  canonicalization, and an incumbent arrangement for pruning (larger n).
+Chung's structure: with u a centroid of T and T_0 >= T_1 >= ... the
+components of T - u, some optimal arrangement either puts T_0 beside
+T - T_0, both anchored at the edge joining them (case A), or, for some
+p >= 1, lays T_0, T_2, ... T_{2p-2} inward from the left end and T_1, T_3,
+... T_{2p-1} inward from the right end, each anchored toward a freely
+arranged centre T - T_0 - ... - T_{2p-1} (case B).  A tree anchored at its
+root r decomposes the same way around r, with 2p + 1 outer blocks, T_0
+outermost on the side away from the anchor.
 
-The completion bound uses an exact decomposition of the future cost.  The
-unplaced vertices occupy the remaining slots in some order rho, so the cost
-still to pay is
+Two facts collapse the case analysis.  In case B, u meets as many outer
+edges on its left as on its right (the anchor edge counts on its side),
+so where u sits in the centre adds a constant; any arrangement of the
+centre is admissible, including case B with p = 1 around u, which turns
+p into p + 1.  With the centre solved exactly, p = 1 is thus never worse
+than a larger p, and the anchored case is decided at p = 0.  Anchoring
+T - T_0 at u then puts T_1 at its far end around a free centre, so case
+A is the same arrangement as p = 1.  Hence
 
-    sum over unplaced-unplaced edges of |rho(x) - rho(y)|
-  + sum over boundary edges (u placed, x unplaced) of (rho(x) - 1),
+    D(T)    = A(T_0) + A(T_1) + D(T') + |T'| + 1,  T' = T - T_0 - T_1,
+    A(T, r) = A(T_0) + D(T') + |T'|,               T' = T - T_0,
 
-and the minimum of the sum is at least the sum of the two minima: an
-arrangement floor for each connected component of the unplaced forest
-(edge count, sharpened by a degree argument), plus the rearrangement
-minimum of the anchored term, which serves the heaviest boundary
-multiplicities at the earliest ranks.
+where A anchors each T_i at its vertex next to u (or r), T_0 in the second
+line is the largest component of T - r, and a single vertex costs 0 (two
+vertices, free, cost 1).  Each step splits its vertex set into disjoint
+parts, so the minimum is a sum of one term per step.  The solver keeps a
+work list instead of recursing (a path anchored at one end would nest n
+calls), cuts edges instead of copying subtrees, and keeps subtree sizes
+rooted at each pending part's root; moving a root to a centroid rewrites
+the sizes on the path between them only.  A step costs at most
+O(m log m) for a part of m vertices, and there are fewer than 2n steps.
 
-Exactness does not depend on the bound (only completeness of the search
-does); the node budget turns pathological instances into an explicit
-error instead of a silent approximation.
+The subset DP and the brute force below are independent oracles for the
+tests; the DP is exact for any connected graph.
 """
 
 from __future__ import annotations
 
-import heapq
-from functools import lru_cache
-
 import numpy as np
 
-DP_LIMIT = 13        # subsets DP below this size: trivial cost, zero risk
-DP_FALLBACK_LIMIT = 24
-DEFAULT_NODE_BUDGET = 500_000
 
-
-class ArrangementBudgetError(RuntimeError):
-    """The search exceeded its node budget before proving optimality."""
-
-
-def min_arrangement_cost(
-    edges: list[tuple[int, int]],
-    n: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
+def min_arrangement_cost(edges: list[tuple[int, int]], n: int) -> int:
     """Minimum of sum |pi(u) - pi(v)| over all vertex orderings pi.
 
-    Vertices are 0..n-1; the graph must be connected (always true for the
-    dependency trees this package builds).  Raises
-    :class:`ArrangementBudgetError` when an instance is too large for the
-    search and the exhaustive fallback.
+    Vertices are 0..n-1 and the edges must form a tree (as every
+    dependency tree does); anything else raises ValueError.
     """
     if n <= 1:
         return 0
-    if n == 2:
-        return len(edges)
-    if n <= DP_LIMIT:
-        return _minla_subsets_dp(edges, n)
-    try:
-        return _minla_best_first(edges, n, node_budget)
-    except ArrangementBudgetError:
-        if n <= DP_FALLBACK_LIMIT:
-            return _minla_subsets_dp(edges, n)
-        raise
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    parent = [-1] * n
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                if parent[y] != -1 or y == 0:
+                    raise ValueError("edges do not form a tree")
+                parent[y] = x
+                order.append(y)
+    if len(order) != n or len(edges) != n - 1:
+        raise ValueError("edges do not form a tree")
+    size = [1] * n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+
+    def cut(root: int, child: int) -> None:
+        adj[root].discard(child)
+        adj[child].discard(root)
+        parent[child] = -1
+        size[root] -= size[child]
+
+    # Pending parts, each a component of the cut forest named by its root.
+    # Sizes and parents inside a part are relative to that root.
+    cost = 0
+    work = [(0, False)]
+    while work:
+        r, anchored = work.pop()
+        m = size[r]
+        if m == 1:
+            continue
+        if anchored:
+            c0 = max(adj[r], key=size.__getitem__)
+            cost += m - size[c0]
+            cut(r, c0)
+            work += [(c0, True), (r, False)]
+            continue
+        u = r
+        while True:  # walk down to the centroid
+            heavy = [c for c in adj[u] if c != parent[u] and 2 * size[c] > m]
+            if not heavy:
+                break
+            u = heavy[0]
+        below, x = -1, u  # re-root the part at the centroid
+        while x != -1:
+            parent[x], below, x = below, x, parent[x]
+        x = r
+        while x != u:
+            size[x] = m - size[parent[x]]
+            x = parent[x]
+        size[u] = m
+        if m == 2:
+            cost += 1
+            continue
+        c0, c1 = sorted(adj[u], key=size.__getitem__)[-2:]
+        cut(u, c0)
+        cut(u, c1)
+        cost += size[u] + 1
+        work += [(c0, True), (c1, True), (u, False)]
+    return cost
 
 
 def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
-    """Exact DP over all 2^n prefix sets, vectorized by popcount layer."""
+    """Exact DP over all 2^n prefix sets (test oracle)."""
     dtype = np.int32 if n < 31 else np.int64
     size = 1 << n
     masks = np.arange(size, dtype=dtype)
@@ -96,169 +144,6 @@ def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
     # cost[full] has accumulated cut(S) over every proper prefix, which is
     # exactly the arrangement length.
     return int(cost[size - 1])
-
-
-@lru_cache(maxsize=None)
-def _degree_floor(degree: int) -> int:
-    # In any arrangement a vertex's incident edge lengths are at least
-    # 1, 1, 2, 2, 3, ...: the i-th shortest is >= ceil(i/2).
-    return sum((i + 1) // 2 for i in range(1, degree + 1))
-
-
-def _leaf_groups(adj: list[int], n: int) -> list[list[int]]:
-    """Sibling leaves (same unique neighbor) are interchangeable."""
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        mask = adj[v]
-        if mask.bit_count() == 1:
-            groups.setdefault(mask.bit_length() - 1, []).append(v)
-    return [sorted(vs) for vs in groups.values() if len(vs) > 1]
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
-
-
-def _minla_best_first(
-    edges: list[tuple[int, int]], n: int, node_budget: int
-) -> int:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    full = (1 << n) - 1
-    group_mask = [0] * n     # vertex -> mask of its whole sibling group
-    group_members: dict[int, list[int]] = {}
-    for members in _leaf_groups(adj, n):
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        for v in members:
-            group_mask[v] = mask
-        group_members[mask] = members
-
-    def canonical(s: int) -> int:
-        # Within each sibling-leaf group only the number placed matters.
-        for mask, members in group_members.items():
-            inside = s & mask
-            if inside and inside != mask:
-                count = inside.bit_count()
-                s &= ~mask
-                for v in members[:count]:
-                    s |= 1 << v
-        return s
-
-    def bound(s: int) -> int:
-        outside = full & ~s
-        if outside == 0:
-            return 0
-        # Anchored part: boundary multiplicities served at ranks 1, 2, ...
-        weights = []
-        for v in _bits(outside):
-            w = (adj[v] & s).bit_count()
-            if w:
-                weights.append(w)
-        weights.sort(reverse=True)
-        anchored = sum(w * i for i, w in enumerate(weights))
-
-        # Forest part: arrangement floor per unplaced component.
-        forest = 0
-        remaining = outside
-        while remaining:
-            seed = remaining & -remaining
-            comp = seed
-            frontier = seed
-            while frontier:
-                grown = comp
-                for v in _bits(frontier):
-                    grown |= adj[v] & outside
-                frontier = grown & ~comp
-                comp = grown
-            remaining &= ~comp
-            comp_edges = 0
-            degree_sum = 0
-            for v in _bits(comp):
-                d = (adj[v] & comp).bit_count()
-                comp_edges += d
-                degree_sum += _degree_floor(d)
-            forest += max(comp_edges // 2, (degree_sum + 1) // 2)
-        return anchored + forest
-
-    def arrangement_cost(order: list[int]) -> int:
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        return sum(abs(pos[u] - pos[v]) for u, v in edges)
-
-    # Incumbent: the identity order (the observed sentence order when the
-    # caller is a dependency tree) and a greedy min-cut completion.
-    upper = arrangement_cost(list(range(n)))
-    order = [0]
-    s = 1
-    greedy_cost = adj[0].bit_count()
-    while len(order) < n:
-        best_v, best_cut = -1, None
-        for v in _bits(full & ~s):
-            s2 = s | (1 << v)
-            c = sum((adj[u] & ~s2 & full).bit_count() for u in _bits(s2))
-            if best_cut is None or c < best_cut:
-                best_v, best_cut = v, c
-        order.append(best_v)
-        s |= 1 << best_v
-        greedy_cost += best_cut
-    upper = min(upper, greedy_cost)
-
-    best_g: dict[int, int] = {}
-    # Heap entries: (f, -g, state, g, cut of state).
-    heap: list[tuple[int, int, int, int, int]] = []
-    for v in range(n):
-        if group_mask[v] and v != group_members[group_mask[v]][0]:
-            continue
-        s = canonical(1 << v)
-        g = adj[v].bit_count()
-        f = g + bound(s)
-        if f <= upper and g < best_g.get(s, 1 << 60):
-            best_g[s] = g
-            heapq.heappush(heap, (f, -g, s, g, g))
-
-    pops = 0
-    while heap:
-        f, _, s, g, s_cut = heapq.heappop(heap)
-        if s == full:
-            return min(g, upper)
-        if g > best_g.get(s, 1 << 60) or f > upper:
-            continue
-        pops += 1
-        if pops > node_budget:
-            raise ArrangementBudgetError(
-                f"exceeded {node_budget} expansions at n={n}"
-            )
-        for v in _bits(full & ~s):
-            if group_mask[v]:
-                # Only the first unplaced sibling leaf; the others lead to
-                # the same canonical child.
-                members = group_members[group_mask[v]]
-                first = next(m for m in members if not (s >> m) & 1)
-                if v != first:
-                    continue
-            # cut(S + v) = cut(S) + deg(v) - 2 |adj(v) & S|; invariant
-            # under the canonical relabeling, which is an automorphism.
-            cut2 = s_cut + adj[v].bit_count() - 2 * (adj[v] & s).bit_count()
-            g2 = g + cut2
-            s2 = canonical(s | (1 << v))
-            if g2 >= best_g.get(s2, 1 << 60):
-                continue
-            f2 = g2 + bound(s2)
-            if f2 > upper:
-                continue
-            best_g[s2] = g2
-            if s2 == full:
-                upper = min(upper, g2)
-            heapq.heappush(heap, (f2, -g2, s2, g2, cut2))
-    return upper
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}

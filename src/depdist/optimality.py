@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import ArrangementBudgetError, min_arrangement_cost
+from .arrangement import min_arrangement_cost
 from .treebank import DepTree, distances
 
 
@@ -32,15 +32,14 @@ class OmegaResult:
 class OmegaLengthStats:
     """Mean score over the sentences of one length.
 
-    ``skipped`` counts undefined scores (degenerate baselines);
-    ``unsolved`` counts sentences whose minimum arrangement exceeded the
-    solver budget.  Neither enters the mean.
+    ``skipped`` counts undefined scores (degenerate baselines), which do
+    not enter the mean.  Every minimum is solved exactly, so no sentence
+    is left out for any other reason.
     """
 
     mean_omega: float | None
     count: int
     skipped: int
-    unsolved: int = 0
 
 
 def sum_distances(tree: DepTree) -> int:
@@ -56,9 +55,9 @@ def expected_random(tree: DepTree) -> float | None:
     return (n - 1) * (n + 1) / 3.0
 
 
-def min_arrangement(tree: DepTree, **kwargs) -> int:
+def min_arrangement(tree: DepTree) -> int:
     """Exact minimum total dependency distance over all orderings."""
-    return min_arrangement_cost(tree.edges(), tree.n, **kwargs)
+    return min_arrangement_cost(tree.edges(), tree.n)
 
 
 def omega(tree: DepTree) -> OmegaResult:
@@ -89,15 +88,10 @@ def average_omega(trees) -> dict[int, OmegaLengthStats]:
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     skips: dict[int, int] = {}
-    unsolved: dict[int, int] = {}
     for tree in trees:
         n = tree.n
         counts.setdefault(n, 0)
-        try:
-            result = omega(tree)
-        except ArrangementBudgetError:
-            unsolved[n] = unsolved.get(n, 0) + 1
-            continue
+        result = omega(tree)
         if result.omega is None:
             skips[n] = skips.get(n, 0) + 1
             continue
@@ -110,6 +104,5 @@ def average_omega(trees) -> dict[int, OmegaLengthStats]:
             mean_omega=(sums.get(n, 0.0) / c) if c else None,
             count=c,
             skipped=skips.get(n, 0),
-            unsolved=unsolved.get(n, 0),
         )
     return out

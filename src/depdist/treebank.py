@@ -59,6 +59,7 @@ class DepTree:
 
     ``heads[i]`` is the 1-based position of the head of token ``i+1``;
     exactly one entry is 0 (the root).  Validity is checked at construction:
+    integral heads (stored as Python ints, so numpy integers are accepted),
     single root, no self-loops, heads in range, and no cycles (a cyclic head
     vector is not a tree and would corrupt every downstream statistic).
     """
@@ -66,6 +67,15 @@ class DepTree:
     heads: tuple[int, ...]
 
     def __post_init__(self):
+        heads = self.heads
+        if type(heads) is not tuple or set(map(type, heads)) != {int}:
+            try:
+                ints = tuple(map(int, heads))
+            except (TypeError, ValueError, OverflowError):
+                ints = None
+            if ints is None or ints != tuple(heads):
+                raise TreeStructureError(f"heads must be integers: {heads!r}")
+            object.__setattr__(self, "heads", ints)
         n = len(self.heads)
         if n == 0:
             raise TreeStructureError("empty sentence")

@@ -1,13 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 from conftest import random_tree
 from depdist.arrangement import (
-    ArrangementBudgetError,
     _all_positions,
-    _minla_best_first,
     _minla_subsets_dp,
     brute_force_min_arrangement,
+    min_arrangement_cost,
 )
 from depdist.optimality import (
     average_omega,
@@ -27,6 +28,11 @@ def chain(n):
 
 def star(n):
     return DepTree((0,) + (1,) * (n - 1))
+
+
+def caterpillar(spine):
+    """A chain of ``spine`` words, each with one leaf dependent."""
+    return DepTree((0,) + tuple(range(1, spine)) + tuple(range(1, spine + 1)))
 
 
 def permutation_average(tree):
@@ -86,12 +92,12 @@ class TestMinArrangement:
         assert min_arrangement(star(4)) == 4
 
     def test_chain_any_length(self):
-        for n in (2, 5, 13, 24, 40):
+        for n in (2, 5, 13, 24, 40, 80, 150):
             assert min_arrangement(chain(n)) == n - 1
 
     def test_star_split_formula(self):
         # Leaves split around the hub: ranks 1..ceil and 1..floor per side.
-        for n in (5, 8, 11, 14):
+        for n in (5, 8, 11, 14, 40, 80, 150):
             leaves = n - 1
             left = leaves // 2
             right = leaves - left
@@ -106,27 +112,41 @@ class TestMinArrangement:
                 assert min_arrangement(tree) == brute_force_min_arrangement(
                     tree.edges(), tree.n)
 
-    def test_search_matches_subsets_dp(self):
+    def test_matches_subsets_dp(self):
         rng = np.random.default_rng(3)
-        for n in (14, 15, 16):
-            for _ in range(8):
+        for _ in range(2000):
+            tree = random_tree(int(rng.integers(2, 17)), rng)
+            assert min_arrangement(tree) \
+                == _minla_subsets_dp(tree.edges(), tree.n)
+
+    def test_matches_subsets_dp_at_18_and_20(self):
+        rng = np.random.default_rng(4)
+        for n in (18, 20):
+            for _ in range(5):
                 tree = random_tree(n, rng)
-                assert _minla_best_first(tree.edges(), n, 10**7) \
+                assert min_arrangement(tree) \
                     == _minla_subsets_dp(tree.edges(), n)
 
-    def test_budget_error_and_fallback(self):
-        rng = np.random.default_rng(4)
-        tree = random_tree(16, rng)
-        with pytest.raises(ArrangementBudgetError):
-            _minla_best_first(tree.edges(), tree.n, node_budget=1)
-        # The public entry point falls back to the exhaustive DP.
-        assert min_arrangement(tree, node_budget=1) \
-            == _minla_subsets_dp(tree.edges(), tree.n)
+    def test_long_sentences_solve_fast(self):
+        for tree in (random_tree(150, np.random.default_rng(5)), star(150)):
+            start = time.perf_counter()
+            min_arrangement(tree)
+            assert time.perf_counter() - start < 0.5
 
-    def test_budget_error_beyond_fallback(self):
-        tree = random_tree(30, np.random.default_rng(5))
-        with pytest.raises(ArrangementBudgetError):
-            min_arrangement(tree, node_budget=1)
+    def test_very_long_path_and_caterpillar(self):
+        # The solver keeps a work list, so depth is no concern; the
+        # caterpillar minimum 3k - 3 is checked against the DP below.
+        assert min_arrangement(chain(1500)) == 1499
+        assert min_arrangement(caterpillar(750)) == 3 * 750 - 3
+
+    @pytest.mark.parametrize("edges, n", [
+        ([(0, 1), (1, 2), (2, 0)], 3),   # a cycle
+        ([(0, 1), (0, 1)], 3),           # a repeated edge, vertex 2 apart
+        ([(0, 1)], 3),                   # disconnected
+    ])
+    def test_rejects_non_trees(self, edges, n):
+        with pytest.raises(ValueError):
+            min_arrangement_cost(edges, n)
 
     def test_never_above_observed(self):
         rng = np.random.default_rng(6)
@@ -155,6 +175,13 @@ class TestOmega:
     def test_single_word_undefined(self):
         result = omega(DepTree((0,)))
         assert result.omega is None
+
+    def test_numpy_integer_heads(self):
+        heads = tuple(np.arange(14, dtype=np.int64))  # a chain rooted at 1
+        tree = DepTree(heads)
+        assert all(type(h) is int for h in tree.heads)
+        assert tree == chain(14)
+        assert omega(tree).omega == 1.0
 
     def test_at_most_one(self):
         rng = np.random.default_rng(7)
@@ -203,24 +230,11 @@ class TestAverageOmega:
         assert stats[2].skipped == 2
         assert stats[3].mean_omega == 1.0
 
-    def test_budget_exhaustion_counts_as_unsolved(self, monkeypatch):
-        import depdist.optimality as optimality
-
-        def explode(edges, n, **kwargs):
-            raise ArrangementBudgetError("stub")
-
-        monkeypatch.setattr(optimality, "min_arrangement_cost", explode)
-        trees = [DepTree((2, 0, 2)), DepTree((0, 1, 2))]
-        stats = average_omega(trees)
-        assert stats[3].unsolved == 2
-        assert stats[3].count == 0
-        assert stats[3].mean_omega is None
-
 
 class TestStructuredShapes:
     def test_spider_trees_search_equals_dp(self):
-        # Crossing optima appear on stars with subdivided legs; both exact
-        # solvers must agree there.
+        # Crossing optima appear on stars with subdivided legs; the solver
+        # must agree with the exhaustive DP there.
         for legs, length in ((5, 3), (4, 4), (6, 3), (3, 5)):
             heads = [0]
             for _ in range(legs):
@@ -229,7 +243,7 @@ class TestStructuredShapes:
                     heads.append(attach)
                     attach = len(heads)
             tree = DepTree(tuple(heads))
-            assert _minla_best_first(tree.edges(), tree.n, 10**7) \
+            assert min_arrangement(tree) \
                 == _minla_subsets_dp(tree.edges(), tree.n)
 
     def test_double_star_search_equals_dp(self):
@@ -237,5 +251,13 @@ class TestStructuredShapes:
             heads = [0] + [1] * left + [1] + [2 + left] * right
             tree = DepTree(tuple(heads))
             assert tree.n == left + right + 2
-            assert _minla_best_first(tree.edges(), tree.n, 10**7) \
+            assert min_arrangement(tree) \
                 == _minla_subsets_dp(tree.edges(), tree.n)
+
+    def test_caterpillars_equal_dp(self):
+        for spine in range(1, 10):
+            tree = caterpillar(spine)
+            expected = _minla_subsets_dp(tree.edges(), tree.n)
+            assert min_arrangement(tree) == expected
+            if spine > 1:
+                assert expected == 3 * spine - 3

@@ -131,6 +131,11 @@ class TestDepTree:
         with pytest.raises(TreeStructureError):
             DepTree(())
 
+    @pytest.mark.parametrize("head", [1.5, np.float64(1.5), "1", None])
+    def test_non_integral_head_rejected(self, head):
+        with pytest.raises(TreeStructureError):
+            DepTree((0, head))
+
     def test_distances_chain(self):
         assert distances(DepTree((0, 1, 2))) == [1, 1]
 
