@@ -159,17 +159,6 @@ def cmd_extract(args, parser) -> int:
 # fit-select
 # ---------------------------------------------------------------------------
 
-def _mixed_selection(corpus, config) -> estimation.SelectionReport:
-    sset = corpus.sample_set
-    return estimation.select(
-        sset.pooled,
-        estimation.ensemble_for("mixed"),
-        criterion=config.criterion,
-        per_length=sset.per_length,
-        min_distinct_d=config.min_distinct_d,
-    )
-
-
 def _fixed_selections(corpus, config):
     """Per-length reports plus explicit status strings for empty tiles."""
     sset = corpus.sample_set
@@ -200,6 +189,21 @@ def _fixed_selections(corpus, config):
     return selections, matrix
 
 
+def _two_regime_rows(col, lang, n, report, sample, break_rows, slope_rows):
+    """Break-point and slope rows when the best model has two regimes."""
+    best = report.best
+    if best is None or not best.is_two_regime:
+        return
+    best_fit = report.fits[best]
+    break_rows.append({
+        "collection": col, "family": best.family,
+        "break_point": best_fit.params.break_point,
+    })
+    slope_rows.append(reports.slope_record(
+        col, lang, n, best, estimation.slope_analysis(best_fit, sample),
+    ))
+
+
 def cmd_fit_select(args, parser) -> int:
     config = _config_from(args)
     corpora, errors = _load_corpora(config, parser)
@@ -222,10 +226,15 @@ def cmd_fit_select(args, parser) -> int:
         col, lang = entry.collection, entry.language
 
         if config.mode in ("mixed", "both"):
-            report = _mixed_selection(corpus, config)
+            report = estimation.select(
+                corpus.sample_set.pooled,
+                estimation.ensemble_for("mixed"),
+                criterion=config.criterion,
+                per_length=corpus.sample_set.per_length,
+                min_distinct_d=config.min_distinct_d,
+            )
             mixed_rows.extend(reports.fit_records(col, lang, None, report))
             best = report.best
-            best_fit = report.fits[best]
             mixed_best_rows.append({
                 "collection": col, "language": lang, "best": best.id,
                 "criterion": config.criterion,
@@ -234,16 +243,9 @@ def cmd_fit_select(args, parser) -> int:
             curve_rows.extend(reports.pmf_curve_records(
                 col, lang, corpus.sample_set.pooled, report
             ))
-            if best.is_two_regime:
-                break_mixed.append({
-                    "collection": col, "family": best.family,
-                    "break_point": best_fit.params.break_point,
-                })
-                slope_rows.append(reports.slope_record(
-                    col, lang, None, best,
-                    estimation.slope_analysis(best_fit,
-                                              corpus.sample_set.pooled),
-                ))
+            _two_regime_rows(col, lang, None, report,
+                             corpus.sample_set.pooled, break_mixed,
+                             slope_rows)
 
         if config.mode in ("fixed", "both"):
             selections, matrix = _fixed_selections(corpus, config)
@@ -253,19 +255,9 @@ def cmd_fit_select(args, parser) -> int:
                 ))
             for n, report in selections.items():
                 fixed_rows.extend(reports.fit_records(col, lang, n, report))
-                best = report.best
-                if best is not None and best.is_two_regime:
-                    best_fit = report.fits[best]
-                    break_fixed.append({
-                        "collection": col, "family": best.family,
-                        "break_point": best_fit.params.break_point,
-                    })
-                    slope_rows.append(reports.slope_record(
-                        col, lang, n, best,
-                        estimation.slope_analysis(
-                            best_fit, corpus.sample_set.by_length[n]
-                        ),
-                    ))
+                _two_regime_rows(col, lang, n, report,
+                                 corpus.sample_set.by_length[n], break_fixed,
+                                 slope_rows)
             scan = estimation.threshold_scan(
                 selections, corpus.sample_set.sentence_counts,
                 config.thresholds,
@@ -391,45 +383,16 @@ def cmd_omega(args, parser) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _params_from_args(model: Model, args, parser) -> m.ModelParams:
-    def need(name):
-        value = getattr(args, name)
-        if value is None:
-            parser.error(f"model {model.id} needs --{name.replace('_', '-')}")
-        return value
-
-    try:
-        if model is Model.NULL_FIXED:
-            return m.NullParams(need("dmax"))
-        if model is Model.GEOMETRIC:
-            return m.GeometricParams(need("q"))
-        if model is Model.GEOMETRIC_TRUNC:
-            return m.TruncatedGeometricParams(need("q"), need("dmax"))
-        if model is Model.TWO_REGIME_GEOMETRIC:
-            return m.TwoRegimeGeometricParams(
-                need("q1"), need("q2"), need("dstar"))
-        if model is Model.TWO_REGIME_GEOMETRIC_TRUNC:
-            return m.TruncatedTwoRegimeGeometricParams(
-                need("q1"), need("q2"), need("dstar"), need("dmax"))
-        if model is Model.ZETA_TRUNC:
-            return m.ZetaParams(need("gamma"), need("dmax"))
-        if model is Model.ZETA_GEOMETRIC:
-            return m.ZetaGeometricParams(
-                need("gamma"), need("q"), need("dstar"))
-        if model is Model.ZETA_GEOMETRIC_TRUNC:
-            return m.TruncatedZetaGeometricParams(
-                need("gamma"), need("q"), need("dstar"), need("dmax"))
-    except ValueError as exc:
-        parser.error(str(exc))
-    parser.error(f"model {model.id} cannot be sampled")
-
-
 def cmd_sample(args, parser) -> int:
-    try:
-        model = Model.from_id(args.model)
-    except ValueError as exc:
-        parser.error(str(exc))
-    params = _params_from_args(model, args, parser)
+    # Unknown ids and out-of-domain values raise ValueError: usage errors.
+    model = Model.from_id(args.model)
+    spec = model.spec
+    if spec.sampler is None:
+        parser.error(f"model {model.id} cannot be sampled")
+    missing = [flag for flag in spec.flags if getattr(args, flag) is None]
+    if missing:
+        parser.error(f"model {model.id} needs --{missing[0]}")
+    params = spec.params(*(getattr(args, flag) for flag in spec.flags))
     info = sampling.DrawInfo()
     sample = sampling.draw_sample(model, params, args.n_draws,
                                   seed=args.seed, cutoff=args.cutoff,
@@ -538,12 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", help="draw a random sample from one model")
     p_sample.add_argument("--model", required=True,
                           help="model id (0.0, 1, 2, ... 7)")
-    p_sample.add_argument("--q", type=float)
-    p_sample.add_argument("--q1", type=float)
-    p_sample.add_argument("--q2", type=float)
-    p_sample.add_argument("--gamma", type=float)
-    p_sample.add_argument("--dstar", type=int)
-    p_sample.add_argument("--dmax", type=int)
+    for name in (*m.BOUNDS, *m.INTEGER_FIELDS):
+        p_sample.add_argument(f"--{m.FLAGS.get(name, name)}",
+                              type=int if name in m.INTEGER_FIELDS else float)
     p_sample.add_argument("--n-draws", type=int, default=10_000)
     p_sample.add_argument("--cutoff", type=int,
                           default=sampling.DEFAULT_CUTOFF)

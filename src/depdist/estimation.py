@@ -13,6 +13,10 @@ fixed continuous parameters (enlarging the support only bleeds mass outside
 the data), so the profile likelihood peaks at the lower bound max(d).  The
 uniform-shuffle null is the exception (its mass leans on low d) and gets a
 genuine scan with an adaptive window.
+
+One optimizer, :func:`_optimize`, serves models 1 to 7: the model's spec
+row (:data:`depdist.models.SPECS`) names its continuous parameters, their
+bounds and starting values, and builds the parameter object.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from . import models as m
 from .models import Model, ModelParams, PerLength
 from .treebank import DistanceSample
 
-EPS = m.EPS
 DEFAULT_MIN_DISTINCT = 3        # distinct distances needed by two-regime fits
 DEFAULT_MIN_LENGTH = 4          # sentences shorter than this are excluded
 BREAK_POINT_INIT = 5
-GAMMA_FALLBACK = 10.0           # exponent init when the estimator degenerates
 FTOL = 1e-11                    # relative log-likelihood convergence
+Q_BOUNDS = m.Q_BOUNDS           # optimizer box of the q-like rates
+GAMMA_BOUNDS = m.GAMMA_BOUNDS   # and of the zeta exponent
 
 
 @dataclass(frozen=True)
@@ -83,111 +87,25 @@ def _result(model, params, log_l, n, converged, note=None) -> FitResult:
 # Initial values
 # ---------------------------------------------------------------------------
 
-def _clamp_q(value: float) -> float:
-    return min(max(value, EPS), 1.0 - EPS)
-
-
-def _regression_slope(sample: DistanceSample, lo=None, hi=None) -> float | None:
-    """Least-squares slope of log(f(d)/N) on d over observed support."""
-    mask = np.ones(len(sample.support), dtype=bool)
-    if lo is not None:
-        mask &= sample.support >= lo
-    if hi is not None:
-        mask &= sample.support <= hi
-    d = sample.support[mask].astype(float)
-    if len(d) < 2:
-        return None
-    y = np.log(sample.counts[mask] / sample.total)
-    d_mean, y_mean = d.mean(), y.mean()
-    denom = ((d - d_mean) ** 2).sum()
-    return float(((d - d_mean) * (y - y_mean)).sum() / denom)
-
-
-def _q_init_from_slope(slope: float | None, fallback: float) -> float:
-    if slope is None:
-        return _clamp_q(fallback)
-    if slope >= 0:
-        # A flat or rising tail gives a slope with no geometric reading.
-        return EPS
-    return _clamp_q(1.0 - math.exp(slope))
-
-
-def _regime_q_inits(sample, break_point) -> tuple[float, float]:
-    q_global = _clamp_q(sample.total / sample.weighted_sum)
-    b1 = _regression_slope(sample, hi=break_point)
-    b2 = _regression_slope(sample, lo=break_point)
-    return _q_init_from_slope(b1, q_global), _q_init_from_slope(b2, q_global)
-
-
-def _gamma_init(sample: DistanceSample, upto: int | None = None) -> float:
-    """Power-law exponent estimate 1 + N / sum(f(d) log(d / min(d)))."""
-    mask = (sample.support <= upto) if upto is not None else slice(None)
-    support = sample.support[mask].astype(float)
-    counts = sample.counts[mask]
-    denom = float((counts * np.log(support / support[0])).sum())
-    if denom <= 0.0:
-        return GAMMA_FALLBACK
-    return 1.0 + float(counts.sum()) / denom
-
-
-def _tail_q_init(sample: DistanceSample, break_point: int) -> float:
-    """Geometric rate init from distances strictly beyond the break."""
-    mask = sample.support > break_point
-    if not mask.any():
-        return _clamp_q(sample.total / sample.weighted_sum)
-    n_tail = int(sample.counts[mask].sum())
-    m_tail = int((sample.support[mask] * sample.counts[mask]).sum())
-    return _clamp_q(n_tail / m_tail)
-
-
 def _break_grid(sample: DistanceSample) -> range:
     return range(sample.min2_d, sample.max2_d + 1)
 
 
-def _clamped_break_init(sample: DistanceSample) -> int:
-    return min(max(BREAK_POINT_INIT, sample.min2_d), sample.max2_d)
-
-
 def initial_values(model: Model, sample: DistanceSample) -> ModelParams:
-    """Starting parameters for the maximum-likelihood search.
-
-    q-like rates start at the inverse mean distance; the two regime rates
-    come from log-frequency regressions split at the break-point init (5,
-    clamped into its bounds); the zeta exponent from the standard power-law
-    estimator; d_max at the observed maximum.
-    """
-    q_init = _clamp_q(sample.total / sample.weighted_sum)
-    if model is Model.NULL_FIXED:
-        return m.NullParams(sample.max_d)
-    if model is Model.GEOMETRIC:
-        return m.GeometricParams(q_init)
-    if model is Model.GEOMETRIC_TRUNC:
-        return m.TruncatedGeometricParams(q_init, sample.max_d)
-    if model is Model.ZETA_TRUNC:
-        return m.ZetaParams(_gamma_init(sample), sample.max_d)
-
+    """Starting parameters for the maximum-likelihood search: the spec's
+    starting values at the break-point init (5, clamped into its bounds),
+    with d_max at the observed maximum."""
+    spec = model.spec
+    if spec.init is None:
+        raise ValueError(f"no initial values for {model}")
+    break_point = None
     if model.is_two_regime:
         if sample.distinct < DEFAULT_MIN_DISTINCT:
             raise ValueError("two-regime init needs >= 3 distinct distances")
-        bp = _clamped_break_init(sample)
-        if model is Model.TWO_REGIME_GEOMETRIC:
-            q1, q2 = _regime_q_inits(sample, bp)
-            return m.TwoRegimeGeometricParams(q1, q2, bp)
-        if model is Model.TWO_REGIME_GEOMETRIC_TRUNC:
-            q1, q2 = _regime_q_inits(sample, bp)
-            return m.TruncatedTwoRegimeGeometricParams(
-                q1, q2, bp, sample.max_d
-            )
-        if model is Model.ZETA_GEOMETRIC:
-            return m.ZetaGeometricParams(
-                _gamma_init(sample, upto=bp), _tail_q_init(sample, bp), bp
-            )
-        if model is Model.ZETA_GEOMETRIC_TRUNC:
-            return m.TruncatedZetaGeometricParams(
-                _gamma_init(sample, upto=bp), _tail_q_init(sample, bp), bp,
-                sample.max_d,
-            )
-    raise ValueError(f"no initial values for {model}")
+        break_point = min(max(BREAK_POINT_INIT, sample.min2_d),
+                          sample.max2_d)
+    return spec.build(break_point, sample.max_d)(
+        *spec.init(sample, break_point))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +142,20 @@ def _maximize(objective, x0, bounds) -> tuple[np.ndarray, float, bool]:
         best_val, converged
 
 
-Q_BOUNDS = (EPS, 1.0 - EPS)
-GAMMA_BOUNDS = (0.0, None)
+def _optimize(model: Model, sample: DistanceSample, break_point: int | None
+              ) -> tuple[ModelParams, float, bool]:
+    """Best continuous parameters at a fixed break point (None for
+    one-regime models), seeded by the spec's initial values; a truncation
+    bound is pinned to the observed maximum."""
+    spec = model.spec
+    build = spec.build(break_point, sample.max_d)
+
+    def objective(x):
+        return m.log_likelihood(model, build(*map(float, x)), sample)
+
+    x, log_l, conv = _maximize(objective, spec.init(sample, break_point),
+                               spec.bounds)
+    return build(*map(float, x)), log_l, conv
 
 
 # ---------------------------------------------------------------------------
@@ -259,131 +189,9 @@ def _fit_null_fixed(sample: DistanceSample) -> FitResult:
 
 
 def _fit_null_mixture(sample, per_length) -> FitResult:
-    by_length, lengths = per_length
-    params = m.MixtureNullParams(lengths)
-    log_l = m.log_likelihood(Model.NULL_MIXTURE, params,
-                             per_length=per_length)
+    params = m.MixtureNullParams(per_length[1])
+    log_l = m.log_likelihood(Model.NULL_MIXTURE, params, per_length=per_length)
     return _result(Model.NULL_MIXTURE, params, log_l, sample.total, True)
-
-
-def _fit_geometric(sample: DistanceSample) -> FitResult:
-    def objective(x):
-        return m.log_likelihood(
-            Model.GEOMETRIC, m.GeometricParams(float(x[0])), sample
-        )
-
-    x0 = [initial_values(Model.GEOMETRIC, sample).q]
-    x, log_l, conv = _maximize(objective, x0, [Q_BOUNDS])
-    return _result(Model.GEOMETRIC, m.GeometricParams(float(x[0])), log_l,
-                   sample.total, conv)
-
-
-def _fit_geometric_trunc(sample: DistanceSample) -> FitResult:
-    d_max = sample.max_d
-
-    def objective(x):
-        return m.log_likelihood(
-            Model.GEOMETRIC_TRUNC,
-            m.TruncatedGeometricParams(float(x[0]), d_max), sample,
-        )
-
-    x0 = [initial_values(Model.GEOMETRIC_TRUNC, sample).q]
-    x, log_l, conv = _maximize(objective, x0, [Q_BOUNDS])
-    return _result(Model.GEOMETRIC_TRUNC,
-                   m.TruncatedGeometricParams(float(x[0]), d_max),
-                   log_l, sample.total, conv)
-
-
-def _fit_zeta_trunc(sample: DistanceSample) -> FitResult:
-    d_max = sample.max_d
-
-    def objective(x):
-        return m.log_likelihood(
-            Model.ZETA_TRUNC, m.ZetaParams(float(x[0]), d_max), sample
-        )
-
-    x0 = [initial_values(Model.ZETA_TRUNC, sample).gamma]
-    x, log_l, conv = _maximize(objective, x0, [GAMMA_BOUNDS])
-    return _result(Model.ZETA_TRUNC, m.ZetaParams(float(x[0]), d_max),
-                   log_l, sample.total, conv)
-
-
-def _optimize_two_regime_geometric(
-    sample: DistanceSample, break_point: int, d_max: int | None
-) -> tuple[m.ModelParams, float, bool]:
-    """Best (q1, q2) at a fixed break point (regression-seeded)."""
-    q1_init, q2_init = _regime_q_inits(sample, break_point)
-
-    if d_max is None:
-        def build(x):
-            return m.TwoRegimeGeometricParams(
-                float(x[0]), float(x[1]), break_point
-            )
-        model = Model.TWO_REGIME_GEOMETRIC
-    else:
-        def build(x):
-            return m.TruncatedTwoRegimeGeometricParams(
-                float(x[0]), float(x[1]), break_point, d_max
-            )
-        model = Model.TWO_REGIME_GEOMETRIC_TRUNC
-
-    def objective(x):
-        return m.log_likelihood(model, build(x), sample)
-
-    x, log_l, conv = _maximize(objective, [q1_init, q2_init],
-                               [Q_BOUNDS, Q_BOUNDS])
-    return build(x), log_l, conv
-
-
-def _optimize_zeta_geometric(
-    sample: DistanceSample, break_point: int, d_max: int | None
-) -> tuple[m.ModelParams, float, bool]:
-    """Best (gamma, q) at a fixed break point."""
-    gamma_init = _gamma_init(sample, upto=break_point)
-    q_init = _tail_q_init(sample, break_point)
-
-    if d_max is None:
-        def build(x):
-            return m.ZetaGeometricParams(
-                float(x[0]), float(x[1]), break_point
-            )
-        model = Model.ZETA_GEOMETRIC
-    else:
-        def build(x):
-            return m.TruncatedZetaGeometricParams(
-                float(x[0]), float(x[1]), break_point, d_max
-            )
-        model = Model.ZETA_GEOMETRIC_TRUNC
-
-    def objective(x):
-        return m.log_likelihood(model, build(x), sample)
-
-    x, log_l, conv = _maximize(objective, [gamma_init, q_init],
-                               [GAMMA_BOUNDS, Q_BOUNDS])
-    return build(x), log_l, conv
-
-
-def _fit_two_regime(model: Model, sample: DistanceSample,
-                    min_distinct: int) -> FitResult:
-    if sample.distinct < min_distinct:
-        return _excluded(
-            model, sample.total,
-            f"needs >= {min_distinct} distinct distances, "
-            f"sample has {sample.distinct}",
-        )
-    d_max = sample.max_d if model.is_truncated else None
-    if model in (Model.TWO_REGIME_GEOMETRIC,
-                 Model.TWO_REGIME_GEOMETRIC_TRUNC):
-        optimize = _optimize_two_regime_geometric
-    else:
-        optimize = _optimize_zeta_geometric
-
-    best_params, best_ll, best_conv = None, float("-inf"), False
-    for bp in _break_grid(sample):
-        params, log_l, conv = optimize(sample, bp, d_max)
-        if log_l > best_ll:
-            best_params, best_ll, best_conv = params, log_l, conv
-    return _result(model, best_params, best_ll, sample.total, best_conv)
 
 
 def fit(
@@ -395,44 +203,40 @@ def fit(
 ) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
-    Unmet model requirements (too few distinct distances, missing
-    per-length data) mark the result excluded instead of raising; a
-    non-converged optimizer returns the best parameters found with
-    ``converged=False``.
+    The nulls have their own fits; every other model optimizes its
+    continuous parameters, at each grid break point if it has two regimes.
+    Unmet requirements (too few distinct distances, missing per-length
+    data) mark the result excluded instead of raising; a non-converged
+    optimizer returns its best parameters with ``converged=False``.
     """
     if model is Model.NULL_FIXED:
         return _fit_null_fixed(sample)
     if model is Model.NULL_MIXTURE:
         if per_length is None:
-            return _excluded(model, sample.total,
-                             "needs per-length samples")
+            return _excluded(model, sample.total, "needs per-length samples")
         return _fit_null_mixture(sample, per_length)
-    if model is Model.GEOMETRIC:
-        return _fit_geometric(sample)
-    if model is Model.GEOMETRIC_TRUNC:
-        return _fit_geometric_trunc(sample)
-    if model is Model.ZETA_TRUNC:
-        return _fit_zeta_trunc(sample)
-    if model.is_two_regime:
-        return _fit_two_regime(model, sample, min_distinct_d)
-    raise ValueError(f"unhandled model {model}")
+    if not model.is_two_regime:
+        params, log_l, conv = _optimize(model, sample, None)
+        return _result(model, params, log_l, sample.total, conv)
+    if sample.distinct < min_distinct_d:
+        return _excluded(model, sample.total,
+                         f"needs >= {min_distinct_d} distinct distances, "
+                         f"sample has {sample.distinct}")
+    best_params, best_ll, best_conv = None, float("-inf"), False
+    for bp in _break_grid(sample):
+        params, log_l, conv = _optimize(model, sample, bp)
+        if log_l > best_ll:
+            best_params, best_ll, best_conv = params, log_l, conv
+    return _result(model, best_params, best_ll, sample.total, best_conv)
 
 
 # ---------------------------------------------------------------------------
 # Model selection
 # ---------------------------------------------------------------------------
 
-MIXED_ENSEMBLE = [
-    Model.NULL_MIXTURE, Model.GEOMETRIC, Model.GEOMETRIC_TRUNC,
-    Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC,
-    Model.ZETA_TRUNC, Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC,
-]
-
-FIXED_ENSEMBLE = [
-    Model.NULL_FIXED, Model.GEOMETRIC, Model.GEOMETRIC_TRUNC,
-    Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC,
-    Model.ZETA_TRUNC, Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC,
-]
+# The canonical order of the spec table, with one of the two nulls.
+MIXED_ENSEMBLE = [model for model in Model if model is not Model.NULL_FIXED]
+FIXED_ENSEMBLE = [model for model in Model if model is not Model.NULL_MIXTURE]
 
 
 def ensemble_for(mode: str) -> list[Model]:
@@ -460,12 +264,6 @@ class SelectionReport:
         return fit_result.aic if self.criterion == "aic" else fit_result.bic
 
 
-def _better(a: tuple[float, int, int], b: tuple[float, int, int]) -> bool:
-    # (criterion, K, ensemble order): ties prefer fewer parameters, then
-    # the lower model id.
-    return a < b
-
-
 def select(
     sample: DistanceSample,
     model_set: Sequence[Model] | None = None,
@@ -480,10 +278,8 @@ def select(
     if model_set is None:
         model_set = ensemble_for("mixed" if per_length else "fixed")
 
-    fits: dict[Model, FitResult] = {}
-    for model in model_set:
-        fits[model] = fit(model, sample, per_length,
-                          min_distinct_d=min_distinct_d)
+    fits = {model: fit(model, sample, per_length,
+                       min_distinct_d=min_distinct_d) for model in model_set}
 
     scored = {
         model: (result.aic if criterion == "aic" else result.bic)
@@ -492,12 +288,10 @@ def select(
     if not scored:
         return SelectionReport(criterion, fits, None, {},
                                sample_label=sample.label())
-    best = None
-    best_key = None
-    for model, value in scored.items():
-        key = (value, model.k, model.order)
-        if best_key is None or _better(key, best_key):
-            best, best_key = model, key
+    # Ranked by (criterion, K, ensemble order): ties prefer fewer
+    # parameters, then the lower model id.
+    best = min(scored, key=lambda model: (scored[model], model.k,
+                                          model.order))
     floor = min(scored.values())
     deltas = {model: value - floor for model, value in scored.items()}
     return SelectionReport(criterion, fits, best, deltas,
@@ -509,7 +303,6 @@ def select(
 # ---------------------------------------------------------------------------
 
 FAMILY_PREFERENCE = ["0", "1-2", "5", "3-4", "6-7"]  # ties resolved in order
-TWO_REGIME_FAMILIES = {"3-4", "6-7"}
 
 
 def threshold_scan(
@@ -576,18 +369,17 @@ def slope_analysis(fit_result: FitResult,
     if not model.is_two_regime or params is None:
         raise ValueError("slope analysis needs a fitted two-regime model")
 
-    if model in (Model.TWO_REGIME_GEOMETRIC,
-                 Model.TWO_REGIME_GEOMETRIC_TRUNC):
+    if model.family == "3-4":
         q1, q2 = params.q1, params.q2
         converged = fit_result.converged
     else:
         # Approximate the power-law regime with a geometric one: refit the
         # two-regime geometric at the original break point, keep its q1, and
         # keep the original geometric tail rate as q2.
-        d_max = sample.max_d if model.is_truncated else None
-        refit_params, _, converged = _optimize_two_regime_geometric(
-            sample, params.break_point, d_max
-        )
+        twin = (Model.TWO_REGIME_GEOMETRIC_TRUNC if model.is_truncated
+                else Model.TWO_REGIME_GEOMETRIC)
+        refit_params, _, converged = _optimize(twin, sample,
+                                               params.break_point)
         q1 = refit_params.q1
         q2 = params.q
     return SlopeSummary(

@@ -17,9 +17,16 @@ Model ids (used in every report) and their free parameter counts K:
     6    zeta first regime, geometric second                    K=3
     7    right-truncated zeta-geometric                         K=4
 
+Everything specific to one model sits in its row of :data:`SPECS`; the
+twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
+None``.  The rest follows from field names: ``d_max`` makes a model
+truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
+its continuous parameters.
+
 Log-likelihoods are computed in one pass from cached sufficient statistics
 (N, M, M', and their restrictions to d <= break), never by rescanning the
-sample.
+sample.  Parameters whose normalizers overflow or underflow a double get
+log-likelihood -inf, the same rejection as a term below LOG_TERM_FLOOR.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from functools import cached_property, partial
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -36,6 +44,17 @@ from .treebank import DistanceSample, LengthDistribution
 EPS = 1e-8  # q-like parameters live in [EPS, 1 - EPS]
 NEG_INF = float("-inf")
 LOG_TERM_FLOOR = -745.0  # log-probability terms below this count as -inf
+GAMMA_FALLBACK = 10.0    # exponent init when the estimator degenerates
+
+Q_BOUNDS = (EPS, 1.0 - EPS)
+GAMMA_BOUNDS = (0.0, None)
+#: Domain of each continuous parameter, by field name; the optimizer
+#: searches the same box.
+BOUNDS = {"q": Q_BOUNDS, "q1": Q_BOUNDS, "q2": Q_BOUNDS,
+          "gamma": GAMMA_BOUNDS}
+INTEGER_FIELDS = ("break_point", "d_max")
+#: ``depdist sample`` flag of each field not named after its flag.
+FLAGS = {"break_point": "dstar", "d_max": "dmax"}
 
 
 class Model(Enum):
@@ -55,205 +74,126 @@ class Model(Enum):
     def id(self) -> str:
         return self.value
 
+    @cached_property
+    def spec(self) -> "ModelSpec":
+        return SPECS[self]
+
     @property
     def k(self) -> int:
         """Number of free parameters."""
-        return _K[self]
+        return self.spec.k
 
     @property
     def is_two_regime(self) -> bool:
-        return self in _TWO_REGIME
+        return "break_point" in self.spec.fields
 
     @property
     def is_truncated(self) -> bool:
-        return self in _TRUNCATED
+        return "d_max" in self.spec.fields
 
     @property
     def family(self) -> str:
         """Model family used when aggregating best-model votes."""
-        return _FAMILY[self]
+        return self.spec.family
 
     @property
     def order(self) -> int:
         """Position in the canonical ensemble ordering (for tie-breaks)."""
-        return _ORDER.index(self)
+        return list(SPECS).index(self)
 
     @classmethod
     def from_id(cls, model_id: str) -> "Model":
-        for member in cls:
-            if member.value == model_id:
-                return member
-        raise ValueError(f"unknown model id {model_id!r}")
-
-
-_ORDER = [
-    Model.NULL_FIXED,
-    Model.NULL_MIXTURE,
-    Model.GEOMETRIC,
-    Model.GEOMETRIC_TRUNC,
-    Model.TWO_REGIME_GEOMETRIC,
-    Model.TWO_REGIME_GEOMETRIC_TRUNC,
-    Model.ZETA_TRUNC,
-    Model.ZETA_GEOMETRIC,
-    Model.ZETA_GEOMETRIC_TRUNC,
-]
-
-_K = {
-    Model.NULL_FIXED: 1,
-    Model.NULL_MIXTURE: 0,
-    Model.GEOMETRIC: 1,
-    Model.GEOMETRIC_TRUNC: 2,
-    Model.TWO_REGIME_GEOMETRIC: 3,
-    Model.TWO_REGIME_GEOMETRIC_TRUNC: 4,
-    Model.ZETA_TRUNC: 2,
-    Model.ZETA_GEOMETRIC: 3,
-    Model.ZETA_GEOMETRIC_TRUNC: 4,
-}
-
-_TWO_REGIME = {
-    Model.TWO_REGIME_GEOMETRIC,
-    Model.TWO_REGIME_GEOMETRIC_TRUNC,
-    Model.ZETA_GEOMETRIC,
-    Model.ZETA_GEOMETRIC_TRUNC,
-}
-
-_TRUNCATED = {
-    Model.NULL_FIXED,
-    Model.GEOMETRIC_TRUNC,
-    Model.TWO_REGIME_GEOMETRIC_TRUNC,
-    Model.ZETA_TRUNC,
-    Model.ZETA_GEOMETRIC_TRUNC,
-}
-
-_FAMILY = {
-    Model.NULL_FIXED: "0",
-    Model.NULL_MIXTURE: "0",
-    Model.GEOMETRIC: "1-2",
-    Model.GEOMETRIC_TRUNC: "1-2",
-    Model.TWO_REGIME_GEOMETRIC: "3-4",
-    Model.TWO_REGIME_GEOMETRIC_TRUNC: "3-4",
-    Model.ZETA_TRUNC: "5",
-    Model.ZETA_GEOMETRIC: "6-7",
-    Model.ZETA_GEOMETRIC_TRUNC: "6-7",
-}
+        try:
+            return cls(model_id)
+        except ValueError:
+            raise ValueError(f"unknown model id {model_id!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # Parameter containers (tagged union)
 # ---------------------------------------------------------------------------
 
-def _check_q(name: str, value: float):
-    if not (EPS <= value <= 1.0 - EPS):
-        raise ValueError(f"{name}={value!r} outside [{EPS}, {1 - EPS}]")
+class _Checked:
+    """Domain checks shared by the parameter classes, keyed by field name."""
 
-
-def _check_positive_int(name: str, value: int):
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name}={value!r} must be a positive integer")
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:  # type: ignore[attr-defined]
+            value = getattr(self, name)
+            if name in INTEGER_FIELDS:
+                if not (isinstance(value, (int, np.integer)) and value >= 1):
+                    raise ValueError(
+                        f"{name}={value!r} must be a positive integer")
+                # break_point precedes d_max in every class that has both.
+                if name == "d_max" and value < getattr(self, "break_point", 0):
+                    raise ValueError("break_point > d_max")
+            elif name in BOUNDS:
+                lo, hi = BOUNDS[name]
+                if hi is None:
+                    if value < lo:
+                        raise ValueError(f"{name}={value!r} must be >= {lo:g}")
+                elif not (lo <= value <= hi):
+                    raise ValueError(f"{name}={value!r} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
-class NullParams:
+class NullParams(_Checked):
     """Uniform-shuffle null with an estimated support bound."""
 
     d_max: int
 
-    def __post_init__(self):
-        _check_positive_int("d_max", self.d_max)
-
 
 @dataclass(frozen=True)
-class MixtureNullParams:
+class MixtureNullParams(_Checked):
     """Length-mixture null; fully determined by the length distribution."""
 
     lengths: LengthDistribution
 
 
 @dataclass(frozen=True)
-class GeometricParams:
+class GeometricParams(_Checked):
     q: float
-
-    def __post_init__(self):
-        _check_q("q", self.q)
 
 
 @dataclass(frozen=True)
-class TruncatedGeometricParams:
+class TruncatedGeometricParams(_Checked):
     q: float
     d_max: int
 
-    def __post_init__(self):
-        _check_q("q", self.q)
-        _check_positive_int("d_max", self.d_max)
-
 
 @dataclass(frozen=True)
-class TwoRegimeGeometricParams:
+class TwoRegimeGeometricParams(_Checked):
     q1: float
     q2: float
     break_point: int
 
-    def __post_init__(self):
-        _check_q("q1", self.q1)
-        _check_q("q2", self.q2)
-        _check_positive_int("break_point", self.break_point)
-
 
 @dataclass(frozen=True)
-class TruncatedTwoRegimeGeometricParams:
+class TruncatedTwoRegimeGeometricParams(_Checked):
     q1: float
     q2: float
     break_point: int
     d_max: int
 
-    def __post_init__(self):
-        _check_q("q1", self.q1)
-        _check_q("q2", self.q2)
-        _check_positive_int("break_point", self.break_point)
-        _check_positive_int("d_max", self.d_max)
-        if self.break_point > self.d_max:
-            raise ValueError("break_point > d_max")
-
 
 @dataclass(frozen=True)
-class ZetaParams:
+class ZetaParams(_Checked):
     gamma: float
     d_max: int
 
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma={self.gamma!r} must be >= 0")
-        _check_positive_int("d_max", self.d_max)
-
 
 @dataclass(frozen=True)
-class ZetaGeometricParams:
+class ZetaGeometricParams(_Checked):
     gamma: float
     q: float
     break_point: int
 
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma={self.gamma!r} must be >= 0")
-        _check_q("q", self.q)
-        _check_positive_int("break_point", self.break_point)
-
 
 @dataclass(frozen=True)
-class TruncatedZetaGeometricParams:
+class TruncatedZetaGeometricParams(_Checked):
     gamma: float
     q: float
     break_point: int
     d_max: int
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma={self.gamma!r} must be >= 0")
-        _check_q("q", self.q)
-        _check_positive_int("break_point", self.break_point)
-        _check_positive_int("d_max", self.d_max)
-        if self.break_point > self.d_max:
-            raise ValueError("break_point > d_max")
 
 
 ModelParams = Union[
@@ -267,18 +207,6 @@ ModelParams = Union[
     ZetaGeometricParams,
     TruncatedZetaGeometricParams,
 ]
-
-PARAM_TYPE = {
-    Model.NULL_FIXED: NullParams,
-    Model.NULL_MIXTURE: MixtureNullParams,
-    Model.GEOMETRIC: GeometricParams,
-    Model.GEOMETRIC_TRUNC: TruncatedGeometricParams,
-    Model.TWO_REGIME_GEOMETRIC: TwoRegimeGeometricParams,
-    Model.TWO_REGIME_GEOMETRIC_TRUNC: TruncatedTwoRegimeGeometricParams,
-    Model.ZETA_TRUNC: ZetaParams,
-    Model.ZETA_GEOMETRIC: ZetaGeometricParams,
-    Model.ZETA_GEOMETRIC_TRUNC: TruncatedZetaGeometricParams,
-}
 
 
 def params_dict(params: ModelParams) -> dict[str, float | int]:
@@ -318,17 +246,7 @@ def two_regime_geometric_constants(
     log1m_q2 = math.log1p(-q2)
     tau = math.exp((break_point - 1) * (log1m_q1 - log1m_q2))
     s1 = -math.expm1(break_point * log1m_q1) / q1
-    if d_max is None:
-        s2 = math.exp(break_point * log1m_q2) / q2
-    else:
-        if break_point > d_max:
-            raise ValueError("break_point > d_max")
-        s2 = (
-            math.exp(break_point * log1m_q2)
-            - math.exp(d_max * log1m_q2)
-        ) / q2
-    c1 = 1.0 / (s1 + tau * s2)
-    return c1, tau * c1, tau
+    return _normalize(s1, tau, q2, break_point, d_max)
 
 
 def zeta_geometric_constants(
@@ -343,6 +261,14 @@ def zeta_geometric_constants(
     log1m_q = math.log1p(-q)
     tau = math.exp(-gamma * math.log(break_point) - (break_point - 1) * log1m_q)
     s1 = harmonic(break_point, gamma)
+    return _normalize(s1, tau, q, break_point, d_max)
+
+
+def _normalize(s1: float, tau: float, q: float, break_point: int,
+               d_max: int | None) -> tuple[float, float, float]:
+    """(c1, c2, tau) from the first-regime sum s1 and a geometric second
+    regime of rate q, with c1*(s1 + tau*s2) = 1."""
+    log1m_q = math.log1p(-q)
     if d_max is None:
         s2 = math.exp(break_point * log1m_q) / q
     else:
@@ -362,7 +288,7 @@ def log_pmf(model: Model, params: ModelParams, d) -> np.ndarray | float:
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 1) or np.any(d_arr != np.floor(d_arr)):
         raise ValueError("d must be a positive integer")
-    out = _log_pmf_array(model, params, d_arr)
+    out = model.spec.log_pmf(params, d_arr, getattr(params, "d_max", None))
     if np.isscalar(d) or d_arr.ndim == 0:
         return float(out)
     return out
@@ -372,90 +298,6 @@ def pmf(model: Model, params: ModelParams, d) -> np.ndarray | float:
     """p(d) in [0, 1]; 0 outside the support."""
     lp = log_pmf(model, params, d)
     return np.exp(lp) if isinstance(lp, np.ndarray) else math.exp(lp)
-
-
-def _log_pmf_array(model: Model, params, d: np.ndarray) -> np.ndarray:
-    if model is Model.NULL_FIXED:
-        d_max = params.d_max
-        out = np.full(d.shape, NEG_INF)
-        ok = d <= d_max
-        out[ok] = (
-            np.log(2.0 * (d_max + 1 - d[ok]))
-            - math.log(d_max) - math.log(d_max + 1)
-        )
-        return out
-
-    if model is Model.NULL_MIXTURE:
-        # Marginal over sentence lengths: p(d) = sum_n p(d|n) p(n).
-        prob = np.zeros(d.shape)
-        for n, p_n in params.lengths.items():
-            ok = d <= n - 1
-            prob[ok] += p_n * 2.0 * (n - d[ok]) / (n * (n - 1.0))
-        with np.errstate(divide="ignore"):
-            return np.log(prob)
-
-    if model is Model.GEOMETRIC:
-        q = params.q
-        return math.log(q) + (d - 1) * math.log1p(-q)
-
-    if model is Model.GEOMETRIC_TRUNC:
-        q, d_max = params.q, params.d_max
-        out = np.full(d.shape, NEG_INF)
-        ok = d <= d_max
-        log_norm = math.log(-math.expm1(d_max * math.log1p(-q)))
-        out[ok] = math.log(q) + (d[ok] - 1) * math.log1p(-q) - log_norm
-        return out
-
-    if model is Model.TWO_REGIME_GEOMETRIC:
-        c1, c2, _ = two_regime_geometric_constants(
-            params.q1, params.q2, params.break_point
-        )
-        return _two_regime_geom_log(d, params, c1, c2, None)
-
-    if model is Model.TWO_REGIME_GEOMETRIC_TRUNC:
-        c1, c2, _ = two_regime_geometric_constants(
-            params.q1, params.q2, params.break_point, params.d_max
-        )
-        return _two_regime_geom_log(d, params, c1, c2, params.d_max)
-
-    if model is Model.ZETA_TRUNC:
-        gamma, d_max = params.gamma, params.d_max
-        out = np.full(d.shape, NEG_INF)
-        ok = d <= d_max
-        out[ok] = -gamma * np.log(d[ok]) - math.log(harmonic(d_max, gamma))
-        return out
-
-    if model is Model.ZETA_GEOMETRIC:
-        c1, c2, _ = zeta_geometric_constants(
-            params.gamma, params.q, params.break_point
-        )
-        return _zeta_geom_log(d, params, c1, c2, None)
-
-    if model is Model.ZETA_GEOMETRIC_TRUNC:
-        c1, c2, _ = zeta_geometric_constants(
-            params.gamma, params.q, params.break_point, params.d_max
-        )
-        return _zeta_geom_log(d, params, c1, c2, params.d_max)
-
-    raise ValueError(f"unhandled model {model}")
-
-
-def _two_regime_geom_log(d, params, c1, c2, d_max):
-    out = np.full(d.shape, NEG_INF)
-    first = d <= params.break_point
-    second = ~first if d_max is None else (~first) & (d <= d_max)
-    out[first] = math.log(c1) + (d[first] - 1) * math.log1p(-params.q1)
-    out[second] = math.log(c2) + (d[second] - 1) * math.log1p(-params.q2)
-    return out
-
-
-def _zeta_geom_log(d, params, c1, c2, d_max):
-    out = np.full(d.shape, NEG_INF)
-    first = d <= params.break_point
-    second = ~first if d_max is None else (~first) & (d <= d_max)
-    out[first] = math.log(c1) - params.gamma * np.log(d[first])
-    out[second] = math.log(c2) + (d[second] - 1) * math.log1p(-params.q)
-    return out
 
 
 def support_upper(model: Model, params: ModelParams) -> int | None:
@@ -474,31 +316,16 @@ def total_mass(model: Model, params: ModelParams, upto: int = 10_000) -> float:
     second regime (never silently truncated).
     """
     bound = support_upper(model, params)
+    d = np.arange(1, (upto if bound is None else bound) + 1, dtype=float)
+    head = float(pmf(model, params, d).sum())
     if bound is not None:
-        d = np.arange(1, bound + 1, dtype=float)
-        return float(np.exp(_log_pmf_array(model, params, d)).sum())
-
-    d = np.arange(1, upto + 1, dtype=float)
-    head = float(np.exp(_log_pmf_array(model, params, d)).sum())
-    if model is Model.GEOMETRIC:
-        tail = math.exp(upto * math.log1p(-params.q))
-    elif model is Model.TWO_REGIME_GEOMETRIC:
-        c1, c2, _ = two_regime_geometric_constants(
-            params.q1, params.q2, params.break_point
-        )
-        if upto < params.break_point:
-            raise ValueError("summation cutoff below the break point")
-        tail = c2 * math.exp(upto * math.log1p(-params.q2)) / params.q2
-    elif model is Model.ZETA_GEOMETRIC:
-        c1, c2, _ = zeta_geometric_constants(
-            params.gamma, params.q, params.break_point
-        )
-        if upto < params.break_point:
-            raise ValueError("summation cutoff below the break point")
-        tail = c2 * math.exp(upto * math.log1p(-params.q)) / params.q
-    else:
-        raise ValueError(f"unhandled unbounded model {model}")
-    return head + tail
+        return head
+    if upto < getattr(params, "break_point", 1):
+        raise ValueError("summation cutoff below the break point")
+    # Every unbounded model ends in a geometric regime of rate q (q2 for
+    # the two-regime geometric), so the mass beyond upto is p(upto+1)/q.
+    q_tail = getattr(params, "q2", None) or params.q
+    return head + float(pmf(model, params, upto + 1) / q_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +386,7 @@ def sufficient_stats(
 
 
 # ---------------------------------------------------------------------------
-# Log-likelihoods (compact sufficient-statistic forms)
+# Log-likelihoods
 # ---------------------------------------------------------------------------
 
 PerLength = tuple[Mapping[int, DistanceSample], LengthDistribution]
@@ -577,19 +404,11 @@ def log_likelihood(
     the null models) yield -inf so optimizers reject the region; use
     :func:`supports` to distinguish that case from an underflow.
     """
+    spec = model.spec
     if model is Model.NULL_MIXTURE:
         if per_length is None:
             raise ValueError("length-mixture null needs per-length samples")
-        by_length, _ = per_length
-        total = 0.0
-        for n, length_sample in sorted(by_length.items()):
-            if length_sample.max_d > n - 1:
-                return NEG_INF
-            stats = sufficient_stats(length_sample, n=n)
-            total += (
-                stats.n_total * math.log(2.0 / (n * (n - 1.0))) + stats.w_n
-            )
-        return total
+        return spec.log_likelihood(params, per_length, None)
 
     if sample is None:
         raise ValueError("sample required")
@@ -597,88 +416,13 @@ def log_likelihood(
     # Every pmf here is non-increasing in d, so the smallest per-term log
     # probability sits at the largest observed distance; when it underflows
     # past the double floor the whole likelihood becomes the rejection
-    # sentinel (this also covers any support violation).
-    if float(_log_pmf_array(
-        model, params, np.asarray([float(sample.max_d)])
-    )[0]) < LOG_TERM_FLOOR:
+    # sentinel (this also covers any support violation and a degenerate
+    # normalizer).
+    d_max = getattr(params, "d_max", None)
+    top = spec.log_pmf(params, np.asarray([float(sample.max_d)]), d_max)
+    if top[0] < LOG_TERM_FLOOR:
         return NEG_INF
-
-    if model is Model.NULL_FIXED:
-        d_max = params.d_max
-        if sample.max_d > d_max:
-            return NEG_INF
-        stats = sufficient_stats(sample, d_max=d_max)
-        return (
-            stats.n_total * math.log(2.0 / (d_max * (d_max + 1.0))) + stats.w
-        )
-
-    if model is Model.GEOMETRIC:
-        stats = sufficient_stats(sample)
-        q = params.q
-        return (
-            stats.n_total * math.log(q)
-            + (stats.weighted_sum - stats.n_total) * math.log1p(-q)
-        )
-
-    if model is Model.GEOMETRIC_TRUNC:
-        q, d_max = params.q, params.d_max
-        if sample.max_d > d_max:
-            return NEG_INF
-        stats = sufficient_stats(sample)
-        log_norm = math.log(-math.expm1(d_max * math.log1p(-q)))
-        return (
-            stats.n_total * (math.log(q) - log_norm)
-            + (stats.weighted_sum - stats.n_total) * math.log1p(-q)
-        )
-
-    if model in (Model.TWO_REGIME_GEOMETRIC,
-                 Model.TWO_REGIME_GEOMETRIC_TRUNC):
-        d_max = getattr(params, "d_max", None)
-        if d_max is not None and sample.max_d > d_max:
-            return NEG_INF
-        c1, c2, _ = two_regime_geometric_constants(
-            params.q1, params.q2, params.break_point, d_max
-        )
-        stats = sufficient_stats(sample, break_point=params.break_point)
-        n, m = stats.n_total, stats.weighted_sum
-        n_star, m_star = stats.n_upto, stats.weighted_upto
-        return (
-            n_star * math.log(c1)
-            + (n - n_star) * math.log(c2)
-            + (m_star - n_star)
-            * (math.log1p(-params.q1) - math.log1p(-params.q2))
-            + (m - n) * math.log1p(-params.q2)
-        )
-
-    if model is Model.ZETA_TRUNC:
-        gamma, d_max = params.gamma, params.d_max
-        if sample.max_d > d_max:
-            return NEG_INF
-        stats = sufficient_stats(sample)
-        return (
-            -gamma * stats.log_weighted_sum
-            - stats.n_total * math.log(harmonic(d_max, gamma))
-        )
-
-    if model in (Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC):
-        d_max = getattr(params, "d_max", None)
-        if d_max is not None and sample.max_d > d_max:
-            return NEG_INF
-        c1, c2, _ = zeta_geometric_constants(
-            params.gamma, params.q, params.break_point, d_max
-        )
-        stats = sufficient_stats(sample, break_point=params.break_point)
-        n, m = stats.n_total, stats.weighted_sum
-        n_star, m_star = stats.n_upto, stats.weighted_upto
-        mlog_star = stats.log_weighted_upto
-        return (
-            n_star * math.log(c1)
-            - params.gamma * mlog_star
-            + (n - n_star) * math.log(c2)
-            + (m - m_star - n + n_star) * math.log1p(-params.q)
-        )
-
-    raise ValueError(f"unhandled model {model}")
+    return spec.log_likelihood(params, sample, d_max)
 
 
 def supports(
@@ -695,3 +439,319 @@ def supports(
         return all(s.max_d <= n - 1 for n, s in by_length.items())
     bound = support_upper(model, params)
     return bound is None or sample.max_d <= bound
+
+
+# ---------------------------------------------------------------------------
+# Families: log-pmf over a float array d and log-likelihood from sufficient
+# statistics.  ``d_max`` is the truncation bound, None for unbounded twins.
+# ---------------------------------------------------------------------------
+
+def _on_support(d: np.ndarray, d_max: int | None, log_p) -> np.ndarray:
+    """log_p(d) where d <= d_max (everywhere without a bound), else -inf."""
+    if d_max is None:
+        return log_p(d)
+    out = np.full(d.shape, NEG_INF)
+    ok = d <= d_max
+    out[ok] = log_p(d[ok])
+    return out
+
+
+def _null_log_pmf(params, d, d_max):
+    return _on_support(d, d_max, lambda x: (
+        np.log(2.0 * (d_max + 1 - x))
+        - math.log(d_max) - math.log(d_max + 1)
+    ))
+
+
+def _null_log_likelihood(params, sample, d_max):
+    stats = sufficient_stats(sample, d_max=d_max)
+    return stats.n_total * math.log(2.0 / (d_max * (d_max + 1.0))) + stats.w
+
+
+def _mixture_log_pmf(params, d, d_max):
+    # Marginal over sentence lengths: p(d) = sum_n p(d|n) p(n).
+    prob = np.zeros(d.shape)
+    for n, p_n in params.lengths.items():
+        ok = d <= n - 1
+        prob[ok] += p_n * 2.0 * (n - d[ok]) / (n * (n - 1.0))
+    with np.errstate(divide="ignore"):
+        return np.log(prob)
+
+
+def _mixture_log_likelihood(params, per_length, d_max):
+    by_length, _ = per_length
+    total = 0.0
+    for n, length_sample in sorted(by_length.items()):
+        if length_sample.max_d > n - 1:
+            return NEG_INF
+        stats = sufficient_stats(length_sample, n=n)
+        total += stats.n_total * math.log(2.0 / (n * (n - 1.0))) + stats.w_n
+    return total
+
+
+def _geometric_log_norm(q: float, d_max: int | None) -> float:
+    """log of the geometric mass on 1..d_max; 0.0 without truncation."""
+    if d_max is None:
+        return 0.0
+    return math.log(-math.expm1(d_max * math.log1p(-q)))
+
+
+def _geometric_log_pmf(params, d, d_max):
+    q = params.q
+    log_norm = _geometric_log_norm(q, d_max)
+    return _on_support(d, d_max, lambda x: (
+        math.log(q) + (x - 1) * math.log1p(-q) - log_norm
+    ))
+
+
+def _geometric_log_likelihood(params, sample, d_max):
+    stats = sufficient_stats(sample)
+    q = params.q
+    return (
+        stats.n_total * (math.log(q) - _geometric_log_norm(q, d_max))
+        + (stats.weighted_sum - stats.n_total) * math.log1p(-q)
+    )
+
+
+def _zeta_log_pmf(params, d, d_max):
+    gamma = params.gamma
+    return _on_support(d, d_max, lambda x: (
+        -gamma * np.log(x) - math.log(harmonic(d_max, gamma))
+    ))
+
+
+def _zeta_log_likelihood(params, sample, d_max):
+    stats = sufficient_stats(sample)
+    return (
+        -params.gamma * stats.log_weighted_sum
+        - stats.n_total * math.log(harmonic(d_max, params.gamma))
+    )
+
+
+def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
+    """Log-pmf of models 3, 4, 6 and 7: log c1 + ``head(d)`` up to the break,
+    geometric at rate ``q_tail`` beyond.  Normalizers that a double cannot
+    hold (tau overflows, c1 or c2 underflows to 0) give -inf everywhere:
+    rejected, like a term below LOG_TERM_FLOOR, instead of raising."""
+    out = np.full(d.shape, NEG_INF)
+    try:
+        c1, c2, _ = constants(break_point=break_point, d_max=d_max)
+    except OverflowError:
+        return out
+    if c1 == 0.0 or c2 == 0.0:
+        return out
+    first = d <= break_point
+    second = ~first if d_max is None else (~first) & (d <= d_max)
+    out[first] = math.log(c1) + head(d[first])
+    out[second] = math.log(c2) + (d[second] - 1) * math.log1p(-q_tail)
+    return out
+
+
+def _two_regime_geometric_log_pmf(params, d, d_max):
+    q1, q2, break_point = params.q1, params.q2, params.break_point
+    return _two_regime_log_pmf(
+        d, break_point, d_max, q2,
+        partial(two_regime_geometric_constants, q1, q2),
+        lambda x: (x - 1) * math.log1p(-q1))
+
+
+def _two_regime_geometric_log_likelihood(params, sample, d_max):
+    c1, c2, _ = two_regime_geometric_constants(
+        params.q1, params.q2, params.break_point, d_max
+    )
+    stats = sufficient_stats(sample, break_point=params.break_point)
+    n, m = stats.n_total, stats.weighted_sum
+    n_star, m_star = stats.n_upto, stats.weighted_upto
+    return (
+        n_star * math.log(c1)
+        + (n - n_star) * math.log(c2)
+        + (m_star - n_star)
+        * (math.log1p(-params.q1) - math.log1p(-params.q2))
+        + (m - n) * math.log1p(-params.q2)
+    )
+
+
+def _zeta_geometric_log_pmf(params, d, d_max):
+    gamma, q, break_point = params.gamma, params.q, params.break_point
+    return _two_regime_log_pmf(
+        d, break_point, d_max, q,
+        partial(zeta_geometric_constants, gamma, q),
+        lambda x: -gamma * np.log(x))
+
+
+def _zeta_geometric_log_likelihood(params, sample, d_max):
+    c1, c2, _ = zeta_geometric_constants(
+        params.gamma, params.q, params.break_point, d_max
+    )
+    stats = sufficient_stats(sample, break_point=params.break_point)
+    n, m = stats.n_total, stats.weighted_sum
+    n_star, m_star = stats.n_upto, stats.weighted_upto
+    mlog_star = stats.log_weighted_upto
+    return (
+        n_star * math.log(c1)
+        - params.gamma * mlog_star
+        + (n - n_star) * math.log(c2)
+        + (m - m_star - n + n_star) * math.log1p(-params.q)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Starting values of the continuous parameters, from the sample and the
+# break point (None for one-regime models)
+# ---------------------------------------------------------------------------
+
+def _clamp_q(value: float) -> float:
+    return min(max(value, EPS), 1.0 - EPS)
+
+
+def _regression_slope(sample: DistanceSample, lo=None, hi=None) -> float | None:
+    """Least-squares slope of log(f(d)/N) on d over observed support."""
+    mask = np.ones(len(sample.support), dtype=bool)
+    if lo is not None:
+        mask &= sample.support >= lo
+    if hi is not None:
+        mask &= sample.support <= hi
+    d = sample.support[mask].astype(float)
+    if len(d) < 2:
+        return None
+    y = np.log(sample.counts[mask] / sample.total)
+    d_mean, y_mean = d.mean(), y.mean()
+    denom = ((d - d_mean) ** 2).sum()
+    return float(((d - d_mean) * (y - y_mean)).sum() / denom)
+
+
+def _q_init_from_slope(slope: float | None, fallback: float) -> float:
+    if slope is None:
+        return _clamp_q(fallback)
+    if slope >= 0:
+        # A flat or rising tail gives a slope with no geometric reading.
+        return EPS
+    return _clamp_q(1.0 - math.exp(slope))
+
+
+def _rate_init(sample: DistanceSample, break_point=None) -> tuple[float]:
+    """The inverse mean distance."""
+    return (_clamp_q(sample.total / sample.weighted_sum),)
+
+
+def _regime_q_inits(sample, break_point) -> tuple[float, float]:
+    """Log-frequency regression slopes on each side of the break."""
+    (q_global,) = _rate_init(sample)
+    b1 = _regression_slope(sample, hi=break_point)
+    b2 = _regression_slope(sample, lo=break_point)
+    return _q_init_from_slope(b1, q_global), _q_init_from_slope(b2, q_global)
+
+
+def _gamma_init(sample: DistanceSample, upto: int | None = None) -> float:
+    """Power-law exponent estimate 1 + N / sum(f(d) log(d / min(d)))."""
+    mask = (sample.support <= upto) if upto is not None else slice(None)
+    support = sample.support[mask].astype(float)
+    counts = sample.counts[mask]
+    denom = float((counts * np.log(support / support[0])).sum())
+    if denom <= 0.0:
+        return GAMMA_FALLBACK
+    return 1.0 + float(counts.sum()) / denom
+
+
+def _tail_q_init(sample: DistanceSample, break_point: int) -> float:
+    """Geometric rate init from distances strictly beyond the break."""
+    mask = sample.support > break_point
+    if not mask.any():
+        return _rate_init(sample)[0]
+    n_tail = int(sample.counts[mask].sum())
+    m_tail = int((sample.support[mask] * sample.counts[mask]).sum())
+    return _clamp_q(n_tail / m_tail)
+
+
+def _exponent_init(sample, break_point=None) -> tuple[float]:
+    return (_gamma_init(sample),)
+
+
+def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
+    return (_gamma_init(sample, upto=break_point),
+            _tail_q_init(sample, break_point))
+
+
+def _no_init(sample, break_point=None) -> tuple[()]:
+    return ()
+
+
+# ---------------------------------------------------------------------------
+# The spec table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model.  ``log_pmf(params, d, d_max)`` works on a float array;
+    ``log_likelihood(params, sample, d_max)`` takes the per-length samples
+    for the length mixture; ``init(sample, break_point)`` starts the
+    continuous parameters; ``sampler`` keys :data:`sampling.GENERATORS`.
+    None: nothing to optimize, or no sampler."""
+
+    params: type
+    k: int
+    family: str
+    log_pmf: Callable
+    log_likelihood: Callable
+    init: Callable | None
+    sampler: str | None
+
+    @cached_property
+    def fields(self) -> tuple[str, ...]:
+        return tuple(self.params.__dataclass_fields__)
+
+    @cached_property
+    def continuous(self) -> tuple[str, ...]:
+        """Names of the parameters fitted by the continuous optimizer."""
+        return tuple(name for name in self.fields if name in BOUNDS)
+
+    @property
+    def bounds(self) -> list[tuple]:
+        return [BOUNDS[name] for name in self.continuous]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """``depdist sample`` flag of each field, in field order."""
+        return tuple(FLAGS.get(name, name) for name in self.fields)
+
+    def build(self, break_point: int | None = None,
+              d_max: int | None = None) -> Callable[..., ModelParams]:
+        """Parameters from the continuous values, with the integer fields
+        (the last fields of every parameter class) fixed."""
+        integers = [value for name, value in (("break_point", break_point),
+                                              ("d_max", d_max))
+                    if name in self.fields]
+        return lambda *continuous: self.params(*continuous, *integers)
+
+
+#: One row per model, in the canonical ensemble order.
+SPECS: dict[Model, ModelSpec] = {
+    Model.NULL_FIXED: ModelSpec(
+        NullParams, 1, "0", _null_log_pmf, _null_log_likelihood,
+        _no_init, "table"),
+    Model.NULL_MIXTURE: ModelSpec(
+        MixtureNullParams, 0, "0", _mixture_log_pmf, _mixture_log_likelihood,
+        None, None),
+    Model.GEOMETRIC: ModelSpec(
+        GeometricParams, 1, "1-2", _geometric_log_pmf,
+        _geometric_log_likelihood, _rate_init, "geometric"),
+    Model.GEOMETRIC_TRUNC: ModelSpec(
+        TruncatedGeometricParams, 2, "1-2", _geometric_log_pmf,
+        _geometric_log_likelihood, _rate_init, "geometric"),
+    Model.TWO_REGIME_GEOMETRIC: ModelSpec(
+        TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
+        _two_regime_geometric_log_likelihood, _regime_q_inits, "table"),
+    Model.TWO_REGIME_GEOMETRIC_TRUNC: ModelSpec(
+        TruncatedTwoRegimeGeometricParams, 4, "3-4",
+        _two_regime_geometric_log_pmf, _two_regime_geometric_log_likelihood,
+        _regime_q_inits, "table"),
+    Model.ZETA_TRUNC: ModelSpec(
+        ZetaParams, 2, "5", _zeta_log_pmf, _zeta_log_likelihood,
+        _exponent_init, "zeta"),
+    Model.ZETA_GEOMETRIC: ModelSpec(
+        ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
+        _zeta_geometric_log_likelihood, _zeta_geometric_init, "table"),
+    Model.ZETA_GEOMETRIC_TRUNC: ModelSpec(
+        TruncatedZetaGeometricParams, 4, "6-7", _zeta_geometric_log_pmf,
+        _zeta_geometric_log_likelihood, _zeta_geometric_init, "table"),
+}

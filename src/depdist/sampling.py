@@ -5,13 +5,14 @@ with rejection of overshoots for the truncated variant.  Truncated zeta
 deviates use the classic rejection scheme with acceptance test
 V*X*(T-1)/(b-1) <= T/b, b = 2^(gamma-1).  The null and two-regime models use
 tabular inversion: a cumulative table searched by binary search, with an
-explicit 10^6 cutoff for the models whose support is unbounded.
+explicit 10^6 cutoff for the models whose support is unbounded.  Each
+model's spec row names its generator in :data:`GENERATORS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sp_stats
@@ -23,7 +24,6 @@ from .treebank import DistanceSample
 DEFAULT_CUTOFF = 10**6
 DEFAULT_SEED = 20260808
 SUITE_SIZE = 10**4
-SUITE_LENGTH = 20  # sentence length of the truncated reference samples
 GENERATOR_NAME = "numpy.random.default_rng (PCG64)"  # recorded in reports
 
 #: Generation parameters of the reference validation suite (one sample per
@@ -39,14 +39,6 @@ REFERENCE_PARAMS: dict[Model, ModelParams] = {
     Model.ZETA_GEOMETRIC: m.ZetaGeometricParams(1.6, 0.2, 4),
     Model.ZETA_GEOMETRIC_TRUNC:
         m.TruncatedZetaGeometricParams(1.6, 0.2, 4, 19),
-}
-
-TABULAR_MODELS = {
-    Model.NULL_FIXED,
-    Model.TWO_REGIME_GEOMETRIC,
-    Model.TWO_REGIME_GEOMETRIC_TRUNC,
-    Model.ZETA_GEOMETRIC,
-    Model.ZETA_GEOMETRIC_TRUNC,
 }
 
 
@@ -71,7 +63,6 @@ class DrawInfo:
     """Bookkeeping for one generated sample."""
 
     overflow: int = 0  # tabular draws that fell past the cutoff table
-    meta: dict = field(default_factory=dict)
 
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -168,30 +159,25 @@ def sample_tabular(
     return np.minimum(idx, len(cdf) - 1).astype(np.int64) + 1
 
 
-def draw_values(
-    model: Model,
-    params: ModelParams,
-    size: int,
-    rng: np.random.Generator,
-    cutoff: int = DEFAULT_CUTOFF,
-    info: DrawInfo | None = None,
-) -> np.ndarray:
-    """Dispatch to the generator appropriate for the model."""
-    if model is Model.GEOMETRIC:
-        return sample_geometric(params.q, size, rng)
-    if model is Model.GEOMETRIC_TRUNC:
-        return sample_geometric(params.q, size, rng, d_max=params.d_max)
-    if model is Model.ZETA_TRUNC:
-        if params.gamma > 1.0:
-            return sample_zeta_truncated(params.gamma, params.d_max, size, rng)
-        # The rejection scheme needs gamma > 1; the truncated table covers
-        # the rest of the parameter domain.
-        return sample_tabular(model, params, size, rng, cutoff, info)
-    if model in TABULAR_MODELS:
-        return sample_tabular(model, params, size, rng, cutoff, info)
-    if model is Model.NULL_MIXTURE:
-        raise ValueError("the length-mixture null has no sampler")
-    raise ValueError(f"unhandled model {model}")
+def _draw_geometric(model, params, size, rng, cutoff, info) -> np.ndarray:
+    return sample_geometric(params.q, size, rng,
+                            d_max=getattr(params, "d_max", None))
+
+
+def _draw_zeta(model, params, size, rng, cutoff, info) -> np.ndarray:
+    if params.gamma > 1.0:
+        return sample_zeta_truncated(params.gamma, params.d_max, size, rng)
+    # The rejection scheme needs gamma > 1; the truncated table covers the
+    # rest of the parameter domain.
+    return sample_tabular(model, params, size, rng, cutoff, info)
+
+
+#: Generator for each ``ModelSpec.sampler`` name.
+GENERATORS = {
+    "geometric": _draw_geometric,
+    "zeta": _draw_zeta,
+    "table": sample_tabular,
+}
 
 
 def draw_sample(
@@ -205,7 +191,10 @@ def draw_sample(
     """Generate a frequency-table sample from a model."""
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
-    values = draw_values(model, params, size, rng, cutoff, info)
+    sampler = model.spec.sampler
+    if sampler is None:
+        raise ValueError(f"model {model.id} has no sampler")
+    values = GENERATORS[sampler](model, params, size, rng, cutoff, info)
     return DistanceSample.from_values(values)
 
 

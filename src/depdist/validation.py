@@ -17,6 +17,9 @@ from .treebank import DistanceSample
 
 Q_TOLERANCE = 0.03
 GAMMA_TOLERANCE = 0.05
+# Parameters checked, by field name: integers must be recovered exactly.
+TOLERANCES = {"q": Q_TOLERANCE, "q1": Q_TOLERANCE, "q2": Q_TOLERANCE,
+              "gamma": GAMMA_TOLERANCE, "break_point": 0.0, "d_max": 0.0}
 
 
 @dataclass
@@ -66,16 +69,6 @@ class ValidationReport:
         return rows
 
 
-def _tolerance_for(name: str) -> float | None:
-    if name in ("q", "q1", "q2"):
-        return Q_TOLERANCE
-    if name == "gamma":
-        return GAMMA_TOLERANCE
-    if name in ("break_point", "d_max"):
-        return 0.0
-    return None
-
-
 def check_parameters(generator: Model, sample: DistanceSample,
                      fitted: m.ModelParams) -> list[ParamCheck]:
     """Compare a diagonal fit's parameters with the generating ones."""
@@ -83,7 +76,7 @@ def check_parameters(generator: Model, sample: DistanceSample,
     checks = []
     fitted_map = m.params_dict(fitted)
     for name, true_value in m.params_dict(true_params).items():
-        tolerance = _tolerance_for(name)
+        tolerance = TOLERANCES.get(name)
         if tolerance is None:
             continue
         if name == "d_max":

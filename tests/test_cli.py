@@ -4,6 +4,7 @@ import json
 import pytest
 
 from depdist.cli import main
+from depdist.models import Model
 from depdist.sampling import read_sample_csv
 from depdist.treebank import DepTree, to_conllu
 
@@ -258,6 +259,52 @@ class TestSampleCommand:
         assert files[0] == files[1]
 
 
+# One admissible value per parameter field, for every samplable model.
+SAMPLE_VALUES = {"q": 0.2, "q1": 0.5, "q2": 0.1, "gamma": 1.6,
+                 "break_point": 4, "d_max": 19}
+SAMPLABLE = [model for model in Model if model.spec.sampler is not None]
+
+
+def sample_argv(model, out_file, fields):
+    argv = ["sample", "--model", model.id, "--n-draws", "2000",
+            "--seed", "5", "--out-file", str(out_file)]
+    for name, flag in zip(model.spec.fields, model.spec.flags):
+        if name in fields:
+            argv += [f"--{flag}", str(SAMPLE_VALUES[name])]
+    return argv
+
+
+class TestSampleEveryModel:
+    def test_samplable_ids(self):
+        assert [model.id for model in SAMPLABLE] \
+            == ["0.0", "1", "2", "3", "4", "5", "6", "7"]
+
+    @pytest.mark.parametrize("model", SAMPLABLE, ids=lambda m: m.id)
+    def test_spec_flags_draw_a_sample(self, model, tmp_path):
+        out_file = tmp_path / "s.csv"
+        assert main(sample_argv(model, out_file, model.spec.fields)) == 0
+        sample, meta = read_sample_csv(out_file)
+        assert sample.total == 2000
+        assert meta["model"] == model.id
+        for name in model.spec.fields:
+            assert float(meta[name]) == SAMPLE_VALUES[name]
+        if model.is_truncated:
+            assert sample.max_d <= SAMPLE_VALUES["d_max"]
+
+    @pytest.mark.parametrize("model", SAMPLABLE, ids=lambda m: m.id)
+    def test_missing_flag_is_usage_error(self, model, tmp_path):
+        argv = sample_argv(model, tmp_path / "x.csv", model.spec.fields[1:])
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+    def test_length_mixture_cannot_be_sampled(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--model", "0.1",
+                  "--out-file", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+
+
 class TestValidateCommand:
     def test_full_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -268,4 +315,11 @@ class TestValidateCommand:
         assert (out / "validation_params.csv").exists()
         assert "Best model per generated sample" in captured.out
         # Smaller suites may miss a tolerance; exit code reflects it.
+        assert code in (0, 4)
+
+    def test_seed_with_out_of_range_normalizers_completes(self, tmp_path):
+        # The fits of this suite probe parameters whose two-regime
+        # normalizers leave the double range; they are rejected, and the
+        # run ends with a verdict instead of an exception.
+        code = main(["validate", "--seed", "2", "--out", str(tmp_path)])
         assert code in (0, 4)

@@ -60,7 +60,7 @@ class TestInitialValues:
         # Rising frequencies beyond the break: slope >= 0, init at the
         # domain floor.
         sample = DistanceSample({1: 50, 2: 30, 3: 1, 4: 2, 5: 8})
-        q1, q2 = est._regime_q_inits(sample, 3)
+        q1, q2 = m._regime_q_inits(sample, 3)
         assert q2 == m.EPS
         assert 0 < q1 < 1
 
@@ -79,7 +79,7 @@ class TestInitialValues:
 
     def test_tail_rate_uses_distances_beyond_break(self):
         sample = DistanceSample({1: 10, 4: 5, 8: 5})
-        q = est._tail_q_init(sample, 4)
+        q = m._tail_q_init(sample, 4)
         assert q == pytest.approx(5 / 40)  # only d = 8 is beyond the break
 
 
@@ -177,7 +177,7 @@ class TestFit:
         sample = DistanceSample.from_values(values)
         result = fit(Model.TWO_REGIME_GEOMETRIC, sample)
         best_by_rescan = max(
-            est._optimize_two_regime_geometric(sample, bp, None)[1]
+            est._optimize(Model.TWO_REGIME_GEOMETRIC, sample, bp)[1]
             for bp in range(sample.min2_d, sample.max2_d + 1)
         )
         assert result.log_l == pytest.approx(best_by_rescan, abs=1e-9)
@@ -220,6 +220,23 @@ class TestSelect:
         assert r1.best is r2.best
         assert r1.criterion_value(r1.best) \
             == pytest.approx(r2.criterion_value(r2.best), rel=1e-12)
+
+    def test_ensemble_order_does_not_matter(self, validation_report):
+        for generator, forward in validation_report.selections.items():
+            sample = validation_report.suite[generator]
+            backward = select(sample, est.FIXED_ENSEMBLE[::-1],
+                              criterion=forward.criterion)
+            assert list(backward.fits) == est.FIXED_ENSEMBLE[::-1]
+            assert backward.best is forward.best, generator
+            assert backward.fits == forward.fits, generator
+
+    def test_degenerate_normalizer_does_not_stop_selection(self):
+        # The optimizer probes zeta-geometric parameters whose normalizer
+        # c2 underflows to 0; they are rejected instead of raising.
+        sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        report = select(sample, est.FIXED_ENSEMBLE, "aic")
+        assert report.best is not None
+        assert not report.fits[Model.ZETA_GEOMETRIC_TRUNC].excluded
 
     def test_all_excluded_yields_no_best(self):
         sample = DistanceSample({1: 9, 2: 1})
@@ -319,8 +336,8 @@ class TestSlopeAnalysis:
         # First slope approximates the power-law regime by the two-regime
         # geometric refit at the same break; the restricted two-regime fit
         # on the same data must land in the same place.
-        restricted, _, _ = est._optimize_two_regime_geometric(
-            sample, fit_zg.params.break_point, None
+        restricted, _, _ = est._optimize(
+            Model.TWO_REGIME_GEOMETRIC, sample, fit_zg.params.break_point
         )
         assert slopes.q1 == pytest.approx(restricted.q1, abs=0.05)
         assert slopes.q1 > slopes.q2

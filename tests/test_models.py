@@ -388,3 +388,26 @@ class TestDistributionInvariants:
         inner_second = np.diff(lp[6:])  # d = 7..19
         assert np.allclose(inner_first, math.log1p(-0.5), rtol=1e-12)
         assert np.allclose(inner_second, math.log1p(-0.1), rtol=1e-12)
+
+
+class TestDegenerateNormalizers:
+    """Parameters inside the domain whose normalizers a double cannot hold
+    (tau overflows, or c2 underflows to 0) are rejected, not raised."""
+
+    SAMPLE = DistanceSample({d: max(1, 100 - d) for d in range(1, 61)})
+
+    @pytest.mark.parametrize("model, params", [
+        (Model.ZETA_GEOMETRIC, m.ZetaGeometricParams(0.0, 1 - 1e-8, 50)),
+        (Model.ZETA_GEOMETRIC_TRUNC,
+         m.TruncatedZetaGeometricParams(0.0, 1 - 1e-8, 50, 60)),
+        (Model.TWO_REGIME_GEOMETRIC,
+         m.TwoRegimeGeometricParams(1e-8, 1 - 1e-8, 50)),
+        (Model.TWO_REGIME_GEOMETRIC_TRUNC,
+         m.TruncatedTwoRegimeGeometricParams(1 - 1e-8, 1e-8, 50, 60)),
+        (Model.TWO_REGIME_GEOMETRIC_TRUNC,
+         m.TruncatedTwoRegimeGeometricParams(1e-8, 1 - 1e-8, 50, 60)),
+    ])
+    def test_log_likelihood_is_rejection_sentinel(self, model, params):
+        assert m.log_likelihood(model, params, self.SAMPLE) == float("-inf")
+        lp = m.log_pmf(model, params, np.arange(1, 61))
+        assert np.all(lp == float("-inf"))
