@@ -16,11 +16,23 @@ genuine scan with an adaptive window.
 
 One optimizer, :func:`_optimize`, serves models 1 to 7: the model's spec
 row (:data:`depdist.models.SPECS`) names its continuous parameters, their
-bounds and starting values, and builds the parameter object.
+bounds and starting values, and builds the parameter object.  The sample's
+sufficient statistics are computed once per break point, and each
+evaluation runs the row's log-likelihood on plain floats.
+
+L-BFGS-B gets its gradient from :func:`_forward_gradient`, which follows
+the rule scipy applies when it is given no gradient: a forward step of
+1e-8, turned backward where it would leave the box, replaced by
+sqrt(eps) * max(1, |x|) where 1e-8 vanishes beside x, and divided by the
+step as rounded, (x + h) - x.  Same points, same arithmetic, so the
+optimizer walks the same iterates and every fit is bit-identical to the
+one scipy's generic differences give, without their per-call overhead.
+Powell fallbacks and non-converged results are logged at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +50,11 @@ BREAK_POINT_INIT = 5
 FTOL = 1e-11                    # relative log-likelihood convergence
 Q_BOUNDS = m.Q_BOUNDS           # optimizer box of the q-like rates
 GAMMA_BOUNDS = m.GAMMA_BOUNDS   # and of the zeta exponent
+FD_STEP = 1e-8                  # scipy's default L-BFGS-B gradient step
+FD_REL_STEP = float(np.finfo(float).eps) ** 0.5  # and its fallback scale
+LBFGSB_MAXFUN = 15000           # scipy's default L-BFGS-B evaluation budget
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -112,8 +129,34 @@ def initial_values(model: Model, sample: DistanceSample) -> ModelParams:
 # Continuous optimization (bounded, with derivative-free fallback)
 # ---------------------------------------------------------------------------
 
-def _maximize(objective, x0, bounds) -> tuple[np.ndarray, float, bool]:
-    """Maximize ``objective`` within bounds; return (x, value, converged)."""
+def _forward_gradient(f, x, f0, lows, highs) -> np.ndarray:
+    """Forward-difference gradient of ``f`` at ``x`` (a list of floats)
+    with ``f0 = f(x)``: scipy's default for L-BFGS-B, step for step.
+
+    The step is FD_STEP, or FD_REL_STEP * max(1, |x|) with the sign of x
+    where x + FD_STEP rounds back to x, and it turns backward where the
+    forward point leaves the box.  Every box here is far wider than a step,
+    so the backward point is always inside (scipy shortens the step only
+    in a narrower box).
+    """
+    grad = np.empty(len(x))
+    for i, xi in enumerate(x):
+        h = FD_STEP
+        if (xi + h) - xi == 0.0:
+            h = FD_REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
+        if not lows[i] <= xi + h <= highs[i]:
+            h = -h
+        shifted = list(x)
+        shifted[i] = xi + h
+        grad[i] = (f(shifted) - f0) / ((xi + h) - xi)
+    return grad
+
+
+def _maximize(objective, x0, bounds, label="objective"
+              ) -> tuple[np.ndarray, float, bool]:
+    """Maximize ``objective`` (a function of a list of floats) within
+    bounds; return (x, value, converged).  ``label`` names the fit in the
+    debug log of fallbacks and non-converged results."""
     lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
     highs = [hi if hi is not None else np.inf for _, hi in bounds]
     x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
@@ -121,23 +164,38 @@ def _maximize(objective, x0, bounds) -> tuple[np.ndarray, float, bool]:
     def negated(x):
         # Line searches may probe a hair outside the box; evaluate at the
         # nearest feasible point instead.
-        value = objective(np.clip(x, lows, highs))
+        value = objective([min(max(float(v), lo), hi)
+                           for v, lo, hi in zip(x, lows, highs)])
         return -value if math.isfinite(value) else 1e300
 
-    best_x, best_val = x0, objective(x0)
-    converged = False
-    primary = minimize(negated, x0, method="L-BFGS-B", bounds=bounds,
-                       options={"ftol": FTOL, "maxiter": 500})
+    def negated_and_gradient(x):
+        x = x.tolist()
+        f0 = negated(x)
+        return f0, _forward_gradient(negated, x, f0, lows, highs)
+
+    best_x, best_val = x0, objective(x0.tolist())
+    # scipy charges maxfun with the n + 1 evaluations of a finite-difference
+    # point, a supplied gradient with one: the same budget in points.
+    primary = minimize(negated_and_gradient, x0, method="L-BFGS-B", jac=True,
+                       bounds=bounds,
+                       options={"ftol": FTOL, "maxiter": 500,
+                                "maxfun": LBFGSB_MAXFUN // (len(x0) + 1)})
     if -primary.fun > best_val:
         best_x, best_val = primary.x, -primary.fun
     converged = bool(primary.success)
+    message = primary.message
     if not primary.success:
+        log.debug("%s: L-BFGS-B stopped (%s); falling back to Powell",
+                  label, message)
         fallback = minimize(negated, x0, method="Powell", bounds=bounds,
                             options={"ftol": FTOL, "xtol": 1e-10,
                                      "maxiter": 2000})
         if -fallback.fun > best_val:
             best_x, best_val = fallback.x, -fallback.fun
             converged = bool(fallback.success)
+            message = fallback.message
+    if not converged:
+        log.debug("%s: no converged optimum (%s)", label, message)
     return np.clip(np.asarray(best_x, dtype=float), lows, highs), \
         best_val, converged
 
@@ -146,16 +204,16 @@ def _optimize(model: Model, sample: DistanceSample, break_point: int | None
               ) -> tuple[ModelParams, float, bool]:
     """Best continuous parameters at a fixed break point (None for
     one-regime models), seeded by the spec's initial values; a truncation
-    bound is pinned to the observed maximum."""
+    bound is pinned to the observed maximum.  The sample's statistics are
+    computed once and the row's log-likelihood is evaluated on them."""
     spec = model.spec
-    build = spec.build(break_point, sample.max_d)
-
-    def objective(x):
-        return m.log_likelihood(model, build(*map(float, x)), sample)
-
-    x, log_l, conv = _maximize(objective, spec.init(sample, break_point),
-                               spec.bounds)
-    return build(*map(float, x)), log_l, conv
+    d_max = sample.max_d if model.is_truncated else None
+    stats = m.sufficient_stats(sample, break_point)
+    x, log_l, conv = _maximize(
+        lambda x: spec.log_likelihood(x, stats, d_max),
+        spec.init(sample, break_point), spec.bounds,
+        f"model {model.id}, break point {break_point}")
+    return spec.build(break_point, sample.max_d)(*map(float, x)), log_l, conv
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,14 @@ None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.
 
-Log-likelihoods are computed in one pass from cached sufficient statistics
-(N, M, M', and their restrictions to d <= break), never by rescanning the
-sample.  Parameters whose normalizers overflow or underflow a double get
-log-likelihood -inf, the same rejection as a term below LOG_TERM_FLOOR.
+Log-likelihoods are computed from sufficient statistics (N, M, M', their
+restrictions to d <= break, and max d), never by rescanning the sample.
+Each row's log-likelihood takes the continuous values as floats and the
+statistics, so an optimizer computes the statistics once per break point
+and builds no parameter object per evaluation; :func:`log_likelihood` is
+the same row behind a parameter object.  Parameters whose normalizers
+overflow or underflow a double get log-likelihood -inf, the same rejection
+as a term below LOG_TERM_FLOOR.
 """
 
 from __future__ import annotations
@@ -336,15 +340,17 @@ def total_mass(model: Model, params: ModelParams, upto: int = 10_000) -> float:
 class SufficientStats:
     """Frequency-weighted sums that determine every log-likelihood.
 
-    n_total (N), weighted_sum (M), log_weighted_sum (M') always; the starred
-    variants restrict to d <= break_point; ``w`` is the slack sum
-    sum f(d) log(d_max + 1 - d) and ``w_n`` its fixed-length twin
-    sum f(d) log(n - d).
+    n_total (N), weighted_sum (M), log_weighted_sum (M') and the largest
+    observed distance always; the starred variants N*, M*, M'* restrict to
+    d <= break_point; ``w`` is the slack sum sum f(d) log(d_max + 1 - d)
+    and ``w_n`` its fixed-length twin sum f(d) log(n - d).
     """
 
     n_total: int
     weighted_sum: int
     log_weighted_sum: float
+    max_d: int
+    break_point: int | None = None
     n_upto: int | None = None
     weighted_upto: int | None = None
     log_weighted_upto: float | None = None
@@ -377,6 +383,8 @@ def sufficient_stats(
         n_total=sample.total,
         weighted_sum=sample.weighted_sum,
         log_weighted_sum=sample.log_weighted_sum,
+        max_d=sample.max_d,
+        break_point=break_point,
         n_upto=n_star,
         weighted_upto=m_star,
         log_weighted_upto=mlog_star,
@@ -398,7 +406,8 @@ def log_likelihood(
     sample: DistanceSample | None = None,
     per_length: PerLength | None = None,
 ) -> float:
-    """Log-likelihood of a sample under a model.
+    """Log-likelihood of a sample under a model: the statistics of the
+    sample at the parameters' break point, handed to the model's row.
 
     Support violations (an observed d beyond d_max, or beyond n - 1 under
     the null models) yield -inf so optimizers reject the region; use
@@ -408,21 +417,16 @@ def log_likelihood(
     if model is Model.NULL_MIXTURE:
         if per_length is None:
             raise ValueError("length-mixture null needs per-length samples")
-        return spec.log_likelihood(params, per_length, None)
+        return spec.log_likelihood((), per_length, None)
 
     if sample is None:
         raise ValueError("sample required")
-
-    # Every pmf here is non-increasing in d, so the smallest per-term log
-    # probability sits at the largest observed distance; when it underflows
-    # past the double floor the whole likelihood becomes the rejection
-    # sentinel (this also covers any support violation and a degenerate
-    # normalizer).
     d_max = getattr(params, "d_max", None)
-    top = spec.log_pmf(params, np.asarray([float(sample.max_d)]), d_max)
-    if top[0] < LOG_TERM_FLOOR:
+    if d_max is not None and sample.max_d > d_max:
         return NEG_INF
-    return spec.log_likelihood(params, sample, d_max)
+    stats = sufficient_stats(sample, getattr(params, "break_point", None),
+                             d_max)
+    return spec.log_likelihood(spec.values(params), stats, d_max)
 
 
 def supports(
@@ -442,8 +446,15 @@ def supports(
 
 
 # ---------------------------------------------------------------------------
-# Families: log-pmf over a float array d and log-likelihood from sufficient
-# statistics.  ``d_max`` is the truncation bound, None for unbounded twins.
+# Families.  ``*_log_pmf(params, d, d_max)`` works on a float array d;
+# ``*_log_likelihood(x, stats, d_max)`` takes the continuous values x as
+# floats, in field order, and the sample's :class:`SufficientStats` at the
+# break point, with the observed distances inside the support.  Every pmf
+# here is non-increasing in d, so the smallest term sits at max d; when it
+# falls below LOG_TERM_FLOOR the whole likelihood is the rejection sentinel
+# -inf.  ``d_max`` is the truncation bound, None for unbounded twins.  The
+# ``*_term`` helpers give log p(d) for a float or an array d and serve
+# both.
 # ---------------------------------------------------------------------------
 
 def _on_support(d: np.ndarray, d_max: int | None, log_p) -> np.ndarray:
@@ -456,15 +467,19 @@ def _on_support(d: np.ndarray, d_max: int | None, log_p) -> np.ndarray:
     return out
 
 
+def _null_term(d_max, d):
+    return np.log(2.0 * (d_max + 1 - d)) - math.log(d_max) \
+        - math.log(d_max + 1)
+
+
 def _null_log_pmf(params, d, d_max):
-    return _on_support(d, d_max, lambda x: (
-        np.log(2.0 * (d_max + 1 - x))
-        - math.log(d_max) - math.log(d_max + 1)
-    ))
+    return _on_support(d, d_max, partial(_null_term, d_max))
 
 
-def _null_log_likelihood(params, sample, d_max):
-    stats = sufficient_stats(sample, d_max=d_max)
+def _null_log_likelihood(x, stats, d_max):
+    """Needs the slack sum: ``sufficient_stats(sample, d_max=d_max)``."""
+    if _null_term(d_max, stats.max_d) < LOG_TERM_FLOOR:
+        return NEG_INF
     return stats.n_total * math.log(2.0 / (d_max * (d_max + 1.0))) + stats.w
 
 
@@ -478,7 +493,8 @@ def _mixture_log_pmf(params, d, d_max):
         return np.log(prob)
 
 
-def _mixture_log_likelihood(params, per_length, d_max):
+def _mixture_log_likelihood(x, per_length, d_max):
+    """Takes the per-length samples in place of statistics."""
     by_length, _ = per_length
     total = 0.0
     for n, length_sample in sorted(by_length.items()):
@@ -496,55 +512,100 @@ def _geometric_log_norm(q: float, d_max: int | None) -> float:
     return math.log(-math.expm1(d_max * math.log1p(-q)))
 
 
+def _geometric_head(q, d):
+    """(d - 1) log(1 - q): the geometric decay from 1 to d."""
+    return (d - 1) * math.log1p(-q)
+
+
+def _geometric_term(q, log_norm, d):
+    return math.log(q) + _geometric_head(q, d) - log_norm
+
+
 def _geometric_log_pmf(params, d, d_max):
     q = params.q
+    return _on_support(d, d_max, partial(
+        _geometric_term, q, _geometric_log_norm(q, d_max)))
+
+
+def _geometric_log_likelihood(x, stats, d_max):
+    (q,) = x
     log_norm = _geometric_log_norm(q, d_max)
-    return _on_support(d, d_max, lambda x: (
-        math.log(q) + (x - 1) * math.log1p(-q) - log_norm
-    ))
-
-
-def _geometric_log_likelihood(params, sample, d_max):
-    stats = sufficient_stats(sample)
-    q = params.q
+    if _geometric_term(q, log_norm, stats.max_d) < LOG_TERM_FLOOR:
+        return NEG_INF
     return (
-        stats.n_total * (math.log(q) - _geometric_log_norm(q, d_max))
+        stats.n_total * (math.log(q) - log_norm)
         + (stats.weighted_sum - stats.n_total) * math.log1p(-q)
     )
 
 
+def _zeta_head(gamma, d):
+    return -gamma * np.log(d)
+
+
+def _zeta_term(gamma, log_h, d):
+    return _zeta_head(gamma, d) - log_h
+
+
 def _zeta_log_pmf(params, d, d_max):
     gamma = params.gamma
-    return _on_support(d, d_max, lambda x: (
-        -gamma * np.log(x) - math.log(harmonic(d_max, gamma))
-    ))
+    return _on_support(d, d_max, partial(
+        _zeta_term, gamma, math.log(harmonic(d_max, gamma))))
 
 
-def _zeta_log_likelihood(params, sample, d_max):
-    stats = sufficient_stats(sample)
-    return (
-        -params.gamma * stats.log_weighted_sum
-        - stats.n_total * math.log(harmonic(d_max, params.gamma))
-    )
+def _zeta_log_likelihood(x, stats, d_max):
+    (gamma,) = x
+    log_h = math.log(harmonic(d_max, gamma))
+    if _zeta_term(gamma, log_h, stats.max_d) < LOG_TERM_FLOOR:
+        return NEG_INF
+    return -gamma * stats.log_weighted_sum - stats.n_total * log_h
 
 
-def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
-    """Log-pmf of models 3, 4, 6 and 7: log c1 + ``head(d)`` up to the break,
-    geometric at rate ``q_tail`` beyond.  Normalizers that a double cannot
-    hold (tau overflows, c1 or c2 underflows to 0) give -inf everywhere:
-    rejected, like a term below LOG_TERM_FLOOR, instead of raising."""
-    out = np.full(d.shape, NEG_INF)
+# Models 3, 4, 6 and 7: log c1 + head(d) up to the break, geometric at rate
+# q_tail beyond it.  ``constants(break_point=, d_max=)`` gives (c1, c2, tau);
+# normalizers that a double cannot hold (tau overflows, c1 or c2 underflows
+# to 0) put -inf everywhere: rejected, like a term below LOG_TERM_FLOOR,
+# instead of raising.
+
+def _two_regime_log_constants(constants, break_point, d_max):
+    """(log c1, log c2), or None when a double cannot hold them."""
     try:
         c1, c2, _ = constants(break_point=break_point, d_max=d_max)
     except OverflowError:
-        return out
+        return None
     if c1 == 0.0 or c2 == 0.0:
-        return out
+        return None
+    return math.log(c1), math.log(c2)
+
+
+def _tail_term(log_c2, q_tail, d):
+    return log_c2 + _geometric_head(q_tail, d)
+
+
+def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
+    logs = _two_regime_log_constants(constants, break_point, d_max)
+    if logs is None:
+        return np.full(d.shape, NEG_INF)
+    # The tail formula over all of d, then the first regime and the
+    # truncation written over it: one array as long as d, not two.
+    out = np.asarray(_tail_term(logs[1], q_tail, d))
     first = d <= break_point
-    second = ~first if d_max is None else (~first) & (d <= d_max)
-    out[first] = math.log(c1) + head(d[first])
-    out[second] = math.log(c2) + (d[second] - 1) * math.log1p(-q_tail)
+    out[first] = logs[0] + head(d[first])
+    if d_max is not None:
+        out[d > d_max] = NEG_INF
     return out
+
+
+def _likelihood_log_constants(stats, d_max, q_tail, constants, head):
+    """(log c1, log c2) at the statistics' break point, or None when the
+    log-likelihood is -inf."""
+    logs = _two_regime_log_constants(constants, stats.break_point, d_max)
+    if logs is None:
+        return None
+    if stats.max_d <= stats.break_point:
+        top = logs[0] + head(stats.max_d)
+    else:
+        top = _tail_term(logs[1], q_tail, stats.max_d)
+    return None if top < LOG_TERM_FLOOR else logs
 
 
 def _two_regime_geometric_log_pmf(params, d, d_max):
@@ -552,22 +613,24 @@ def _two_regime_geometric_log_pmf(params, d, d_max):
     return _two_regime_log_pmf(
         d, break_point, d_max, q2,
         partial(two_regime_geometric_constants, q1, q2),
-        lambda x: (x - 1) * math.log1p(-q1))
+        partial(_geometric_head, q1))
 
 
-def _two_regime_geometric_log_likelihood(params, sample, d_max):
-    c1, c2, _ = two_regime_geometric_constants(
-        params.q1, params.q2, params.break_point, d_max
-    )
-    stats = sufficient_stats(sample, break_point=params.break_point)
+def _two_regime_geometric_log_likelihood(x, stats, d_max):
+    q1, q2 = x
+    logs = _likelihood_log_constants(
+        stats, d_max, q2, partial(two_regime_geometric_constants, q1, q2),
+        partial(_geometric_head, q1))
+    if logs is None:
+        return NEG_INF
+    log_c1, log_c2 = logs
     n, m = stats.n_total, stats.weighted_sum
     n_star, m_star = stats.n_upto, stats.weighted_upto
     return (
-        n_star * math.log(c1)
-        + (n - n_star) * math.log(c2)
-        + (m_star - n_star)
-        * (math.log1p(-params.q1) - math.log1p(-params.q2))
-        + (m - n) * math.log1p(-params.q2)
+        n_star * log_c1
+        + (n - n_star) * log_c2
+        + (m_star - n_star) * (math.log1p(-q1) - math.log1p(-q2))
+        + (m - n) * math.log1p(-q2)
     )
 
 
@@ -576,22 +639,24 @@ def _zeta_geometric_log_pmf(params, d, d_max):
     return _two_regime_log_pmf(
         d, break_point, d_max, q,
         partial(zeta_geometric_constants, gamma, q),
-        lambda x: -gamma * np.log(x))
+        partial(_zeta_head, gamma))
 
 
-def _zeta_geometric_log_likelihood(params, sample, d_max):
-    c1, c2, _ = zeta_geometric_constants(
-        params.gamma, params.q, params.break_point, d_max
-    )
-    stats = sufficient_stats(sample, break_point=params.break_point)
+def _zeta_geometric_log_likelihood(x, stats, d_max):
+    gamma, q = x
+    logs = _likelihood_log_constants(
+        stats, d_max, q, partial(zeta_geometric_constants, gamma, q),
+        partial(_zeta_head, gamma))
+    if logs is None:
+        return NEG_INF
+    log_c1, log_c2 = logs
     n, m = stats.n_total, stats.weighted_sum
     n_star, m_star = stats.n_upto, stats.weighted_upto
-    mlog_star = stats.log_weighted_upto
     return (
-        n_star * math.log(c1)
-        - params.gamma * mlog_star
-        + (n - n_star) * math.log(c2)
-        + (m - m_star - n + n_star) * math.log1p(-params.q)
+        n_star * log_c1
+        - gamma * stats.log_weighted_upto
+        + (n - n_star) * log_c2
+        + (m - m_star - n + n_star) * math.log1p(-q)
     )
 
 
@@ -683,10 +748,11 @@ def _no_init(sample, break_point=None) -> tuple[()]:
 @dataclass(frozen=True)
 class ModelSpec:
     """One model.  ``log_pmf(params, d, d_max)`` works on a float array;
-    ``log_likelihood(params, sample, d_max)`` takes the per-length samples
-    for the length mixture; ``init(sample, break_point)`` starts the
-    continuous parameters; ``sampler`` keys :data:`sampling.GENERATORS`.
-    None: nothing to optimize, or no sampler."""
+    ``log_likelihood(x, stats, d_max)`` takes the continuous values and the
+    sample's :class:`SufficientStats` (the per-length samples for the
+    length mixture); ``init(sample, break_point)`` starts the continuous
+    parameters; ``sampler`` keys :data:`sampling.GENERATORS`.  None:
+    nothing to optimize, or no sampler."""
 
     params: type
     k: int
@@ -708,6 +774,10 @@ class ModelSpec:
     @property
     def bounds(self) -> list[tuple]:
         return [BOUNDS[name] for name in self.continuous]
+
+    def values(self, params: ModelParams) -> list[float]:
+        """The continuous values of a parameter object, in field order."""
+        return [getattr(params, name) for name in self.continuous]
 
     @property
     def flags(self) -> tuple[str, ...]:

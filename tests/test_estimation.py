@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
 import depdist.estimation as est
 import depdist.models as m
@@ -17,6 +20,7 @@ from depdist.estimation import (
     threshold_scan,
 )
 from depdist.models import Model
+from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample
 
 
@@ -181,6 +185,134 @@ class TestFit:
             for bp in range(sample.min2_d, sample.max2_d + 1)
         )
         assert result.log_l == pytest.approx(best_by_rescan, abs=1e-9)
+
+
+def scipy_maximize(objective, x0, bounds):
+    """Oracle: ``_maximize``'s search with scipy's own finite-difference
+    gradient (no ``jac``)."""
+    lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
+    highs = [hi if hi is not None else np.inf for _, hi in bounds]
+    x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
+
+    def negated(x):
+        value = objective(np.clip(x, lows, highs).tolist())
+        return -value if math.isfinite(value) else 1e300
+
+    best_x, best_val = x0, objective(x0.tolist())
+    primary = minimize(negated, x0, method="L-BFGS-B", bounds=bounds,
+                       options={"ftol": est.FTOL, "maxiter": 500})
+    if -primary.fun > best_val:
+        best_x, best_val = primary.x, -primary.fun
+    converged = bool(primary.success)
+    if not primary.success:
+        fallback = minimize(negated, x0, method="Powell", bounds=bounds,
+                            options={"ftol": est.FTOL, "xtol": 1e-10,
+                                     "maxiter": 2000})
+        if -fallback.fun > best_val:
+            best_x, best_val = fallback.x, -fallback.fun
+            converged = bool(fallback.success)
+    return np.clip(np.asarray(best_x, dtype=float), lows, highs), \
+        best_val, converged
+
+
+def row_objective(model, sample, break_point):
+    """The objective ``_optimize`` hands to ``_maximize``."""
+    stats = m.sufficient_stats(sample, break_point)
+    d_max = sample.max_d if model.is_truncated else None
+    return lambda x: model.spec.log_likelihood(x, stats, d_max)
+
+
+class TestForwardDifferences:
+    """The in-house gradient reproduces scipy's default for L-BFGS-B, so the
+    optimizer walks the same iterates as with scipy's own differences."""
+
+    @pytest.mark.parametrize("x, bounds", [
+        ([0.3, 0.05], [m.Q_BOUNDS, m.Q_BOUNDS]),
+        ([1 - m.EPS, 0.2], [m.Q_BOUNDS, m.Q_BOUNDS]),     # step turns back
+        ([m.EPS, 1 - m.EPS], [m.Q_BOUNDS, m.Q_BOUNDS]),
+        ([2e8, 0.4], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),       # step rounds to 0
+        ([0.0, 1 - m.EPS], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),
+        ([3.7e9], [m.GAMMA_BOUNDS]),
+        ([-2e9, 5.0], [(None, None), (None, None)]),
+    ])
+    def test_matches_scipy_step_for_step(self, x, bounds):
+        def f(v):
+            return math.sin(3.0 * v[0]) * math.exp(-v[-1]) + v[0] * v[-1]
+        lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
+        highs = [hi if hi is not None else np.inf for _, hi in bounds]
+        f0 = f(x)
+        ours = est._forward_gradient(f, x, f0, lows, highs)
+        theirs = approx_derivative(lambda v: f(v.tolist()), np.array(x),
+                                   method="2-point", abs_step=1e-8,
+                                   bounds=(lows, highs), f0=f0)
+        assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_maximize_bit_identical_to_scipy_default(self, seed):
+        suite = generate_validation_suite(seed)
+        cases = []
+        for model in (Model.GEOMETRIC_TRUNC, Model.ZETA_TRUNC):
+            cases.append((model, suite[model], None))
+        for model in (Model.TWO_REGIME_GEOMETRIC,
+                      Model.TWO_REGIME_GEOMETRIC_TRUNC,
+                      Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC):
+            sample = suite[model]
+            for bp in (sample.min2_d, 4, sample.max2_d):
+                cases.append((model, sample, bp))
+        for model, sample, bp in cases:
+            spec = model.spec
+            start = spec.init(sample, bp)
+            # The spec's start, then q-like values at the top of their box
+            # (the step turns back) and gamma where 1e-8 vanishes beside it.
+            extremes = tuple(
+                2e8 if name == "gamma" else 1 - m.EPS
+                for name in spec.continuous)
+            for x0 in (start, extremes):
+                objective = row_objective(model, sample, bp)
+                x, value, conv = est._maximize(objective, x0, spec.bounds)
+                x_ref, value_ref, conv_ref = scipy_maximize(
+                    objective, x0, spec.bounds)
+                case = (model, bp, x0)
+                assert np.array_equal(x, x_ref), case
+                assert value == value_ref, case
+                assert conv == conv_ref, case
+
+
+class TestOptimizerLog:
+    def test_fallbacks_and_nonconverged_results_are_logged(self, caplog):
+        # On this sample L-BFGS-B stops early at some break points and
+        # Powell takes over.
+        sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        with caplog.at_level(logging.DEBUG, logger="depdist.estimation"):
+            select(sample, est.FIXED_ENSEMBLE, "aic")
+        messages = [r.getMessage() for r in caplog.records]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        for event in ("L-BFGS-B stopped", "no converged optimum"):
+            logged = [text for text in messages if event in text]
+            assert logged, event
+            # Model id, break point and scipy's message.
+            assert logged[0].startswith("model 7, break point ")
+            assert "ABNORMAL" in logged[0]
+
+    def test_quiet_without_debug(self, caplog):
+        sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        with caplog.at_level(logging.INFO, logger="depdist.estimation"):
+            select(sample, est.FIXED_ENSEMBLE, "aic")
+        assert not caplog.records
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the first L-BFGS-B step from the regression start is "
+    "stuck; it lands on the box corner q1 = q2 = 1 - 1e-8, where the "
+    "log-likelihood is rejected, and the flat 1e300 sentinel there ends the "
+    "search back at the start as converged (log L -26018.9 at break point "
+    "4); the fix changes validate seed 1's selection, so it waits for the "
+    "benchmark's validate reference to be re-recorded"))
+def test_two_regime_fit_reaches_generating_likelihood():
+    sample = generate_validation_suite(1)[Model.TWO_REGIME_GEOMETRIC]
+    truth = m.log_likelihood(Model.TWO_REGIME_GEOMETRIC,
+                             m.TwoRegimeGeometricParams(0.5, 0.1, 4), sample)
+    assert fit(Model.TWO_REGIME_GEOMETRIC, sample).log_l >= truth
 
 
 class TestNestedLikelihoods:

@@ -286,6 +286,77 @@ class TestSufficientStats:
         assert stats.w == pytest.approx(math.log(3) + math.log(2))
 
 
+def random_params(model, sample, rng):
+    """Valid parameters of ``model``: rates from the middle and from both
+    ends of their box, exponents small and large, any break point."""
+    def rate():
+        return float(rng.choice([rng.uniform(0.01, 0.99),
+                                 10 ** -rng.uniform(2, 8),
+                                 1 - 10 ** -rng.uniform(2, 8)]))
+    values = {"q": rate(), "q1": rate(), "q2": rate(),
+              "gamma": float(rng.choice([rng.uniform(0, 4),
+                                         rng.uniform(50, 400)])),
+              "break_point": int(rng.integers(1, sample.max_d + 1)),
+              "d_max": sample.max_d + int(rng.integers(0, 4))}
+    spec = model.spec
+    return spec.params(*(values[name] for name in spec.fields))
+
+
+class TestRowsFromStatistics:
+    """Each row's log-likelihood from precomputed statistics against the
+    direct sum of f(d) log p(d) over the observed support."""
+
+    MODELS = [model for model in Model if model is not Model.NULL_MIXTURE]
+
+    def test_random_parameters_match_direct_sum(self):
+        rng = np.random.default_rng(2024)
+        rejected = accepted = 0
+        for _ in range(40):
+            sample = DistanceSample.from_values(
+                rng.geometric(rng.uniform(0.1, 0.6), size=300))
+            for model in self.MODELS:
+                params = random_params(model, sample, rng)
+                d_max = getattr(params, "d_max", None)
+                stats = m.sufficient_stats(
+                    sample, getattr(params, "break_point", None), d_max)
+                row = model.spec.log_likelihood(
+                    model.spec.values(params), stats, d_max)
+                top = m.log_pmf(model, params, sample.max_d)
+                case = (model, params)
+                if top < m.LOG_TERM_FLOOR:
+                    assert row == float("-inf"), case
+                    rejected += 1
+                else:
+                    direct = direct_log_likelihood(model, params, sample)
+                    assert row == pytest.approx(direct, rel=1e-12), case
+                    accepted += 1
+        assert rejected > 10 and accepted > 250
+
+    @pytest.mark.parametrize("model, params", [
+        (Model.GEOMETRIC, m.GeometricParams(1 - 1e-8)),
+        (Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(1 - 1e-8, 60)),
+        (Model.ZETA_TRUNC, m.ZetaParams(200.0, 60)),
+        (Model.TWO_REGIME_GEOMETRIC,
+         m.TwoRegimeGeometricParams(0.5, 1 - 1e-8, 3)),
+        (Model.TWO_REGIME_GEOMETRIC_TRUNC,
+         m.TruncatedTwoRegimeGeometricParams(0.5, 1 - 1e-8, 3, 60)),
+        (Model.ZETA_GEOMETRIC, m.ZetaGeometricParams(1.5, 1 - 1e-8, 3)),
+        (Model.ZETA_GEOMETRIC_TRUNC,
+         m.TruncatedZetaGeometricParams(1.5, 1 - 1e-8, 3, 60)),
+    ])
+    def test_term_at_max_d_below_floor_is_rejected(self, model, params):
+        sample = DistanceSample({1: 5, 2: 3, 60: 1})
+        assert m.log_pmf(model, params, 60) < m.LOG_TERM_FLOOR
+        # Every other term is representable: only the one at max d decides.
+        assert m.log_pmf(model, params, 2) > m.LOG_TERM_FLOOR
+        d_max = getattr(params, "d_max", None)
+        stats = m.sufficient_stats(sample, getattr(params, "break_point",
+                                                   None), d_max)
+        assert model.spec.log_likelihood(
+            model.spec.values(params), stats, d_max) == float("-inf")
+        assert m.log_likelihood(model, params, sample) == float("-inf")
+
+
 class TestDistributionInvariants:
     def test_truncated_models_normalize(self):
         rng = np.random.default_rng(9)
