@@ -20,25 +20,33 @@ bounds and starting values, and builds the parameter object.  The sample's
 sufficient statistics are computed once per break point, and each
 evaluation runs the row's log-likelihood on plain floats.
 
-L-BFGS-B gets its gradient from :func:`_forward_gradient`, which follows
-the rule scipy applies when it is given no gradient: a forward step of
-1e-8, turned backward where it would leave the box, replaced by
-sqrt(eps) * max(1, |x|) where 1e-8 vanishes beside x, and divided by the
-step as rounded, (x + h) - x.  Same points, same arithmetic, so the
-optimizer walks the same iterates and every fit is bit-identical to the
-one scipy's generic differences give, without their per-call overhead.
-Powell fallbacks and non-converged results are logged at DEBUG.
+L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
+that does what ``scipy.optimize.minimize(method="L-BFGS-B")`` does step
+for step without its per-call and per-evaluation wrappers: same kernel,
+same inputs, same iterates, same fits.  Its gradient comes from
+:func:`_forward_gradient`, which follows the rule scipy applies when it
+is given no gradient: a forward step of 1e-8, turned backward where it
+would leave the box, replaced by sqrt(eps) * max(1, |x|) where 1e-8
+vanishes beside x, and divided by the step as rounded, (x + h) - x.  Same
+points, same arithmetic, so every fit is bit-identical to the one
+scipy's generic differences give.  Powell, the fallback, still runs
+through ``minimize``.  Powell fallbacks and non-converged results are
+logged at DEBUG, and each :class:`FitResult` counts its break points,
+fallbacks and objective evaluations.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from . import models as m
 from .models import Model, ModelParams, PerLength
@@ -53,13 +61,26 @@ GAMMA_BOUNDS = m.GAMMA_BOUNDS   # and of the zeta exponent
 FD_STEP = 1e-8                  # scipy's default L-BFGS-B gradient step
 FD_REL_STEP = float(np.finfo(float).eps) ** 0.5  # and its fallback scale
 LBFGSB_MAXFUN = 15000           # scipy's default L-BFGS-B evaluation budget
+LBFGSB_MAXITER = 500           # L-BFGS-B iteration limit
+LBFGSB_MAXCOR = 10              # scipy's defaults: stored corrections,
+LBFGSB_PGTOL = 1e-5             # projected-gradient tolerance
+LBFGSB_MAXLS = 20               # and line-search steps per iteration
+REJECTED = 1e300                # minimized value of a rejected point
+# The kernel's task codes (scipy's ``status_messages``).
+_NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """One model fitted to one sample."""
+    """One model fitted to one sample.
+
+    ``break_points`` counts the break points scanned (0 for one-regime
+    models), ``fallbacks`` the Powell fallbacks among them, and
+    ``evaluations`` the objective evaluations of the whole fit, L-BFGS-B's
+    and Powell's; the nulls and excluded fits have none of them.
+    """
 
     model: Model
     params: ModelParams | None
@@ -71,6 +92,9 @@ class FitResult:
     sample_size: int
     status: str = "ok"          # "ok" or "excluded"
     note: str | None = None
+    break_points: int = 0
+    fallbacks: int = 0
+    evaluations: int = 0
 
     @property
     def excluded(self) -> bool:
@@ -92,11 +116,11 @@ def _excluded(model: Model, n: int, note: str) -> FitResult:
     )
 
 
-def _result(model, params, log_l, n, converged, note=None) -> FitResult:
+def _result(model, params, log_l, n, converged, **counts) -> FitResult:
     aic, bic = information_criteria(log_l, model.k, n)
     return FitResult(
         model=model, params=params, log_l=log_l, k=model.k, aic=aic,
-        bic=bic, converged=converged, sample_size=n, note=note,
+        bic=bic, converged=converged, sample_size=n, **counts,
     )
 
 
@@ -152,37 +176,132 @@ def _forward_gradient(f, x, f0, lows, highs) -> np.ndarray:
     return grad
 
 
-def _maximize(objective, x0, bounds, label="objective"
+class LbfgsbResult(NamedTuple):
+    """Fields of scipy's ``OptimizeResult`` for L-BFGS-B, as :func:`_lbfgsb`
+    computes them, plus ``fun0``, the value at the start."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    message: str
+    nfev: int
+    nit: int
+    fun0: float
+
+
+# scipy's ``bounds_map``: (has a lower bound, has an upper bound) -> nbd.
+_NBD = {(False, False): 0, (True, False): 1, (True, True): 2,
+        (False, True): 3}
+
+
+def _box(bounds) -> tuple[list[float], list[float]]:
+    """Lower and upper ends of ``bounds``, None read as infinite."""
+    return ([-math.inf if lo is None else lo for lo, _ in bounds],
+            [math.inf if hi is None else hi for _, hi in bounds])
+
+
+def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
+            maxfun=LBFGSB_MAXFUN) -> LbfgsbResult:
+    """Minimize ``fun_and_grad`` (a list of floats -> (value, gradient))
+    within ``bounds`` by L-BFGS-B: ``scipy.optimize.minimize(...,
+    method="L-BFGS-B", jac=True)`` with ``ftol=FTOL`` and the given
+    ``maxiter`` and ``maxfun``, step for step, without its wrappers.
+
+    The loop is scipy's ``_minimize_lbfgsb``: the start clipped into the
+    box, the kernel's arrays built as there, the function evaluated at the
+    start before the first kernel call and again only where the kernel
+    asks for it at a new point (counted as scipy counts ``nfev``), and the
+    iteration and evaluation limits checked at each new iterate.  Same
+    kernel, same inputs, same iterates, same result.
+
+    This calls ``scipy.optimize._lbfgsb.setulb``, the 17-argument kernel of
+    scipy's C port of L-BFGS-B (scipy >= 1.15).  It is private to scipy
+    and the one dependency to recheck on a scipy upgrade; the oracle tests
+    in ``tests/test_estimation.py`` compare this loop with ``minimize``.
+    """
+    lows, highs = _box(bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lows, highs)
+    n, m = len(x), LBFGSB_MAXCOR
+    nbd = np.array([_NBD[not math.isinf(lo), not math.isinf(hi)]
+                    for lo, hi in zip(lows, highs)], np.int32)
+    low = np.array([0.0 if math.isinf(lo) else lo for lo in lows])
+    high = np.array([0.0 if math.isinf(hi) else hi for hi in highs])
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = FTOL / np.finfo(float).eps
+
+    seen = x.tolist()
+    fun0, grad_seen = fun_and_grad(seen)
+    fun_seen, nfev, nit = fun0, 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    while True:
+        setulb(m, x, low, high, nbd, f, g, factr, LBFGSB_PGTOL, wa, iwa,
+               task, lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        status = task[0]
+        if status == _FG:
+            point = x.tolist()
+            if point != seen:
+                seen = point
+                fun_seen, grad_seen = fun_and_grad(point)
+                nfev += 1
+            # A copy: the kernel may write into g, never into the cache.
+            f, g = fun_seen, np.array(grad_seen, dtype=float)
+        elif status == _NEW_X:
+            nit += 1
+            if nit >= maxiter:
+                task[:] = _STOP, 504        # TOTAL NO. OF ITERATIONS ...
+            elif nfev > maxfun:
+                task[:] = _STOP, 502        # TOTAL NO. OF F,G EVALUATIONS ...
+        else:
+            break
+    message = status_messages[task[0]] + ": " + task_messages[task[1]]
+    return LbfgsbResult(x, f, bool(task[0] == _CONVERGENCE), message, nfev,
+                        nit, fun0)
+
+
+def _maximize(objective, x0, bounds, label="objective", tally=None
               ) -> tuple[np.ndarray, float, bool]:
     """Maximize ``objective`` (a function of a list of floats) within
     bounds; return (x, value, converged).  ``label`` names the fit in the
-    debug log of fallbacks and non-converged results."""
-    lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
-    highs = [hi if hi is not None else np.inf for _, hi in bounds]
+    debug log of fallbacks and non-converged results; ``tally`` (a
+    Counter), if given, gains the objective ``evaluations`` and the Powell
+    ``fallbacks``."""
+    lows, highs = _box(bounds)
     x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
+    n = len(x0)
 
     def negated(x):
         # Line searches may probe a hair outside the box; evaluate at the
         # nearest feasible point instead.
         value = objective([min(max(float(v), lo), hi)
                            for v, lo, hi in zip(x, lows, highs)])
-        return -value if math.isfinite(value) else 1e300
+        return -value if math.isfinite(value) else REJECTED
 
     def negated_and_gradient(x):
-        x = x.tolist()
         f0 = negated(x)
         return f0, _forward_gradient(negated, x, f0, lows, highs)
 
-    best_x, best_val = x0, objective(x0.tolist())
     # scipy charges maxfun with the n + 1 evaluations of a finite-difference
     # point, a supplied gradient with one: the same budget in points.
-    primary = minimize(negated_and_gradient, x0, method="L-BFGS-B", jac=True,
-                       bounds=bounds,
-                       options={"ftol": FTOL, "maxiter": 500,
-                                "maxfun": LBFGSB_MAXFUN // (len(x0) + 1)})
+    primary = _lbfgsb(negated_and_gradient, x0, bounds,
+                      maxfun=LBFGSB_MAXFUN // (n + 1))
+    evaluations, fallbacks = primary.nfev * (n + 1), 0
+    # The loop's first value is the objective at x0, negated, unless the
+    # sentinel stood in for it.
+    if primary.fun0 != REJECTED:
+        best_val = -primary.fun0
+    else:
+        best_val = objective(x0.tolist())
+        evaluations += 1
+    best_x = x0
     if -primary.fun > best_val:
         best_x, best_val = primary.x, -primary.fun
-    converged = bool(primary.success)
+    converged = primary.success
     message = primary.message
     if not primary.success:
         log.debug("%s: L-BFGS-B stopped (%s); falling back to Powell",
@@ -190,29 +309,34 @@ def _maximize(objective, x0, bounds, label="objective"
         fallback = minimize(negated, x0, method="Powell", bounds=bounds,
                             options={"ftol": FTOL, "xtol": 1e-10,
                                      "maxiter": 2000})
+        evaluations, fallbacks = evaluations + fallback.nfev, 1
         if -fallback.fun > best_val:
             best_x, best_val = fallback.x, -fallback.fun
             converged = bool(fallback.success)
             message = fallback.message
+    if tally is not None:
+        tally.update(evaluations=evaluations, fallbacks=fallbacks)
     if not converged:
         log.debug("%s: no converged optimum (%s)", label, message)
     return np.clip(np.asarray(best_x, dtype=float), lows, highs), \
         best_val, converged
 
 
-def _optimize(model: Model, sample: DistanceSample, break_point: int | None
+def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
+              tally: Counter | None = None
               ) -> tuple[ModelParams, float, bool]:
     """Best continuous parameters at a fixed break point (None for
     one-regime models), seeded by the spec's initial values; a truncation
     bound is pinned to the observed maximum.  The sample's statistics are
-    computed once and the row's log-likelihood is evaluated on them."""
+    computed once and the row's log-likelihood is evaluated on them.
+    ``tally`` is handed to :func:`_maximize`."""
     spec = model.spec
     d_max = sample.max_d if model.is_truncated else None
     stats = m.sufficient_stats(sample, break_point)
     x, log_l, conv = _maximize(
         lambda x: spec.log_likelihood(x, stats, d_max),
         spec.init(sample, break_point), spec.bounds,
-        f"model {model.id}, break point {break_point}")
+        f"model {model.id}, break point {break_point}", tally)
     return spec.build(break_point, sample.max_d)(*map(float, x)), log_l, conv
 
 
@@ -273,19 +397,22 @@ def fit(
         if per_length is None:
             return _excluded(model, sample.total, "needs per-length samples")
         return _fit_null_mixture(sample, per_length)
+    tally: Counter = Counter()
     if not model.is_two_regime:
-        params, log_l, conv = _optimize(model, sample, None)
-        return _result(model, params, log_l, sample.total, conv)
+        params, log_l, conv = _optimize(model, sample, None, tally)
+        return _result(model, params, log_l, sample.total, conv, **tally)
     if sample.distinct < min_distinct_d:
         return _excluded(model, sample.total,
                          f"needs >= {min_distinct_d} distinct distances, "
                          f"sample has {sample.distinct}")
     best_params, best_ll, best_conv = None, float("-inf"), False
-    for bp in _break_grid(sample):
-        params, log_l, conv = _optimize(model, sample, bp)
+    grid = _break_grid(sample)
+    for bp in grid:
+        params, log_l, conv = _optimize(model, sample, bp, tally)
         if log_l > best_ll:
             best_params, best_ll, best_conv = params, log_l, conv
-    return _result(model, best_params, best_ll, sample.total, best_conv)
+    return _result(model, best_params, best_ll, sample.total, best_conv,
+                   break_points=len(grid), **tally)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from depdist.treebank import DepTree
 from depdist.validation import run_validation
+
+# Property tests draw the same examples on every run, with no time limit
+# per example, so the suite stays deterministic on a loaded machine.
+settings.register_profile("depdist", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("depdist")
 
 
 def random_tree_heads(n: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -276,6 +278,138 @@ class TestForwardDifferences:
                 assert np.array_equal(x, x_ref), case
                 assert value == value_ref, case
                 assert conv == conv_ref, case
+
+
+def negated_and_gradient(objective, bounds):
+    """A bounded objective as ``_maximize`` hands it to ``_lbfgsb``:
+    negated, the sentinel for rejected points, forward differences."""
+    lows, highs = est._box(bounds)
+
+    def negated(x):
+        value = objective([min(max(v, lo), hi)
+                           for v, lo, hi in zip(x, lows, highs)])
+        return -value if math.isfinite(value) else est.REJECTED
+
+    def both(x):
+        f0 = negated(x)
+        return f0, est._forward_gradient(negated, x, f0, lows, highs)
+    return both
+
+
+def optimized_models():
+    """Models 1-7, the ones with continuous parameters."""
+    return [model for model in Model if model.spec.continuous]
+
+
+class TestLbfgsbLoop:
+    """The in-package L-BFGS-B loop against ``scipy.optimize.minimize`` on the
+    same function: every field the fits read, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_scipy(model, sample, bp, **limits):
+        spec = model.spec
+        fg = negated_and_gradient(row_objective(model, sample, bp),
+                                  spec.bounds)
+        x0 = spec.init(sample, bp)
+        ours = est._lbfgsb(fg, x0, spec.bounds, **limits)
+        options = {"ftol": est.FTOL, "maxiter": est.LBFGSB_MAXITER,
+                   "maxfun": est.LBFGSB_MAXFUN}
+        options.update(limits)
+        theirs = minimize(lambda x: fg(x.tolist()), x0, method="L-BFGS-B",
+                          jac=True, bounds=spec.bounds, options=options)
+        case = (model, bp, limits)
+        assert np.array_equal(ours.x, theirs.x), case
+        assert ours.fun == theirs.fun, case
+        assert ours.success == theirs.success, case
+        assert ours.message == theirs.message, case
+        assert ours.nfev == theirs.nfev, case
+        assert ours.nit == theirs.nit, case
+        assert ours.fun0 == fg(np.clip(x0, *est._box(spec.bounds))
+                               .tolist())[0], case
+        return ours
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_validation_samples(self, seed):
+        suite = generate_validation_suite(seed)
+        for model in optimized_models():
+            sample = suite[model]
+            grid = ([sample.min2_d, 4, sample.max2_d] if model.is_two_regime
+                    else [None])
+            for bp in grid:
+                self.assert_same_as_scipy(model, sample, bp)
+
+    def test_abnormal_stops(self):
+        sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        messages = [
+            self.assert_same_as_scipy(model, sample, bp).message
+            for model in optimized_models()
+            for bp in (est._break_grid(sample) if model.is_two_regime
+                       else [None])]
+        assert any(text.startswith("ABNORMAL") for text in messages)
+
+    @pytest.mark.parametrize("limits, message", [
+        ({"maxiter": 2}, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        ({"maxfun": 3}, "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT"),
+    ])
+    def test_forced_stops(self, limits, message):
+        # Unlimited, this fit takes 6 iterations and 8 evaluations.
+        model = Model.TWO_REGIME_GEOMETRIC_TRUNC
+        sample = generate_validation_suite(1)[model]
+        result = self.assert_same_as_scipy(model, sample, 4, **limits)
+        assert not result.success
+        assert result.message == message
+
+    @pytest.mark.parametrize("rejected", [
+        lambda x: x[0] > 0.9,                       # flat sentinel around x0
+        lambda x: x[0] == 0.95,                     # only x0 itself
+    ])
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_rejected_start_matches_scipy_default(self, rejected, value):
+        # ``_maximize`` reads the start's value from the loop's first
+        # evaluation, except where the sentinel stands in for it.
+        def objective(x):
+            return value if rejected(x) else -(x[0] - 0.3) ** 2
+        ours = est._maximize(objective, [0.95], [m.Q_BOUNDS])
+        theirs = scipy_maximize(objective, [0.95], [m.Q_BOUNDS])
+        assert np.array_equal(ours[0], theirs[0])
+        assert np.array_equal(ours[1], theirs[1], equal_nan=True)
+        assert ours[2] == theirs[2]
+
+
+class TestFitCounts:
+    def test_counts_on_crafted_sample(self, caplog, monkeypatch):
+        sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        calls = Counter()
+        for model in optimized_models():
+            spec = model.spec
+
+            def counted(*args, model=model, row=spec.log_likelihood):
+                calls[model] += 1
+                return row(*args)
+            monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
+                spec, log_likelihood=counted))
+        with caplog.at_level(logging.DEBUG, logger="depdist.estimation"):
+            report = select(sample, est.FIXED_ENSEMBLE, "aic")
+        stopped = [r for r in caplog.records
+                   if "L-BFGS-B stopped" in r.getMessage()]
+        assert stopped
+        assert sum(f.fallbacks for f in report.fits.values()) == len(stopped)
+        for model, result in report.fits.items():
+            assert result.evaluations == calls[model], model
+            assert result.break_points == (
+                len(est._break_grid(sample)) if model.is_two_regime else 0)
+        assert set(calls) == set(optimized_models())
+
+    def test_rejected_start_is_counted(self):
+        # A rejected start is evaluated once more for its raw value.
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return -math.inf if x[0] > 0.9 else -(x[0] - 0.3) ** 2
+        tally = Counter()
+        est._maximize(objective, [0.95], [m.Q_BOUNDS], tally=tally)
+        assert tally["evaluations"] == len(calls)
 
 
 class TestOptimizerLog:

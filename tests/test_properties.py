@@ -1,0 +1,38 @@
+"""Property tests over random valid dependency trees (n = 1 to 30)."""
+
+from collections import Counter
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from depdist.treebank import DepTree, build_samples, parse_conllu, to_conllu
+
+
+@st.composite
+def trees(draw, max_n=30):
+    """A random attachment tree over shuffled labels: each token after the
+    first attaches to one drawn before it, so the head vector is valid."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for i in range(1, n):
+        heads[order[i]] = order[draw(st.integers(0, i - 1))] + 1
+    return DepTree(tuple(heads))
+
+
+corpora = st.lists(trees(), min_size=1, max_size=8)
+
+
+@given(corpora)
+def test_conllu_round_trip(corpus):
+    assert parse_conllu(to_conllu(corpus)) == corpus
+
+
+@given(corpora)
+def test_pooled_sample_is_sum_of_per_length_samples(corpus):
+    assume(any(tree.n >= 2 for tree in corpus))
+    samples = build_samples(corpus)
+    per_length = sum((Counter(sample.freq)
+                      for sample in samples.by_length.values()), Counter())
+    assert per_length == Counter(samples.pooled.freq)
+    assert sum(samples.sentence_counts.values()) == len(corpus)
