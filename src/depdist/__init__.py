@@ -34,8 +34,6 @@ from .optimality import (
     sum_distances,
 )
 from .sampling import (
-    SamplerConfig,
-    draw_from_config,
     draw_sample,
     generate_validation_suite,
     goodness_of_fit,
@@ -66,14 +64,12 @@ __all__ = [
     "ModelParams",
     "OmegaLengthStats",
     "OmegaResult",
-    "SamplerConfig",
     "SampleSet",
     "SelectionReport",
     "SlopeSummary",
     "average_omega",
     "build_samples",
     "distances",
-    "draw_from_config",
     "draw_sample",
     "expected_random",
     "fit",

@@ -42,28 +42,6 @@ NEAR_ZERO_BAND = 0.1  # |mean score| below this counts as "around zero"
 
 
 @dataclass
-class RunConfig:
-    """Options shared by the corpus-level commands."""
-
-    manifest: Path | None
-    collections: list[str]
-    criterion: str
-    mode: str
-    thresholds: list[int]
-    seed: int
-    out_dir: Path
-    fmt: str
-    min_distinct_d: int = DEFAULT_MIN_DISTINCT
-    exclude_n_below: int = DEFAULT_MIN_LENGTH
-
-    def __post_init__(self):
-        if any(t <= 0 for t in self.thresholds):
-            raise ValueError("thresholds must be positive")
-        if any(b >= a for a, b in zip(self.thresholds[1:], self.thresholds)):
-            raise ValueError("thresholds must be strictly increasing")
-
-
-@dataclass
 class CorpusData:
     entry: ManifestEntry
     trees: list
@@ -71,17 +49,18 @@ class CorpusData:
     skipped: int
 
 
-def _load_corpora(config: RunConfig, parser: argparse.ArgumentParser
-                  ) -> tuple[list[CorpusData], list[dict]]:
-    """Load every manifest entry; failures become error records."""
-    if config.manifest is None:
+def _load_corpora(args, parser: argparse.ArgumentParser
+                  ) -> list[CorpusData] | None:
+    """Load every manifest entry.  Failures are written as error records
+    and reported on stderr; None when no corpus loaded."""
+    if args.manifest is None:
         parser.error("--manifest is required")
     try:
-        entries = read_manifest(config.manifest)
+        entries = read_manifest(args.manifest)
     except (OSError, ConlluFormatError) as exc:
         parser.error(f"cannot read manifest: {exc}")
-    if config.collections:
-        entries = [e for e in entries if e.collection in config.collections]
+    if args.collection:
+        entries = [e for e in entries if e.collection in args.collection]
     if not entries:
         parser.error("manifest has no (matching) entries")
 
@@ -103,18 +82,13 @@ def _load_corpora(config: RunConfig, parser: argparse.ArgumentParser
             })
             continue
         corpora.append(CorpusData(entry, trees, sample_set, len(issues)))
-    return corpora, errors
-
-
-def _finish_ingestion(corpora, errors, out_dir, fmt) -> int | None:
     if errors:
-        reports.write_records(out_dir, "ingestion_errors", errors, fmt)
+        reports.write_records(args.out, "ingestion_errors", errors,
+                              args.format)
         for record in errors:
             print(f"error: {record['path']}: {record['error']}",
                   file=sys.stderr)
-    if not corpora:
-        return EXIT_INGEST
-    return None
+    return corpora or None
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +96,23 @@ def _finish_ingestion(corpora, errors, out_dir, fmt) -> int | None:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args, parser) -> int:
-    config = _config_from(args)
-    corpora, errors = _load_corpora(config, parser)
-    code = _finish_ingestion(corpora, errors, config.out_dir, config.fmt)
-    if code is not None:
-        return code
+    corpora = _load_corpora(args, parser)
+    if corpora is None:
+        return EXIT_INGEST
 
-    sample_dir = config.out_dir / "samples"
+    sample_dir = args.out / "samples"
     sample_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for corpus in corpora:
         entry, sset = corpus.entry, corpus.sample_set
         stem = f"{entry.collection}_{entry.language}"
         meta = {"collection": entry.collection, "language": entry.language}
-        if config.mode in ("mixed", "both"):
+        if args.mode in ("mixed", "both"):
             sampling.write_sample_csv(
                 sample_dir / f"{stem}_mixed.csv", sset.pooled,
                 extra={**meta, "length": "mixed"},
             )
-        if config.mode in ("fixed", "both"):
+        if args.mode in ("fixed", "both"):
             for n, sample in sset.by_length.items():
                 sampling.write_sample_csv(
                     sample_dir / f"{stem}_n{n}.csv", sample,
@@ -150,7 +122,7 @@ def cmd_extract(args, parser) -> int:
             entry.collection, entry.language, corpus.trees, sset,
             corpus.skipped,
         ))
-    reports.write_records(config.out_dir, "summary", summary, config.fmt)
+    reports.write_records(args.out, "summary", summary, args.format)
     reports.print_table(summary)
     return EXIT_OK
 
@@ -159,7 +131,7 @@ def cmd_extract(args, parser) -> int:
 # fit-select
 # ---------------------------------------------------------------------------
 
-def _fixed_selections(corpus, config):
+def _fixed_selections(corpus, args):
     """Per-length reports plus explicit status strings for empty tiles."""
     sset = corpus.sample_set
     selections: dict[int, estimation.SelectionReport] = {}
@@ -170,7 +142,7 @@ def _fixed_selections(corpus, config):
         if sentences == 0:
             matrix.append((n, 0, "no-sentences"))
             continue
-        if n < config.exclude_n_below:
+        if n < args.exclude_n_below:
             matrix.append((n, sentences, "excluded-min-size"))
             continue
         sample = sset.by_length.get(n)
@@ -180,8 +152,8 @@ def _fixed_selections(corpus, config):
         report = estimation.select(
             sample,
             estimation.ensemble_for("fixed"),
-            criterion=config.criterion,
-            min_distinct_d=config.min_distinct_d,
+            criterion=args.criterion,
+            min_distinct_d=args.min_distinct_d,
         )
         selections[n] = report
         matrix.append((n, sentences,
@@ -205,11 +177,9 @@ def _two_regime_rows(col, lang, n, report, sample, break_rows, slope_rows):
 
 
 def cmd_fit_select(args, parser) -> int:
-    config = _config_from(args)
-    corpora, errors = _load_corpora(config, parser)
-    code = _finish_ingestion(corpora, errors, config.out_dir, config.fmt)
-    if code is not None:
-        return code
+    corpora = _load_corpora(args, parser)
+    if corpora is None:
+        return EXIT_INGEST
 
     mixed_rows: list[dict] = []
     mixed_best_rows: list[dict] = []
@@ -225,19 +195,19 @@ def cmd_fit_select(args, parser) -> int:
         entry = corpus.entry
         col, lang = entry.collection, entry.language
 
-        if config.mode in ("mixed", "both"):
+        if args.mode in ("mixed", "both"):
             report = estimation.select(
                 corpus.sample_set.pooled,
                 estimation.ensemble_for("mixed"),
-                criterion=config.criterion,
+                criterion=args.criterion,
                 per_length=corpus.sample_set.per_length,
-                min_distinct_d=config.min_distinct_d,
+                min_distinct_d=args.min_distinct_d,
             )
             mixed_rows.extend(reports.fit_records(col, lang, None, report))
             best = report.best
             mixed_best_rows.append({
                 "collection": col, "language": lang, "best": best.id,
-                "criterion": config.criterion,
+                "criterion": args.criterion,
                 "value": report.criterion_value(best),
             })
             curve_rows.extend(reports.pmf_curve_records(
@@ -247,8 +217,8 @@ def cmd_fit_select(args, parser) -> int:
                              corpus.sample_set.pooled, break_mixed,
                              slope_rows)
 
-        if config.mode in ("fixed", "both"):
-            selections, matrix = _fixed_selections(corpus, config)
+        if args.mode in ("fixed", "both"):
+            selections, matrix = _fixed_selections(corpus, args)
             for n, sentences, status in matrix:
                 matrix_rows.append(reports.best_matrix_record(
                     col, lang, n, sentences, status
@@ -260,7 +230,7 @@ def cmd_fit_select(args, parser) -> int:
                                  slope_rows)
             scan = estimation.threshold_scan(
                 selections, corpus.sample_set.sentence_counts,
-                config.thresholds,
+                args.thresholds,
             )
             for threshold, family in scan.items():
                 threshold_rows.append({
@@ -268,8 +238,8 @@ def cmd_fit_select(args, parser) -> int:
                     "threshold": threshold, "family": family,
                 })
 
-    out, fmt = config.out_dir, config.fmt
-    if config.mode in ("mixed", "both"):
+    out, fmt = args.out, args.format
+    if args.mode in ("mixed", "both"):
         reports.write_records(out, "mixed_fits", mixed_rows, fmt)
         reports.write_records(out, "mixed_best", mixed_best_rows, fmt)
         reports.write_records(out, "pmf_mixed", curve_rows, fmt)
@@ -280,7 +250,7 @@ def cmd_fit_select(args, parser) -> int:
             )
         print("\nBest model on mixed lengths:")
         reports.print_table(mixed_best_rows)
-    if config.mode in ("fixed", "both"):
+    if args.mode in ("fixed", "both"):
         reports.write_records(out, "fixed_fits", fixed_rows, fmt)
         reports.write_records(out, "fixed_best_matrix", matrix_rows, fmt)
         reports.write_records(out, "threshold_scan", threshold_rows, fmt)
@@ -299,24 +269,23 @@ def cmd_fit_select(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, parser) -> int:
-    config = _config_from(args)
-    report = validation_mod.run_validation(seed=config.seed,
+    report = validation_mod.run_validation(seed=args.seed,
                                            size=args.n_draws,
-                                           criterion=config.criterion)
+                                           criterion=args.criterion)
     matrix = report.criterion_matrix()
-    reports.write_records(config.out_dir, "validation_matrix", matrix,
-                          config.fmt)
+    reports.write_records(args.out, "validation_matrix", matrix,
+                          args.format)
     check_rows = [{
         "sample": check.model.id, "parameter": check.name,
         "true": check.true_value, "estimate": check.estimate,
         "error": check.error, "tolerance": check.tolerance,
         "ok": check.ok,
     } for check in report.param_checks]
-    reports.write_records(config.out_dir, "validation_params", check_rows,
-                          config.fmt)
+    reports.write_records(args.out, "validation_params", check_rows,
+                          args.format)
 
     print("Best model per generated sample "
-          f"({config.criterion.upper()}, seed {config.seed}):")
+          f"({args.criterion.upper()}, seed {args.seed}):")
     for generator, best in report.best.items():
         mark = "ok" if report.recovered[generator] else "MISS"
         print(f"  sample {generator.id:>3} -> best {best.id:>3}  [{mark}]")
@@ -337,11 +306,9 @@ def cmd_validate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_omega(args, parser) -> int:
-    config = _config_from(args)
-    corpora, errors = _load_corpora(config, parser)
-    code = _finish_ingestion(corpora, errors, config.out_dir, config.fmt)
-    if code is not None:
-        return code
+    corpora = _load_corpora(args, parser)
+    if corpora is None:
+        return EXIT_INGEST
 
     profile_rows: list[dict] = []
     join_rows: list[dict] = []
@@ -349,7 +316,7 @@ def cmd_omega(args, parser) -> int:
         entry = corpus.entry
         col, lang = entry.collection, entry.language
         stats = average_omega(corpus.trees)
-        selections, matrix = _fixed_selections(corpus, config)
+        selections, matrix = _fixed_selections(corpus, args)
         status_by_n = {n: status for n, _, status in matrix}
         for n, length_stats in stats.items():
             profile_rows.append({
@@ -368,10 +335,10 @@ def cmd_omega(args, parser) -> int:
                 "near_zero": abs(mean) <= NEAR_ZERO_BAND,
                 "best": status_by_n.get(n, "no-sentences"),
             })
-    reports.write_records(config.out_dir, "omega_profile", profile_rows,
-                          config.fmt)
-    reports.write_records(config.out_dir, "omega_best_join", join_rows,
-                          config.fmt)
+    reports.write_records(args.out, "omega_profile", profile_rows,
+                          args.format)
+    reports.write_records(args.out, "omega_best_join", join_rows,
+                          args.format)
     near = [row for row in join_rows if row["near_zero"]]
     print(f"{len(profile_rows)} (collection, language, n) cells; "
           f"{len(near)} with |mean omega| <= {NEAR_ZERO_BAND}")
@@ -413,22 +380,6 @@ def cmd_sample(args, parser) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        manifest=Path(args.manifest) if getattr(args, "manifest", None)
-        else None,
-        collections=list(getattr(args, "collection", []) or []),
-        criterion=getattr(args, "criterion", "aic"),
-        mode=getattr(args, "mode", "both"),
-        thresholds=getattr(args, "thresholds", list(DEFAULT_THRESHOLDS)),
-        seed=args.seed,
-        out_dir=Path(args.out),
-        fmt=args.format,
-        min_distinct_d=getattr(args, "min_distinct_d", DEFAULT_MIN_DISTINCT),
-        exclude_n_below=getattr(args, "exclude_n_below", DEFAULT_MIN_LENGTH),
-    )
-
-
 def _threshold_list(text: str) -> list[int]:
     values = [int(part) for part in text.split(",") if part.strip()]
     if not values or any(v <= 0 for v in values):
@@ -442,7 +393,7 @@ def _threshold_list(text: str) -> list[int]:
 def _add_common(sub: argparse.ArgumentParser, *, corpus: bool,
                 criterion_default: str = "aic"):
     if corpus:
-        sub.add_argument("--manifest", help="corpus manifest "
+        sub.add_argument("--manifest", type=Path, help="corpus manifest "
                          "(path, collection, language per line)")
         sub.add_argument("--collection", action="append", default=[],
                          help="restrict to this collection label "
@@ -464,7 +415,8 @@ def _add_common(sub: argparse.ArgumentParser, *, corpus: bool,
     sub.add_argument("--criterion", choices=("aic", "bic"),
                      default=criterion_default)
     sub.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
-    sub.add_argument("--out", default="out", help="output directory")
+    sub.add_argument("--out", type=Path, default="out",
+                     help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 

@@ -11,14 +11,15 @@ The truncation bound of models 2, 4, 5 and 7 is pinned to the observed
 maximum distance: their likelihood is strictly decreasing in d_max for any
 fixed continuous parameters (enlarging the support only bleeds mass outside
 the data), so the profile likelihood peaks at the lower bound max(d).  The
-uniform-shuffle null is the exception (its mass leans on low d) and gets a
-genuine scan with an adaptive window.
+uniform-shuffle null is the exception (its mass leans on low d); its spec
+row scans d_max with an adaptive window.
 
-One optimizer, :func:`_optimize`, serves models 1 to 7: the model's spec
-row (:data:`depdist.models.SPECS`) names its continuous parameters, their
-bounds and starting values, and builds the parameter object.  The sample's
-sufficient statistics are computed once per break point, and each
-evaluation runs the row's log-likelihood on plain floats.
+The two nulls fit through their spec rows (:data:`depdist.models.SPECS`);
+one optimizer, :func:`_optimize`, serves models 1 to 7: the row names its
+continuous parameters, their bounds and starting values, and builds the
+parameter object.  The sample's sufficient statistics are computed once
+per break point, and each evaluation runs the row's log-likelihood on
+plain floats.
 
 L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
 that does what ``scipy.optimize.minimize(method="L-BFGS-B")`` does step
@@ -344,38 +345,6 @@ def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
 # Per-model fits
 # ---------------------------------------------------------------------------
 
-def _fit_null_fixed(sample: DistanceSample) -> FitResult:
-    lo = sample.max_d
-    window = max(4 * sample.max_d, 256)
-    support = sample.support.astype(float)
-    counts = sample.counts.astype(float)
-    n = float(sample.total)
-    converged = True
-    while True:
-        grid = np.arange(lo, lo + window + 1, dtype=float)
-        slack = np.log(grid[:, None] + 1.0 - support[None, :])
-        ll = (
-            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
-            + slack @ counts
-        )
-        best = int(np.argmax(ll))
-        if best < len(grid) - 1:
-            break
-        if window > 1_000_000:
-            converged = False  # pathological sample; report the window edge
-            break
-        window *= 4
-    params = m.NullParams(int(grid[best]))
-    return _result(Model.NULL_FIXED, params, float(ll[best]), sample.total,
-                   converged)
-
-
-def _fit_null_mixture(sample, per_length) -> FitResult:
-    params = m.MixtureNullParams(per_length[1])
-    log_l = m.log_likelihood(Model.NULL_MIXTURE, params, per_length=per_length)
-    return _result(Model.NULL_MIXTURE, params, log_l, sample.total, True)
-
-
 def fit(
     model: Model,
     sample: DistanceSample,
@@ -385,18 +354,18 @@ def fit(
 ) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
-    The nulls have their own fits; every other model optimizes its
+    The nulls fit through their spec rows; every other model optimizes its
     continuous parameters, at each grid break point if it has two regimes.
     Unmet requirements (too few distinct distances, missing per-length
     data) mark the result excluded instead of raising; a non-converged
     optimizer returns its best parameters with ``converged=False``.
     """
-    if model is Model.NULL_FIXED:
-        return _fit_null_fixed(sample)
-    if model is Model.NULL_MIXTURE:
-        if per_length is None:
+    if model.spec.fit is not None:
+        fitted = model.spec.fit(sample, per_length)
+        if fitted is None:
             return _excluded(model, sample.total, "needs per-length samples")
-        return _fit_null_mixture(sample, per_length)
+        params, log_l, conv = fitted
+        return _result(model, params, log_l, sample.total, conv)
     tally: Counter = Counter()
     if not model.is_two_regime:
         params, log_l, conv = _optimize(model, sample, None, tally)

@@ -21,7 +21,10 @@ Everything specific to one model sits in its row of :data:`SPECS`; the
 twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
-its continuous parameters.
+its continuous parameters.  The two nulls also carry their own fits, a
+d_max scan and a fixed value, which return plain tuples; the optimizer in
+:mod:`depdist.estimation` fits the other rows.  The length-mixture null's
+likelihood is the fixed null's at d_max = n - 1, summed over lengths n.
 
 Log-likelihoods are computed from sufficient statistics (N, M, M', their
 restrictions to d <= break, and max d), never by rescanning the sample.
@@ -151,6 +154,11 @@ class MixtureNullParams(_Checked):
     """Length-mixture null; fully determined by the length distribution."""
 
     lengths: LengthDistribution
+
+    @property
+    def d_max(self) -> int:
+        """Support bound: the largest distance of the longest sentence."""
+        return self.lengths.max_n - 1
 
 
 @dataclass(frozen=True)
@@ -305,9 +313,7 @@ def pmf(model: Model, params: ModelParams, d) -> np.ndarray | float:
 
 
 def support_upper(model: Model, params: ModelParams) -> int | None:
-    """d_max for truncated models, None for unbounded support."""
-    if model is Model.NULL_MIXTURE:
-        return params.lengths.max_n - 1
+    """d_max for bounded models, None for unbounded support."""
     d_max = getattr(params, "d_max", None)
     return int(d_max) if d_max is not None else None
 
@@ -342,8 +348,7 @@ class SufficientStats:
 
     n_total (N), weighted_sum (M), log_weighted_sum (M') and the largest
     observed distance always; the starred variants N*, M*, M'* restrict to
-    d <= break_point; ``w`` is the slack sum sum f(d) log(d_max + 1 - d)
-    and ``w_n`` its fixed-length twin sum f(d) log(n - d).
+    d <= break_point; ``w`` is the slack sum sum f(d) log(d_max + 1 - d).
     """
 
     n_total: int
@@ -355,30 +360,24 @@ class SufficientStats:
     weighted_upto: int | None = None
     log_weighted_upto: float | None = None
     w: float | None = None
-    w_n: float | None = None
 
 
 def sufficient_stats(
     sample: DistanceSample,
     break_point: int | None = None,
     d_max: int | None = None,
-    n: int | None = None,
 ) -> SufficientStats:
     """Compute the statistics needed by the compact likelihood forms."""
     n_star = m_star = mlog_star = None
     if break_point is not None:
         n_star, m_star, mlog_star = sample.stats_upto(break_point)
-    w = w_n = None
+    w = None
     if d_max is not None:
         if sample.max_d > d_max:
             raise ValueError("observed distance beyond d_max")
         w = float(
             (sample.counts * np.log(d_max + 1 - sample.support)).sum()
         )
-    if n is not None:
-        if sample.max_d > n - 1:
-            raise ValueError("observed distance beyond n - 1")
-        w_n = float((sample.counts * np.log(n - sample.support)).sum())
     return SufficientStats(
         n_total=sample.total,
         weighted_sum=sample.weighted_sum,
@@ -389,7 +388,6 @@ def sufficient_stats(
         weighted_upto=m_star,
         log_weighted_upto=mlog_star,
         w=w,
-        w_n=w_n,
     )
 
 
@@ -410,8 +408,7 @@ def log_likelihood(
     sample at the parameters' break point, handed to the model's row.
 
     Support violations (an observed d beyond d_max, or beyond n - 1 under
-    the null models) yield -inf so optimizers reject the region; use
-    :func:`supports` to distinguish that case from an underflow.
+    the null models) yield -inf so optimizers reject the region.
     """
     spec = model.spec
     if model is Model.NULL_MIXTURE:
@@ -427,22 +424,6 @@ def log_likelihood(
     stats = sufficient_stats(sample, getattr(params, "break_point", None),
                              d_max)
     return spec.log_likelihood(spec.values(params), stats, d_max)
-
-
-def supports(
-    model: Model,
-    params: ModelParams,
-    sample: DistanceSample | None = None,
-    per_length: PerLength | None = None,
-) -> bool:
-    """True when every observed distance lies inside the model's support."""
-    if model is Model.NULL_MIXTURE:
-        if per_length is None:
-            return False
-        by_length, _ = per_length
-        return all(s.max_d <= n - 1 for n, s in by_length.items())
-    bound = support_upper(model, params)
-    return bound is None or sample.max_d <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +475,53 @@ def _mixture_log_pmf(params, d, d_max):
 
 
 def _mixture_log_likelihood(x, per_length, d_max):
-    """Takes the per-length samples in place of statistics."""
+    """Takes the per-length samples in place of statistics: the fixed null
+    at d_max = n - 1, summed over the sentence lengths n."""
     by_length, _ = per_length
     total = 0.0
     for n, length_sample in sorted(by_length.items()):
         if length_sample.max_d > n - 1:
             return NEG_INF
-        stats = sufficient_stats(length_sample, n=n)
-        total += stats.n_total * math.log(2.0 / (n * (n - 1.0))) + stats.w_n
+        total += _null_log_likelihood(
+            (), sufficient_stats(length_sample, d_max=n - 1), n - 1)
     return total
+
+
+# The nulls' own fits: ``fit(sample, per_length)`` gives (params, log_l,
+# converged), or None when the data it needs are missing.
+
+def _null_fit(sample, per_length):
+    """Scan d_max upward from max d over a window that grows until the
+    likelihood peaks inside it (the null's mass leans on low d, so its
+    likelihood can peak above max d)."""
+    lo = sample.max_d
+    window = max(4 * sample.max_d, 256)
+    support = sample.support.astype(float)
+    counts = sample.counts.astype(float)
+    n = float(sample.total)
+    converged = True
+    while True:
+        grid = np.arange(lo, lo + window + 1, dtype=float)
+        slack = np.log(grid[:, None] + 1.0 - support[None, :])
+        ll = (
+            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
+            + slack @ counts
+        )
+        best = int(np.argmax(ll))
+        if best < len(grid) - 1:
+            break
+        if window > 1_000_000:
+            converged = False  # pathological sample; report the window edge
+            break
+        window *= 4
+    return NullParams(int(grid[best])), float(ll[best]), converged
+
+
+def _mixture_fit(sample, per_length):
+    if per_length is None:
+        return None
+    params = MixtureNullParams(per_length[1])
+    return params, _mixture_log_likelihood((), per_length, None), True
 
 
 def _geometric_log_norm(q: float, d_max: int | None) -> float:
@@ -737,10 +756,6 @@ def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
             _tail_q_init(sample, break_point))
 
 
-def _no_init(sample, break_point=None) -> tuple[()]:
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # The spec table
 # ---------------------------------------------------------------------------
@@ -751,8 +766,9 @@ class ModelSpec:
     ``log_likelihood(x, stats, d_max)`` takes the continuous values and the
     sample's :class:`SufficientStats` (the per-length samples for the
     length mixture); ``init(sample, break_point)`` starts the continuous
-    parameters; ``sampler`` keys :data:`sampling.GENERATORS`.  None:
-    nothing to optimize, or no sampler."""
+    parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
+    for the nulls only, replaces the optimizer.  None: nothing to
+    optimize, no sampler, or the optimizer fits the model."""
 
     params: type
     k: int
@@ -761,6 +777,7 @@ class ModelSpec:
     log_likelihood: Callable
     init: Callable | None
     sampler: str | None
+    fit: Callable | None = None
 
     @cached_property
     def fields(self) -> tuple[str, ...]:
@@ -798,10 +815,10 @@ class ModelSpec:
 SPECS: dict[Model, ModelSpec] = {
     Model.NULL_FIXED: ModelSpec(
         NullParams, 1, "0", _null_log_pmf, _null_log_likelihood,
-        _no_init, "table"),
+        None, "table", _null_fit),
     Model.NULL_MIXTURE: ModelSpec(
         MixtureNullParams, 0, "0", _mixture_log_pmf, _mixture_log_likelihood,
-        None, None),
+        None, None, _mixture_fit),
     Model.GEOMETRIC: ModelSpec(
         GeometricParams, 1, "1-2", _geometric_log_pmf,
         _geometric_log_likelihood, _rate_init, "geometric"),

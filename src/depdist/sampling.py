@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import chdtrc
 
 from . import models as m
 from .models import Model, ModelParams
@@ -40,22 +40,6 @@ REFERENCE_PARAMS: dict[Model, ModelParams] = {
     Model.ZETA_GEOMETRIC_TRUNC:
         m.TruncatedZetaGeometricParams(1.6, 0.2, 4, 19),
 }
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    model: Model
-    params: ModelParams
-    size: int
-    seed: int
-    cutoff: int = DEFAULT_CUTOFF
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        break_point = getattr(self.params, "break_point", 1)
-        if self.cutoff < max(break_point, 1):
-            raise ValueError("cutoff below the break point")
 
 
 @dataclass
@@ -198,13 +182,6 @@ def draw_sample(
     return DistanceSample.from_values(values)
 
 
-def draw_from_config(config: SamplerConfig,
-                     info: DrawInfo | None = None) -> DistanceSample:
-    """Generate the sample described by a :class:`SamplerConfig`."""
-    return draw_sample(config.model, config.params, config.size,
-                       seed=config.seed, cutoff=config.cutoff, info=info)
-
-
 def generate_validation_suite(
     seed: int = DEFAULT_SEED,
     size: int = SUITE_SIZE,
@@ -275,8 +252,15 @@ def goodness_of_fit(
     exp = np.array(exp_bins) * (n / sum(exp_bins))  # exact renormalization
     if len(obs) < 2:
         return 0.0, 1.0, 0
-    stat, p = sp_stats.chisquare(obs, exp)
-    return float(stat), float(p), len(obs) - 1
+    return (*_chisquare(obs, exp), len(obs) - 1)
+
+
+def _chisquare(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float]:
+    """Pearson's statistic of observed against expected counts with equal
+    totals, and its chi-square p-value at len(obs) - 1 degrees of freedom:
+    ``scipy.stats.chisquare`` without loading ``scipy.stats``."""
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return stat, float(chdtrc(len(obs) - 1, stat))
 
 
 # ---------------------------------------------------------------------------

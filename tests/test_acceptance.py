@@ -15,11 +15,11 @@ import depdist.estimation as est
 import depdist.models as m
 import depdist.sampling as samp
 from conftest import random_tree
-from depdist.arrangement import brute_force_min_arrangement
 from depdist.models import Model
 from depdist.optimality import expected_random, min_arrangement, omega
 from depdist.treebank import DepTree, build_samples
 from depdist.validation import run_validation
+from oracles import brute_force_min_arrangement
 
 SEED = samp.DEFAULT_SEED
 
@@ -192,7 +192,7 @@ def test_criterion_7_arrangement_oracles():
             trees_checked += 1
 
     baseline_checked = 0
-    from depdist.arrangement import _all_positions
+    from oracles import _all_positions
     for n in range(2, 8):
         pos_all = _all_positions(n).astype(np.int64)
         for _ in range(50):

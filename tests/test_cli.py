@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import depdist
 from depdist.cli import main
 from depdist.models import Model
 from depdist.sampling import read_sample_csv
@@ -100,6 +105,17 @@ class TestFitSelect:
         for name in ("mixed_fits", "mixed_best", "fixed_fits",
                      "fixed_best_matrix", "threshold_scan"):
             assert (out / f"{name}.csv").exists(), name
+
+    @pytest.mark.parametrize("thresholds", ["0", "3,2"])
+    def test_bad_thresholds_are_usage_errors(self, toy_corpus, tmp_path,
+                                              capsys, thresholds):
+        with pytest.raises(SystemExit) as err:
+            main(["fit-select", "--manifest", str(toy_corpus),
+                  "--out", str(tmp_path / "o"), "--threshold", thresholds])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "error: argument --threshold: thresholds must" in message
+        assert "Traceback" not in message
 
     def test_chain_corpus_prefers_steep_decay(self, tmp_path):
         corpus = tmp_path / "chains.conllu"
@@ -323,3 +339,16 @@ class TestValidateCommand:
         # run ends with a verdict instead of an exception.
         code = main(["validate", "--seed", "2", "--out", str(tmp_path)])
         assert code in (0, 4)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone about doubles the command line's start-up time;
+    # the chi-square test takes its p-value from scipy.special instead.
+    src = str(Path(depdist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, depdist.cli; print(sorted("
+             "m for m in sys.modules if m.startswith('scipy.stats')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -74,6 +74,14 @@ class TestPmf:
             == pytest.approx(expected3)
         assert m.pmf(Model.NULL_MIXTURE, params, 9) == 0.0
 
+    def test_mixture_null_bound(self):
+        # The longest sentence, n = 4, allows distances up to 3.
+        params = m.MixtureNullParams(LengthDistribution({3: 0.5, 4: 0.5}))
+        assert m.support_upper(Model.NULL_MIXTURE, params) == 3
+        assert m.support_upper(Model.NULL_FIXED, m.NullParams(3)) == 3
+        assert m.support_upper(Model.GEOMETRIC, m.GeometricParams(0.2)) \
+            is None
+
     def test_zero_outside_support(self):
         assert m.pmf(Model.GEOMETRIC_TRUNC,
                      m.TruncatedGeometricParams(0.3, 5), 6) == 0.0
@@ -251,12 +259,6 @@ class TestLogLikelihood:
         assert m.log_likelihood(
             Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(0.3, 9), sample
         ) == float("-inf")
-        assert not m.supports(
-            Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(0.3, 9), sample
-        )
-        assert m.supports(
-            Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(0.3, 12), sample
-        )
 
     def test_underflow_sentinel(self):
         # At q near its upper bound a 41-step geometric term drops past the
@@ -280,8 +282,6 @@ class TestSufficientStats:
         assert stats.log_weighted_upto == 0.0
 
     def test_slack_sums(self):
-        stats = m.sufficient_stats(DistanceSample({1: 1, 2: 1}), n=4)
-        assert stats.w_n == pytest.approx(math.log(3) + math.log(2))
         stats = m.sufficient_stats(DistanceSample({1: 1, 2: 1}), d_max=3)
         assert stats.w == pytest.approx(math.log(3) + math.log(2))
 

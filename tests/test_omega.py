@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
-from depdist.arrangement import (
-    _all_positions,
-    _minla_subsets_dp,
-    brute_force_min_arrangement,
-    min_arrangement_cost,
-)
+from depdist.arrangement import min_arrangement_cost
 from depdist.optimality import (
     average_omega,
     expected_random,
@@ -18,6 +13,11 @@ from depdist.optimality import (
     sum_distances,
 )
 from depdist.treebank import DepTree
+from oracles import (
+    _all_positions,
+    _minla_subsets_dp,
+    brute_force_min_arrangement,
+)
 
 FIGURE_TREE = DepTree((2, 0, 2, 5, 2, 8, 8, 5))
 

@@ -204,6 +204,22 @@ class TestGoodnessOfFit:
                                   m.GeometricParams(0.2))
         assert p < 1e-6
 
+    def test_pearson_test_matches_scipy_chisquare(self):
+        from scipy.stats import chisquare
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            k = int(rng.integers(2, 40))
+            obs = rng.integers(0, 200, size=k).astype(float)
+            obs[0] += 1.0
+            weights = rng.random(k) + 1e-3
+            # Expected counts renormalized to the observed total, as
+            # goodness_of_fit builds them.
+            exp = weights * (obs.sum() / weights.sum())
+            oracle = chisquare(obs, exp)
+            assert samp._chisquare(obs, exp) \
+                == (float(oracle.statistic), float(oracle.pvalue))
+
 
 class TestSampleFiles:
     def test_roundtrip(self, tmp_path):
