@@ -17,23 +17,21 @@ row scans d_max with an adaptive window.
 The two nulls fit through their spec rows (:data:`depdist.models.SPECS`);
 one optimizer, :func:`_optimize`, serves models 1 to 7: the row names its
 continuous parameters, their bounds and starting values, and builds the
-parameter object.  The sample's sufficient statistics are computed once
-per break point, and each evaluation runs the row's log-likelihood on
-plain floats.
+parameter object.  At each break point the row's log-likelihood is bound
+to the sample's statistics once; the starting values and statistics are
+computed once per sample and shared by the twins 3/4 and 6/7.
 
 L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
 that does what ``scipy.optimize.minimize(method="L-BFGS-B")`` does step
-for step without its per-call and per-evaluation wrappers: same kernel,
-same inputs, same iterates, same fits.  Its gradient comes from
-:func:`_forward_gradient`, which follows the rule scipy applies when it
-is given no gradient: a forward step of 1e-8, turned backward where it
-would leave the box, replaced by sqrt(eps) * max(1, |x|) where 1e-8
-vanishes beside x, and divided by the step as rounded, (x + h) - x.  Same
-points, same arithmetic, so every fit is bit-identical to the one
-scipy's generic differences give.  Powell, the fallback, still runs
-through ``minimize``.  Powell fallbacks and non-converged results are
-logged at DEBUG, and each :class:`FitResult` counts its break points,
-fallbacks and objective evaluations.
+for step without its wrappers.  It takes one fused call per point,
+:func:`_fused`, for the value and the forward-difference gradient, with
+scipy's rule for L-BFGS-B without a gradient: a step of 1e-8, turned
+backward at the box, sqrt(eps) * max(1, |x|) where 1e-8 vanishes beside
+x, divided by the step as rounded.  Same kernel, points and arithmetic,
+so every fit is bit-identical to scipy's.  Powell, the fallback, runs
+through ``minimize``; fallbacks and non-converged results are logged at
+DEBUG, and each :class:`FitResult` counts its break points, fallbacks
+and objective evaluations.
 """
 
 from __future__ import annotations
@@ -154,27 +152,52 @@ def initial_values(model: Model, sample: DistanceSample) -> ModelParams:
 # Continuous optimization (bounded, with derivative-free fallback)
 # ---------------------------------------------------------------------------
 
-def _forward_gradient(f, x, f0, lows, highs) -> np.ndarray:
-    """Forward-difference gradient of ``f`` at ``x`` (a list of floats)
-    with ``f0 = f(x)``: scipy's default for L-BFGS-B, step for step.
+def _step(xi: float, lo: float, hi: float) -> float:
+    """scipy's default forward-difference step for L-BFGS-B at ``xi``:
+    FD_STEP, or FD_REL_STEP * max(1, |xi|) with the sign of xi where
+    xi + FD_STEP rounds back to xi, turned backward where the forward point
+    leaves [lo, hi].  Every box here is far wider than a step, so the
+    backward point is inside (scipy shortens it only in a narrower box)."""
+    h = FD_STEP
+    if (xi + h) - xi == 0.0:
+        h = FD_REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
+    return h if lo <= xi + h <= hi else -h
 
-    The step is FD_STEP, or FD_REL_STEP * max(1, |x|) with the sign of x
-    where x + FD_STEP rounds back to x, and it turns backward where the
-    forward point leaves the box.  Every box here is far wider than a step,
-    so the backward point is always inside (scipy shortens the step only
-    in a narrower box).
-    """
-    grad = np.empty(len(x))
-    for i, xi in enumerate(x):
-        h = FD_STEP
-        if (xi + h) - xi == 0.0:
-            h = FD_REL_STEP * (1.0 if xi >= 0 else -1.0) * max(1.0, abs(xi))
-        if not lows[i] <= xi + h <= highs[i]:
-            h = -h
-        shifted = list(x)
-        shifted[i] = xi + h
-        grad[i] = (f(shifted) - f0) / ((xi + h) - xi)
-    return grad
+
+def _fused(log_l, bounds):
+    """(negated, negated_and_gradient) of ``log_l``, a function of one or
+    two floats, in ``bounds``.  ``negated(*x)`` is -log_l at the nearest
+    point of the box (line searches probe a hair outside it), REJECTED
+    where log_l is not finite; ``negated_and_gradient(x)`` adds, in the
+    same call, the forward differences over steps h from :func:`_step`,
+    divided by (x + h) - x: scipy's points and arithmetic, bit for bit."""
+    lows, highs = _box(bounds)
+    if len(lows) == 1:
+        (lo,), (hi,) = lows, highs
+
+        def negated(a):
+            value = log_l(lo if a < lo else hi if a > hi else a)
+            return -value if math.isfinite(value) else REJECTED
+
+        def negated_and_gradient(x):
+            (a,) = x
+            f0, h = negated(a), _step(a, lo, hi)
+            return f0, ((negated(a + h) - f0) / ((a + h) - a),)
+        return negated, negated_and_gradient
+
+    (lo0, lo1), (hi0, hi1) = lows, highs
+
+    def negated(a, b):
+        value = log_l(lo0 if a < lo0 else hi0 if a > hi0 else a,
+                      lo1 if b < lo1 else hi1 if b > hi1 else b)
+        return -value if math.isfinite(value) else REJECTED
+
+    def negated_and_gradient(x):
+        a, b = x
+        f0, ha, hb = negated(a, b), _step(a, lo0, hi0), _step(b, lo1, hi1)
+        return f0, ((negated(a + ha, b) - f0) / ((a + ha) - a),
+                    (negated(a, b + hb) - f0) / ((b + hb) - b))
+    return negated, negated_and_gradient
 
 
 class LbfgsbResult(NamedTuple):
@@ -265,28 +288,17 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
                         nit, fun0)
 
 
-def _maximize(objective, x0, bounds, label="objective", tally=None
+def _maximize(log_l, x0, bounds, label="objective", tally=None
               ) -> tuple[np.ndarray, float, bool]:
-    """Maximize ``objective`` (a function of a list of floats) within
-    bounds; return (x, value, converged).  ``label`` names the fit in the
-    debug log of fallbacks and non-converged results; ``tally`` (a
-    Counter), if given, gains the objective ``evaluations`` and the Powell
+    """Maximize ``log_l`` (a function of one or two floats) within bounds;
+    return (x, value, converged).  ``label`` names the fit in the debug log
+    of fallbacks and non-converged results; ``tally`` (a Counter), if
+    given, gains the objective ``evaluations`` and the Powell
     ``fallbacks``."""
     lows, highs = _box(bounds)
     x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
     n = len(x0)
-
-    def negated(x):
-        # Line searches may probe a hair outside the box; evaluate at the
-        # nearest feasible point instead.
-        value = objective([min(max(float(v), lo), hi)
-                           for v, lo, hi in zip(x, lows, highs)])
-        return -value if math.isfinite(value) else REJECTED
-
-    def negated_and_gradient(x):
-        f0 = negated(x)
-        return f0, _forward_gradient(negated, x, f0, lows, highs)
-
+    negated, negated_and_gradient = _fused(log_l, bounds)
     # scipy charges maxfun with the n + 1 evaluations of a finite-difference
     # point, a supplied gradient with one: the same budget in points.
     primary = _lbfgsb(negated_and_gradient, x0, bounds,
@@ -297,7 +309,7 @@ def _maximize(objective, x0, bounds, label="objective", tally=None
     if primary.fun0 != REJECTED:
         best_val = -primary.fun0
     else:
-        best_val = objective(x0.tolist())
+        best_val = log_l(*x0.tolist())
         evaluations += 1
     best_x = x0
     if -primary.fun > best_val:
@@ -307,7 +319,8 @@ def _maximize(objective, x0, bounds, label="objective", tally=None
     if not primary.success:
         log.debug("%s: L-BFGS-B stopped (%s); falling back to Powell",
                   label, message)
-        fallback = minimize(negated, x0, method="Powell", bounds=bounds,
+        fallback = minimize(lambda x: negated(*x.tolist()), x0,
+                            method="Powell", bounds=bounds,
                             options={"ftol": FTOL, "xtol": 1e-10,
                                      "maxiter": 2000})
         evaluations, fallbacks = evaluations + fallback.nfev, 1
@@ -328,16 +341,18 @@ def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
               ) -> tuple[ModelParams, float, bool]:
     """Best continuous parameters at a fixed break point (None for
     one-regime models), seeded by the spec's initial values; a truncation
-    bound is pinned to the observed maximum.  The sample's statistics are
-    computed once and the row's log-likelihood is evaluated on them.
-    ``tally`` is handed to :func:`_maximize`."""
-    spec = model.spec
-    d_max = sample.max_d if model.is_truncated else None
-    stats = m.sufficient_stats(sample, break_point)
+    bound is pinned to the observed maximum.  The starting values and
+    statistics are kept on the sample, keyed by the row's ``init``, so twin
+    models share them.  ``tally`` is handed to :func:`_maximize`."""
+    spec, key = model.spec, (model.spec.init, break_point)
+    if key not in sample.memo:
+        sample.memo[key] = (spec.init(sample, break_point),
+                            m.sufficient_stats(sample, break_point))
+    x0, stats = sample.memo[key]
     x, log_l, conv = _maximize(
-        lambda x: spec.log_likelihood(x, stats, d_max),
-        spec.init(sample, break_point), spec.bounds,
-        f"model {model.id}, break point {break_point}", tally)
+        spec.bind(stats, sample.max_d if model.is_truncated else None),
+        x0, spec.bounds, f"model {model.id}, break point {break_point}",
+        tally)
     return spec.build(break_point, sample.max_d)(*map(float, x)), log_l, conv
 
 

@@ -28,10 +28,11 @@ likelihood is the fixed null's at d_max = n - 1, summed over lengths n.
 
 Log-likelihoods are computed from sufficient statistics (N, M, M', their
 restrictions to d <= break, and max d), never by rescanning the sample.
-Each row's log-likelihood takes the continuous values as floats and the
-statistics, so an optimizer computes the statistics once per break point
-and builds no parameter object per evaluation; :func:`log_likelihood` is
-the same row behind a parameter object.  Parameters whose normalizers
+Each row binds its log-likelihood to the statistics once per break point,
+computing there what the break point fixes; the bound function takes the
+continuous values as plain floats, so an optimizer builds no parameter
+object per evaluation.  :func:`log_likelihood` is the same row behind a
+parameter object.  Parameters whose normalizers
 overflow or underflow a double get log-likelihood -inf, the same rejection
 as a term below LOG_TERM_FLOOR.
 """
@@ -239,7 +240,12 @@ def harmonic(d_max: int, gamma: float) -> float:
     """Generalized harmonic number: sum of k^(-gamma) for k = 1..d_max."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    return float(np.power(np.arange(1, d_max + 1, dtype=float), -gamma).sum())
+    return _power_sum(np.arange(1, d_max + 1, dtype=float), gamma)
+
+
+def _power_sum(ks: np.ndarray, gamma: float) -> float:
+    """Sum of k^(-gamma) over the float array ks."""
+    return float(np.power(ks, -gamma).sum())
 
 
 def two_regime_geometric_constants(
@@ -254,11 +260,16 @@ def two_regime_geometric_constants(
     c1*(S1 + tau*S2) = 1 with S1 the first-regime geometric sum and S2 the
     (possibly truncated) second-regime sum.
     """
-    log1m_q1 = math.log1p(-q1)
-    log1m_q2 = math.log1p(-q2)
+    return _two_regime_geometric_constants(
+        q1, math.log1p(-q1), q2, math.log1p(-q2), break_point, d_max)
+
+
+def _two_regime_geometric_constants(q1, log1m_q1, q2, log1m_q2,
+                                    break_point, d_max):
+    # Shared with the bound log-likelihood, which has the log1p(-q).
     tau = math.exp((break_point - 1) * (log1m_q1 - log1m_q2))
     s1 = -math.expm1(break_point * log1m_q1) / q1
-    return _normalize(s1, tau, q2, break_point, d_max)
+    return _normalize(s1, tau, q2, log1m_q2, break_point, d_max)
 
 
 def zeta_geometric_constants(
@@ -270,17 +281,22 @@ def zeta_geometric_constants(
     c2*(1-q)^(d-1) beyond it; tau = break^(-gamma)/(1-q)^(break-1) pins the
     branches together at the break and c1 = 1/(H(break, gamma) + tau*S2).
     """
-    log1m_q = math.log1p(-q)
-    tau = math.exp(-gamma * math.log(break_point) - (break_point - 1) * log1m_q)
-    s1 = harmonic(break_point, gamma)
-    return _normalize(s1, tau, q, break_point, d_max)
+    return _zeta_geometric_constants(
+        gamma, q, math.log1p(-q), break_point, math.log(break_point),
+        np.arange(1, break_point + 1, dtype=float), d_max)
 
 
-def _normalize(s1: float, tau: float, q: float, break_point: int,
-               d_max: int | None) -> tuple[float, float, float]:
+def _zeta_geometric_constants(gamma, q, log1m_q, break_point, log_break,
+                              ks, d_max):
+    # Shared with the bound log-likelihood, which has ks = 1..break_point.
+    tau = math.exp(-gamma * log_break - (break_point - 1) * log1m_q)
+    s1 = _power_sum(ks, gamma)
+    return _normalize(s1, tau, q, log1m_q, break_point, d_max)
+
+
+def _normalize(s1, tau, q, log1m_q, break_point, d_max):
     """(c1, c2, tau) from the first-regime sum s1 and a geometric second
-    regime of rate q, with c1*(s1 + tau*s2) = 1."""
-    log1m_q = math.log1p(-q)
+    regime of rate q, log1m_q = log1p(-q), with c1*(s1 + tau*s2) = 1."""
     if d_max is None:
         s2 = math.exp(break_point * log1m_q) / q
     else:
@@ -404,8 +420,8 @@ def log_likelihood(
     sample: DistanceSample | None = None,
     per_length: PerLength | None = None,
 ) -> float:
-    """Log-likelihood of a sample under a model: the statistics of the
-    sample at the parameters' break point, handed to the model's row.
+    """Log-likelihood of a sample under a model: the model's row bound to
+    the sample's statistics at the break point, at the continuous values.
 
     Support violations (an observed d beyond d_max, or beyond n - 1 under
     the null models) yield -inf so optimizers reject the region.
@@ -414,7 +430,7 @@ def log_likelihood(
     if model is Model.NULL_MIXTURE:
         if per_length is None:
             raise ValueError("length-mixture null needs per-length samples")
-        return spec.log_likelihood((), per_length, None)
+        return spec.bind(per_length, None)()
 
     if sample is None:
         raise ValueError("sample required")
@@ -423,19 +439,19 @@ def log_likelihood(
         return NEG_INF
     stats = sufficient_stats(sample, getattr(params, "break_point", None),
                              d_max)
-    return spec.log_likelihood(spec.values(params), stats, d_max)
+    return spec.bind(stats, d_max)(*spec.values(params))
 
 
 # ---------------------------------------------------------------------------
 # Families.  ``*_log_pmf(params, d, d_max)`` works on a float array d;
-# ``*_log_likelihood(x, stats, d_max)`` takes the continuous values x as
-# floats, in field order, and the sample's :class:`SufficientStats` at the
-# break point, with the observed distances inside the support.  Every pmf
-# here is non-increasing in d, so the smallest term sits at max d; when it
-# falls below LOG_TERM_FLOOR the whole likelihood is the rejection sentinel
-# -inf.  ``d_max`` is the truncation bound, None for unbounded twins.  The
-# ``*_term`` helpers give log p(d) for a float or an array d and serve
-# both.
+# ``*_bind(stats, d_max)`` takes the sample's :class:`SufficientStats` at
+# the break point, with the observed distances inside the support, and
+# returns the log-likelihood as a function of the continuous values, in
+# field order.  Every pmf here is non-increasing in d, so the smallest term
+# sits at max d; when it falls below LOG_TERM_FLOOR the whole likelihood is
+# the rejection sentinel -inf.  ``d_max`` is the truncation bound, None for
+# unbounded twins.  The ``*_term`` helpers give log p(d) for a float or an
+# array d and serve both.
 # ---------------------------------------------------------------------------
 
 def _on_support(d: np.ndarray, d_max: int | None, log_p) -> np.ndarray:
@@ -457,11 +473,11 @@ def _null_log_pmf(params, d, d_max):
     return _on_support(d, d_max, partial(_null_term, d_max))
 
 
-def _null_log_likelihood(x, stats, d_max):
+def _null_bind(stats, d_max):
     """Needs the slack sum: ``sufficient_stats(sample, d_max=d_max)``."""
-    if _null_term(d_max, stats.max_d) < LOG_TERM_FLOOR:
-        return NEG_INF
-    return stats.n_total * math.log(2.0 / (d_max * (d_max + 1.0))) + stats.w
+    value = NEG_INF if _null_term(d_max, stats.max_d) < LOG_TERM_FLOOR \
+        else stats.n_total * math.log(2.0 / (d_max * (d_max + 1.0))) + stats.w
+    return lambda: value
 
 
 def _mixture_log_pmf(params, d, d_max):
@@ -474,17 +490,17 @@ def _mixture_log_pmf(params, d, d_max):
         return np.log(prob)
 
 
-def _mixture_log_likelihood(x, per_length, d_max):
+def _mixture_bind(per_length, d_max):
     """Takes the per-length samples in place of statistics: the fixed null
     at d_max = n - 1, summed over the sentence lengths n."""
     by_length, _ = per_length
     total = 0.0
     for n, length_sample in sorted(by_length.items()):
         if length_sample.max_d > n - 1:
-            return NEG_INF
-        total += _null_log_likelihood(
-            (), sufficient_stats(length_sample, d_max=n - 1), n - 1)
-    return total
+            return lambda: NEG_INF
+        total += _null_bind(sufficient_stats(length_sample, d_max=n - 1),
+                            n - 1)()
+    return lambda: total
 
 
 # The nulls' own fits: ``fit(sample, per_length)`` gives (params, log_l,
@@ -521,7 +537,7 @@ def _mixture_fit(sample, per_length):
     if per_length is None:
         return None
     params = MixtureNullParams(per_length[1])
-    return params, _mixture_log_likelihood((), per_length, None), True
+    return params, _mixture_bind(per_length, None)(), True
 
 
 def _geometric_log_norm(q: float, d_max: int | None) -> float:
@@ -546,15 +562,16 @@ def _geometric_log_pmf(params, d, d_max):
         _geometric_term, q, _geometric_log_norm(q, d_max)))
 
 
-def _geometric_log_likelihood(x, stats, d_max):
-    (q,) = x
-    log_norm = _geometric_log_norm(q, d_max)
-    if _geometric_term(q, log_norm, stats.max_d) < LOG_TERM_FLOOR:
-        return NEG_INF
-    return (
-        stats.n_total * (math.log(q) - log_norm)
-        + (stats.weighted_sum - stats.n_total) * math.log1p(-q)
-    )
+def _geometric_bind(stats, d_max):
+    n, top = stats.n_total, stats.max_d
+    excess = stats.weighted_sum - n
+
+    def log_l(q):
+        log_norm = _geometric_log_norm(q, d_max)
+        if _geometric_term(q, log_norm, top) < LOG_TERM_FLOOR:
+            return NEG_INF
+        return n * (math.log(q) - log_norm) + excess * math.log1p(-q)
+    return log_l
 
 
 def _zeta_head(gamma, d):
@@ -571,24 +588,29 @@ def _zeta_log_pmf(params, d, d_max):
         _zeta_term, gamma, math.log(harmonic(d_max, gamma))))
 
 
-def _zeta_log_likelihood(x, stats, d_max):
-    (gamma,) = x
-    log_h = math.log(harmonic(d_max, gamma))
-    if _zeta_term(gamma, log_h, stats.max_d) < LOG_TERM_FLOOR:
-        return NEG_INF
-    return -gamma * stats.log_weighted_sum - stats.n_total * log_h
+def _zeta_bind(stats, d_max):
+    ks = np.arange(1, d_max + 1, dtype=float)
+    n, log_sum, top = stats.n_total, stats.log_weighted_sum, stats.max_d
+
+    def log_l(gamma):
+        log_h = math.log(_power_sum(ks, gamma))
+        if _zeta_term(gamma, log_h, top) < LOG_TERM_FLOOR:
+            return NEG_INF
+        return -gamma * log_sum - n * log_h
+    return log_l
 
 
 # Models 3, 4, 6 and 7: log c1 + head(d) up to the break, geometric at rate
-# q_tail beyond it.  ``constants(break_point=, d_max=)`` gives (c1, c2, tau);
-# normalizers that a double cannot hold (tau overflows, c1 or c2 underflows
-# to 0) put -inf everywhere: rejected, like a term below LOG_TERM_FLOOR,
-# instead of raising.
+# q_tail beyond it.  ``constants(*args)`` gives (c1, c2, tau); normalizers
+# that a double cannot hold (tau overflows, c1 or c2 underflows to 0) put
+# -inf everywhere: rejected, like a term below LOG_TERM_FLOOR, instead of
+# raising.  The bound log-likelihoods hoist what the break point fixes and
+# compute each log1p(-q) once per evaluation.
 
-def _two_regime_log_constants(constants, break_point, d_max):
+def _two_regime_log_constants(constants, *args):
     """(log c1, log c2), or None when a double cannot hold them."""
     try:
-        c1, c2, _ = constants(break_point=break_point, d_max=d_max)
+        c1, c2, _ = constants(*args)
     except OverflowError:
         return None
     if c1 == 0.0 or c2 == 0.0:
@@ -614,19 +636,6 @@ def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
     return out
 
 
-def _likelihood_log_constants(stats, d_max, q_tail, constants, head):
-    """(log c1, log c2) at the statistics' break point, or None when the
-    log-likelihood is -inf."""
-    logs = _two_regime_log_constants(constants, stats.break_point, d_max)
-    if logs is None:
-        return None
-    if stats.max_d <= stats.break_point:
-        top = logs[0] + head(stats.max_d)
-    else:
-        top = _tail_term(logs[1], q_tail, stats.max_d)
-    return None if top < LOG_TERM_FLOOR else logs
-
-
 def _two_regime_geometric_log_pmf(params, d, d_max):
     q1, q2, break_point = params.q1, params.q2, params.break_point
     return _two_regime_log_pmf(
@@ -635,22 +644,27 @@ def _two_regime_geometric_log_pmf(params, d, d_max):
         partial(_geometric_head, q1))
 
 
-def _two_regime_geometric_log_likelihood(x, stats, d_max):
-    q1, q2 = x
-    logs = _likelihood_log_constants(
-        stats, d_max, q2, partial(two_regime_geometric_constants, q1, q2),
-        partial(_geometric_head, q1))
-    if logs is None:
-        return NEG_INF
-    log_c1, log_c2 = logs
-    n, m = stats.n_total, stats.weighted_sum
-    n_star, m_star = stats.n_upto, stats.weighted_upto
-    return (
-        n_star * log_c1
-        + (n - n_star) * log_c2
-        + (m_star - n_star) * (math.log1p(-q1) - math.log1p(-q2))
-        + (m - n) * math.log1p(-q2)
-    )
+def _two_regime_geometric_bind(stats, d_max):
+    bp, steps = stats.break_point, stats.max_d - 1
+    first = stats.max_d <= bp  # the regime that holds max d
+    n_star, n_tail = stats.n_upto, stats.n_total - stats.n_upto
+    m_first = stats.weighted_upto - n_star
+    m_all = stats.weighted_sum - stats.n_total
+
+    def log_l(q1, q2):
+        log1m_q1, log1m_q2 = math.log1p(-q1), math.log1p(-q2)
+        logs = _two_regime_log_constants(_two_regime_geometric_constants,
+                                         q1, log1m_q1, q2, log1m_q2, bp, d_max)
+        if logs is None:
+            return NEG_INF
+        log_c1, log_c2 = logs
+        top = (log_c1 + steps * log1m_q1 if first
+               else log_c2 + steps * log1m_q2)
+        if top < LOG_TERM_FLOOR:
+            return NEG_INF
+        return (n_star * log_c1 + n_tail * log_c2
+                + m_first * (log1m_q1 - log1m_q2) + m_all * log1m_q2)
+    return log_l
 
 
 def _zeta_geometric_log_pmf(params, d, d_max):
@@ -661,22 +675,28 @@ def _zeta_geometric_log_pmf(params, d, d_max):
         partial(_zeta_head, gamma))
 
 
-def _zeta_geometric_log_likelihood(x, stats, d_max):
-    gamma, q = x
-    logs = _likelihood_log_constants(
-        stats, d_max, q, partial(zeta_geometric_constants, gamma, q),
-        partial(_zeta_head, gamma))
-    if logs is None:
-        return NEG_INF
-    log_c1, log_c2 = logs
-    n, m = stats.n_total, stats.weighted_sum
-    n_star, m_star = stats.n_upto, stats.weighted_upto
-    return (
-        n_star * log_c1
-        - gamma * stats.log_weighted_upto
-        + (n - n_star) * log_c2
-        + (m - m_star - n + n_star) * math.log1p(-q)
-    )
+def _zeta_geometric_bind(stats, d_max):
+    bp, steps = stats.break_point, stats.max_d - 1
+    first = stats.max_d <= bp  # the regime that holds max d
+    log_bp, ks = math.log(bp), np.arange(1, bp + 1, dtype=float)
+    log_top, log_first = float(np.log(stats.max_d)), stats.log_weighted_upto
+    n_star, n_tail = stats.n_upto, stats.n_total - stats.n_upto
+    m_tail = stats.weighted_sum - stats.weighted_upto - n_tail
+
+    def log_l(gamma, q):
+        log1m_q = math.log1p(-q)
+        logs = _two_regime_log_constants(
+            _zeta_geometric_constants, gamma, q, log1m_q, bp, log_bp, ks,
+            d_max)
+        if logs is None:
+            return NEG_INF
+        log_c1, log_c2 = logs
+        top = log_c1 + -gamma * log_top if first else log_c2 + steps * log1m_q
+        if top < LOG_TERM_FLOOR:
+            return NEG_INF
+        return (n_star * log_c1 - gamma * log_first + n_tail * log_c2
+                + m_tail * log1m_q)
+    return log_l
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +783,10 @@ def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ModelSpec:
     """One model.  ``log_pmf(params, d, d_max)`` works on a float array;
-    ``log_likelihood(x, stats, d_max)`` takes the continuous values and the
-    sample's :class:`SufficientStats` (the per-length samples for the
-    length mixture); ``init(sample, break_point)`` starts the continuous
+    ``bind(stats, d_max)`` takes the sample's :class:`SufficientStats` (the
+    per-length samples for the length mixture) and returns the
+    log-likelihood as a function of the continuous values, in field order;
+    ``init(sample, break_point)`` starts the continuous
     parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
     for the nulls only, replaces the optimizer.  None: nothing to
     optimize, no sampler, or the optimizer fits the model."""
@@ -774,7 +795,7 @@ class ModelSpec:
     k: int
     family: str
     log_pmf: Callable
-    log_likelihood: Callable
+    bind: Callable
     init: Callable | None
     sampler: str | None
     fit: Callable | None = None
@@ -814,31 +835,31 @@ class ModelSpec:
 #: One row per model, in the canonical ensemble order.
 SPECS: dict[Model, ModelSpec] = {
     Model.NULL_FIXED: ModelSpec(
-        NullParams, 1, "0", _null_log_pmf, _null_log_likelihood,
+        NullParams, 1, "0", _null_log_pmf, _null_bind,
         None, "table", _null_fit),
     Model.NULL_MIXTURE: ModelSpec(
-        MixtureNullParams, 0, "0", _mixture_log_pmf, _mixture_log_likelihood,
+        MixtureNullParams, 0, "0", _mixture_log_pmf, _mixture_bind,
         None, None, _mixture_fit),
     Model.GEOMETRIC: ModelSpec(
         GeometricParams, 1, "1-2", _geometric_log_pmf,
-        _geometric_log_likelihood, _rate_init, "geometric"),
+        _geometric_bind, _rate_init, "geometric"),
     Model.GEOMETRIC_TRUNC: ModelSpec(
         TruncatedGeometricParams, 2, "1-2", _geometric_log_pmf,
-        _geometric_log_likelihood, _rate_init, "geometric"),
+        _geometric_bind, _rate_init, "geometric"),
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
-        _two_regime_geometric_log_likelihood, _regime_q_inits, "table"),
+        _two_regime_geometric_bind, _regime_q_inits, "table"),
     Model.TWO_REGIME_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedTwoRegimeGeometricParams, 4, "3-4",
-        _two_regime_geometric_log_pmf, _two_regime_geometric_log_likelihood,
+        _two_regime_geometric_log_pmf, _two_regime_geometric_bind,
         _regime_q_inits, "table"),
     Model.ZETA_TRUNC: ModelSpec(
-        ZetaParams, 2, "5", _zeta_log_pmf, _zeta_log_likelihood,
+        ZetaParams, 2, "5", _zeta_log_pmf, _zeta_bind,
         _exponent_init, "zeta"),
     Model.ZETA_GEOMETRIC: ModelSpec(
         ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
-        _zeta_geometric_log_likelihood, _zeta_geometric_init, "table"),
+        _zeta_geometric_bind, _zeta_geometric_init, "table"),
     Model.ZETA_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedZetaGeometricParams, 4, "6-7", _zeta_geometric_log_pmf,
-        _zeta_geometric_log_likelihood, _zeta_geometric_init, "table"),
+        _zeta_geometric_bind, _zeta_geometric_init, "table"),
 }

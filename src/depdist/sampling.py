@@ -5,8 +5,9 @@ with rejection of overshoots for the truncated variant.  Truncated zeta
 deviates use the classic rejection scheme with acceptance test
 V*X*(T-1)/(b-1) <= T/b, b = 2^(gamma-1).  The null and two-regime models use
 tabular inversion: a cumulative table searched by binary search, with an
-explicit 10^6 cutoff for the models whose support is unbounded.  Each
-model's spec row names its generator in :data:`GENERATORS`.
+explicit 10^6 cutoff for the models whose support is unbounded, built only
+as far as it changes.  Each model's spec row names its generator in
+:data:`GENERATORS`.
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ def sample_zeta_truncated(
 def pmf_table(model: Model, params: ModelParams,
               cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """pmf over d = 1..min(d_max, cutoff) as a dense vector."""
-    bound = m.support_upper(model, params)
-    top = min(bound, cutoff) if bound is not None else cutoff
+    top = min(m.support_upper(model, params) or cutoff, cutoff)
     d = np.arange(1, top + 1, dtype=float)
     return np.asarray(m.pmf(model, params, d))
 
@@ -132,15 +132,23 @@ def sample_tabular(
     Returns, for each uniform u, the least index c with
     CDF(c-1) < u <= CDF(c).  For unbounded models the table stops at
     ``cutoff``; a u beyond the tabulated mass (< 1e-9 of cases) maps to the
-    cutoff index and is counted in ``info.overflow``.
+    last index, d_max or the cutoff, and is counted in ``info.overflow``.
     """
-    cdf = np.cumsum(pmf_table(model, params, cutoff))
+    top = min(m.support_upper(model, params) or cutoff, cutoff)
+    # The table grows fourfold until its last term no longer moves the
+    # sum; every pmf here is non-increasing, so no later term would, and
+    # cumsum adds in order: the table is a prefix of the full one.
+    length = 1024
+    cdf = np.cumsum(pmf_table(model, params, min(length, top)))
+    while len(cdf) < top and cdf[-1] != cdf[-2]:
+        length *= 4
+        cdf = np.cumsum(pmf_table(model, params, min(length, top)))
     u = _uniform_open(rng, size)
     idx = np.searchsorted(cdf, u, side="left")
     overflow = int((idx >= len(cdf)).sum())
     if overflow and info is not None:
         info.overflow += overflow
-    return np.minimum(idx, len(cdf) - 1).astype(np.int64) + 1
+    return np.where(idx < len(cdf), idx, top - 1).astype(np.int64) + 1
 
 
 def _draw_geometric(model, params, size, rng, cutoff, info) -> np.ndarray:

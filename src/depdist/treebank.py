@@ -208,6 +208,11 @@ class DistanceSample:
         cum_mlog = np.cumsum(self.counts * np.log(self.support))
         return cum_n, cum_m, cum_mlog
 
+    @cached_property
+    def memo(self) -> dict:
+        """Values other modules derive from the sample and share."""
+        return {}
+
     def stats_upto(self, d: int) -> tuple[int, int, float]:
         """(N*, M*, M'*) restricted to distances <= d."""
         idx = int(np.searchsorted(self.support, d, side="right"))

@@ -151,7 +151,7 @@ class TestFit:
         d_max = sample.max_d
 
         def profile(model, build, x0, bounds):
-            def obj(x):
+            def obj(*x):
                 return m.log_likelihood(model, build(x), sample)
             _, value, _ = est._maximize(obj, x0, bounds)
             return value
@@ -197,10 +197,10 @@ def scipy_maximize(objective, x0, bounds):
     x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
 
     def negated(x):
-        value = objective(np.clip(x, lows, highs).tolist())
+        value = objective(*np.clip(x, lows, highs).tolist())
         return -value if math.isfinite(value) else 1e300
 
-    best_x, best_val = x0, objective(x0.tolist())
+    best_x, best_val = x0, objective(*x0.tolist())
     primary = minimize(negated, x0, method="L-BFGS-B", bounds=bounds,
                        options={"ftol": est.FTOL, "maxiter": 500})
     if -primary.fun > best_val:
@@ -218,14 +218,15 @@ def scipy_maximize(objective, x0, bounds):
 
 
 def row_objective(model, sample, break_point):
-    """The objective ``_optimize`` hands to ``_maximize``."""
+    """The objective ``_optimize`` hands to ``_maximize``: the row bound to
+    the sample's statistics at the break point."""
     stats = m.sufficient_stats(sample, break_point)
     d_max = sample.max_d if model.is_truncated else None
-    return lambda x: model.spec.log_likelihood(x, stats, d_max)
+    return model.spec.bind(stats, d_max)
 
 
 class TestForwardDifferences:
-    """The in-house gradient reproduces scipy's default for L-BFGS-B, so the
+    """The fused gradient reproduces scipy's default for L-BFGS-B, so the
     optimizer walks the same iterates as with scipy's own differences."""
 
     @pytest.mark.parametrize("x, bounds", [
@@ -242,12 +243,29 @@ class TestForwardDifferences:
             return math.sin(3.0 * v[0]) * math.exp(-v[-1]) + v[0] * v[-1]
         lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
         highs = [hi if hi is not None else np.inf for _, hi in bounds]
-        f0 = f(x)
-        ours = est._forward_gradient(f, x, f0, lows, highs)
+        # The fused kernel minimizes -log_l, so log_l = -f gives back f.
+        _, negated_and_gradient = est._fused(lambda *v: -f(v), bounds)
+        f0, ours = negated_and_gradient(x)
+        assert f0 == f(x)
         theirs = approx_derivative(lambda v: f(v.tolist()), np.array(x),
                                    method="2-point", abs_step=1e-8,
                                    bounds=(lows, highs), f0=f0)
-        assert np.array_equal(ours, theirs)
+        assert np.array_equal(np.array(ours), theirs)
+
+    @pytest.mark.parametrize("bounds, x, clamped", [
+        ([m.GAMMA_BOUNDS, m.Q_BOUNDS], (-1.0, 1.5), (0.0, 1 - m.EPS)),
+        ([m.Q_BOUNDS, m.GAMMA_BOUNDS], (0.0, 7.0), (m.EPS, 7.0)),
+        ([m.Q_BOUNDS], (-0.5,), (m.EPS,)),
+    ])
+    def test_points_outside_the_box_are_clamped(self, bounds, x, clamped):
+        seen = []
+
+        def log_l(*v):
+            seen.append(v)
+            return -1.0
+        negated, _ = est._fused(log_l, bounds)
+        assert negated(*x) == 1.0
+        assert seen == [clamped]
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_maximize_bit_identical_to_scipy_default(self, seed):
@@ -283,17 +301,7 @@ class TestForwardDifferences:
 def negated_and_gradient(objective, bounds):
     """A bounded objective as ``_maximize`` hands it to ``_lbfgsb``:
     negated, the sentinel for rejected points, forward differences."""
-    lows, highs = est._box(bounds)
-
-    def negated(x):
-        value = objective([min(max(v, lo), hi)
-                           for v, lo, hi in zip(x, lows, highs)])
-        return -value if math.isfinite(value) else est.REJECTED
-
-    def both(x):
-        f0 = negated(x)
-        return f0, est._forward_gradient(negated, x, f0, lows, highs)
-    return both
+    return est._fused(objective, bounds)[1]
 
 
 def optimized_models():
@@ -367,7 +375,7 @@ class TestLbfgsbLoop:
     def test_rejected_start_matches_scipy_default(self, rejected, value):
         # ``_maximize`` reads the start's value from the loop's first
         # evaluation, except where the sentinel stands in for it.
-        def objective(x):
+        def objective(*x):
             return value if rejected(x) else -(x[0] - 0.3) ** 2
         ours = est._maximize(objective, [0.95], [m.Q_BOUNDS])
         theirs = scipy_maximize(objective, [0.95], [m.Q_BOUNDS])
@@ -383,11 +391,15 @@ class TestFitCounts:
         for model in optimized_models():
             spec = model.spec
 
-            def counted(*args, model=model, row=spec.log_likelihood):
-                calls[model] += 1
-                return row(*args)
+            def counted_bind(stats, d_max, model=model, bind=spec.bind):
+                log_l = bind(stats, d_max)
+
+                def counted(*x):
+                    calls[model] += 1
+                    return log_l(*x)
+                return counted
             monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
-                spec, log_likelihood=counted))
+                spec, bind=counted_bind))
         with caplog.at_level(logging.DEBUG, logger="depdist.estimation"):
             report = select(sample, est.FIXED_ENSEMBLE, "aic")
         stopped = [r for r in caplog.records
@@ -404,7 +416,7 @@ class TestFitCounts:
         # A rejected start is evaluated once more for its raw value.
         calls = []
 
-        def objective(x):
+        def objective(*x):
             calls.append(x)
             return -math.inf if x[0] > 0.9 else -(x[0] - 0.3) ** 2
         tally = Counter()

@@ -1,11 +1,13 @@
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import depdist.models as m
 from depdist.models import Model
+from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample, LengthDistribution
 
 
@@ -319,8 +321,8 @@ class TestRowsFromStatistics:
                 d_max = getattr(params, "d_max", None)
                 stats = m.sufficient_stats(
                     sample, getattr(params, "break_point", None), d_max)
-                row = model.spec.log_likelihood(
-                    model.spec.values(params), stats, d_max)
+                row = model.spec.bind(stats, d_max)(
+                    *model.spec.values(params))
                 top = m.log_pmf(model, params, sample.max_d)
                 case = (model, params)
                 if top < m.LOG_TERM_FLOOR:
@@ -352,9 +354,74 @@ class TestRowsFromStatistics:
         d_max = getattr(params, "d_max", None)
         stats = m.sufficient_stats(sample, getattr(params, "break_point",
                                                    None), d_max)
-        assert model.spec.log_likelihood(
-            model.spec.values(params), stats, d_max) == float("-inf")
+        assert model.spec.bind(stats, d_max)(
+            *model.spec.values(params)) == float("-inf")
         assert m.log_likelihood(model, params, sample) == float("-inf")
+
+
+def summed_log_pmf(model, params, sample):
+    """Oracle: f(d) log p(d) summed over the observed support, -inf when a
+    term is -inf or below the floor (``direct_log_likelihood`` on arrays)."""
+    lp = m.log_pmf(model, params, sample.support)
+    if np.any(lp < m.LOG_TERM_FLOOR):
+        return float("-inf")
+    return math.fsum(sample.counts * lp)
+
+
+def rejection_kind(model, params):
+    """Why a double cannot hold the two-regime normalizers, or None."""
+    constants = (m.two_regime_geometric_constants if model.family == "3-4"
+                 else m.zeta_geometric_constants)
+    try:
+        c1, c2, _ = constants(*m.SPECS[model].values(params),
+                              params.break_point, getattr(params, "d_max",
+                                                          None))
+    except OverflowError:
+        return "tau overflows"
+    return "c underflows" if c1 == 0.0 or c2 == 0.0 else None
+
+
+class TestBoundObjective:
+    """The bound log-likelihood at every break point up to max d of small
+    and large samples, on a grid reaching the ends of the parameter box,
+    against the direct sum over the observed support."""
+
+    Q_GRID = (m.EPS, 1e-3, 0.1, 0.5, 0.9, 1 - m.EPS)
+    GAMMA_GRID = (0.0, 0.7, 1.6, 5.0, 200.0)
+
+    def test_every_break_point_matches_direct_sum(self):
+        samples = [DistanceSample({2: 4, 5: 4, 8: 1, 9: 2}),
+                   *generate_validation_suite(1).values()]
+        seen = Counter()
+        for sample in samples:
+            for model in Model:
+                spec = model.spec
+                if not spec.continuous:
+                    continue
+                d_max = sample.max_d if model.is_truncated else None
+                # Beyond the fits' grid too: at break point max d, max d
+                # sits in the first regime.
+                grid = (range(1, sample.max_d + 1) if model.is_two_regime
+                        else [None])
+                values = [self.GAMMA_GRID if name == "gamma" else self.Q_GRID
+                          for name in spec.continuous]
+                for bp in grid:
+                    log_l = spec.bind(m.sufficient_stats(sample, bp), d_max)
+                    build = spec.build(bp, sample.max_d)
+                    for x in product(*values):
+                        params = build(*x)
+                        direct = summed_log_pmf(model, params, sample)
+                        case = (model, bp, x)
+                        if direct == float("-inf"):
+                            assert log_l(*x) == direct, case
+                            kind = (rejection_kind(model, params)
+                                    if model.is_two_regime else None)
+                            seen[kind or "term below floor"] += 1
+                        else:
+                            assert log_l(*x) == pytest.approx(
+                                direct, rel=1e-12), case
+                            seen["accepted"] += 1
+        assert min(seen.values()) > 100 and len(seen) == 4, seen
 
 
 class TestDistributionInvariants:

@@ -1,11 +1,19 @@
-"""Property tests over random valid dependency trees (n = 1 to 30)."""
+"""Property tests over random valid dependency trees (n = 1 to 30) and
+random distance samples."""
 
 from collections import Counter
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depdist.treebank import DepTree, build_samples, parse_conllu, to_conllu
+from depdist.estimation import FIXED_ENSEMBLE, fit, select
+from depdist.treebank import (
+    DepTree,
+    DistanceSample,
+    build_samples,
+    parse_conllu,
+    to_conllu,
+)
 
 
 @st.composite
@@ -36,3 +44,22 @@ def test_pooled_sample_is_sum_of_per_length_samples(corpus):
                       for sample in samples.by_length.values()), Counter())
     assert per_length == Counter(samples.pooled.freq)
     assert sum(samples.sentence_counts.values()) == len(corpus)
+
+
+distance_tables = st.dictionaries(st.integers(1, 40), st.integers(1, 60),
+                                  min_size=1, max_size=10)
+
+
+@settings(max_examples=20)
+@given(distance_tables)
+def test_fits_do_not_depend_on_order_or_shared_work(freq):
+    # The twins share statistics and starting values per break point
+    # through the sample; a reversed ensemble on the same (warm) sample
+    # and each model fitted alone on a fresh (cold) sample must agree.
+    sample = DistanceSample(freq)
+    forward = select(sample, FIXED_ENSEMBLE)
+    backward = select(sample, FIXED_ENSEMBLE[::-1])
+    for model in FIXED_ENSEMBLE:
+        alone = fit(model, DistanceSample(dict(freq)))
+        assert forward.fits[model] == backward.fits[model] == alone, model
+    assert forward.best == backward.best

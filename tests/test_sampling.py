@@ -137,6 +137,61 @@ class TestTabularInversion:
         assert info.overflow > 0
 
 
+def full_table_draws(model, params, rng, size, cutoff=samp.DEFAULT_CUTOFF):
+    """Oracle: inversion in the cumulative table over all of d = 1..cutoff
+    (1..d_max when bounded), the table as it was before it was cut."""
+    cdf = np.cumsum(pmf_table(model, params, cutoff))
+    idx = np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
+    return np.minimum(idx, len(cdf) - 1) + 1, int((idx >= len(cdf)).sum())
+
+
+class TestShortTables:
+    """Draws from the table cut where the CDF stops changing equal draws
+    from the full 10^6 table, element for element."""
+
+    CASES = [
+        (Model.TWO_REGIME_GEOMETRIC,
+         samp.REFERENCE_PARAMS[Model.TWO_REGIME_GEOMETRIC]),
+        (Model.ZETA_GEOMETRIC, samp.REFERENCE_PARAMS[Model.ZETA_GEOMETRIC]),
+        # Slow tails: the CDF changes up to d of about 30,000.
+        (Model.TWO_REGIME_GEOMETRIC, m.TwoRegimeGeometricParams(0.5, 1e-3, 4)),
+        (Model.ZETA_GEOMETRIC, m.ZetaGeometricParams(1.6, 1e-3, 4)),
+        # Bounded tables.
+        (Model.NULL_FIXED, samp.REFERENCE_PARAMS[Model.NULL_FIXED]),
+        (Model.TWO_REGIME_GEOMETRIC_TRUNC,
+         samp.REFERENCE_PARAMS[Model.TWO_REGIME_GEOMETRIC_TRUNC]),
+        (Model.ZETA_GEOMETRIC_TRUNC,
+         samp.REFERENCE_PARAMS[Model.ZETA_GEOMETRIC_TRUNC]),
+    ]
+
+    @pytest.mark.parametrize("model, params", CASES)
+    def test_draws_equal_full_table(self, model, params):
+        full = np.cumsum(pmf_table(model, params))
+        # Random uniforms, then u at and around every CDF value near the
+        # end of the changing part, and u = 1.
+        last = int(np.nonzero(np.diff(full))[0][-1]) + 1
+        edges = full[max(0, last - 20):last + 2]
+        u = np.concatenate([
+            1.0 - np.random.default_rng(7).random(20_000), edges,
+            np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), [1.0]])
+        info = DrawInfo()
+        ours = sample_tabular(model, params, len(u), FixedRng(1.0 - u),
+                              info=info)
+        theirs, overflow = full_table_draws(model, params,
+                                            FixedRng(1.0 - u), len(u))
+        assert np.array_equal(ours, theirs)
+        assert info.overflow == overflow
+
+    def test_u_of_one_beyond_the_table_is_the_cutoff(self):
+        # The reference model-3 CDF ends below 1, so u = 1 overflows.
+        params = samp.REFERENCE_PARAMS[Model.TWO_REGIME_GEOMETRIC]
+        info = DrawInfo()
+        draws = sample_tabular(Model.TWO_REGIME_GEOMETRIC, params, 1,
+                               FixedRng([0.0]), info=info)
+        assert draws.tolist() == [samp.DEFAULT_CUTOFF]
+        assert info.overflow == 1
+
+
 class TestDrawSample:
     def test_determinism(self):
         a = draw_sample(Model.GEOMETRIC, m.GeometricParams(0.2), 5000,
