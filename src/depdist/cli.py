@@ -390,20 +390,17 @@ def _threshold_list(text: str) -> list[int]:
     return values
 
 
-def _add_common(sub: argparse.ArgumentParser, *, corpus: bool,
-                criterion_default: str = "aic"):
-    if corpus:
-        sub.add_argument("--manifest", type=Path, help="corpus manifest "
-                         "(path, collection, language per line)")
-        sub.add_argument("--collection", action="append", default=[],
-                         help="restrict to this collection label "
-                              "(repeatable)")
-        sub.add_argument("--mode", choices=("fixed", "mixed", "both"),
-                         default="both")
-        sub.add_argument("--threshold", dest="thresholds",
-                         type=_threshold_list,
-                         default=list(DEFAULT_THRESHOLDS),
-                         help="comma-separated minimum sentence counts")
+def _add_corpus(sub: argparse.ArgumentParser, *, selection: bool):
+    """Corpus input, the output options and, for the commands that select
+    models per sentence length, the selection options."""
+    sub.add_argument("--manifest", type=Path, help="corpus manifest "
+                     "(path, collection, language per line)")
+    sub.add_argument("--collection", action="append", default=[],
+                     help="restrict to this collection label (repeatable)")
+    _add_output(sub)
+    if selection:
+        sub.add_argument("--criterion", choices=("aic", "bic"),
+                         default="aic")
         sub.add_argument("--min-distinct-d", type=int,
                          default=DEFAULT_MIN_DISTINCT,
                          help="distinct distances required by two-regime "
@@ -412,9 +409,9 @@ def _add_common(sub: argparse.ArgumentParser, *, corpus: bool,
                          default=DEFAULT_MIN_LENGTH,
                          help="exclude sentence lengths below this from "
                               "model selection")
-    sub.add_argument("--criterion", choices=("aic", "bic"),
-                     default=criterion_default)
-    sub.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
+
+
+def _add_output(sub: argparse.ArgumentParser):
     sub.add_argument("--out", type=Path, default="out",
                      help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -427,26 +424,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "fitting and selection, sampling, optimality scores.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    modes = ("fixed", "mixed", "both")
 
     p_extract = subparsers.add_parser(
         "extract", help="corpora to distance samples")
-    _add_common(p_extract, corpus=True)
+    _add_corpus(p_extract, selection=False)
+    p_extract.add_argument("--mode", choices=modes, default="both")
     p_extract.set_defaults(func=cmd_extract)
 
     p_fit = subparsers.add_parser(
         "fit-select", help="fit the ensemble and select best models")
-    _add_common(p_fit, corpus=True)
+    _add_corpus(p_fit, selection=True)
+    p_fit.add_argument("--mode", choices=modes, default="both")
+    p_fit.add_argument("--threshold", dest="thresholds",
+                       type=_threshold_list,
+                       default=list(DEFAULT_THRESHOLDS),
+                       help="comma-separated minimum sentence counts")
     p_fit.set_defaults(func=cmd_fit_select)
 
     p_val = subparsers.add_parser(
         "validate", help="recover generators from artificial samples")
-    _add_common(p_val, corpus=False, criterion_default="bic")
+    p_val.add_argument("--criterion", choices=("aic", "bic"), default="bic")
+    p_val.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
     p_val.add_argument("--n-draws", type=int, default=sampling.SUITE_SIZE)
+    _add_output(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     p_omega = subparsers.add_parser(
         "omega", help="optimality scores per sentence length")
-    _add_common(p_omega, corpus=True)
+    _add_corpus(p_omega, selection=True)
     p_omega.set_defaults(func=cmd_omega)
 
     p_sample = subparsers.add_parser(

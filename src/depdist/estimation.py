@@ -1,11 +1,11 @@
 """Maximum-likelihood fitting and information-criterion model selection.
 
-Continuous parameters are maximized with a bounded quasi-Newton optimizer
-(derivative-free bounded fallback when it fails); integer parameters are
-found by exhaustive scan.  The break point ranges over every integer between
-the second smallest and second largest observed distance, so that each
-regime keeps at least two distinct distances to infer a decay from; this is
-also why two-regime models require at least 3 distinct distances.
+Continuous parameters are maximized with a bounded quasi-Newton optimizer,
+L-BFGS-B; integer parameters are found by exhaustive scan.  The break point
+ranges over every integer between the second smallest and second largest
+observed distance, so that each regime keeps at least two distinct
+distances to infer a decay from; this is also why two-regime models require
+at least 3 distinct distances.
 
 The truncation bound of models 2, 4, 5 and 7 is pinned to the observed
 maximum distance: their likelihood is strictly decreasing in d_max for any
@@ -14,24 +14,25 @@ the data), so the profile likelihood peaks at the lower bound max(d).  The
 uniform-shuffle null is the exception (its mass leans on low d); its spec
 row scans d_max with an adaptive window.
 
-The two nulls fit through their spec rows (:data:`depdist.models.SPECS`);
-one optimizer, :func:`_optimize`, serves models 1 to 7: the row names its
-continuous parameters, their bounds and starting values, and builds the
-parameter object.  At each break point the row's log-likelihood is bound
-to the sample's statistics once; the starting values and statistics are
-computed once per sample and shared by the twins 3/4 and 6/7.
+The nulls and the geometric (q = N/M) fit through their spec rows
+(:data:`depdist.models.SPECS`); one optimizer, :func:`_optimize`, serves
+models 2 to 7: the row names its continuous parameters, their bounds and
+starting values, and builds the parameter object.  At each break point the
+row's log-likelihood is bound to the sample's statistics once; the starting
+values and statistics are computed once per sample and shared by the twins
+3/4 and 6/7.
 
 L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
-that does what ``scipy.optimize.minimize(method="L-BFGS-B")`` does step
-for step without its wrappers.  It takes one fused call per point,
-:func:`_fused`, for the value and the forward-difference gradient, with
-scipy's rule for L-BFGS-B without a gradient: a step of 1e-8, turned
-backward at the box, sqrt(eps) * max(1, |x|) where 1e-8 vanishes beside
-x, divided by the step as rounded.  Same kernel, points and arithmetic,
-so every fit is bit-identical to scipy's.  Powell, the fallback, runs
-through ``minimize``; fallbacks and non-converged results are logged at
-DEBUG, and each :class:`FitResult` counts its break points, fallbacks
-and objective evaluations.
+that does what scipy's own L-BFGS-B driver does step for step without its
+wrappers.  It takes one fused call per point, :func:`_fused`, for the
+value and the forward-difference gradient, with scipy's rule for L-BFGS-B
+without a gradient: a step of 1e-8, turned backward at the box,
+sqrt(eps) * max(1, |x|) where 1e-8 vanishes beside x, divided by the step
+as rounded.  Same kernel, points and arithmetic, so every fit is
+bit-identical to scipy's.  A search that finds no finite log-likelihood
+reports -inf, not converged; non-converged results are logged at DEBUG,
+and each :class:`FitResult` counts its break points and objective
+evaluations.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.optimize._lbfgsb import setulb
 from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
@@ -64,7 +64,7 @@ LBFGSB_MAXITER = 500           # L-BFGS-B iteration limit
 LBFGSB_MAXCOR = 10              # scipy's defaults: stored corrections,
 LBFGSB_PGTOL = 1e-5             # projected-gradient tolerance
 LBFGSB_MAXLS = 20               # and line-search steps per iteration
-REJECTED = 1e300                # minimized value of a rejected point
+REJECTED = 1e300                # -log_l of a rejected point
 # The kernel's task codes (scipy's ``status_messages``).
 _NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
 
@@ -76,9 +76,9 @@ class FitResult:
     """One model fitted to one sample.
 
     ``break_points`` counts the break points scanned (0 for one-regime
-    models), ``fallbacks`` the Powell fallbacks among them, and
-    ``evaluations`` the objective evaluations of the whole fit, L-BFGS-B's
-    and Powell's; the nulls and excluded fits have none of them.
+    models) and ``evaluations`` the objective evaluations of the whole
+    fit; the fits through a spec row's ``fit`` and excluded fits have
+    none of them.
     """
 
     model: Model
@@ -92,7 +92,6 @@ class FitResult:
     status: str = "ok"          # "ok" or "excluded"
     note: str | None = None
     break_points: int = 0
-    fallbacks: int = 0
     evaluations: int = 0
 
     @property
@@ -149,7 +148,7 @@ def initial_values(model: Model, sample: DistanceSample) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Continuous optimization (bounded, with derivative-free fallback)
+# Continuous optimization (bounded)
 # ---------------------------------------------------------------------------
 
 def _step(xi: float, lo: float, hi: float) -> float:
@@ -165,12 +164,12 @@ def _step(xi: float, lo: float, hi: float) -> float:
 
 
 def _fused(log_l, bounds):
-    """(negated, negated_and_gradient) of ``log_l``, a function of one or
-    two floats, in ``bounds``.  ``negated(*x)`` is -log_l at the nearest
-    point of the box (line searches probe a hair outside it), REJECTED
-    where log_l is not finite; ``negated_and_gradient(x)`` adds, in the
-    same call, the forward differences over steps h from :func:`_step`,
-    divided by (x + h) - x: scipy's points and arithmetic, bit for bit."""
+    """-log_l and its gradient in one call: a function of a list of one or
+    two floats, ``log_l``'s arguments, in ``bounds``.  The value is -log_l
+    at the nearest point of the box (line searches probe a hair outside
+    it), REJECTED where log_l is not finite; the gradient is the forward
+    differences over steps h from :func:`_step`, divided by (x + h) - x:
+    scipy's points and arithmetic, bit for bit."""
     lows, highs = _box(bounds)
     if len(lows) == 1:
         (lo,), (hi,) = lows, highs
@@ -183,7 +182,7 @@ def _fused(log_l, bounds):
             (a,) = x
             f0, h = negated(a), _step(a, lo, hi)
             return f0, ((negated(a + h) - f0) / ((a + h) - a),)
-        return negated, negated_and_gradient
+        return negated_and_gradient
 
     (lo0, lo1), (hi0, hi1) = lows, highs
 
@@ -197,7 +196,7 @@ def _fused(log_l, bounds):
         f0, ha, hb = negated(a, b), _step(a, lo0, hi0), _step(b, lo1, hi1)
         return f0, ((negated(a + ha, b) - f0) / ((a + ha) - a),
                     (negated(a, b + hb) - f0) / ((b + hb) - b))
-    return negated, negated_and_gradient
+    return negated_and_gradient
 
 
 class LbfgsbResult(NamedTuple):
@@ -227,24 +226,24 @@ def _box(bounds) -> tuple[list[float], list[float]]:
 def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
             maxfun=LBFGSB_MAXFUN) -> LbfgsbResult:
     """Minimize ``fun_and_grad`` (a list of floats -> (value, gradient))
-    within ``bounds`` by L-BFGS-B: ``scipy.optimize.minimize(...,
-    method="L-BFGS-B", jac=True)`` with ``ftol=FTOL`` and the given
+    within ``bounds`` by L-BFGS-B from ``x0``, inside the box: scipy's
+    L-BFGS-B with a supplied gradient, ``ftol=FTOL`` and the given
     ``maxiter`` and ``maxfun``, step for step, without its wrappers.
 
-    The loop is scipy's ``_minimize_lbfgsb``: the start clipped into the
-    box, the kernel's arrays built as there, the function evaluated at the
-    start before the first kernel call and again only where the kernel
-    asks for it at a new point (counted as scipy counts ``nfev``), and the
-    iteration and evaluation limits checked at each new iterate.  Same
-    kernel, same inputs, same iterates, same result.
+    The loop is scipy's ``_lbfgsb_py`` driver: the kernel's arrays built as
+    there, the function evaluated at the start before the first kernel call
+    and again only where the kernel asks for it at a new point (counted as
+    scipy counts ``nfev``), and the iteration and evaluation limits checked
+    at each new iterate.  Same kernel, same inputs, same iterates (all
+    inside the box), same result.
 
     This calls ``scipy.optimize._lbfgsb.setulb``, the 17-argument kernel of
     scipy's C port of L-BFGS-B (scipy >= 1.15).  It is private to scipy
     and the one dependency to recheck on a scipy upgrade; the oracle tests
-    in ``tests/test_estimation.py`` compare this loop with ``minimize``.
+    in ``tests/test_estimation.py`` compare this loop with scipy's.
     """
     lows, highs = _box(bounds)
-    x = np.clip(np.asarray(x0, dtype=float), lows, highs)
+    x = np.array(x0, dtype=float)   # a copy: the kernel writes into x
     n, m = len(x), LBFGSB_MAXCOR
     nbd = np.array([_NBD[not math.isinf(lo), not math.isinf(hi)]
                     for lo, hi in zip(lows, highs)], np.int32)
@@ -289,51 +288,31 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
 
 
 def _maximize(log_l, x0, bounds, label="objective", tally=None
-              ) -> tuple[np.ndarray, float, bool]:
-    """Maximize ``log_l`` (a function of one or two floats) within bounds;
-    return (x, value, converged).  ``label`` names the fit in the debug log
-    of fallbacks and non-converged results; ``tally`` (a Counter), if
-    given, gains the objective ``evaluations`` and the Powell
-    ``fallbacks``."""
+              ) -> tuple[list[float], float, bool]:
+    """Maximize ``log_l`` (a function of one or two floats) within bounds
+    from ``x0``, clipped into the box; return (x, value, converged), with
+    the value -inf, not converged, where no finite one was found.
+    ``label`` names the fit in the debug log of non-converged results;
+    ``tally`` (a Counter), if given, gains the objective ``evaluations``."""
     lows, highs = _box(bounds)
-    x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
+    x0 = [min(max(float(v), lo), hi) for v, lo, hi in zip(x0, lows, highs)]
     n = len(x0)
-    negated, negated_and_gradient = _fused(log_l, bounds)
     # scipy charges maxfun with the n + 1 evaluations of a finite-difference
     # point, a supplied gradient with one: the same budget in points.
-    primary = _lbfgsb(negated_and_gradient, x0, bounds,
-                      maxfun=LBFGSB_MAXFUN // (n + 1))
-    evaluations, fallbacks = primary.nfev * (n + 1), 0
-    # The loop's first value is the objective at x0, negated, unless the
-    # sentinel stood in for it.
-    if primary.fun0 != REJECTED:
-        best_val = -primary.fun0
-    else:
-        best_val = log_l(*x0.tolist())
-        evaluations += 1
-    best_x = x0
-    if -primary.fun > best_val:
-        best_x, best_val = primary.x, -primary.fun
-    converged = primary.success
-    message = primary.message
-    if not primary.success:
-        log.debug("%s: L-BFGS-B stopped (%s); falling back to Powell",
-                  label, message)
-        fallback = minimize(lambda x: negated(*x.tolist()), x0,
-                            method="Powell", bounds=bounds,
-                            options={"ftol": FTOL, "xtol": 1e-10,
-                                     "maxiter": 2000})
-        evaluations, fallbacks = evaluations + fallback.nfev, 1
-        if -fallback.fun > best_val:
-            best_x, best_val = fallback.x, -fallback.fun
-            converged = bool(fallback.success)
-            message = fallback.message
+    result = _lbfgsb(_fused(log_l, bounds), x0, bounds,
+                     maxfun=LBFGSB_MAXFUN // (n + 1))
     if tally is not None:
-        tally.update(evaluations=evaluations, fallbacks=fallbacks)
+        tally.update(evaluations=result.nfev * (n + 1))
+    # The loop's first value is the objective at x0, negated.
+    best_x, best_val = x0, -result.fun0
+    if -result.fun > best_val:
+        best_x, best_val = result.x.tolist(), -result.fun
+    converged = result.success
+    if best_val == -REJECTED:
+        best_val, converged = -math.inf, False
     if not converged:
-        log.debug("%s: no converged optimum (%s)", label, message)
-    return np.clip(np.asarray(best_x, dtype=float), lows, highs), \
-        best_val, converged
+        log.debug("%s: no converged optimum (%s)", label, result.message)
+    return best_x, best_val, converged
 
 
 def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
@@ -369,11 +348,12 @@ def fit(
 ) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
-    The nulls fit through their spec rows; every other model optimizes its
-    continuous parameters, at each grid break point if it has two regimes.
-    Unmet requirements (too few distinct distances, missing per-length
-    data) mark the result excluded instead of raising; a non-converged
-    optimizer returns its best parameters with ``converged=False``.
+    The nulls and the geometric fit through their spec rows; every other
+    model optimizes its continuous parameters, at each grid break point if
+    it has two regimes.  Unmet requirements (too few distinct distances,
+    missing per-length data) mark the result excluded instead of raising; a
+    non-converged optimizer returns its best parameters with
+    ``converged=False``.
     """
     if model.spec.fit is not None:
         fitted = model.spec.fit(sample, per_length)
@@ -389,13 +369,14 @@ def fit(
         return _excluded(model, sample.total,
                          f"needs >= {min_distinct_d} distinct distances, "
                          f"sample has {sample.distinct}")
-    best_params, best_ll, best_conv = None, float("-inf"), False
+    best = None
     grid = _break_grid(sample)
     for bp in grid:
-        params, log_l, conv = _optimize(model, sample, bp, tally)
-        if log_l > best_ll:
-            best_params, best_ll, best_conv = params, log_l, conv
-    return _result(model, best_params, best_ll, sample.total, best_conv,
+        fitted = _optimize(model, sample, bp, tally)
+        if best is None or fitted[1] > best[1]:
+            best = fitted
+    params, log_l, conv = best
+    return _result(model, params, log_l, sample.total, conv,
                    break_points=len(grid), **tally)
 
 
@@ -441,7 +422,8 @@ def select(
     *,
     min_distinct_d: int = DEFAULT_MIN_DISTINCT,
 ) -> SelectionReport:
-    """Fit every applicable model and pick the criterion minimizer."""
+    """Fit every applicable model and pick the one with the lowest
+    criterion."""
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
     if model_set is None:

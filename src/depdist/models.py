@@ -503,8 +503,9 @@ def _mixture_bind(per_length, d_max):
     return lambda: total
 
 
-# The nulls' own fits: ``fit(sample, per_length)`` gives (params, log_l,
-# converged), or None when the data it needs are missing.
+# Fits without the optimizer (the nulls and the geometric):
+# ``fit(sample, per_length)`` gives (params, log_l, converged), or None when
+# the data it needs are missing.
 
 def _null_fit(sample, per_length):
     """Scan d_max upward from max d over a window that grows until the
@@ -531,6 +532,14 @@ def _null_fit(sample, per_length):
             break
         window *= 4
     return NullParams(int(grid[best])), float(ll[best]), converged
+
+
+def _geometric_fit(sample, per_length):
+    """The geometric's exact maximum, q = N/M (clamped into its box); a
+    value that the row rejects is reported as not converged."""
+    (q,) = _rate_init(sample)
+    log_l = _geometric_bind(sufficient_stats(sample), None)(q)
+    return GeometricParams(q), log_l, math.isfinite(log_l)
 
 
 def _mixture_fit(sample, per_length):
@@ -788,7 +797,7 @@ class ModelSpec:
     log-likelihood as a function of the continuous values, in field order;
     ``init(sample, break_point)`` starts the continuous
     parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
-    for the nulls only, replaces the optimizer.  None: nothing to
+    for the nulls and the geometric, replaces the optimizer.  None: nothing to
     optimize, no sampler, or the optimizer fits the model."""
 
     params: type
@@ -842,7 +851,7 @@ SPECS: dict[Model, ModelSpec] = {
         None, None, _mixture_fit),
     Model.GEOMETRIC: ModelSpec(
         GeometricParams, 1, "1-2", _geometric_log_pmf,
-        _geometric_bind, _rate_init, "geometric"),
+        _geometric_bind, _rate_init, "geometric", _geometric_fit),
     Model.GEOMETRIC_TRUNC: ModelSpec(
         TruncatedGeometricParams, 2, "1-2", _geometric_log_pmf,
         _geometric_bind, _rate_init, "geometric"),

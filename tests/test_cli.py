@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import depdist
@@ -352,3 +353,146 @@ def test_import_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--criterion", "aic"],
+    ["extract", "--threshold", "1,2"],
+    ["extract", "--min-distinct-d", "3"],
+    ["extract", "--exclude-n-below", "4"],
+    ["extract", "--seed", "1"],
+    ["omega", "--mode", "fixed"],
+    ["omega", "--threshold", "1,2"],
+    ["omega", "--seed", "1"],
+    ["fit-select", "--seed", "1"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(
+        argv, toy_corpus, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--manifest", str(toy_corpus),
+                     "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def conllu_line(token_id, head, columns=10):
+    fields = [str(token_id), "w", "w", "X", "_", "_", str(head), "dep", "_",
+              "_"]
+    return "\t".join(fields[:columns]) + "\n"
+
+
+VALID_CONLLU = to_conllu([chain(4), DepTree((2, 0, 2, 2, 4)), chain(6)] * 2)
+
+# Malformed CoNLL-U bodies (bytes, written as they are).
+MALFORMED_CONLLU = {
+    "binary": bytes(range(256)) * 4,
+    "nul bytes": b"\x00" * 64 + VALID_CONLLU.encode(),
+    "latin-1 text": "# text = caf\xe9\n".encode("latin-1")
+                    + VALID_CONLLU.encode(),
+    "cyclic heads": (conllu_line(1, 2) + conllu_line(2, 3)
+                     + conllu_line(3, 1) + "\n").encode() + VALID_CONLLU.encode(),
+    "head out of range": (conllu_line(1, 0) + conllu_line(2, 9)
+                          + "\n").encode() + VALID_CONLLU.encode(),
+    "negative head": (conllu_line(1, 0) + conllu_line(2, -1)
+                      + "\n").encode(),
+    "non-integer head": (conllu_line(1, 0) + conllu_line(2, "x")
+                         + "\n").encode(),
+    "self head": (conllu_line(1, 0) + conllu_line(2, 2) + "\n").encode(),
+    "two roots": (conllu_line(1, 0) + conllu_line(2, 0) + "\n").encode(),
+    "multiword range": (conllu_line("1-2", "_") + conllu_line(1, 0)
+                        + conllu_line(2, 1) + conllu_line(3, 2)
+                        + "\n").encode(),
+    "empty node": (conllu_line(1, 0) + conllu_line("1.1", "_")
+                   + conllu_line(2, 1) + conllu_line(3, 1) + "\n").encode(),
+    "bad token id": (conllu_line("one", 0) + "\n").encode(),
+    "duplicate token id": (conllu_line(1, 0) + conllu_line(1, 1)
+                           + "\n").encode(),
+    "missing columns": (conllu_line(1, 0, columns=6)
+                        + conllu_line(2, 1, columns=3) + "\n").encode(),
+    "only comments": b"# sent_id = 1\n# text = nothing\n\n",
+    "empty file": b"",
+    "single words": (conllu_line(1, 0) + "\n").encode() * 5,
+}
+
+# Malformed manifests, next to a valid corpus named ok.conllu.
+MALFORMED_MANIFESTS = {
+    "binary": bytes(range(256)),
+    "latin-1 text": "ok.conllu\tC\tFran\xe7ais\n".encode("latin-1"),
+    "missing columns": b"ok.conllu\n",
+    "extra columns": b"ok.conllu\tC\tL\tX\n",
+    "directory as corpus": b".\tC\tL\n",
+    "missing corpus": b"nowhere.conllu\tC\tL\n",
+    "comments only": b"# nothing here\n",
+}
+
+
+def mutants(seed, count=4):
+    """Valid CoNLL-U with a few heads rewritten (even seeds) or a few bytes
+    overwritten, deleted or duplicated (odd seeds)."""
+    rng = np.random.default_rng(seed)
+    if seed % 2 == 0:
+        lines = VALID_CONLLU.splitlines(keepends=True)
+        tokens = [i for i, line in enumerate(lines) if "\t" in line]
+        for at in rng.choice(tokens, size=count, replace=False):
+            fields = lines[at].split("\t")
+            fields[6] = str(int(rng.integers(-1, 8)))
+            lines[at] = "\t".join(fields)
+        return "".join(lines).encode()
+    data = bytearray(VALID_CONLLU.encode())
+    for _ in range(count):
+        at = int(rng.integers(len(data)))
+        action = rng.integers(3)
+        if action == 0:
+            data[at] = int(rng.integers(256))
+        elif action == 1:
+            del data[at]
+        else:
+            data[at:at] = data[at:at + int(rng.integers(1, 40))]
+    return bytes(data)
+
+
+def run_cli(argv):
+    """Exit code of ``main``; any exception other than SystemExit fails."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestMalformedInput:
+    """A CLI fuzz guard: malformed corpora and manifests end in an exit code
+    of the documented set, never in an uncaught exception."""
+
+    COMMANDS = ("extract", "fit-select", "omega")
+
+    @staticmethod
+    def run_all(manifest, out):
+        for command in TestMalformedInput.COMMANDS:
+            code = run_cli([command, "--manifest", str(manifest),
+                            "--out", str(out / command)])
+            assert code in (0, 2, 3, 4), command
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONLLU))
+    def test_malformed_conllu(self, case, tmp_path):
+        (tmp_path / "bad.conllu").write_bytes(MALFORMED_CONLLU[case])
+        (tmp_path / "ok.conllu").write_text(VALID_CONLLU)
+        alone = tmp_path / "alone.txt"
+        alone.write_text("bad.conllu\tC\tBad\n")
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text("bad.conllu\tC\tBad\nok.conllu\tC\tOk\n")
+        self.run_all(alone, tmp_path / "alone")
+        self.run_all(mixed, tmp_path / "mixed")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest(self, case, tmp_path):
+        (tmp_path / "ok.conllu").write_text(VALID_CONLLU)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(MALFORMED_MANIFESTS[case])
+        self.run_all(manifest, tmp_path)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mutated_conllu(self, seed, tmp_path):
+        (tmp_path / "bad.conllu").write_bytes(mutants(seed))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("bad.conllu\tC\tBad\n")
+        self.run_all(manifest, tmp_path)

@@ -95,15 +95,32 @@ def geometric_sample(q, size, seed):
 
 
 class TestFit:
-    def test_geometric_matches_closed_form(self):
-        sample = geometric_sample(0.3, 4000, seed=1)
+    @pytest.mark.parametrize("sample", [
+        geometric_sample(0.3, 4000, seed=1),
+        # N = 320, M = 631: a start at the maximum once stopped the search
+        # as not converged.
+        DistanceSample({1: 178, 2: 68, 3: 36, 4: 13, 5: 14, 6: 3, 7: 2,
+                        8: 4, 9: 1, 14: 1}),
+    ])
+    def test_geometric_matches_closed_form(self, sample):
         result = fit(Model.GEOMETRIC, sample)
         # The maximizer of the geometric likelihood is N/M.
-        assert result.params.q == pytest.approx(
-            sample.total / sample.weighted_sum, abs=1e-6
-        )
+        assert result.params.q == sample.total / sample.weighted_sum
         assert result.converged
+        assert result.log_l == m.log_likelihood(Model.GEOMETRIC,
+                                                result.params, sample)
         assert result.aic == pytest.approx(2 - 2 * result.log_l)
+
+    def test_no_finite_value_is_not_converged(self):
+        # The zeta start (gamma 245) and every point the search probes put
+        # log p(60) below the floor: no finite log-likelihood is found.
+        result = fit(Model.ZETA_TRUNC, DistanceSample({1: 1000, 60: 1}))
+        assert result.log_l == -math.inf
+        assert not result.converged
+        _, value, converged = est._maximize(lambda *x: -math.inf, [0.5],
+                                            [m.Q_BOUNDS])
+        assert value == -math.inf
+        assert not converged
 
     def test_two_regime_exclusions(self):
         thin = DistanceSample({1: 10, 2: 3})
@@ -191,7 +208,8 @@ class TestFit:
 
 def scipy_maximize(objective, x0, bounds):
     """Oracle: ``_maximize``'s search with scipy's own finite-difference
-    gradient (no ``jac``)."""
+    gradient (no ``jac``): the better of the start and L-BFGS-B's result,
+    with the value -inf, not converged, where both are rejected."""
     lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
     highs = [hi if hi is not None else np.inf for _, hi in bounds]
     x0 = np.clip(np.asarray(x0, dtype=float), lows, highs)
@@ -200,21 +218,14 @@ def scipy_maximize(objective, x0, bounds):
         value = objective(*np.clip(x, lows, highs).tolist())
         return -value if math.isfinite(value) else 1e300
 
-    best_x, best_val = x0, objective(*x0.tolist())
+    best_x, best_val = x0, -negated(x0)
     primary = minimize(negated, x0, method="L-BFGS-B", bounds=bounds,
                        options={"ftol": est.FTOL, "maxiter": 500})
     if -primary.fun > best_val:
         best_x, best_val = primary.x, -primary.fun
-    converged = bool(primary.success)
-    if not primary.success:
-        fallback = minimize(negated, x0, method="Powell", bounds=bounds,
-                            options={"ftol": est.FTOL, "xtol": 1e-10,
-                                     "maxiter": 2000})
-        if -fallback.fun > best_val:
-            best_x, best_val = fallback.x, -fallback.fun
-            converged = bool(fallback.success)
-    return np.clip(np.asarray(best_x, dtype=float), lows, highs), \
-        best_val, converged
+    if best_val == -1e300:
+        return best_x, -math.inf, False
+    return best_x, best_val, bool(primary.success)
 
 
 def row_objective(model, sample, break_point):
@@ -244,8 +255,7 @@ class TestForwardDifferences:
         lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
         highs = [hi if hi is not None else np.inf for _, hi in bounds]
         # The fused kernel minimizes -log_l, so log_l = -f gives back f.
-        _, negated_and_gradient = est._fused(lambda *v: -f(v), bounds)
-        f0, ours = negated_and_gradient(x)
+        f0, ours = est._fused(lambda *v: -f(v), bounds)(x)
         assert f0 == f(x)
         theirs = approx_derivative(lambda v: f(v.tolist()), np.array(x),
                                    method="2-point", abs_step=1e-8,
@@ -263,9 +273,13 @@ class TestForwardDifferences:
         def log_l(*v):
             seen.append(v)
             return -1.0
-        negated, _ = est._fused(log_l, bounds)
-        assert negated(*x) == 1.0
-        assert seen == [clamped]
+        f0, _ = est._fused(log_l, bounds)(list(x))
+        assert f0 == 1.0
+        # The value's point, then the difference points, all in the box.
+        assert seen[0] == clamped
+        lows, highs = est._box(bounds)
+        assert all(lo <= v <= hi for point in seen
+                   for v, lo, hi in zip(point, lows, highs))
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_maximize_bit_identical_to_scipy_default(self, seed):
@@ -298,12 +312,6 @@ class TestForwardDifferences:
                 assert conv == conv_ref, case
 
 
-def negated_and_gradient(objective, bounds):
-    """A bounded objective as ``_maximize`` hands it to ``_lbfgsb``:
-    negated, the sentinel for rejected points, forward differences."""
-    return est._fused(objective, bounds)[1]
-
-
 def optimized_models():
     """Models 1-7, the ones with continuous parameters."""
     return [model for model in Model if model.spec.continuous]
@@ -316,8 +324,7 @@ class TestLbfgsbLoop:
     @staticmethod
     def assert_same_as_scipy(model, sample, bp, **limits):
         spec = model.spec
-        fg = negated_and_gradient(row_objective(model, sample, bp),
-                                  spec.bounds)
+        fg = est._fused(row_objective(model, sample, bp), spec.bounds)
         x0 = spec.init(sample, bp)
         ours = est._lbfgsb(fg, x0, spec.bounds, **limits)
         options = {"ftol": est.FTOL, "maxiter": est.LBFGSB_MAXITER,
@@ -385,10 +392,11 @@ class TestLbfgsbLoop:
 
 
 class TestFitCounts:
-    def test_counts_on_crafted_sample(self, caplog, monkeypatch):
+    def test_counts_on_crafted_sample(self, monkeypatch):
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        searched = [model for model in Model if model.spec.fit is None]
         calls = Counter()
-        for model in optimized_models():
+        for model in searched:
             spec = model.spec
 
             def counted_bind(stats, d_max, model=model, bind=spec.bind):
@@ -400,20 +408,15 @@ class TestFitCounts:
                 return counted
             monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
                 spec, bind=counted_bind))
-        with caplog.at_level(logging.DEBUG, logger="depdist.estimation"):
-            report = select(sample, est.FIXED_ENSEMBLE, "aic")
-        stopped = [r for r in caplog.records
-                   if "L-BFGS-B stopped" in r.getMessage()]
-        assert stopped
-        assert sum(f.fallbacks for f in report.fits.values()) == len(stopped)
+        report = select(sample, est.FIXED_ENSEMBLE, "aic")
         for model, result in report.fits.items():
             assert result.evaluations == calls[model], model
             assert result.break_points == (
                 len(est._break_grid(sample)) if model.is_two_regime else 0)
-        assert set(calls) == set(optimized_models())
+        assert set(calls) == set(searched)
 
     def test_rejected_start_is_counted(self):
-        # A rejected start is evaluated once more for its raw value.
+        # Every evaluation is counted, the rejected start's too.
         calls = []
 
         def objective(*x):
@@ -425,20 +428,18 @@ class TestFitCounts:
 
 
 class TestOptimizerLog:
-    def test_fallbacks_and_nonconverged_results_are_logged(self, caplog):
-        # On this sample L-BFGS-B stops early at some break points and
-        # Powell takes over.
+    def test_nonconverged_results_are_logged(self, caplog):
+        # On this sample L-BFGS-B stops early at some break points.
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
         with caplog.at_level(logging.DEBUG, logger="depdist.estimation"):
             select(sample, est.FIXED_ENSEMBLE, "aic")
         messages = [r.getMessage() for r in caplog.records]
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
-        for event in ("L-BFGS-B stopped", "no converged optimum"):
-            logged = [text for text in messages if event in text]
-            assert logged, event
-            # Model id, break point and scipy's message.
-            assert logged[0].startswith("model 7, break point ")
-            assert "ABNORMAL" in logged[0]
+        logged = [text for text in messages if "no converged optimum" in text]
+        assert logged
+        # Model id, break point and scipy's message.
+        assert logged[0].startswith("model 7, break point ")
+        assert "ABNORMAL" in logged[0]
 
     def test_quiet_without_debug(self, caplog):
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
