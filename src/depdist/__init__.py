@@ -8,7 +8,6 @@ from .estimation import (
     SlopeSummary,
     fit,
     information_criteria,
-    initial_values,
     select,
     slope_analysis,
     threshold_scan,
@@ -20,7 +19,6 @@ from .models import (
     log_likelihood,
     log_pmf,
     pmf,
-    sufficient_stats,
     two_regime_geometric_constants,
     zeta_geometric_constants,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "goodness_of_fit",
     "harmonic",
     "information_criteria",
-    "initial_values",
     "load_conllu",
     "log_likelihood",
     "log_pmf",
@@ -92,7 +89,6 @@ __all__ = [
     "sample_zeta_truncated",
     "select",
     "slope_analysis",
-    "sufficient_stats",
     "sum_distances",
     "threshold_scan",
     "two_regime_geometric_constants",

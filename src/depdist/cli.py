@@ -22,7 +22,7 @@ from pathlib import Path
 from . import estimation, models as m, reports, sampling
 from . import validation as validation_mod
 from .optimality import average_omega
-from .estimation import DEFAULT_MIN_DISTINCT, DEFAULT_MIN_LENGTH
+from .estimation import DEFAULT_MIN_LENGTH
 from .models import Model
 from .treebank import (
     ConlluFormatError,
@@ -153,7 +153,6 @@ def _fixed_selections(corpus, args):
             sample,
             estimation.ensemble_for("fixed"),
             criterion=args.criterion,
-            min_distinct_d=args.min_distinct_d,
         )
         selections[n] = report
         matrix.append((n, sentences,
@@ -201,7 +200,6 @@ def cmd_fit_select(args, parser) -> int:
                 estimation.ensemble_for("mixed"),
                 criterion=args.criterion,
                 per_length=corpus.sample_set.per_length,
-                min_distinct_d=args.min_distinct_d,
             )
             mixed_rows.extend(reports.fit_records(col, lang, None, report))
             best = report.best
@@ -401,10 +399,6 @@ def _add_corpus(sub: argparse.ArgumentParser, *, selection: bool):
     if selection:
         sub.add_argument("--criterion", choices=("aic", "bic"),
                          default="aic")
-        sub.add_argument("--min-distinct-d", type=int,
-                         default=DEFAULT_MIN_DISTINCT,
-                         help="distinct distances required by two-regime "
-                              "fits")
         sub.add_argument("--exclude-n-below", type=int,
                          default=DEFAULT_MIN_LENGTH,
                          help="exclude sentence lengths below this from "

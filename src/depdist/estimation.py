@@ -4,8 +4,8 @@ Continuous parameters are maximized with a bounded quasi-Newton optimizer,
 L-BFGS-B; integer parameters are found by exhaustive scan.  The break point
 ranges over every integer between the second smallest and second largest
 observed distance, so that each regime keeps at least two distinct
-distances to infer a decay from; this is also why two-regime models require
-at least 3 distinct distances.
+distances to infer a decay from.  The grid is empty below 3 distinct
+distances, so two-regime models are excluded there.
 
 The truncation bound of models 2, 4, 5 and 7 is pinned to the observed
 maximum distance: their likelihood is strictly decreasing in d_max for any
@@ -18,9 +18,9 @@ The nulls and the geometric (q = N/M) fit through their spec rows
 (:data:`depdist.models.SPECS`); one optimizer, :func:`_optimize`, serves
 models 2 to 7: the row names its continuous parameters, their bounds and
 starting values, and builds the parameter object.  At each break point the
-row's log-likelihood is bound to the sample's statistics once; the starting
-values and statistics are computed once per sample and shared by the twins
-3/4 and 6/7.
+row's log-likelihood is bound to the sample once, and every break point
+starts from the row's starting values, computed once per sample and shared
+by the twins 3/4 and 6/7.
 
 L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
 that does what scipy's own L-BFGS-B driver does step for step without its
@@ -51,9 +51,8 @@ from . import models as m
 from .models import Model, ModelParams, PerLength
 from .treebank import DistanceSample
 
-DEFAULT_MIN_DISTINCT = 3        # distinct distances needed by two-regime fits
+DEFAULT_MIN_DISTINCT = 3        # fewer distinct d leave the break grid empty
 DEFAULT_MIN_LENGTH = 4          # sentences shorter than this are excluded
-BREAK_POINT_INIT = 5
 FTOL = 1e-11                    # relative log-likelihood convergence
 Q_BOUNDS = m.Q_BOUNDS           # optimizer box of the q-like rates
 GAMMA_BOUNDS = m.GAMMA_BOUNDS   # and of the zeta exponent
@@ -120,31 +119,6 @@ def _result(model, params, log_l, n, converged, **counts) -> FitResult:
         model=model, params=params, log_l=log_l, k=model.k, aic=aic,
         bic=bic, converged=converged, sample_size=n, **counts,
     )
-
-
-# ---------------------------------------------------------------------------
-# Initial values
-# ---------------------------------------------------------------------------
-
-def _break_grid(sample: DistanceSample) -> range:
-    return range(sample.min2_d, sample.max2_d + 1)
-
-
-def initial_values(model: Model, sample: DistanceSample) -> ModelParams:
-    """Starting parameters for the maximum-likelihood search: the spec's
-    starting values at the break-point init (5, clamped into its bounds),
-    with d_max at the observed maximum."""
-    spec = model.spec
-    if spec.init is None:
-        raise ValueError(f"no initial values for {model}")
-    break_point = None
-    if model.is_two_regime:
-        if sample.distinct < DEFAULT_MIN_DISTINCT:
-            raise ValueError("two-regime init needs >= 3 distinct distances")
-        break_point = min(max(BREAK_POINT_INIT, sample.min2_d),
-                          sample.max2_d)
-    return spec.build(break_point, sample.max_d)(
-        *spec.init(sample, break_point))
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +294,17 @@ def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
               ) -> tuple[ModelParams, float, bool]:
     """Best continuous parameters at a fixed break point (None for
     one-regime models), seeded by the spec's initial values; a truncation
-    bound is pinned to the observed maximum.  The starting values and
-    statistics are kept on the sample, keyed by the row's ``init``, so twin
-    models share them.  ``tally`` is handed to :func:`_maximize`."""
+    bound is pinned to the observed maximum.  The starting values are kept
+    on the sample, keyed by the row's ``init``, so twin models share them.
+    ``tally`` is handed to :func:`_maximize`."""
     spec, key = model.spec, (model.spec.init, break_point)
     if key not in sample.memo:
-        sample.memo[key] = (spec.init(sample, break_point),
-                            m.sufficient_stats(sample, break_point))
-    x0, stats = sample.memo[key]
+        sample.memo[key] = spec.init(sample, break_point)
     x, log_l, conv = _maximize(
-        spec.bind(stats, sample.max_d if model.is_truncated else None),
-        x0, spec.bounds, f"model {model.id}, break point {break_point}",
-        tally)
+        spec.bind(sample, break_point,
+                  sample.max_d if model.is_truncated else None),
+        sample.memo[key], spec.bounds,
+        f"model {model.id}, break point {break_point}", tally)
     return spec.build(break_point, sample.max_d)(*map(float, x)), log_l, conv
 
 
@@ -339,12 +312,14 @@ def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
 # Per-model fits
 # ---------------------------------------------------------------------------
 
+def _break_grid(sample: DistanceSample) -> range:
+    return range(sample.min2_d, sample.max2_d + 1)
+
+
 def fit(
     model: Model,
     sample: DistanceSample,
     per_length: PerLength | None = None,
-    *,
-    min_distinct_d: int = DEFAULT_MIN_DISTINCT,
 ) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
@@ -365,10 +340,10 @@ def fit(
     if not model.is_two_regime:
         params, log_l, conv = _optimize(model, sample, None, tally)
         return _result(model, params, log_l, sample.total, conv, **tally)
-    if sample.distinct < min_distinct_d:
+    if sample.distinct < DEFAULT_MIN_DISTINCT:
         return _excluded(model, sample.total,
-                         f"needs >= {min_distinct_d} distinct distances, "
-                         f"sample has {sample.distinct}")
+                         f"needs >= {DEFAULT_MIN_DISTINCT} distinct "
+                         f"distances, sample has {sample.distinct}")
     best = None
     grid = _break_grid(sample)
     for bp in grid:
@@ -419,8 +394,6 @@ def select(
     model_set: Sequence[Model] | None = None,
     criterion: str = "aic",
     per_length: PerLength | None = None,
-    *,
-    min_distinct_d: int = DEFAULT_MIN_DISTINCT,
 ) -> SelectionReport:
     """Fit every applicable model and pick the one with the lowest
     criterion."""
@@ -429,8 +402,7 @@ def select(
     if model_set is None:
         model_set = ensemble_for("mixed" if per_length else "fixed")
 
-    fits = {model: fit(model, sample, per_length,
-                       min_distinct_d=min_distinct_d) for model in model_set}
+    fits = {model: fit(model, sample, per_length) for model in model_set}
 
     scored = {
         model: (result.aic if criterion == "aic" else result.bic)

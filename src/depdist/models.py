@@ -21,20 +21,22 @@ Everything specific to one model sits in its row of :data:`SPECS`; the
 twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
-its continuous parameters.  The two nulls also carry their own fits, a
-d_max scan and a fixed value, which return plain tuples; the optimizer in
-:mod:`depdist.estimation` fits the other rows.  The length-mixture null's
-likelihood is the fixed null's at d_max = n - 1, summed over lengths n.
+its continuous parameters.  The two nulls and the geometric also carry
+their own fits (a d_max scan, a fixed value, q = N/M), which return plain
+tuples; the optimizer in :mod:`depdist.estimation` fits the other rows.
+The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
+summed over lengths n.
 
-Log-likelihoods are computed from sufficient statistics (N, M, M', their
-restrictions to d <= break, and max d), never by rescanning the sample.
-Each row binds its log-likelihood to the statistics once per break point,
-computing there what the break point fixes; the bound function takes the
-continuous values as plain floats, so an optimizer builds no parameter
-object per evaluation.  :func:`log_likelihood` is the same row behind a
-parameter object.  Parameters whose normalizers
-overflow or underflow a double get log-likelihood -inf, the same rejection
-as a term below LOG_TERM_FLOOR.
+Log-likelihoods are computed from sufficient statistics, never by
+rescanning the sample: N, M, M' and max d, which :class:`DistanceSample`
+caches, their restrictions to d <= break from ``sample.stats_upto``, and
+for the shuffle null the slack sum over the support.  Each row binds its
+log-likelihood to the sample once per break point, computing there what
+the break point fixes; the bound function takes the continuous values as
+plain floats, so an optimizer builds no parameter object per evaluation.
+:func:`log_likelihood` is the same row behind a parameter object.
+Parameters whose normalizers overflow or underflow a double get
+log-likelihood -inf, the same rejection as a term below LOG_TERM_FLOOR.
 """
 
 from __future__ import annotations
@@ -355,59 +357,6 @@ def total_mass(model: Model, params: ModelParams, upto: int = 10_000) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sufficient statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Frequency-weighted sums that determine every log-likelihood.
-
-    n_total (N), weighted_sum (M), log_weighted_sum (M') and the largest
-    observed distance always; the starred variants N*, M*, M'* restrict to
-    d <= break_point; ``w`` is the slack sum sum f(d) log(d_max + 1 - d).
-    """
-
-    n_total: int
-    weighted_sum: int
-    log_weighted_sum: float
-    max_d: int
-    break_point: int | None = None
-    n_upto: int | None = None
-    weighted_upto: int | None = None
-    log_weighted_upto: float | None = None
-    w: float | None = None
-
-
-def sufficient_stats(
-    sample: DistanceSample,
-    break_point: int | None = None,
-    d_max: int | None = None,
-) -> SufficientStats:
-    """Compute the statistics needed by the compact likelihood forms."""
-    n_star = m_star = mlog_star = None
-    if break_point is not None:
-        n_star, m_star, mlog_star = sample.stats_upto(break_point)
-    w = None
-    if d_max is not None:
-        if sample.max_d > d_max:
-            raise ValueError("observed distance beyond d_max")
-        w = float(
-            (sample.counts * np.log(d_max + 1 - sample.support)).sum()
-        )
-    return SufficientStats(
-        n_total=sample.total,
-        weighted_sum=sample.weighted_sum,
-        log_weighted_sum=sample.log_weighted_sum,
-        max_d=sample.max_d,
-        break_point=break_point,
-        n_upto=n_star,
-        weighted_upto=m_star,
-        log_weighted_upto=mlog_star,
-        w=w,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Log-likelihoods
 # ---------------------------------------------------------------------------
 
@@ -421,7 +370,7 @@ def log_likelihood(
     per_length: PerLength | None = None,
 ) -> float:
     """Log-likelihood of a sample under a model: the model's row bound to
-    the sample's statistics at the break point, at the continuous values.
+    the sample at the break point, at the continuous values.
 
     Support violations (an observed d beyond d_max, or beyond n - 1 under
     the null models) yield -inf so optimizers reject the region.
@@ -430,28 +379,26 @@ def log_likelihood(
     if model is Model.NULL_MIXTURE:
         if per_length is None:
             raise ValueError("length-mixture null needs per-length samples")
-        return spec.bind(per_length, None)()
+        return spec.bind(per_length, None, None)()
 
     if sample is None:
         raise ValueError("sample required")
     d_max = getattr(params, "d_max", None)
     if d_max is not None and sample.max_d > d_max:
         return NEG_INF
-    stats = sufficient_stats(sample, getattr(params, "break_point", None),
-                             d_max)
-    return spec.bind(stats, d_max)(*spec.values(params))
+    return spec.bind(sample, getattr(params, "break_point", None),
+                     d_max)(*spec.values(params))
 
 
 # ---------------------------------------------------------------------------
 # Families.  ``*_log_pmf(params, d, d_max)`` works on a float array d;
-# ``*_bind(stats, d_max)`` takes the sample's :class:`SufficientStats` at
-# the break point, with the observed distances inside the support, and
-# returns the log-likelihood as a function of the continuous values, in
-# field order.  Every pmf here is non-increasing in d, so the smallest term
-# sits at max d; when it falls below LOG_TERM_FLOOR the whole likelihood is
-# the rejection sentinel -inf.  ``d_max`` is the truncation bound, None for
-# unbounded twins.  The ``*_term`` helpers give log p(d) for a float or an
-# array d and serve both.
+# ``*_bind(sample, break_point, d_max)`` takes a sample whose distances lie
+# inside the support and returns its log-likelihood as a function of the
+# continuous values, in field order.  Every pmf here is non-increasing in
+# d, so the smallest term sits at max d; when it falls below LOG_TERM_FLOOR
+# the whole likelihood is the rejection sentinel -inf.  ``d_max`` is the
+# truncation bound, None for unbounded twins.  The ``*_term`` helpers give
+# log p(d) for a float or an array d and serve both.
 # ---------------------------------------------------------------------------
 
 def _on_support(d: np.ndarray, d_max: int | None, log_p) -> np.ndarray:
@@ -473,10 +420,12 @@ def _null_log_pmf(params, d, d_max):
     return _on_support(d, d_max, partial(_null_term, d_max))
 
 
-def _null_bind(stats, d_max):
-    """Needs the slack sum: ``sufficient_stats(sample, d_max=d_max)``."""
-    value = NEG_INF if _null_term(d_max, stats.max_d) < LOG_TERM_FLOOR \
-        else stats.n_total * math.log(2.0 / (d_max * (d_max + 1.0))) + stats.w
+def _null_bind(sample, break_point, d_max):
+    if _null_term(d_max, sample.max_d) < LOG_TERM_FLOOR:
+        return lambda: NEG_INF
+    # The slack sum: sum f(d) log(d_max + 1 - d).
+    slack = float((sample.counts * np.log(d_max + 1 - sample.support)).sum())
+    value = sample.total * math.log(2.0 / (d_max * (d_max + 1.0))) + slack
     return lambda: value
 
 
@@ -490,16 +439,15 @@ def _mixture_log_pmf(params, d, d_max):
         return np.log(prob)
 
 
-def _mixture_bind(per_length, d_max):
-    """Takes the per-length samples in place of statistics: the fixed null
+def _mixture_bind(per_length, break_point, d_max):
+    """Takes the per-length samples in place of a sample: the fixed null
     at d_max = n - 1, summed over the sentence lengths n."""
     by_length, _ = per_length
     total = 0.0
     for n, length_sample in sorted(by_length.items()):
         if length_sample.max_d > n - 1:
             return lambda: NEG_INF
-        total += _null_bind(sufficient_stats(length_sample, d_max=n - 1),
-                            n - 1)()
+        total += _null_bind(length_sample, None, n - 1)()
     return lambda: total
 
 
@@ -538,7 +486,7 @@ def _geometric_fit(sample, per_length):
     """The geometric's exact maximum, q = N/M (clamped into its box); a
     value that the row rejects is reported as not converged."""
     (q,) = _rate_init(sample)
-    log_l = _geometric_bind(sufficient_stats(sample), None)(q)
+    log_l = _geometric_bind(sample, None, None)(q)
     return GeometricParams(q), log_l, math.isfinite(log_l)
 
 
@@ -546,7 +494,7 @@ def _mixture_fit(sample, per_length):
     if per_length is None:
         return None
     params = MixtureNullParams(per_length[1])
-    return params, _mixture_bind(per_length, None)(), True
+    return params, _mixture_bind(per_length, None, None)(), True
 
 
 def _geometric_log_norm(q: float, d_max: int | None) -> float:
@@ -571,9 +519,9 @@ def _geometric_log_pmf(params, d, d_max):
         _geometric_term, q, _geometric_log_norm(q, d_max)))
 
 
-def _geometric_bind(stats, d_max):
-    n, top = stats.n_total, stats.max_d
-    excess = stats.weighted_sum - n
+def _geometric_bind(sample, break_point, d_max):
+    n, top = sample.total, sample.max_d
+    excess = sample.weighted_sum - n
 
     def log_l(q):
         log_norm = _geometric_log_norm(q, d_max)
@@ -597,9 +545,9 @@ def _zeta_log_pmf(params, d, d_max):
         _zeta_term, gamma, math.log(harmonic(d_max, gamma))))
 
 
-def _zeta_bind(stats, d_max):
+def _zeta_bind(sample, break_point, d_max):
     ks = np.arange(1, d_max + 1, dtype=float)
-    n, log_sum, top = stats.n_total, stats.log_weighted_sum, stats.max_d
+    n, log_sum, top = sample.total, sample.log_weighted_sum, sample.max_d
 
     def log_l(gamma):
         log_h = math.log(_power_sum(ks, gamma))
@@ -653,12 +601,11 @@ def _two_regime_geometric_log_pmf(params, d, d_max):
         partial(_geometric_head, q1))
 
 
-def _two_regime_geometric_bind(stats, d_max):
-    bp, steps = stats.break_point, stats.max_d - 1
-    first = stats.max_d <= bp  # the regime that holds max d
-    n_star, n_tail = stats.n_upto, stats.n_total - stats.n_upto
-    m_first = stats.weighted_upto - n_star
-    m_all = stats.weighted_sum - stats.n_total
+def _two_regime_geometric_bind(sample, bp, d_max):
+    steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
+    n_star, m_star, _ = sample.stats_upto(bp)
+    n_tail, m_first = sample.total - n_star, m_star - n_star
+    m_all = sample.weighted_sum - sample.total
 
     def log_l(q1, q2):
         log1m_q1, log1m_q2 = math.log1p(-q1), math.log1p(-q2)
@@ -684,13 +631,12 @@ def _zeta_geometric_log_pmf(params, d, d_max):
         partial(_zeta_head, gamma))
 
 
-def _zeta_geometric_bind(stats, d_max):
-    bp, steps = stats.break_point, stats.max_d - 1
-    first = stats.max_d <= bp  # the regime that holds max d
+def _zeta_geometric_bind(sample, bp, d_max):
+    steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
     log_bp, ks = math.log(bp), np.arange(1, bp + 1, dtype=float)
-    log_top, log_first = float(np.log(stats.max_d)), stats.log_weighted_upto
-    n_star, n_tail = stats.n_upto, stats.n_total - stats.n_upto
-    m_tail = stats.weighted_sum - stats.weighted_upto - n_tail
+    n_star, m_star, log_first = sample.stats_upto(bp)
+    log_top, n_tail = float(np.log(sample.max_d)), sample.total - n_star
+    m_tail = sample.weighted_sum - m_star - n_tail
 
     def log_l(gamma, q):
         log1m_q = math.log1p(-q)
@@ -792,9 +738,9 @@ def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ModelSpec:
     """One model.  ``log_pmf(params, d, d_max)`` works on a float array;
-    ``bind(stats, d_max)`` takes the sample's :class:`SufficientStats` (the
-    per-length samples for the length mixture) and returns the
-    log-likelihood as a function of the continuous values, in field order;
+    ``bind(sample, break_point, d_max)`` takes the sample (the per-length
+    samples for the length mixture) and returns the log-likelihood as a
+    function of the continuous values, in field order;
     ``init(sample, break_point)`` starts the continuous
     parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
     for the nulls and the geometric, replaces the optimizer.  None: nothing to

@@ -56,13 +56,15 @@ class ValidationReport:
         return self.all_recovered and self.all_params_ok
 
     def criterion_matrix(self) -> list[dict]:
-        """One row per generating model: BIC of every fitted model."""
+        """One row per generating model: the selection criterion of every
+        fitted model, as ``<criterion>_<id>``."""
         rows = []
         for generator, report in self.selections.items():
             row: dict = {"sample": generator.id}
             for model, fit_result in report.fits.items():
-                row[f"bic_{model.id}"] = (
-                    fit_result.bic if not fit_result.excluded else None
+                row[f"{report.criterion}_{model.id}"] = (
+                    report.criterion_value(model)
+                    if not fit_result.excluded else None
                 )
             row["best"] = report.best.id if report.best else None
             rows.append(row)

@@ -341,6 +341,24 @@ class TestValidateCommand:
         code = main(["validate", "--seed", "2", "--out", str(tmp_path)])
         assert code in (0, 4)
 
+    def test_aic_matrix_holds_the_criterion_it_selects_by(self, tmp_path):
+        # Each row's best is its smallest AIC, ties broken by K and then
+        # by ensemble order (on this suite sample 2's BIC and AIC winners
+        # differ).
+        main(["validate", "--criterion", "aic", "--n-draws", "3000",
+              "--out", str(tmp_path)])
+        with open(tmp_path / "validation_matrix.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        for row in rows:
+            scored = {Model.from_id(column[len("aic_"):]): float(value)
+                      for column, value in row.items()
+                      if column.startswith("aic_") and value != ""}
+            assert len(scored) == 8
+            best = min(scored, key=lambda model: (scored[model], model.k,
+                                                  model.order))
+            assert row["best"] == best.id, row
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone about doubles the command line's start-up time;
@@ -365,6 +383,8 @@ def test_import_leaves_scipy_stats_unloaded():
     ["omega", "--threshold", "1,2"],
     ["omega", "--seed", "1"],
     ["fit-select", "--seed", "1"],
+    ["fit-select", "--min-distinct-d", "2"],
+    ["omega", "--min-distinct-d", "2"],
 ])
 def test_options_a_command_does_not_read_are_usage_errors(
         argv, toy_corpus, tmp_path, capsys):

@@ -16,7 +16,6 @@ from depdist.estimation import (
     SelectionReport,
     fit,
     information_criteria,
-    initial_values,
     select,
     slope_analysis,
     threshold_scan,
@@ -50,17 +49,16 @@ class TestInformationCriteria:
 class TestInitialValues:
     def test_rate_is_inverse_mean(self):
         sample = DistanceSample({5: 10})  # mean distance 5
-        assert initial_values(Model.GEOMETRIC, sample).q \
-            == pytest.approx(0.2)
+        (q,) = Model.GEOMETRIC.spec.init(sample, None)
+        assert q == pytest.approx(0.2)
 
     def test_exact_log_linear_frequencies(self):
         # f(d) with exact ratio 0.8 per step: the regression slope is
         # log 0.8, so both regime inits come out at 1 - 0.8 = 0.2.
         sample = DistanceSample({1: 625, 2: 500, 3: 400, 4: 320})
-        params = initial_values(Model.TWO_REGIME_GEOMETRIC, sample)
-        assert params.q1 == pytest.approx(0.2, rel=1e-9)
-        assert params.q2 == pytest.approx(0.2, rel=1e-9)
-        assert params.break_point == 3  # init 5 clamped into [min2, max2]
+        q1, q2 = Model.TWO_REGIME_GEOMETRIC.spec.init(sample, 3)
+        assert q1 == pytest.approx(0.2, rel=1e-9)
+        assert q2 == pytest.approx(0.2, rel=1e-9)
 
     def test_rising_tail_slope_pins_rate_to_floor(self):
         # Rising frequencies beyond the break: slope >= 0, init at the
@@ -75,13 +73,14 @@ class TestInitialValues:
         expected = 1 + sample.total / math.fsum(
             c * math.log(d) for d, c in sample.freq.items()
         )
-        params = initial_values(Model.ZETA_TRUNC, sample)
-        assert params.gamma == pytest.approx(expected)
-        assert params.d_max == 4
+        (gamma,) = Model.ZETA_TRUNC.spec.init(sample, None)
+        assert gamma == pytest.approx(expected)
+        # The fit pins the truncation bound at the observed maximum.
+        assert fit(Model.ZETA_TRUNC, sample).params.d_max == 4
 
     def test_gamma_degenerate_falls_back(self):
         sample = DistanceSample({3: 25})  # all distances at min(d)
-        assert initial_values(Model.ZETA_TRUNC, sample).gamma == 10.0
+        assert Model.ZETA_TRUNC.spec.init(sample, None) == (10.0,)
 
     def test_tail_rate_uses_distances_beyond_break(self):
         sample = DistanceSample({1: 10, 4: 5, 8: 5})
@@ -123,13 +122,14 @@ class TestFit:
         assert not converged
 
     def test_two_regime_exclusions(self):
-        thin = DistanceSample({1: 10, 2: 3})
-        for model in (Model.TWO_REGIME_GEOMETRIC, Model.ZETA_GEOMETRIC,
-                      Model.TWO_REGIME_GEOMETRIC_TRUNC,
-                      Model.ZETA_GEOMETRIC_TRUNC):
-            result = fit(model, thin)
-            assert result.excluded
-            assert "distinct" in result.note
+        # Two distinct distances, and one (where min2_d is None).
+        for thin in (DistanceSample({1: 10, 2: 3}), DistanceSample({2: 5})):
+            for model in (Model.TWO_REGIME_GEOMETRIC, Model.ZETA_GEOMETRIC,
+                          Model.TWO_REGIME_GEOMETRIC_TRUNC,
+                          Model.ZETA_GEOMETRIC_TRUNC):
+                result = fit(model, thin)
+                assert result.excluded
+                assert "distinct" in result.note
 
     def test_three_distinct_distances_admitted(self):
         sample = DistanceSample({1: 40, 2: 12, 3: 4})
@@ -230,10 +230,9 @@ def scipy_maximize(objective, x0, bounds):
 
 def row_objective(model, sample, break_point):
     """The objective ``_optimize`` hands to ``_maximize``: the row bound to
-    the sample's statistics at the break point."""
-    stats = m.sufficient_stats(sample, break_point)
+    the sample at the break point."""
     d_max = sample.max_d if model.is_truncated else None
-    return model.spec.bind(stats, d_max)
+    return model.spec.bind(sample, break_point, d_max)
 
 
 class TestForwardDifferences:
@@ -399,8 +398,8 @@ class TestFitCounts:
         for model in searched:
             spec = model.spec
 
-            def counted_bind(stats, d_max, model=model, bind=spec.bind):
-                log_l = bind(stats, d_max)
+            def counted_bind(sample, bp, d_max, model=model, bind=spec.bind):
+                log_l = bind(sample, bp, d_max)
 
                 def counted(*x):
                     calls[model] += 1

@@ -272,20 +272,25 @@ class TestLogLikelihood:
 
 
 class TestSufficientStats:
+    """The statistics the rows read from the sample."""
+
     def test_plain(self):
-        stats = m.sufficient_stats(DistanceSample({1: 2, 3: 1}))
-        assert (stats.n_total, stats.weighted_sum) == (3, 5)
-        assert stats.log_weighted_sum == pytest.approx(math.log(3))
+        sample = DistanceSample({1: 2, 3: 1})
+        assert (sample.total, sample.weighted_sum) == (3, 5)
+        assert sample.log_weighted_sum == pytest.approx(math.log(3))
 
     def test_restricted(self):
-        stats = m.sufficient_stats(DistanceSample({1: 2, 3: 1}),
-                                   break_point=2)
-        assert (stats.n_upto, stats.weighted_upto) == (2, 2)
-        assert stats.log_weighted_upto == 0.0
+        n_star, m_star, mlog_star = DistanceSample({1: 2, 3: 1}).stats_upto(2)
+        assert (n_star, m_star) == (2, 2)
+        assert mlog_star == 0.0
 
     def test_slack_sums(self):
-        stats = m.sufficient_stats(DistanceSample({1: 1, 2: 1}), d_max=3)
-        assert stats.w == pytest.approx(math.log(3) + math.log(2))
+        # The 0.0 row: N log(2 / (d_max (d_max + 1))) plus the slack sum
+        # sum f(d) log(d_max + 1 - d) = log 3 + log 2.
+        log_l = m.log_likelihood(Model.NULL_FIXED, m.NullParams(3),
+                                 DistanceSample({1: 1, 2: 1}))
+        assert log_l - 2 * math.log(2 / 12) \
+            == pytest.approx(math.log(3) + math.log(2))
 
 
 def random_params(model, sample, rng):
@@ -318,11 +323,10 @@ class TestRowsFromStatistics:
                 rng.geometric(rng.uniform(0.1, 0.6), size=300))
             for model in self.MODELS:
                 params = random_params(model, sample, rng)
-                d_max = getattr(params, "d_max", None)
-                stats = m.sufficient_stats(
-                    sample, getattr(params, "break_point", None), d_max)
-                row = model.spec.bind(stats, d_max)(
-                    *model.spec.values(params))
+                row = model.spec.bind(
+                    sample, getattr(params, "break_point", None),
+                    getattr(params, "d_max", None))(
+                        *model.spec.values(params))
                 top = m.log_pmf(model, params, sample.max_d)
                 case = (model, params)
                 if top < m.LOG_TERM_FLOOR:
@@ -351,11 +355,10 @@ class TestRowsFromStatistics:
         assert m.log_pmf(model, params, 60) < m.LOG_TERM_FLOOR
         # Every other term is representable: only the one at max d decides.
         assert m.log_pmf(model, params, 2) > m.LOG_TERM_FLOOR
-        d_max = getattr(params, "d_max", None)
-        stats = m.sufficient_stats(sample, getattr(params, "break_point",
-                                                   None), d_max)
-        assert model.spec.bind(stats, d_max)(
-            *model.spec.values(params)) == float("-inf")
+        assert model.spec.bind(
+            sample, getattr(params, "break_point", None),
+            getattr(params, "d_max", None))(
+                *model.spec.values(params)) == float("-inf")
         assert m.log_likelihood(model, params, sample) == float("-inf")
 
 
@@ -406,7 +409,7 @@ class TestBoundObjective:
                 values = [self.GAMMA_GRID if name == "gamma" else self.Q_GRID
                           for name in spec.continuous]
                 for bp in grid:
-                    log_l = spec.bind(m.sufficient_stats(sample, bp), d_max)
+                    log_l = spec.bind(sample, bp, d_max)
                     build = spec.build(bp, sample.max_d)
                     for x in product(*values):
                         params = build(*x)

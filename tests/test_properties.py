@@ -6,7 +6,9 @@ from collections import Counter
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from depdist.arrangement import min_arrangement_cost
 from depdist.estimation import FIXED_ENSEMBLE, fit, select
+from depdist.optimality import sum_distances
 from depdist.treebank import (
     DepTree,
     DistanceSample,
@@ -14,6 +16,7 @@ from depdist.treebank import (
     parse_conllu,
     to_conllu,
 )
+from oracles import brute_force_min_arrangement
 
 
 @st.composite
@@ -46,6 +49,18 @@ def test_pooled_sample_is_sum_of_per_length_samples(corpus):
     assert sum(samples.sentence_counts.values()) == len(corpus)
 
 
+@given(trees(max_n=8), st.data())
+def test_min_arrangement_is_exact_label_free_and_a_lower_bound(tree, data):
+    edges, n = tree.edges(), tree.n
+    cost = min_arrangement_cost(edges, n)
+    assert cost == brute_force_min_arrangement(edges, n)
+    relabel = data.draw(st.permutations(range(n)))
+    assert min_arrangement_cost(
+        [(relabel[u], relabel[v]) for u, v in edges], n) == cost
+    # The sentence's own word order is one arrangement.
+    assert cost <= sum_distances(tree)
+
+
 distance_tables = st.dictionaries(st.integers(1, 40), st.integers(1, 60),
                                   min_size=1, max_size=10)
 
@@ -53,8 +68,8 @@ distance_tables = st.dictionaries(st.integers(1, 40), st.integers(1, 60),
 @settings(max_examples=20)
 @given(distance_tables)
 def test_fits_do_not_depend_on_order_or_shared_work(freq):
-    # The twins share statistics and starting values per break point
-    # through the sample; a reversed ensemble on the same (warm) sample
+    # The twins share starting values per break point through the
+    # sample; a reversed ensemble on the same (warm) sample
     # and each model fitted alone on a fresh (cold) sample must agree.
     sample = DistanceSample(freq)
     forward = select(sample, FIXED_ENSEMBLE)
