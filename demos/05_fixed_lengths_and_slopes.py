@@ -36,8 +36,7 @@ sset = build_samples(corpus, language="Synthetic", collection="DEMO")
 
 reports = {}
 for n, sample in sset.by_length.items():
-    reports[n] = est.select(sample, est.ensemble_for("fixed"),
-                            criterion="aic")
+    reports[n] = est.select(sample, criterion="aic")
 print("best model per sentence length (AIC):")
 for n, report in reports.items():
     count = sset.sentence_counts[n]
@@ -50,8 +49,7 @@ for t, family in scan.items():
     print(f"  threshold {t:>3}: family {family}")
 
 print("\nmixed-lengths selection and slopes:")
-mixed = est.select(sset.pooled, est.ensemble_for("mixed"),
-                   criterion="aic", per_length=sset.per_length)
+mixed = est.select(sset.pooled, criterion="aic")
 print(f"  best model: {mixed.best.id}")
 if mixed.best.is_two_regime:
     slopes = est.slope_analysis(mixed.fits[mixed.best], sset.pooled)

@@ -142,21 +142,14 @@ def _fixed_selections(corpus, args):
         if sentences == 0:
             matrix.append((n, 0, "no-sentences"))
             continue
-        if n < args.exclude_n_below:
+        # Lengths below 2 have no dependency to fit.
+        if n < max(args.exclude_n_below, 2):
             matrix.append((n, sentences, "excluded-min-size"))
             continue
-        sample = sset.by_length.get(n)
-        if sample is None:
-            matrix.append((n, sentences, "no-sentences"))
-            continue
-        report = estimation.select(
-            sample,
-            estimation.ensemble_for("fixed"),
-            criterion=args.criterion,
-        )
+        report = estimation.select(sset.by_length[n],
+                                   criterion=args.criterion)
         selections[n] = report
-        matrix.append((n, sentences,
-                       report.best.id if report.best else "excluded-min-size"))
+        matrix.append((n, sentences, report.best.id))
     return selections, matrix
 
 
@@ -195,12 +188,8 @@ def cmd_fit_select(args, parser) -> int:
         col, lang = entry.collection, entry.language
 
         if args.mode in ("mixed", "both"):
-            report = estimation.select(
-                corpus.sample_set.pooled,
-                estimation.ensemble_for("mixed"),
-                criterion=args.criterion,
-                per_length=corpus.sample_set.per_length,
-            )
+            report = estimation.select(corpus.sample_set.pooled,
+                                       criterion=args.criterion)
             mixed_rows.extend(reports.fit_records(col, lang, None, report))
             best = report.best
             mixed_best_rows.append({

@@ -15,12 +15,13 @@ uniform-shuffle null is the exception (its mass leans on low d); its spec
 row scans d_max with an adaptive window.
 
 The nulls and the geometric (q = N/M) fit through their spec rows
-(:data:`depdist.models.SPECS`); one optimizer, :func:`_optimize`, serves
-models 2 to 7: the row names its continuous parameters, their bounds and
-starting values, and builds the parameter object.  At each break point the
-row's log-likelihood is bound to the sample once, and every break point
-starts from the row's starting values, computed once per sample and shared
-by the twins 3/4 and 6/7.
+(:data:`depdist.models.SPECS`), the length-mixture null to the per-length
+samples that a pooled sample carries; one optimizer, :func:`_optimize`,
+serves models 2 to 7: the row names its continuous parameters, their
+bounds and starting values, and builds the parameter object.  At each
+break point the row's log-likelihood is bound to the sample once, and
+every break point starts from the row's starting values, computed once per
+sample and shared by the twins 3/4 and 6/7.
 
 L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
 that does what scipy's own L-BFGS-B driver does step for step without its
@@ -48,7 +49,7 @@ from scipy.optimize._lbfgsb import setulb
 from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from . import models as m
-from .models import Model, ModelParams, PerLength
+from .models import Model, ModelParams
 from .treebank import DistanceSample
 
 DEFAULT_MIN_DISTINCT = 3        # fewer distinct d leave the break grid empty
@@ -316,22 +317,18 @@ def _break_grid(sample: DistanceSample) -> range:
     return range(sample.min2_d, sample.max2_d + 1)
 
 
-def fit(
-    model: Model,
-    sample: DistanceSample,
-    per_length: PerLength | None = None,
-) -> FitResult:
+def fit(model: Model, sample: DistanceSample) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
     The nulls and the geometric fit through their spec rows; every other
     model optimizes its continuous parameters, at each grid break point if
-    it has two regimes.  Unmet requirements (too few distinct distances,
-    missing per-length data) mark the result excluded instead of raising; a
-    non-converged optimizer returns its best parameters with
-    ``converged=False``.
+    it has two regimes.  Unmet requirements (too few distinct distances, a
+    length mixture on a sample without per-length samples) mark the result
+    excluded instead of raising; a non-converged optimizer returns its best
+    parameters with ``converged=False``.
     """
     if model.spec.fit is not None:
-        fitted = model.spec.fit(sample, per_length)
+        fitted = model.spec.fit(sample)
         if fitted is None:
             return _excluded(model, sample.total, "needs per-length samples")
         params, log_l, conv = fitted
@@ -359,19 +356,11 @@ def fit(
 # Model selection
 # ---------------------------------------------------------------------------
 
-# The canonical order of the spec table, with one of the two nulls.
+# The canonical order of the spec table, with one of the two nulls: the
+# length-mixture null for pooled samples that carry their per-length
+# samples, the bounded-uniform null for fixed-length and artificial ones.
 MIXED_ENSEMBLE = [model for model in Model if model is not Model.NULL_FIXED]
 FIXED_ENSEMBLE = [model for model in Model if model is not Model.NULL_MIXTURE]
-
-
-def ensemble_for(mode: str) -> list[Model]:
-    """Model set per analysis mode: mixed lengths use the length-mixture
-    null, fixed lengths and artificial samples the bounded-uniform null."""
-    if mode == "mixed":
-        return list(MIXED_ENSEMBLE)
-    if mode in ("fixed", "artificial"):
-        return list(FIXED_ENSEMBLE)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass
@@ -393,16 +382,17 @@ def select(
     sample: DistanceSample,
     model_set: Sequence[Model] | None = None,
     criterion: str = "aic",
-    per_length: PerLength | None = None,
 ) -> SelectionReport:
     """Fit every applicable model and pick the one with the lowest
-    criterion."""
+    criterion.  Without a ``model_set``, a sample that carries per-length
+    samples is fitted with :data:`MIXED_ENSEMBLE`, any other with
+    :data:`FIXED_ENSEMBLE`."""
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
     if model_set is None:
-        model_set = ensemble_for("mixed" if per_length else "fixed")
+        model_set = MIXED_ENSEMBLE if sample.by_length else FIXED_ENSEMBLE
 
-    fits = {model: fit(model, sample, per_length) for model in model_set}
+    fits = {model: fit(model, sample) for model in model_set}
 
     scored = {
         model: (result.aic if criterion == "aic" else result.bic)

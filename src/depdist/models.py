@@ -25,7 +25,8 @@ its continuous parameters.  The two nulls and the geometric also carry
 their own fits (a d_max scan, a fixed value, q = N/M), which return plain
 tuples; the optimizer in :mod:`depdist.estimation` fits the other rows.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
-summed over lengths n.
+summed over the per-length samples that a pooled sample carries
+(``DistanceSample.by_length``); a sample without them leaves it excluded.
 
 Log-likelihoods are computed from sufficient statistics, never by
 rescanning the sample: N, M, M' and max d, which :class:`DistanceSample`
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -360,29 +361,17 @@ def total_mass(model: Model, params: ModelParams, upto: int = 10_000) -> float:
 # Log-likelihoods
 # ---------------------------------------------------------------------------
 
-PerLength = tuple[Mapping[int, DistanceSample], LengthDistribution]
-
-
-def log_likelihood(
-    model: Model,
-    params: ModelParams,
-    sample: DistanceSample | None = None,
-    per_length: PerLength | None = None,
-) -> float:
+def log_likelihood(model: Model, params: ModelParams,
+                   sample: DistanceSample) -> float:
     """Log-likelihood of a sample under a model: the model's row bound to
     the sample at the break point, at the continuous values.
 
     Support violations (an observed d beyond d_max, or beyond n - 1 under
-    the null models) yield -inf so optimizers reject the region.
+    the null models) yield -inf so optimizers reject the region.  The
+    length-mixture null reads the sample's per-length samples and raises
+    ValueError on a sample without them.
     """
     spec = model.spec
-    if model is Model.NULL_MIXTURE:
-        if per_length is None:
-            raise ValueError("length-mixture null needs per-length samples")
-        return spec.bind(per_length, None, None)()
-
-    if sample is None:
-        raise ValueError("sample required")
     d_max = getattr(params, "d_max", None)
     if d_max is not None and sample.max_d > d_max:
         return NEG_INF
@@ -393,12 +382,13 @@ def log_likelihood(
 # ---------------------------------------------------------------------------
 # Families.  ``*_log_pmf(params, d, d_max)`` works on a float array d;
 # ``*_bind(sample, break_point, d_max)`` takes a sample whose distances lie
-# inside the support and returns its log-likelihood as a function of the
-# continuous values, in field order.  Every pmf here is non-increasing in
-# d, so the smallest term sits at max d; when it falls below LOG_TERM_FLOOR
-# the whole likelihood is the rejection sentinel -inf.  ``d_max`` is the
-# truncation bound, None for unbounded twins.  The ``*_term`` helpers give
-# log p(d) for a float or an array d and serve both.
+# inside the support (the length mixture reads ``sample.by_length``) and
+# returns its log-likelihood as a function of the continuous values, in
+# field order.  Every pmf here is non-increasing in d, so the smallest term
+# sits at max d; when it falls below LOG_TERM_FLOOR the whole likelihood is
+# the rejection sentinel -inf.  ``d_max`` is the truncation bound, None for
+# unbounded twins.  The ``*_term`` helpers give log p(d) for a float or an
+# array d and serve both.
 # ---------------------------------------------------------------------------
 
 def _on_support(d: np.ndarray, d_max: int | None, log_p) -> np.ndarray:
@@ -439,12 +429,13 @@ def _mixture_log_pmf(params, d, d_max):
         return np.log(prob)
 
 
-def _mixture_bind(per_length, break_point, d_max):
-    """Takes the per-length samples in place of a sample: the fixed null
-    at d_max = n - 1, summed over the sentence lengths n."""
-    by_length, _ = per_length
+def _mixture_bind(sample, break_point, d_max):
+    """The fixed null at d_max = n - 1, summed over the sample's per-length
+    samples of sentence length n."""
+    if not sample.by_length:
+        raise ValueError("length-mixture null needs per-length samples")
     total = 0.0
-    for n, length_sample in sorted(by_length.items()):
+    for n, length_sample in sorted(sample.by_length.items()):
         if length_sample.max_d > n - 1:
             return lambda: NEG_INF
         total += _null_bind(length_sample, None, n - 1)()
@@ -452,10 +443,10 @@ def _mixture_bind(per_length, break_point, d_max):
 
 
 # Fits without the optimizer (the nulls and the geometric):
-# ``fit(sample, per_length)`` gives (params, log_l, converged), or None when
-# the data it needs are missing.
+# ``fit(sample)`` gives (params, log_l, converged), or None when the data it
+# needs are missing.
 
-def _null_fit(sample, per_length):
+def _null_fit(sample):
     """Scan d_max upward from max d over a window that grows until the
     likelihood peaks inside it (the null's mass leans on low d, so its
     likelihood can peak above max d)."""
@@ -482,7 +473,7 @@ def _null_fit(sample, per_length):
     return NullParams(int(grid[best])), float(ll[best]), converged
 
 
-def _geometric_fit(sample, per_length):
+def _geometric_fit(sample):
     """The geometric's exact maximum, q = N/M (clamped into its box); a
     value that the row rejects is reported as not converged."""
     (q,) = _rate_init(sample)
@@ -490,11 +481,15 @@ def _geometric_fit(sample, per_length):
     return GeometricParams(q), log_l, math.isfinite(log_l)
 
 
-def _mixture_fit(sample, per_length):
-    if per_length is None:
+def _mixture_fit(sample):
+    """The length distribution counts the sentences of each per-length
+    sample, n - 1 distances each; None without per-length samples."""
+    if not sample.by_length:
         return None
-    params = MixtureNullParams(per_length[1])
-    return params, _mixture_bind(per_length, None, None)(), True
+    lengths = LengthDistribution.from_counts(
+        {n: s.total // (n - 1) for n, s in sample.by_length.items()})
+    return (MixtureNullParams(lengths), _mixture_bind(sample, None, None)(),
+            True)
 
 
 def _geometric_log_norm(q: float, d_max: int | None) -> float:
@@ -738,9 +733,9 @@ def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ModelSpec:
     """One model.  ``log_pmf(params, d, d_max)`` works on a float array;
-    ``bind(sample, break_point, d_max)`` takes the sample (the per-length
-    samples for the length mixture) and returns the log-likelihood as a
-    function of the continuous values, in field order;
+    ``bind(sample, break_point, d_max)`` takes the sample (the length
+    mixture reads its per-length samples) and returns the log-likelihood as
+    a function of the continuous values, in field order;
     ``init(sample, break_point)`` starts the continuous
     parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
     for the nulls and the geometric, replaces the optimizer.  None: nothing to

@@ -18,6 +18,8 @@ import numpy as np
 from . import estimation, models as m
 from .models import Model
 
+CONSOLE_DIGITS = 3  # decimals of the floats printed to stdout
+
 
 def _cell(value):
     if value is None:
@@ -27,12 +29,13 @@ def _cell(value):
     return str(value)
 
 
+def _columns(records: Sequence[Mapping]) -> list[str]:
+    """Every key of the records, in order of first appearance."""
+    return list(dict.fromkeys(key for record in records for key in record))
+
+
 def write_csv(path: Path, records: Sequence[Mapping]) -> None:
-    fields: list[str] = []
-    for record in records:
-        for key in record:
-            if key not in fields:
-                fields.append(key)
+    fields = _columns(records)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(fields)
@@ -60,28 +63,21 @@ def write_records(out_dir: Path, name: str, records: Sequence[Mapping],
     return path
 
 
-def print_table(records: Sequence[Mapping], columns: Sequence[str] | None = None,
-                digits: int = 3) -> None:
+def _shown(value) -> str:
+    """A console cell: finite floats rounded to CONSOLE_DIGITS decimals."""
+    if isinstance(value, float) and math.isfinite(value):
+        return f"{value:.{CONSOLE_DIGITS}f}"
+    return "" if value is None else str(value)
+
+
+def print_table(records: Sequence[Mapping]) -> None:
     """Console rendering, floats rounded for reading."""
     if not records:
         print("(empty)")
         return
-    if columns is None:
-        columns = []
-        for record in records:
-            for key in record:
-                if key not in columns:
-                    columns.append(key)
-    rows = [columns]
-    for record in records:
-        row = []
-        for key in columns:
-            value = record.get(key)
-            if isinstance(value, float) and math.isfinite(value):
-                row.append(f"{value:.{digits}f}")
-            else:
-                row.append("" if value is None else str(value))
-        rows.append(row)
+    columns = _columns(records)
+    rows = [columns] + [[_shown(record.get(key)) for key in columns]
+                        for record in records]
     widths = [max(len(r[i]) for r in rows) for i in range(len(columns))]
     for row in rows:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -135,15 +136,19 @@ class DistanceSample:
     """Frequency table of dependency distances.
 
     ``length_class`` is the sentence length for a fixed-length sample and
-    None for a pooled (mixed-lengths) sample.  Sufficient statistics used by
-    the likelihood functions are cached lazily; the frozen dataclass makes
-    the sample safe to share across parallel fits.
+    None for a pooled (mixed-lengths) sample; a pooled sample built from a
+    corpus carries the per-length samples it sums in ``by_length``, outside
+    equality.  Sufficient statistics used by the likelihood functions are
+    cached lazily; the frozen dataclass makes the sample safe to share
+    across parallel fits.
     """
 
     freq: Mapping[int, int]
     language: str | None = None
     collection: str | None = None
     length_class: int | None = None
+    by_length: Mapping[int, DistanceSample] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.freq:
@@ -302,11 +307,6 @@ class SampleSet:
     lengths: LengthDistribution
     sentence_counts: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def per_length(self) -> tuple[dict[int, DistanceSample], LengthDistribution]:
-        """The per-length data consumed by the length-mixture null model."""
-        return self.by_length, self.lengths
-
 
 # ---------------------------------------------------------------------------
 # CoNLL-U parsing
@@ -459,26 +459,23 @@ def build_samples(
     """Group dependency distances by sentence length and pooled.
 
     Returns fixed-length samples keyed by n (lengths with no sentence are
-    simply absent), the pooled mixed-lengths sample, the sentence-length
-    distribution, and sentence counts per length.
+    simply absent), the pooled mixed-lengths sample (their sum, carrying
+    them in ``by_length``), the sentence-length distribution, and sentence
+    counts per length.
     """
     trees = list(trees)
     if not trees:
         raise ValueError("no trees")
 
     by_length_values: dict[int, list[int]] = {}
-    pooled_values: list[int] = []
     sentence_counts: dict[int, int] = {}
     for tree in trees:
         n = tree.n
         sentence_counts[n] = sentence_counts.get(n, 0) + 1
-        if n < 2:
-            continue
-        ds = distances(tree)
-        by_length_values.setdefault(n, []).extend(ds)
-        pooled_values.extend(ds)
+        if n >= 2:
+            by_length_values.setdefault(n, []).extend(distances(tree))
 
-    if not pooled_values:
+    if not by_length_values:
         raise ValueError("corpus has no dependencies (all sentences length 1)")
 
     by_length = {
@@ -487,8 +484,12 @@ def build_samples(
         )
         for n, values in sorted(by_length_values.items())
     }
-    pooled = DistanceSample.from_values(
-        pooled_values, language=language, collection=collection
+    pooled_freq: Counter = Counter()
+    for sample in by_length.values():
+        pooled_freq.update(sample.freq)
+    pooled = DistanceSample(
+        dict(sorted(pooled_freq.items())), language=language,
+        collection=collection, by_length=by_length,
     )
     lengths = LengthDistribution.from_counts(sentence_counts)
     return SampleSet(

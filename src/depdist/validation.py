@@ -102,14 +102,13 @@ def run_validation(
 ) -> ValidationReport:
     """Full generate-fit-select loop over the reference suite."""
     suite = sampling.generate_validation_suite(seed, size)
-    ensemble = estimation.ensemble_for("artificial")
     selections: dict[Model, estimation.SelectionReport] = {}
     best: dict[Model, Model] = {}
     recovered: dict[Model, bool] = {}
     param_checks: list[ParamCheck] = []
 
     for generator, sample in suite.items():
-        report = estimation.select(sample, ensemble, criterion=criterion)
+        report = estimation.select(sample, criterion=criterion)
         selections[generator] = report
         best[generator] = report.best
         recovered[generator] = report.best is generator

@@ -136,8 +136,7 @@ def test_criterion_4_likelihood_identity():
                  for _ in range(120)]
         sset = build_samples(trees)
         params = m.MixtureNullParams(sset.lengths)
-        compact = m.log_likelihood(Model.NULL_MIXTURE, params,
-                                   per_length=sset.per_length)
+        compact = m.log_likelihood(Model.NULL_MIXTURE, params, sset.pooled)
         direct = math.fsum(
             count * math.log(2.0 * (n - d) / (n * (n - 1.0)))
             for n, sample in sset.by_length.items()
@@ -224,8 +223,7 @@ def test_criterion_8_real_corpus_reproduction(capsys):
     assert sset.pooled.total == 17514
     assert sset.pooled.max_d == 30
     assert abs(sset.pooled.mean_d - 2.30) <= 0.005
-    report = est.select(sset.pooled, est.ensemble_for("mixed"),
-                        criterion="aic", per_length=sset.per_length)
+    report = est.select(sset.pooled, criterion="aic")
     with capsys.disabled():
         print(f"[criterion 8] Arabic PUD best model under AIC: "
               f"{report.best.id} (reported, not asserted)")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,26 +141,26 @@ class TestFitSelect:
         assert rows[5]["best"] == "no-sentences"
         assert rows[6]["best"] not in ("excluded-min-size", "no-sentences")
 
-    def test_csv_json_numeric_identity(self, toy_corpus, tmp_path):
-        out_csv = tmp_path / "csv"
-        out_json = tmp_path / "json"
-        main(["fit-select", "--manifest", str(toy_corpus), "--mode",
-              "mixed", "--out", str(out_csv), "--format", "csv"])
-        main(["fit-select", "--manifest", str(toy_corpus), "--mode",
-              "mixed", "--out", str(out_json), "--format", "json"])
-        with open(out_csv / "mixed_fits.csv") as handle:
-            csv_rows = list(csv.DictReader(handle))
-        json_rows = json.loads((out_json / "mixed_fits.json").read_text())
-        assert len(csv_rows) == len(json_rows)
-        for c_row, j_row in zip(csv_rows, json_rows):
-            for key, j_val in j_row.items():
-                c_val = c_row[key]
-                if isinstance(j_val, float):
-                    assert float(c_val) == j_val, key
-                elif j_val is None:
-                    assert c_val == ""
-                else:
-                    assert c_val == str(j_val)
+    @pytest.mark.parametrize("threshold", ["0", "1", "2"])
+    def test_one_word_lengths_are_excluded_at_any_threshold(
+            self, tmp_path, threshold):
+        # One-word sentences carry no dependency: excluded, whatever the
+        # threshold, and counted.
+        corpus = tmp_path / "short.conllu"
+        write_corpus(corpus, [chain(1)] * 5 + [chain(2)] * 5
+                     + [DepTree((2, 0, 2, 3, 4))] * 4)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("short.conllu\tX\tone_and_two\n")
+        out = tmp_path / "out"
+        assert main(["fit-select", "--manifest", str(manifest), "--mode",
+                     "fixed", "--exclude-n-below", threshold,
+                     "--out", str(out)]) == 0
+        with open(out / "fixed_best_matrix.csv") as handle:
+            rows = {int(r["n"]): r for r in csv.DictReader(handle)}
+        assert rows[1]["best"] == "excluded-min-size"
+        assert rows[1]["sentences"] == "5"
+        assert rows[2]["best"] == "0.0"
+        assert rows[3]["best"] == "no-sentences"
 
     def test_deterministic_output(self, toy_corpus, tmp_path):
         outs = []
@@ -358,6 +359,76 @@ class TestValidateCommand:
             best = min(scored, key=lambda model: (scored[model], model.k,
                                                   model.order))
             assert row["best"] == best.id, row
+
+
+@pytest.fixture
+def two_regime_corpus(tmp_path):
+    """Sentences of 6 to 15 words whose dependents attach to the previous
+    word 60% of the time and anywhere before it otherwise: a steep head
+    and a flat tail, so two-regime models win and the break-point and
+    slope tables are written."""
+    rng = np.random.default_rng(1)
+    trees = []
+    for n in rng.integers(6, 16, size=100):
+        heads = [0] + [i - 1 if rng.random() < 0.6
+                       else int(rng.integers(1, i))
+                       for i in range(2, int(n) + 1)]
+        trees.append(DepTree(tuple(heads)))
+    write_corpus(tmp_path / "local.conllu", trees)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("local.conllu\tC\tL\n")
+    return manifest
+
+
+def assert_same_cell(csv_cell: str, json_value, where):
+    """A CSV cell against the JSON value of the same record and key."""
+    if json_value is None:
+        assert csv_cell == "", where
+    elif isinstance(json_value, float):
+        # repr in CSV; JSON Infinity/-Infinity load as the same floats.
+        assert csv_cell == repr(json_value), where
+        assert float(csv_cell) == json_value or math.isnan(json_value), where
+    elif isinstance(json_value, bool):
+        assert csv_cell in ("True", "False"), where
+        assert (csv_cell == "True") is json_value, where
+    else:
+        assert csv_cell == str(json_value), where
+
+
+@pytest.mark.parametrize("command", ["fit-select", "validate", "omega",
+                                     "extract"])
+def test_csv_and_json_tables_carry_the_same_cells(command, tmp_path,
+                                                  two_regime_corpus):
+    argv = {
+        "fit-select": ["fit-select", "--mode", "both", "--manifest",
+                       str(two_regime_corpus)],
+        "validate": ["validate", "--n-draws", "2000"],
+        "omega": ["omega", "--manifest", str(two_regime_corpus)],
+        "extract": ["extract", "--manifest", str(two_regime_corpus)],
+    }[command]
+    codes = {fmt: main(argv + ["--format", fmt, "--out", str(tmp_path / fmt)])
+             for fmt in ("csv", "json")}
+    assert codes["csv"] == codes["json"]
+    tables = sorted(path.stem for path in (tmp_path / "csv").glob("*.csv"))
+    assert tables == sorted(
+        path.stem for path in (tmp_path / "json").glob("*.json"))
+    if command == "fit-select":
+        assert {"slopes", "break_point_summary_mixed",
+                "break_point_summary_fixed"} <= set(tables)
+    cells = 0
+    for table in tables:
+        with open(tmp_path / "csv" / f"{table}.csv", newline="") as handle:
+            csv_rows = list(csv.DictReader(handle))
+        json_rows = json.loads(
+            (tmp_path / "json" / f"{table}.json").read_text())
+        assert csv_rows and len(csv_rows) == len(json_rows), table
+        for index, (c_row, j_row) in enumerate(zip(csv_rows, json_rows)):
+            assert set(j_row) <= set(c_row), (table, index)
+            for key, csv_cell in c_row.items():
+                assert_same_cell(csv_cell, j_row.get(key),
+                                 (table, index, key))
+                cells += 1
+    assert cells
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -22,7 +22,7 @@ from depdist.estimation import (
 )
 from depdist.models import Model
 from depdist.sampling import generate_validation_suite
-from depdist.treebank import DistanceSample
+from depdist.treebank import DistanceSample, LengthDistribution
 
 
 class TestInformationCriteria:
@@ -140,6 +140,9 @@ class TestFit:
     def test_mixture_null_needs_per_length(self):
         sample = DistanceSample({1: 3})
         assert fit(Model.NULL_MIXTURE, sample).excluded
+        params = m.MixtureNullParams(LengthDistribution({2: 1.0}))
+        with pytest.raises(ValueError, match="per-length"):
+            m.log_likelihood(Model.NULL_MIXTURE, params, sample)
 
     def test_null_scan_finds_observed_max(self, validation_report):
         sample = validation_report.suite[Model.NULL_FIXED]
@@ -522,24 +525,31 @@ class TestSelect:
         assert report.best is None
         assert report.deltas == {}
 
-    def test_random_word_order_selects_the_nulls(self):
+    def test_random_word_order_selects_the_nulls(self, validation_report):
         # Shuffled word order is exactly the triangular null: the bounded
         # variant must win at a fixed length and the length mixture on
-        # pooled lengths, both under AIC.
+        # pooled lengths, both under AIC.  The sample picks its null: a
+        # pooled sample carries its per-length samples and is fitted with
+        # the length mixture, fixed-length and artificial samples with the
+        # bounded null.
         from conftest import random_tree
         from depdist.treebank import build_samples
 
         rng = np.random.default_rng(2026)
         fixed = build_samples([random_tree(8, rng) for _ in range(300)])
-        report = select(fixed.by_length[8], est.ensemble_for("fixed"),
-                        criterion="aic")
+        report = select(fixed.by_length[8], criterion="aic")
         assert report.best is Model.NULL_FIXED
+        assert list(report.fits) == est.FIXED_ENSEMBLE
 
         mixed = build_samples([random_tree(int(n), rng)
                                for n in rng.integers(4, 13, size=400)])
-        report = select(mixed.pooled, est.ensemble_for("mixed"),
-                        criterion="aic", per_length=mixed.per_length)
+        report = select(mixed.pooled, criterion="aic")
         assert report.best is Model.NULL_MIXTURE
+        assert list(report.fits) == est.MIXED_ENSEMBLE
+        assert report.fits[Model.NULL_MIXTURE].params.lengths == mixed.lengths
+
+        for artificial in validation_report.selections.values():
+            assert list(artificial.fits) == est.FIXED_ENSEMBLE
 
     def test_shuffle_sample_two_regime_fit_decays_faster_second(
             self, validation_report):

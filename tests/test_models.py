@@ -245,10 +245,10 @@ class TestLogLikelihood:
             3: DistanceSample({1: 3, 2: 1}, length_class=3),
             5: DistanceSample({1: 4, 2: 2, 4: 1}, length_class=5),
         }
+        pooled = DistanceSample({1: 7, 2: 3, 4: 1}, by_length=by_length)
         lengths = LengthDistribution({3: 0.5, 5: 0.5})
         params = m.MixtureNullParams(lengths)
-        value = m.log_likelihood(Model.NULL_MIXTURE, params,
-                                 per_length=(by_length, lengths))
+        value = m.log_likelihood(Model.NULL_MIXTURE, params, pooled)
         expected = math.fsum(
             count * math.log(2 * (n - d) / (n * (n - 1)))
             for n, sample in by_length.items()

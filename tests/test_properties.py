@@ -46,6 +46,7 @@ def test_pooled_sample_is_sum_of_per_length_samples(corpus):
     per_length = sum((Counter(sample.freq)
                       for sample in samples.by_length.values()), Counter())
     assert per_length == Counter(samples.pooled.freq)
+    assert samples.pooled.by_length is samples.by_length
     assert sum(samples.sentence_counts.values()) == len(corpus)
 
 
