@@ -1,11 +1,17 @@
 """Maximum-likelihood fitting and information-criterion model selection.
 
 Continuous parameters are maximized with a bounded quasi-Newton optimizer,
-L-BFGS-B; integer parameters are found by exhaustive scan.  The break point
-ranges over every integer between the second smallest and second largest
-observed distance, so that each regime keeps at least two distinct
-distances to infer a decay from.  The grid is empty below 3 distinct
-distances, so two-regime models are excluded there.
+L-BFGS-B.  The break point ranges over every integer between the second
+smallest and second largest observed distance, so that each regime keeps
+at least two distinct distances to infer a decay from; the grid is empty
+below 3 distinct distances, so two-regime models are excluded there.
+
+The scan over the grid is a branch and bound: the spec row bounds the
+log-likelihood from above at every break point, the searches run in
+descending bound order, and the scan stops at the first bound below the
+best fit found, less a relative 1e-9 for rounding.  A skipped break point
+could not have won, so every fit is the exhaustive scan's; equal
+log-likelihoods go to the lower break point.
 
 The truncation bound of models 2, 4, 5 and 7 is pinned to the observed
 maximum distance: their likelihood is strictly decreasing in d_max for any
@@ -17,23 +23,13 @@ row scans d_max with an adaptive window.
 The nulls and the geometric (q = N/M) fit through their spec rows
 (:data:`depdist.models.SPECS`), the length-mixture null to the per-length
 samples that a pooled sample carries; one optimizer, :func:`_optimize`,
-serves models 2 to 7: the row names its continuous parameters, their
-bounds and starting values, and builds the parameter object.  At each
-break point the row's log-likelihood is bound to the sample once, and
-every break point starts from the row's starting values, computed once per
-sample and shared by the twins 3/4 and 6/7.
-
-L-BFGS-B is scipy's compiled kernel, called from :func:`_lbfgsb`, a loop
-that does what scipy's own L-BFGS-B driver does step for step without its
-wrappers.  It takes one fused call per point, :func:`_fused`, for the
-value and the forward-difference gradient, with scipy's rule for L-BFGS-B
-without a gradient: a step of 1e-8, turned backward at the box,
-sqrt(eps) * max(1, |x|) where 1e-8 vanishes beside x, divided by the step
-as rounded.  Same kernel, points and arithmetic, so every fit is
-bit-identical to scipy's.  A search that finds no finite log-likelihood
-reports -inf, not converged; non-converged results are logged at DEBUG,
-and each :class:`FitResult` counts its break points and objective
-evaluations.
+serves models 2 to 7, from the row's starting values, which the twins 3/4
+and 6/7 share at each break point.  L-BFGS-B is scipy's compiled kernel,
+driven by :func:`_lbfgsb` as scipy's own driver drives it, with one fused
+call per point, :func:`_fused`, for the value and scipy's default
+forward-difference gradient: every fit is bit-identical to scipy's.  A
+search that finds no finite log-likelihood reports -inf, not converged;
+non-converged results are logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ LBFGSB_MAXCOR = 10              # scipy's defaults: stored corrections,
 LBFGSB_PGTOL = 1e-5             # projected-gradient tolerance
 LBFGSB_MAXLS = 20               # and line-search steps per iteration
 REJECTED = 1e300                # -log_l of a rejected point
+PRUNE_MARGIN = 1e-9             # relative slack of the break-point bounds
 # The kernel's task codes (scipy's ``status_messages``).
 _NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
 
@@ -75,10 +72,10 @@ log = logging.getLogger(__name__)
 class FitResult:
     """One model fitted to one sample.
 
-    ``break_points`` counts the break points scanned (0 for one-regime
-    models) and ``evaluations`` the objective evaluations of the whole
-    fit; the fits through a spec row's ``fit`` and excluded fits have
-    none of them.
+    ``break_points`` counts the break points of the grid (0 for one-regime
+    models) and ``evaluations`` the objective evaluations of the searches
+    that ran, not of those the bounded scan skipped; the fits through a
+    spec row's ``fit`` and excluded fits have none of them.
     """
 
     model: Model
@@ -321,11 +318,12 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
     The nulls and the geometric fit through their spec rows; every other
-    model optimizes its continuous parameters, at each grid break point if
-    it has two regimes.  Unmet requirements (too few distinct distances, a
-    length mixture on a sample without per-length samples) mark the result
-    excluded instead of raising; a non-converged optimizer returns its best
-    parameters with ``converged=False``.
+    model optimizes its continuous parameters, if it has two regimes at
+    each grid break point that its bound does not rule out.  Unmet
+    requirements (too few distinct distances, a length mixture on a sample
+    without per-length samples) mark the result excluded instead of
+    raising; a non-converged optimizer returns its best parameters with
+    ``converged=False``.
     """
     if model.spec.fit is not None:
         fitted = model.spec.fit(sample)
@@ -341,11 +339,17 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
         return _excluded(model, sample.total,
                          f"needs >= {DEFAULT_MIN_DISTINCT} distinct "
                          f"distances, sample has {sample.distinct}")
+    # Highest bound first, until a bound falls below the best fit.
     best = None
     grid = _break_grid(sample)
-    for bp in grid:
-        fitted = _optimize(model, sample, bp, tally)
-        if best is None or fitted[1] > best[1]:
+    bounds = model.spec.bound(sample, grid)
+    for i in np.argsort(-bounds, kind="stable"):
+        if best is not None and bounds[i] < best[1] - PRUNE_MARGIN * (
+                1.0 + abs(best[1])):
+            break
+        fitted = _optimize(model, sample, grid[i], tally)
+        if best is None or (fitted[1], -grid[i]) > (
+                best[1], -best[0].break_point):
             best = fitted
     params, log_l, conv = best
     return _result(model, params, log_l, sample.total, conv,

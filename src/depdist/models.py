@@ -49,6 +49,7 @@ from functools import cached_property, partial
 from typing import Callable, Union
 
 import numpy as np
+from scipy.special import xlogy
 
 from .treebank import DistanceSample, LengthDistribution
 
@@ -286,14 +287,13 @@ def zeta_geometric_constants(
     """
     return _zeta_geometric_constants(
         gamma, q, math.log1p(-q), break_point, math.log(break_point),
-        np.arange(1, break_point + 1, dtype=float), d_max)
+        harmonic(break_point, gamma), d_max)
 
 
 def _zeta_geometric_constants(gamma, q, log1m_q, break_point, log_break,
-                              ks, d_max):
-    # Shared with the bound log-likelihood, which has ks = 1..break_point.
+                              s1, d_max):
+    # Shared with the bound log-likelihood, which has s1 = H(break, gamma).
     tau = math.exp(-gamma * log_break - (break_point - 1) * log1m_q)
-    s1 = _power_sum(ks, gamma)
     return _normalize(s1, tau, q, log1m_q, break_point, d_max)
 
 
@@ -632,12 +632,19 @@ def _zeta_geometric_bind(sample, bp, d_max):
     n_star, m_star, log_first = sample.stats_upto(bp)
     log_top, n_tail = float(np.log(sample.max_d)), sample.total - n_star
     m_tail = sample.weighted_sum - m_star - n_tail
+    # H(bp, gamma) of the last two gammas: a gradient's probe in q, after
+    # its probe in gamma, reuses the value's sum.
+    sums = {}
 
     def log_l(gamma, q):
         log1m_q = math.log1p(-q)
+        if gamma not in sums:
+            if len(sums) == 2:
+                sums.clear()
+            sums[gamma] = _power_sum(ks, gamma)
         logs = _two_regime_log_constants(
-            _zeta_geometric_constants, gamma, q, log1m_q, bp, log_bp, ks,
-            d_max)
+            _zeta_geometric_constants, gamma, q, log1m_q, bp, log_bp,
+            sums[gamma], d_max)
         if logs is None:
             return NEG_INF
         log_c1, log_c2 = logs
@@ -647,6 +654,111 @@ def _zeta_geometric_bind(sample, bp, d_max):
         return (n_star * log_c1 - gamma * log_first + n_tail * log_c2
                 + m_tail * log1m_q)
     return log_l
+
+
+# Upper bounds on the two-regime log-likelihoods at every break point b of a
+# grid.  Dropping the continuity at b leaves each regime normalized on its own
+# with a free split weight, a larger model whose maximum is a sum of three
+# parts: the split term, the first regime's maximum on 1..b and the tail's
+# beyond b.  Regimes are 1-D concave exponential families in theta =
+# log(1 - q) or gamma; each part is one array over the grid, kept in the
+# sample's memo (keyed by the part and the grid) so that twins share it.
+
+BISECTIONS = 24
+GAMMA_TOP = 64.0  # the slope at gamma 64 is negative unless N* >= 2^64
+ZETA_CELLS = 2 ** 20  # largest (b, k) matrix of the zeta head
+
+
+def _part(sample, part, grid):
+    if (part, grid) not in sample.memo:
+        sample.memo[part, grid] = part(sample, grid)
+    return sample.memo[part, grid]
+
+
+def _grid_stats(sample, grid):
+    """At each b of the grid: N*, the sums of d - 1 and of log d over d <=
+    b, the count T beyond b and the sum of d - b - 1 there."""
+    n_star, m_star, log_star = np.array(
+        [sample.stats_upto(b) for b in grid], dtype=float).T
+    tail = sample.total - n_star
+    return (n_star, m_star - n_star, log_star, tail,
+            sample.weighted_sum - m_star - tail * (np.array(grid) + 1.0))
+
+
+def _concave_max(value, slope, lo, hi, size):
+    """Upper bounds on the maxima over [lo, hi] of ``size`` concave functions:
+    bisect on the sign of the slope, which keeps each maximizer inside its
+    bracket, then take the lower of the tangents at the bracket's ends."""
+    lo, width = np.full(size, lo), hi - lo
+    for _ in range(BISECTIONS):
+        width /= 2.0
+        lo = lo + width * (slope(lo + width) > 0)
+    hi = lo + width
+    return np.minimum(value(lo) + np.maximum(slope(lo), 0.0) * width,
+                      value(hi) + np.maximum(-slope(hi), 0.0) * width)
+
+
+def _truncated_geometric_max(n, offsets, k):
+    """Maximum over q in Q_BOUNDS of the log-likelihood of n distances whose
+    offsets from the first of k support points sum to ``offsets``."""
+    def value(theta):  # theta = log(1 - q) < 0
+        return theta * offsets - n * np.log(np.expm1(k * theta)
+                                            / np.expm1(theta))
+
+    def slope(theta):  # the mean offset is 1/expm1(-theta) - k/expm1(-k theta)
+        return offsets - n * (np.exp(theta) / -np.expm1(theta)
+                              - k * np.exp(k * theta) / -np.expm1(k * theta))
+    return _concave_max(value, slope, math.log1p(-Q_BOUNDS[1]),
+                        math.log1p(-Q_BOUNDS[0]), len(n))
+
+
+def _geometric_head_max(sample, grid):
+    n_star, offsets, *_ = _part(sample, _grid_stats, grid)
+    return _truncated_geometric_max(n_star, offsets, np.array(grid))
+
+
+def _zeta_head_max(sample, grid):
+    """The truncated zeta on 1..b, gamma >= 0, in blocks of rows of b."""
+    n_star, _, log_star, *_ = _part(sample, _grid_stats, grid)
+    bs, ks = np.array(grid), np.arange(1, grid[-1] + 1)
+    rows, log_k = max(1, ZETA_CELLS // len(ks)), np.log(ks)
+    out = []
+    for i in range(0, len(bs), rows):
+        n, log_sum = n_star[i:i + rows], log_star[i:i + rows]
+        inside = ks <= bs[i:i + rows, None]
+
+        def weights(gamma):
+            return np.where(inside, np.exp(-gamma[:, None] * log_k), 0.0)
+
+        def value(gamma):
+            return -gamma * log_sum - n * np.log(weights(gamma).sum(axis=1))
+
+        def slope(gamma):
+            w = weights(gamma)
+            return n * (w @ log_k) / w.sum(axis=1) - log_sum
+        out.append(_concave_max(value, slope, 0.0, GAMMA_TOP, len(n)))
+    return np.concatenate(out)
+
+
+def _geometric_tail_max(sample, grid):
+    """The geometric's closed form, q = 1 / (1 + mean offset)."""
+    *_, tail, offsets = _part(sample, _grid_stats, grid)
+    return (xlogy(tail, tail / (tail + offsets))
+            + xlogy(offsets, offsets / (tail + offsets)))
+
+
+def _truncated_tail_max(sample, grid):
+    *_, tail, offsets = _part(sample, _grid_stats, grid)
+    return _truncated_geometric_max(tail, offsets,
+                                    sample.max_d - np.array(grid))
+
+
+def _break_bound(head, tail, sample, grid):
+    """Upper bound on the row's log-likelihood at each b of the grid."""
+    n_star, *_, n_tail, _ = _part(sample, _grid_stats, grid)
+    return (xlogy(n_star, n_star / sample.total)
+            + xlogy(n_tail, n_tail / sample.total)
+            + _part(sample, head, grid) + _part(sample, tail, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +850,10 @@ class ModelSpec:
     a function of the continuous values, in field order;
     ``init(sample, break_point)`` starts the continuous
     parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
-    for the nulls and the geometric, replaces the optimizer.  None: nothing to
-    optimize, no sampler, or the optimizer fits the model."""
+    for the nulls and the geometric, replaces the optimizer; ``bound(sample,
+    grid)``, set for the two-regime rows, bounds the log-likelihood from
+    above at each break point of the grid.  None: nothing to optimize, no
+    sampler, the optimizer fits the model, or one regime."""
 
     params: type
     k: int
@@ -749,6 +863,7 @@ class ModelSpec:
     init: Callable | None
     sampler: str | None
     fit: Callable | None = None
+    bound: Callable | None = None
 
     @cached_property
     def fields(self) -> tuple[str, ...]:
@@ -798,18 +913,22 @@ SPECS: dict[Model, ModelSpec] = {
         _geometric_bind, _rate_init, "geometric"),
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
-        _two_regime_geometric_bind, _regime_q_inits, "table"),
+        _two_regime_geometric_bind, _regime_q_inits, "table",
+        bound=partial(_break_bound, _geometric_head_max, _geometric_tail_max)),
     Model.TWO_REGIME_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedTwoRegimeGeometricParams, 4, "3-4",
         _two_regime_geometric_log_pmf, _two_regime_geometric_bind,
-        _regime_q_inits, "table"),
+        _regime_q_inits, "table",
+        bound=partial(_break_bound, _geometric_head_max, _truncated_tail_max)),
     Model.ZETA_TRUNC: ModelSpec(
         ZetaParams, 2, "5", _zeta_log_pmf, _zeta_bind,
         _exponent_init, "zeta"),
     Model.ZETA_GEOMETRIC: ModelSpec(
         ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
-        _zeta_geometric_bind, _zeta_geometric_init, "table"),
+        _zeta_geometric_bind, _zeta_geometric_init, "table",
+        bound=partial(_break_bound, _zeta_head_max, _geometric_tail_max)),
     Model.ZETA_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedZetaGeometricParams, 4, "6-7", _zeta_geometric_log_pmf,
-        _zeta_geometric_bind, _zeta_geometric_init, "table"),
+        _zeta_geometric_bind, _zeta_geometric_init, "table",
+        bound=partial(_break_bound, _zeta_head_max, _truncated_tail_max)),
 }

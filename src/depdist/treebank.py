@@ -139,8 +139,9 @@ class DistanceSample:
     None for a pooled (mixed-lengths) sample; a pooled sample built from a
     corpus carries the per-length samples it sums in ``by_length``, outside
     equality.  Sufficient statistics used by the likelihood functions are
-    cached lazily; the frozen dataclass makes the sample safe to share
-    across parallel fits.
+    cached lazily.  The dataclass is frozen, but the sample is not
+    immutable: the cached statistics and ``memo``, a dict that fits fill
+    with starting values and break-point bounds, are written on first use.
     """
 
     freq: Mapping[int, int]

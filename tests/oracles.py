@@ -1,14 +1,21 @@
-"""Independent oracles for the minimum linear arrangement.
+"""Independent oracles.
 
-Both are exponential and serve only as references for
+For the minimum linear arrangement, two exponential references for
 :func:`depdist.arrangement.min_arrangement_cost`: a DP over every prefix
 set of vertices (``np.bitwise_count`` needs numpy >= 2.0), and a brute
 force over every ordering.
+
+For the break-point scan of the two-regime fits, the exhaustive scan that
+:func:`depdist.estimation.fit` prunes, and the constrained log-likelihood
+on a dense parameter grid, written from the pmf's definition.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import logsumexp
+
+from depdist import estimation as est
 
 
 def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
@@ -64,3 +71,44 @@ def brute_force_min_arrangement(
     for u, v in edges:
         total += np.abs(pos[:, u].astype(np.int32) - pos[:, v])
     return int(total.min())
+
+
+def exhaustive_break_scan(model, sample):
+    """(params, log_l, converged) of the search at every break point of the
+    grid, the first strict maximum kept."""
+    best = None
+    for bp in est._break_grid(sample):
+        fitted = est._optimize(model, sample, bp)
+        if best is None or fitted[1] > best[1]:
+            best = fitted
+    return best
+
+
+def dense_grid_max(model, sample, bp, size=64):
+    """Largest log-likelihood of a two-regime model at break point ``bp``
+    over a size x size grid of its continuous parameters: q1 or gamma (0 to
+    20) for the first regime, q2 or q for the tail, each q on a logistic
+    grid inside [1e-8, 1 - 1e-8].  The pmf is the first regime's weight
+    h(d) up to bp and h(bp) (1 - q2)^(d - bp) beyond it, normalized over
+    1..max d for truncated models and over every d otherwise."""
+    q = 1.0 / (1.0 + np.exp(-np.linspace(-18.0, 18.0, size)))
+    first = (np.linspace(0.0, 20.0, size) if model.family == "6-7" else q)
+    first, q2 = (a.ravel() for a in np.meshgrid(first, q))
+    d_head = np.arange(1, bp + 1, dtype=float)
+    if model.family == "6-7":
+        log_h = -first[:, None] * np.log(d_head)
+    else:
+        log_h = (d_head - 1) * np.log1p(-first)[:, None]
+    log1m_q2 = np.log1p(-q2)
+    # Tail mass beyond bp, relative to h(bp): sum of (1 - q2)^j, j >= 1.
+    log_tail = log1m_q2 - np.log(q2)
+    if model.is_truncated:
+        log_tail += np.log(-np.expm1((sample.max_d - bp) * log1m_q2))
+    log_z = np.logaddexp(logsumexp(log_h, axis=1), log_h[:, -1] + log_tail)
+    d, f = sample.support, sample.counts.astype(float)
+    head = d <= bp
+    log_l = (log_h[:, d[head] - 1] @ f[head]
+             + f[~head].sum() * log_h[:, -1]
+             + ((d[~head] - bp) @ f[~head]) * log1m_q2
+             - sample.total * log_z)
+    return float(log_l.max())

@@ -23,6 +23,13 @@ from depdist.estimation import (
 from depdist.models import Model
 from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample, LengthDistribution
+from oracles import dense_grid_max, exhaustive_break_scan
+
+TWO_REGIME = [Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC,
+              Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC]
+# Every two-regime search on this sample finds no finite log-likelihood
+# for the zeta-geometric models (6 and 7).
+ALL_REJECTED = {1: 1000, 2: 1, 60: 1, 61: 1}
 
 
 class TestInformationCriteria:
@@ -393,7 +400,117 @@ class TestLbfgsbLoop:
         assert ours[2] == theirs[2]
 
 
+def bound_cases():
+    """Frozen samples for the break-point bounds: validate seed 1's suite,
+    per-length and pooled samples of a fit-select benchmark corpus, and
+    crafted edge cases."""
+    cases = {f"validate-1-{model.id}": sample for model, sample
+             in generate_validation_suite(1).items()}
+    cases.update({
+        "alpha-n16": {1: 150, 2: 65, 3: 35, 4: 16, 5: 9, 6: 3, 7: 1, 8: 2,
+                      9: 2, 10: 2},
+        "alpha-n24": {1: 78, 2: 33, 3: 20, 4: 11, 5: 6, 6: 6, 7: 2, 8: 1,
+                      9: 1, 12: 2, 13: 1},
+        "beta-n9": {1: 52, 2: 20, 3: 3, 4: 3, 5: 2},
+        "alpha-pooled": {1: 1738, 2: 768, 3: 394, 4: 211, 5: 115, 6: 58,
+                         7: 31, 8: 23, 9: 14, 10: 15, 11: 5, 12: 7, 13: 2,
+                         14: 2, 16: 1, 17: 1, 21: 1},
+        # The tail holds one distinct distance at b = max2_d: far beyond
+        # the break, and right after it.
+        "far-tail": {1: 40, 2: 15, 3: 6, 9: 2},
+        "next-tail": {1: 30, 2: 12, 3: 5, 4: 1},
+        # Two distinct distances in the first regime at every break point.
+        "two-head": {2: 10, 5: 3, 6: 1, 7: 1},
+        "all-rejected": ALL_REJECTED,
+    })
+    return [pytest.param(sample if isinstance(sample, DistanceSample)
+                         else DistanceSample(sample), id=name)
+            for name, sample in cases.items()]
+
+
+class TestBreakPointBound:
+    """The bound that prunes the break-point scan is never below the
+    constrained log-likelihood: not below its maximum on a dense grid of
+    the continuous parameters, nor below the search at the break point."""
+
+    @pytest.mark.parametrize("sample", bound_cases())
+    def test_bound_is_above_every_fit(self, sample):
+        for model in TWO_REGIME:
+            grid = est._break_grid(sample)
+            bounds = model.spec.bound(sample, grid)
+            assert bounds.shape == (len(grid),)
+            for bp, bound in zip(grid, bounds):
+                case = (model, bp)
+                assert np.isfinite(bound) and bound <= 0.0, case
+                for value in (dense_grid_max(model, sample, bp),
+                              est._optimize(model, sample, bp)[1]):
+                    margin = est.PRUNE_MARGIN * (1.0 + abs(value))
+                    assert value <= bound + margin, case
+
+    def test_twins_share_their_parts(self):
+        sample = DistanceSample({1: 40, 2: 15, 3: 6, 5: 3, 8: 1})
+        grid = est._break_grid(sample)
+        added = []
+        for model in TWO_REGIME:
+            before = len(sample.memo)
+            model.spec.bound(sample, grid)
+            added.append(len(sample.memo) - before)
+        # Model 3 computes the grid's statistics, the geometric head and
+        # tail; 4 adds the truncated tail, 6 the zeta head, and 7 has both.
+        assert added == [3, 1, 1, 0]
+
+
+class TestBreakPointScan:
+    def test_equal_log_likelihoods_keep_the_lower_break_point(
+            self, monkeypatch):
+        sample = DistanceSample({1: 40, 2: 15, 3: 6, 5: 3, 8: 1})
+        model = Model.TWO_REGIME_GEOMETRIC
+        values = {2: -50.0, 3: -40.0, 4: -60.0, 5: -40.0}
+        visited = []
+
+        def optimize(model, sample, bp, tally=None):
+            visited.append(bp)
+            return m.TwoRegimeGeometricParams(0.5, 0.5, bp), values[bp], True
+        # Break points 4 and 5 are visited before 3, which ties 5; the
+        # bound of 2 is below the tie's value, so 2 is pruned.
+        bounds = np.array([-45.0, -39.0, -30.0, -30.0])
+        monkeypatch.setattr(est, "_optimize", optimize)
+        monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
+            model.spec, bound=lambda sample, grid: bounds))
+        result = fit(model, sample)
+        assert visited == [4, 5, 3]
+        assert result.params.break_point == 3
+        assert result.log_l == -40.0
+        assert result.break_points == 4
+        assert exhaustive_break_scan(model, sample)[0].break_point == 3
+
+    def test_rejected_everywhere_scans_every_break_point(self):
+        sample = DistanceSample(ALL_REJECTED)
+        for model in (Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC):
+            result = fit(model, sample)
+            assert result.log_l == -math.inf
+            assert not result.converged
+            assert result.params.break_point == sample.min2_d
+            exhaustive = Counter()
+            for bp in est._break_grid(sample):
+                est._optimize(model, sample, bp, exhaustive)
+            assert result.evaluations == exhaustive["evaluations"]
+
+
 class TestFitCounts:
+    def test_pruning_skips_searches(self):
+        # The break-point count is the grid's; the evaluations are those
+        # of the searches that ran, fewer than the exhaustive scan's.
+        sample = generate_validation_suite(1)[Model.TWO_REGIME_GEOMETRIC]
+        grid = est._break_grid(sample)
+        for model in TWO_REGIME:
+            exhaustive = Counter()
+            for bp in grid:
+                est._optimize(model, sample, bp, exhaustive)
+            result = fit(model, sample)
+            assert result.break_points == len(grid)
+            assert 0 < result.evaluations < exhaustive["evaluations"], model
+
     def test_counts_on_crafted_sample(self, monkeypatch):
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
         searched = [model for model in Model if model.spec.fit is None]

@@ -3,11 +3,12 @@ random distance samples."""
 
 from collections import Counter
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from depdist.arrangement import min_arrangement_cost
 from depdist.estimation import FIXED_ENSEMBLE, fit, select
+from depdist.models import Model
 from depdist.optimality import sum_distances
 from depdist.treebank import (
     DepTree,
@@ -16,7 +17,7 @@ from depdist.treebank import (
     parse_conllu,
     to_conllu,
 )
-from oracles import brute_force_min_arrangement
+from oracles import brute_force_min_arrangement, exhaustive_break_scan
 
 
 @st.composite
@@ -79,3 +80,20 @@ def test_fits_do_not_depend_on_order_or_shared_work(freq):
         alone = fit(model, DistanceSample(dict(freq)))
         assert forward.fits[model] == backward.fits[model] == alone, model
     assert forward.best == backward.best
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.integers(1, 60), st.integers(1, 400),
+                       min_size=3, max_size=12))
+# Every search of models 6 and 7 is rejected: the lowest break point wins.
+@example({1: 1000, 2: 1, 60: 1, 61: 1})
+def test_pruned_break_scan_matches_exhaustive_scan(freq):
+    for model in (Model.TWO_REGIME_GEOMETRIC,
+                  Model.TWO_REGIME_GEOMETRIC_TRUNC, Model.ZETA_GEOMETRIC,
+                  Model.ZETA_GEOMETRIC_TRUNC):
+        result = fit(model, DistanceSample(freq))
+        params, log_l, converged = exhaustive_break_scan(
+            model, DistanceSample(dict(freq)))
+        assert result.params == params, model
+        assert result.log_l == log_l, model
+        assert result.converged == converged, model
