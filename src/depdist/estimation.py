@@ -25,15 +25,17 @@ The nulls and the geometric (q = N/M) fit through their spec rows
 samples that a pooled sample carries; one optimizer, :func:`_optimize`,
 serves models 2 to 7, from the row's starting values, which the twins 3/4
 and 6/7 share at each break point.  L-BFGS-B is scipy's compiled kernel,
-driven by :func:`_lbfgsb` as scipy's own driver drives it, with one fused
-call per point, :func:`_fused`, for the value and scipy's default
-forward-difference gradient: every fit is bit-identical to scipy's.  A
-search that finds no finite log-likelihood reports -inf, not converged;
-non-converged results are logged at DEBUG.
+imported at the first search (:func:`_kernel`), so that importing this
+module loads no scipy.  :func:`_lbfgsb` drives it as scipy's own driver
+does, with one fused call per point, :func:`_fused`, for the value and
+scipy's default forward-difference gradient: every fit is bit-identical
+to scipy's.  A search that finds no finite log-likelihood reports -inf,
+not converged; non-converged results are logged at DEBUG.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -41,8 +43,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from . import models as m
 from .models import Model, ModelParams
@@ -195,6 +195,16 @@ def _box(bounds) -> tuple[list[float], list[float]]:
             [math.inf if hi is None else hi for _, hi in bounds])
 
 
+@functools.cache
+def _kernel():
+    """scipy's L-BFGS-B kernel and its task messages, imported at the first
+    search: ``scipy.optimize`` is most of the package's import time, and
+    the commands that fit nothing never load it."""
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+    return setulb, status_messages, task_messages
+
+
 def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
             maxfun=LBFGSB_MAXFUN) -> LbfgsbResult:
     """Minimize ``fun_and_grad`` (a list of floats -> (value, gradient))
@@ -214,6 +224,7 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
     and the one dependency to recheck on a scipy upgrade; the oracle tests
     in ``tests/test_estimation.py`` compare this loop with scipy's.
     """
+    setulb, status_messages, task_messages = _kernel()
     lows, highs = _box(bounds)
     x = np.array(x0, dtype=float)   # a copy: the kernel writes into x
     n, m = len(x), LBFGSB_MAXCOR

@@ -49,7 +49,6 @@ from functools import cached_property, partial
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import xlogy
 
 from .treebank import DistanceSample, LengthDistribution
 
@@ -420,11 +419,16 @@ def _null_bind(sample, break_point, d_max):
 
 
 def _mixture_log_pmf(params, d, d_max):
-    # Marginal over sentence lengths: p(d) = sum_n p(d|n) p(n).
+    # Marginal over a corpus's dependencies: p(d) = sum_n p(d|n) w(n), with
+    # w(n) = p(n)(n - 1) / sum_m p(m)(m - 1) the share of the dependencies
+    # in n-word sentences (p(n) is their share of the sentences); the n - 1
+    # cancels against p(d|n) = 2(n - d) / (n(n - 1)).
     prob = np.zeros(d.shape)
-    for n, p_n in params.lengths.items():
+    lengths = list(params.lengths.items())
+    dependencies = math.fsum(p_n * (n - 1) for n, p_n in lengths)
+    for n, p_n in lengths:
         ok = d <= n - 1
-        prob[ok] += p_n * 2.0 * (n - d[ok]) / (n * (n - 1.0))
+        prob[ok] += p_n * 2.0 * (n - d[ok]) / (n * dependencies)
     with np.errstate(divide="ignore"):
         return np.log(prob)
 
@@ -712,6 +716,12 @@ def _truncated_geometric_max(n, offsets, k):
                         math.log1p(-Q_BOUNDS[0]), len(n))
 
 
+def _xlogy(x, y):
+    """x log y, 0 where x is 0: scipy's ``xlogy`` for x >= 0 without
+    loading ``scipy.special``; y is not read where x is 0."""
+    return x * np.log(np.where(x > 0, y, 1.0))
+
+
 def _geometric_head_max(sample, grid):
     n_star, offsets, *_ = _part(sample, _grid_stats, grid)
     return _truncated_geometric_max(n_star, offsets, np.array(grid))
@@ -743,8 +753,8 @@ def _zeta_head_max(sample, grid):
 def _geometric_tail_max(sample, grid):
     """The geometric's closed form, q = 1 / (1 + mean offset)."""
     *_, tail, offsets = _part(sample, _grid_stats, grid)
-    return (xlogy(tail, tail / (tail + offsets))
-            + xlogy(offsets, offsets / (tail + offsets)))
+    return (_xlogy(tail, tail / (tail + offsets))
+            + _xlogy(offsets, offsets / (tail + offsets)))
 
 
 def _truncated_tail_max(sample, grid):
@@ -756,8 +766,8 @@ def _truncated_tail_max(sample, grid):
 def _break_bound(head, tail, sample, grid):
     """Upper bound on the row's log-likelihood at each b of the grid."""
     n_star, *_, n_tail, _ = _part(sample, _grid_stats, grid)
-    return (xlogy(n_star, n_star / sample.total)
-            + xlogy(n_tail, n_tail / sample.total)
+    return (_xlogy(n_star, n_star / sample.total)
+            + _xlogy(n_tail, n_tail / sample.total)
             + _part(sample, head, grid) + _part(sample, tail, grid))
 
 
@@ -853,7 +863,12 @@ class ModelSpec:
     for the nulls and the geometric, replaces the optimizer; ``bound(sample,
     grid)``, set for the two-regime rows, bounds the log-likelihood from
     above at each break point of the grid.  None: nothing to optimize, no
-    sampler, the optimizer fits the model, or one regime."""
+    sampler, the optimizer fits the model, or one regime.
+
+    The length mixture's ``bind`` conditions each distance on the length of
+    its sentence, and its ``log_pmf`` is the marginal over the sample's
+    dependencies; the other rows' log-likelihood is the sum of their
+    ``log_pmf``."""
 
     params: type
     k: int

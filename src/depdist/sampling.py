@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import models as m
 from .models import Model, ModelParams
@@ -266,7 +265,10 @@ def goodness_of_fit(
 def _chisquare(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float]:
     """Pearson's statistic of observed against expected counts with equal
     totals, and its chi-square p-value at len(obs) - 1 degrees of freedom:
-    ``scipy.stats.chisquare`` without loading ``scipy.stats``."""
+    ``scipy.stats.chisquare`` without loading ``scipy.stats``.
+    ``scipy.special`` is imported here, at the first test, so that the
+    commands that test no fit do not load it."""
+    from scipy.special import chdtrc
     stat = float(((obs - exp) ** 2 / exp).sum())
     return stat, float(chdtrc(len(obs) - 1, stat))
 

@@ -93,16 +93,21 @@ class DepTree:
         if roots != 1:
             raise TreeStructureError(f"{roots} roots (exactly one required)")
         # Cycle check: every token must reach the root by climbing heads.
-        reached: set[int] = {0}
+        # Each token is climbed through once: its state is 0 until the climb
+        # reaches it, 1 while it is on the current climb, 2 once that climb
+        # reached the root.
+        state = [2] + [0] * n
         for pos in range(1, n + 1):
             chain = []
             cur = pos
-            while cur not in reached:
+            while state[cur] == 0:
+                state[cur] = 1
                 chain.append(cur)
                 cur = self.heads[cur - 1]
-                if cur in chain:
-                    raise TreeStructureError(f"cycle through token {cur}")
-            reached.update(chain)
+            if state[cur] == 1:
+                raise TreeStructureError(f"cycle through token {cur}")
+            for token in chain:
+                state[token] = 2
 
     @property
     def n(self) -> int:
@@ -175,9 +180,10 @@ class DistanceSample:
         collection: str | None = None,
         length_class: int | None = None,
     ) -> "DistanceSample":
-        arr = np.asarray(list(values), dtype=np.int64)
+        arr = np.asarray(values if isinstance(values, np.ndarray)
+                         else list(values), dtype=np.int64)
         support, counts = np.unique(arr, return_counts=True)
-        freq = {int(d): int(c) for d, c in zip(support, counts)}
+        freq = dict(zip(support.tolist(), counts.tolist()))
         return cls(freq, language=language, collection=collection,
                    length_class=length_class)
 
@@ -342,7 +348,7 @@ def parse_conllu(
 
     trees: list[DepTree] = []
     sentence_index = 0
-    block: list[tuple[int, str]] = []  # (line number, token line)
+    block: list[tuple[int, str, str]] = []  # (line number, ID, HEAD)
     sent_id: str | None = None
 
     def flush():
@@ -375,7 +381,7 @@ def parse_conllu(
                 f"expected {N_COLUMNS} tab-separated columns, got {len(fields)}",
                 line_number,
             )
-        block.append((line_number, line))
+        block.append((line_number, fields[ID_COLUMN], fields[HEAD_COLUMN]))
     flush()
 
     if issues:
@@ -386,13 +392,12 @@ def parse_conllu(
     return trees
 
 
-def _block_to_tree(block: list[tuple[int, str]]) -> DepTree:
-    """Turn one sentence block into a DepTree (renumbering token ids)."""
+def _block_to_tree(block: list[tuple[int, str, str]]) -> DepTree:
+    """Turn one sentence block, (line number, ID, HEAD) per token line,
+    into a DepTree (renumbering token ids)."""
     old_ids: list[int] = []
     raw_heads: list[int] = []
-    for line_number, line in block:
-        fields = line.split("\t")
-        token_id = fields[ID_COLUMN]
+    for line_number, token_id, head_field in block:
         if "-" in token_id or "." in token_id:
             continue  # multiword range / empty node
         try:
@@ -400,11 +405,9 @@ def _block_to_tree(block: list[tuple[int, str]]) -> DepTree:
         except ValueError:
             raise ConlluFormatError(f"bad token id {token_id!r}", line_number)
         try:
-            head = int(fields[HEAD_COLUMN])
+            head = int(head_field)
         except ValueError:
-            raise ConlluFormatError(
-                f"bad head {fields[HEAD_COLUMN]!r}", line_number
-            )
+            raise ConlluFormatError(f"bad head {head_field!r}", line_number)
         old_ids.append(tid)
         raw_heads.append(head)
 

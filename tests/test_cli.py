@@ -431,17 +431,50 @@ def test_csv_and_json_tables_carry_the_same_cells(command, tmp_path,
     assert cells
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone about doubles the command line's start-up time;
-    # the chi-square test takes its p-value from scipy.special instead.
+def run_fresh(argv):
+    """Run ``main(argv)`` in a fresh interpreter on this checkout; return
+    its exit code and the ``scipy`` modules it loaded."""
     src = str(Path(depdist.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, depdist.cli; print(sorted("
-             "m for m in sys.modules if m.startswith('scipy.stats')))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    probe = ("import json, sys\n"
+             "from depdist.cli import main\n"
+             "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')]))")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize and scipy.special take most of the command line's
+    # start-up time: the fits load the optimizer's kernel at their first
+    # search and the chi-square test its p-value at its first call.
+    assert run_fresh([]) == [0, []]
+
+
+def test_commands_that_fit_nothing_leave_scipy_unloaded(toy_corpus,
+                                                         tmp_path):
+    assert run_fresh(["extract", "--manifest", str(toy_corpus),
+                      "--out", str(tmp_path / "extract")]) == [0, []]
+    assert run_fresh(["sample", "--model", "3", "--q1", "0.5", "--q2", "0.1",
+                      "--dstar", "4", "--n-draws", "100", "--out-file",
+                      str(tmp_path / "s.csv")]) == [0, []]
+    # fit-select loads the optimizer at its first fit, and its tables are
+    # those that main writes in this process.
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    code, loaded = run_fresh(["fit-select", "--manifest", str(toy_corpus),
+                              "--out", str(fresh)])
+    assert code == 0 and "scipy.optimize" in loaded
+    assert main(["fit-select", "--manifest", str(toy_corpus),
+                 "--out", str(here)]) == 0
+    tables = sorted(p.relative_to(here) for p in here.rglob("*")
+                    if p.is_file())
+    assert tables == sorted(p.relative_to(fresh) for p in fresh.rglob("*")
+                            if p.is_file())
+    for table in tables:
+        assert (fresh / table).read_bytes() == (here / table).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

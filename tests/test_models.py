@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 import depdist.models as m
+from conftest import random_tree
+from depdist.estimation import fit
 from depdist.models import Model
-from depdist.sampling import generate_validation_suite
-from depdist.treebank import DistanceSample, LengthDistribution
+from depdist.sampling import generate_validation_suite, goodness_of_fit
+from depdist.treebank import (
+    DepTree,
+    DistanceSample,
+    LengthDistribution,
+    build_samples,
+)
 
 
 def shuffle_distance_counts(n):
@@ -65,16 +72,40 @@ class TestPmf:
     def test_mixture_null(self):
         lengths = LengthDistribution({3: 2 / 3, 4: 1 / 3})
         params = m.MixtureNullParams(lengths)
-        # p(d) = sum_n p(d|n) p(n) with the n = 4 class extending to d = 3.
+        # p(d) = sum_n p(d|n) w(n) with the n = 4 class extending to d = 3;
+        # w(n) is the share of dependencies: 2/3 * 2 against 1/3 * 3.
         oracle3 = shuffle_distance_counts(3)
         oracle4 = shuffle_distance_counts(4)
-        expected1 = 2 / 3 * oracle3[1] + 1 / 3 * oracle4[1]
-        expected3 = 1 / 3 * oracle4[3]
+        expected1 = 4 / 7 * oracle3[1] + 3 / 7 * oracle4[1]
+        expected3 = 3 / 7 * oracle4[3]
         assert m.pmf(Model.NULL_MIXTURE, params, 1) \
             == pytest.approx(expected1)
         assert m.pmf(Model.NULL_MIXTURE, params, 3) \
             == pytest.approx(expected3)
         assert m.pmf(Model.NULL_MIXTURE, params, 9) == 0.0
+
+    def test_mixture_null_matches_shuffled_corpus(self):
+        # Oracle: shuffling the words of each sentence draws every distance
+        # from the triangular null of its sentence's length, so the pooled
+        # distances weigh each length by its dependencies.  With 50 three-
+        # and 50 nine-word sentences, p(1) = (100 * 2/3 + 400 * 2/9) / 500
+        # = 14/45 = 0.3111, where weighing by sentences would give 4/9.
+        rng = np.random.default_rng(2026)
+        corpus = [random_tree(n, rng) for n in [3] * 50 + [9] * 50]
+        shuffled = []
+        for tree in corpus * 20:
+            position = rng.permutation(tree.n) + 1
+            heads = [0] * tree.n
+            for token, head in enumerate(tree.heads):
+                heads[position[token] - 1] = int(position[head - 1]) \
+                    if head else 0
+            shuffled.append(DepTree(tuple(heads)))
+        pooled = build_samples(shuffled).pooled
+        params = fit(Model.NULL_MIXTURE, pooled).params
+        assert m.pmf(Model.NULL_MIXTURE, params, 1) \
+            == pytest.approx(14 / 45, rel=1e-12)
+        _, p_value, dof = goodness_of_fit(pooled, Model.NULL_MIXTURE, params)
+        assert dof >= 5 and p_value > 0.01
 
     def test_mixture_null_bound(self):
         # The longest sentence, n = 4, allows distances up to 3.

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestDepTree:
         with pytest.raises(TreeStructureError):
             DepTree((0, head))
 
+    def test_long_chain_builds_in_linear_time(self):
+        # Every token climbs to the root through all the tokens after it,
+        # so a check that rescans the climb so far takes quadratic time
+        # (seconds at this length).
+        n = 20_000
+        start = time.perf_counter()
+        tree = DepTree(tuple(range(2, n + 1)) + (0,))
+        with pytest.raises(TreeStructureError, match="cycle through token 1"):
+            DepTree(tuple(range(2, n)) + (1, 0))
+        assert time.perf_counter() - start < 0.5
+        assert tree.n == n
+
     def test_distances_chain(self):
         assert distances(DepTree((0, 1, 2))) == [1, 1]
 
@@ -177,6 +190,15 @@ class TestDistanceSample:
             DistanceSample({1: 0})
         with pytest.raises(ValueError):
             DistanceSample({5: 1}, length_class=4)  # d > n - 1
+
+
+    def test_from_values_reads_arrays_as_lists(self):
+        values = np.random.default_rng(5).integers(1, 40, size=1000)
+        sample = DistanceSample.from_values(values)
+        assert sample == DistanceSample.from_values(values.tolist())
+        assert sample == DistanceSample.from_values(iter(values.tolist()))
+        assert {type(v) for item in sample.freq.items() for v in item} \
+            == {int}
 
 
 class TestLengthDistribution:
