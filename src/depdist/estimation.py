@@ -1,36 +1,28 @@
 """Maximum-likelihood fitting and information-criterion model selection.
 
-Continuous parameters are maximized with a bounded quasi-Newton optimizer,
-L-BFGS-B.  The break point ranges over every integer between the second
-smallest and second largest observed distance, so that each regime keeps
-at least two distinct distances to infer a decay from; the grid is empty
-below 3 distinct distances, so two-regime models are excluded there.
+The one-regime models fit through their spec rows
+(:data:`depdist.models.SPECS`), models 1, 2 and 5 exactly.  The two-regime
+models 3, 4, 6 and 7 maximize their two continuous parameters with
+L-BFGS-B at each break point between the second smallest and the second
+largest distance, so that each regime keeps two distinct distances to infer
+a decay from (they are excluded below 3 distinct distances), starting from
+the row's starting values, which the twins 3/4 and 6/7 share.  The scan is
+a branch and bound: the searches run in descending order of the row's
+upper bound on each break point's log-likelihood and stop at the first
+bound below the best fit, less a relative 1e-9 for rounding, so every fit
+is the exhaustive scan's; equal log-likelihoods go to the lower break point.
 
-The scan over the grid is a branch and bound: the spec row bounds the
-log-likelihood from above at every break point, the searches run in
-descending bound order, and the scan stops at the first bound below the
-best fit found, less a relative 1e-9 for rounding.  A skipped break point
-could not have won, so every fit is the exhaustive scan's; equal
-log-likelihoods go to the lower break point.
+Truncated models pin d_max to max d: for fixed continuous parameters, a
+larger support only bleeds mass outside the data.  The uniform-shuffle null,
+whose mass leans on low d, scans d_max instead.
 
-The truncation bound of models 2, 4, 5 and 7 is pinned to the observed
-maximum distance: their likelihood is strictly decreasing in d_max for any
-fixed continuous parameters (enlarging the support only bleeds mass outside
-the data), so the profile likelihood peaks at the lower bound max(d).  The
-uniform-shuffle null is the exception (its mass leans on low d); its spec
-row scans d_max with an adaptive window.
-
-The nulls and the geometric (q = N/M) fit through their spec rows
-(:data:`depdist.models.SPECS`), the length-mixture null to the per-length
-samples that a pooled sample carries; one optimizer, :func:`_optimize`,
-serves models 2 to 7, from the row's starting values, which the twins 3/4
-and 6/7 share at each break point.  L-BFGS-B is scipy's compiled kernel,
-imported at the first search (:func:`_kernel`), so that importing this
-module loads no scipy.  :func:`_lbfgsb` drives it as scipy's own driver
-does, with one fused call per point, :func:`_fused`, for the value and
-scipy's default forward-difference gradient: every fit is bit-identical
-to scipy's.  A search that finds no finite log-likelihood reports -inf,
-not converged; non-converged results are logged at DEBUG.
+L-BFGS-B is scipy's compiled kernel, imported at the first search
+(:func:`_kernel`) so that importing this module loads no scipy.
+:func:`_lbfgsb` drives it as scipy's own driver does, with one call per
+point, :func:`_fused`, for the value and scipy's default forward-difference
+gradient: every fit is bit-identical to scipy's.  A search that finds no
+finite log-likelihood reports -inf, not converged; non-converged results
+are logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -51,8 +43,6 @@ from .treebank import DistanceSample
 DEFAULT_MIN_DISTINCT = 3        # fewer distinct d leave the break grid empty
 DEFAULT_MIN_LENGTH = 4          # sentences shorter than this are excluded
 FTOL = 1e-11                    # relative log-likelihood convergence
-Q_BOUNDS = m.Q_BOUNDS           # optimizer box of the q-like rates
-GAMMA_BOUNDS = m.GAMMA_BOUNDS   # and of the zeta exponent
 FD_STEP = 1e-8                  # scipy's default L-BFGS-B gradient step
 FD_REL_STEP = float(np.finfo(float).eps) ** 0.5  # and its fallback scale
 LBFGSB_MAXFUN = 15000           # scipy's default L-BFGS-B evaluation budget
@@ -72,10 +62,9 @@ log = logging.getLogger(__name__)
 class FitResult:
     """One model fitted to one sample.
 
-    ``break_points`` counts the break points of the grid (0 for one-regime
-    models) and ``evaluations`` the objective evaluations of the searches
-    that ran, not of those the bounded scan skipped; the fits through a
-    spec row's ``fit`` and excluded fits have none of them.
+    ``break_points`` counts the grid's break points and ``evaluations`` the
+    objective evaluations of the searches that ran (none for the fits
+    through a spec row's ``fit`` and for excluded fits).
     """
 
     model: Model
@@ -104,11 +93,8 @@ def information_criteria(log_l: float, k: int, n: int) -> tuple[float, float]:
 
 
 def _excluded(model: Model, n: int, note: str) -> FitResult:
-    return FitResult(
-        model=model, params=None, log_l=float("-inf"), k=model.k,
-        aic=float("inf"), bic=float("inf"), converged=False,
-        sample_size=n, status="excluded", note=note,
-    )
+    return _result(model, None, -math.inf, n, False, status="excluded",
+                   note=note)
 
 
 def _result(model, params, log_l, n, converged, **counts) -> FitResult:
@@ -136,27 +122,13 @@ def _step(xi: float, lo: float, hi: float) -> float:
 
 
 def _fused(log_l, bounds):
-    """-log_l and its gradient in one call: a function of a list of one or
-    two floats, ``log_l``'s arguments, in ``bounds``.  The value is -log_l
-    at the nearest point of the box (line searches probe a hair outside
-    it), REJECTED where log_l is not finite; the gradient is the forward
+    """-log_l and its gradient in one call: a function of a list of two
+    floats, ``log_l``'s arguments, in ``bounds``.  The value is -log_l at
+    the nearest point of the box (line searches probe a hair outside it),
+    REJECTED where log_l is not finite; the gradient is the forward
     differences over steps h from :func:`_step`, divided by (x + h) - x:
     scipy's points and arithmetic, bit for bit."""
-    lows, highs = _box(bounds)
-    if len(lows) == 1:
-        (lo,), (hi,) = lows, highs
-
-        def negated(a):
-            value = log_l(lo if a < lo else hi if a > hi else a)
-            return -value if math.isfinite(value) else REJECTED
-
-        def negated_and_gradient(x):
-            (a,) = x
-            f0, h = negated(a), _step(a, lo, hi)
-            return f0, ((negated(a + h) - f0) / ((a + h) - a),)
-        return negated_and_gradient
-
-    (lo0, lo1), (hi0, hi1) = lows, highs
+    (lo0, lo1), (hi0, hi1) = _box(bounds)
 
     def negated(a, b):
         value = log_l(lo0 if a < lo0 else hi0 if a > hi0 else a,
@@ -272,7 +244,7 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
 
 def _maximize(log_l, x0, bounds, label="objective", tally=None
               ) -> tuple[list[float], float, bool]:
-    """Maximize ``log_l`` (a function of one or two floats) within bounds
+    """Maximize ``log_l`` (a function of two floats) within bounds
     from ``x0``, clipped into the box; return (x, value, converged), with
     the value -inf, not converged, where no finite one was found.
     ``label`` names the fit in the debug log of non-converged results;
@@ -298,23 +270,22 @@ def _maximize(log_l, x0, bounds, label="objective", tally=None
     return best_x, best_val, converged
 
 
-def _optimize(model: Model, sample: DistanceSample, break_point: int | None,
+def _optimize(model: Model, sample: DistanceSample, break_point: int,
               tally: Counter | None = None
               ) -> tuple[ModelParams, float, bool]:
-    """Best continuous parameters at a fixed break point (None for
-    one-regime models), seeded by the spec's initial values; a truncation
-    bound is pinned to the observed maximum.  The starting values are kept
-    on the sample, keyed by the row's ``init``, so twin models share them.
-    ``tally`` is handed to :func:`_maximize`."""
+    """Best continuous parameters of a two-regime model at a fixed break
+    point, from the row's starting values, which the sample keeps (keyed by
+    the row's ``init``) for the twin; a truncation bound is pinned to the
+    observed maximum.  ``tally`` is handed to :func:`_maximize`."""
     spec, key = model.spec, (model.spec.init, break_point)
     if key not in sample.memo:
         sample.memo[key] = spec.init(sample, break_point)
+    d_max = sample.max_d if model.is_truncated else None
     x, log_l, conv = _maximize(
-        spec.bind(sample, break_point,
-                  sample.max_d if model.is_truncated else None),
-        sample.memo[key], spec.bounds,
+        spec.bind(sample, break_point, d_max), sample.memo[key], spec.bounds,
         f"model {model.id}, break point {break_point}", tally)
-    return spec.build(break_point, sample.max_d)(*map(float, x)), log_l, conv
+    integers = (break_point,) if d_max is None else (break_point, d_max)
+    return spec.params(*map(float, x), *integers), log_l, conv
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +299,9 @@ def _break_grid(sample: DistanceSample) -> range:
 def fit(model: Model, sample: DistanceSample) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
-    The nulls and the geometric fit through their spec rows; every other
-    model optimizes its continuous parameters, if it has two regimes at
-    each grid break point that its bound does not rule out.  Unmet
+    The one-regime models fit through their spec rows; the two-regime
+    models optimize their continuous parameters at each grid break point
+    that their bound does not rule out.  Unmet
     requirements (too few distinct distances, a length mixture on a sample
     without per-length samples) mark the result excluded instead of
     raising; a non-converged optimizer returns its best parameters with
@@ -342,16 +313,12 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
             return _excluded(model, sample.total, "needs per-length samples")
         params, log_l, conv = fitted
         return _result(model, params, log_l, sample.total, conv)
-    tally: Counter = Counter()
-    if not model.is_two_regime:
-        params, log_l, conv = _optimize(model, sample, None, tally)
-        return _result(model, params, log_l, sample.total, conv, **tally)
     if sample.distinct < DEFAULT_MIN_DISTINCT:
         return _excluded(model, sample.total,
                          f"needs >= {DEFAULT_MIN_DISTINCT} distinct "
                          f"distances, sample has {sample.distinct}")
     # Highest bound first, until a bound falls below the best fit.
-    best = None
+    best, tally = None, Counter()
     grid = _break_grid(sample)
     bounds = model.spec.bound(sample, grid)
     for i in np.argsort(-bounds, kind="stable"):

@@ -21,9 +21,10 @@ Everything specific to one model sits in its row of :data:`SPECS`; the
 twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
-its continuous parameters.  The two nulls and the geometric also carry
-their own fits (a d_max scan, a fixed value, q = N/M), which return plain
-tuples; the optimizer in :mod:`depdist.estimation` fits the other rows.
+its continuous parameters.  The one-regime rows carry their own fits (a
+d_max scan, a fixed value, q = N/M, and the break-point bound's 1-D solver
+for the truncated geometric and zeta), which return plain tuples; the
+optimizer in :mod:`depdist.estimation` fits the two-regime rows.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
 summed over the per-length samples that a pooled sample carries
 (``DistanceSample.by_length``); a sample without them leaves it excluded.
@@ -37,7 +38,8 @@ the break point fixes; the bound function takes the continuous values as
 plain floats, so an optimizer builds no parameter object per evaluation.
 :func:`log_likelihood` is the same row behind a parameter object.
 Parameters whose normalizers overflow or underflow a double get
-log-likelihood -inf, the same rejection as a term below LOG_TERM_FLOOR.
+log-likelihood -inf, the same rejection as a term below LOG_TERM_FLOOR;
+the one-regime fits read that floor as a cap on their rate.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .treebank import DistanceSample, LengthDistribution
 EPS = 1e-8  # q-like parameters live in [EPS, 1 - EPS]
 NEG_INF = float("-inf")
 LOG_TERM_FLOOR = -745.0  # log-probability terms below this count as -inf
-GAMMA_FALLBACK = 10.0    # exponent init when the estimator degenerates
 
 Q_BOUNDS = (EPS, 1.0 - EPS)
 GAMMA_BOUNDS = (0.0, None)
@@ -446,9 +447,9 @@ def _mixture_bind(sample, break_point, d_max):
     return lambda: total
 
 
-# Fits without the optimizer (the nulls and the geometric):
-# ``fit(sample)`` gives (params, log_l, converged), or None when the data it
-# needs are missing.
+# Fits of the one-regime rows (those of models 1, 2 and 5 follow the
+# bounds): ``fit(sample)`` gives (params, log_l, converged), or None when
+# the data it needs are missing.
 
 def _null_fit(sample):
     """Scan d_max upward from max d over a window that grows until the
@@ -475,14 +476,6 @@ def _null_fit(sample):
             break
         window *= 4
     return NullParams(int(grid[best])), float(ll[best]), converged
-
-
-def _geometric_fit(sample):
-    """The geometric's exact maximum, q = N/M (clamped into its box); a
-    value that the row rejects is reported as not converged."""
-    (q,) = _rate_init(sample)
-    log_l = _geometric_bind(sample, None, None)(q)
-    return GeometricParams(q), log_l, math.isfinite(log_l)
 
 
 def _mixture_fit(sample):
@@ -670,6 +663,7 @@ def _zeta_geometric_bind(sample, bp, d_max):
 
 BISECTIONS = 24
 GAMMA_TOP = 64.0  # the slope at gamma 64 is negative unless N* >= 2^64
+THETA_BOUNDS = (math.log1p(-Q_BOUNDS[1]), math.log1p(-Q_BOUNDS[0]))
 ZETA_CELLS = 2 ** 20  # largest (b, k) matrix of the zeta head
 
 
@@ -689,31 +683,38 @@ def _grid_stats(sample, grid):
             sample.weighted_sum - m_star - tail * (np.array(grid) + 1.0))
 
 
+def _bisect(up, lo, hi, steps):
+    """(lo, width) of the bracket around the point of [lo, hi] below which
+    ``up`` holds, after ``steps`` halvings; on floats or arrays."""
+    width = hi - lo
+    for _ in range(steps):
+        width /= 2.0
+        lo = lo + width * up(lo + width)
+    return lo, width
+
+
 def _concave_max(value, slope, lo, hi, size):
     """Upper bounds on the maxima over [lo, hi] of ``size`` concave functions:
     bisect on the sign of the slope, which keeps each maximizer inside its
     bracket, then take the lower of the tangents at the bracket's ends."""
-    lo, width = np.full(size, lo), hi - lo
-    for _ in range(BISECTIONS):
-        width /= 2.0
-        lo = lo + width * (slope(lo + width) > 0)
+    lo, width = _bisect(lambda x: slope(x) > 0, np.full(size, lo), hi,
+                        BISECTIONS)
     hi = lo + width
     return np.minimum(value(lo) + np.maximum(slope(lo), 0.0) * width,
                       value(hi) + np.maximum(-slope(hi), 0.0) * width)
 
 
-def _truncated_geometric_max(n, offsets, k):
-    """Maximum over q in Q_BOUNDS of the log-likelihood of n distances whose
+def _truncated_geometric(n, offsets, k):
+    """Log-likelihood and slope, in theta = log(1 - q), of n distances whose
     offsets from the first of k support points sum to ``offsets``."""
-    def value(theta):  # theta = log(1 - q) < 0
+    def value(theta):
         return theta * offsets - n * np.log(np.expm1(k * theta)
                                             / np.expm1(theta))
 
     def slope(theta):  # the mean offset is 1/expm1(-theta) - k/expm1(-k theta)
         return offsets - n * (np.exp(theta) / -np.expm1(theta)
                               - k * np.exp(k * theta) / -np.expm1(k * theta))
-    return _concave_max(value, slope, math.log1p(-Q_BOUNDS[1]),
-                        math.log1p(-Q_BOUNDS[0]), len(n))
+    return value, slope
 
 
 def _xlogy(x, y):
@@ -724,7 +725,8 @@ def _xlogy(x, y):
 
 def _geometric_head_max(sample, grid):
     n_star, offsets, *_ = _part(sample, _grid_stats, grid)
-    return _truncated_geometric_max(n_star, offsets, np.array(grid))
+    return _concave_max(*_truncated_geometric(n_star, offsets, np.array(grid)),
+                        *THETA_BOUNDS, len(grid))
 
 
 def _zeta_head_max(sample, grid):
@@ -732,22 +734,25 @@ def _zeta_head_max(sample, grid):
     n_star, _, log_star, *_ = _part(sample, _grid_stats, grid)
     bs, ks = np.array(grid), np.arange(1, grid[-1] + 1)
     rows, log_k = max(1, ZETA_CELLS // len(ks)), np.log(ks)
-    out = []
-    for i in range(0, len(bs), rows):
-        n, log_sum = n_star[i:i + rows], log_star[i:i + rows]
-        inside = ks <= bs[i:i + rows, None]
+    blocks = [slice(i, i + rows) for i in range(0, len(bs), rows)]
+    return np.concatenate([_concave_max(*_truncated_zeta(
+        n_star[b], log_star[b], log_k, ks <= bs[b, None]), 0.0, GAMMA_TOP,
+        len(bs[b])) for b in blocks])
 
-        def weights(gamma):
-            return np.where(inside, np.exp(-gamma[:, None] * log_k), 0.0)
 
-        def value(gamma):
-            return -gamma * log_sum - n * np.log(weights(gamma).sum(axis=1))
+def _truncated_zeta(n, log_sum, log_k, inside=True):
+    """Log-likelihood and slope in gamma of n distances whose logs sum to
+    ``log_sum``: on a float, or on arrays over the rows of the mask inside."""
+    def weights(gamma):
+        return np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
 
-        def slope(gamma):
-            w = weights(gamma)
-            return n * (w @ log_k) / w.sum(axis=1) - log_sum
-        out.append(_concave_max(value, slope, 0.0, GAMMA_TOP, len(n)))
-    return np.concatenate(out)
+    def value(gamma):
+        return -gamma * log_sum - n * np.log(weights(gamma).sum(axis=-1))
+
+    def slope(gamma):
+        w = weights(gamma)
+        return n * (w @ log_k) / w.sum(axis=-1) - log_sum
+    return value, slope
 
 
 def _geometric_tail_max(sample, grid):
@@ -759,8 +764,9 @@ def _geometric_tail_max(sample, grid):
 
 def _truncated_tail_max(sample, grid):
     *_, tail, offsets = _part(sample, _grid_stats, grid)
-    return _truncated_geometric_max(tail, offsets,
-                                    sample.max_d - np.array(grid))
+    return _concave_max(*_truncated_geometric(
+        tail, offsets, sample.max_d - np.array(grid)), *THETA_BOUNDS,
+        len(grid))
 
 
 def _break_bound(head, tail, sample, grid):
@@ -771,9 +777,50 @@ def _break_bound(head, tail, sample, grid):
             + _part(sample, head, grid) + _part(sample, tail, grid))
 
 
+# Models 1, 2 and 5 fit exactly, concave in q, theta = log(1 - q) or gamma:
+# model 1 has q = N/M, and 2 and 5 bisect on the bound's slope at b = max d,
+# where N* = N, until log L is at its maximum to rounding.  log p(max d)
+# falls with the rate above 1 / max d (0 for gamma): the floor caps the rate.
+
+FIT_BISECTIONS = 40  # rates to 1e-12 (q), 6e-11 (gamma): log L is flat there
+CAP_BISECTIONS = 64  # the cap to a double's spacing, where log L is steep
+
+
+def _floor_capped(build, log_l, lo, rate):
+    """(params, log-likelihood, converged) at the rate, or where the floor
+    rejects it, at the largest rate above ``lo`` that the floor allows."""
+    if log_l(rate) == NEG_INF:
+        rate, _ = _bisect(lambda x: log_l(x) > NEG_INF, lo, rate,
+                          CAP_BISECTIONS)
+    return build(float(rate)), float(log_l(rate)), True
+
+
+def _geometric_fit(sample):
+    return _floor_capped(GeometricParams, _geometric_bind(sample, None, None),
+                         1.0 / sample.max_d, _rate_init(sample))
+
+
+def _truncated_geometric_fit(sample):
+    n, d_max = sample.total, sample.max_d
+    _, slope = _truncated_geometric(n, sample.weighted_sum - n, d_max)
+    q, _ = _bisect(lambda q: slope(math.log1p(-q)) < 0, *Q_BOUNDS,
+                   FIT_BISECTIONS)
+    return _floor_capped(partial(TruncatedGeometricParams, d_max=d_max),
+                         _geometric_bind(sample, None, d_max), 1.0 / d_max, q)
+
+
+def _zeta_fit(sample):
+    d_max = sample.max_d
+    _, slope = _truncated_zeta(sample.total, sample.log_weighted_sum,
+                               np.log(np.arange(1, d_max + 1)))
+    gamma, _ = _bisect(lambda g: slope(g) > 0, 0.0, GAMMA_TOP, FIT_BISECTIONS)
+    return _floor_capped(partial(ZetaParams, d_max=d_max),
+                         _zeta_bind(sample, None, d_max), 0.0, gamma)
+
+
 # ---------------------------------------------------------------------------
-# Starting values of the continuous parameters, from the sample and the
-# break point (None for one-regime models)
+# Starting values of the two-regime searches, from the sample and the break
+# point
 # ---------------------------------------------------------------------------
 
 def _clamp_q(value: float) -> float:
@@ -805,27 +852,26 @@ def _q_init_from_slope(slope: float | None, fallback: float) -> float:
     return _clamp_q(1.0 - math.exp(slope))
 
 
-def _rate_init(sample: DistanceSample, break_point=None) -> tuple[float]:
+def _rate_init(sample: DistanceSample) -> float:
     """The inverse mean distance."""
-    return (_clamp_q(sample.total / sample.weighted_sum),)
+    return _clamp_q(sample.total / sample.weighted_sum)
 
 
 def _regime_q_inits(sample, break_point) -> tuple[float, float]:
     """Log-frequency regression slopes on each side of the break."""
-    (q_global,) = _rate_init(sample)
+    q_global = _rate_init(sample)
     b1 = _regression_slope(sample, hi=break_point)
     b2 = _regression_slope(sample, lo=break_point)
     return _q_init_from_slope(b1, q_global), _q_init_from_slope(b2, q_global)
 
 
-def _gamma_init(sample: DistanceSample, upto: int | None = None) -> float:
-    """Power-law exponent estimate 1 + N / sum(f(d) log(d / min(d)))."""
-    mask = (sample.support <= upto) if upto is not None else slice(None)
+def _gamma_init(sample: DistanceSample, upto: int) -> float:
+    """Power-law exponent estimate 1 + N / sum(f(d) log(d / min(d))) over
+    the distances up to ``upto``, a break point: two of them are distinct."""
+    mask = sample.support <= upto
     support = sample.support[mask].astype(float)
     counts = sample.counts[mask]
     denom = float((counts * np.log(support / support[0])).sum())
-    if denom <= 0.0:
-        return GAMMA_FALLBACK
     return 1.0 + float(counts.sum()) / denom
 
 
@@ -833,14 +879,10 @@ def _tail_q_init(sample: DistanceSample, break_point: int) -> float:
     """Geometric rate init from distances strictly beyond the break."""
     mask = sample.support > break_point
     if not mask.any():
-        return _rate_init(sample)[0]
+        return _rate_init(sample)
     n_tail = int(sample.counts[mask].sum())
     m_tail = int((sample.support[mask] * sample.counts[mask]).sum())
     return _clamp_q(n_tail / m_tail)
-
-
-def _exponent_init(sample, break_point=None) -> tuple[float]:
-    return (_gamma_init(sample),)
 
 
 def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
@@ -857,13 +899,11 @@ class ModelSpec:
     """One model.  ``log_pmf(params, d, d_max)`` works on a float array;
     ``bind(sample, break_point, d_max)`` takes the sample (the length
     mixture reads its per-length samples) and returns the log-likelihood as
-    a function of the continuous values, in field order;
-    ``init(sample, break_point)`` starts the continuous
-    parameters; ``sampler`` keys :data:`sampling.GENERATORS`; ``fit``, set
-    for the nulls and the geometric, replaces the optimizer; ``bound(sample,
-    grid)``, set for the two-regime rows, bounds the log-likelihood from
-    above at each break point of the grid.  None: nothing to optimize, no
-    sampler, the optimizer fits the model, or one regime.
+    a function of the continuous values, in field order; ``sampler`` keys
+    :data:`sampling.GENERATORS` (None: no sampler).  One-regime rows have
+    ``fit(sample)``, which fits without the optimizer; two-regime rows have
+    ``init(sample, break_point)``, the optimizer's start, and ``bound(sample,
+    grid)``, an upper bound on the log-likelihood at each break point.
 
     The length mixture's ``bind`` conditions each distance on the length of
     its sentence, and its ``log_pmf`` is the marginal over the sample's
@@ -902,15 +942,6 @@ class ModelSpec:
         """``depdist sample`` flag of each field, in field order."""
         return tuple(FLAGS.get(name, name) for name in self.fields)
 
-    def build(self, break_point: int | None = None,
-              d_max: int | None = None) -> Callable[..., ModelParams]:
-        """Parameters from the continuous values, with the integer fields
-        (the last fields of every parameter class) fixed."""
-        integers = [value for name, value in (("break_point", break_point),
-                                              ("d_max", d_max))
-                    if name in self.fields]
-        return lambda *continuous: self.params(*continuous, *integers)
-
 
 #: One row per model, in the canonical ensemble order.
 SPECS: dict[Model, ModelSpec] = {
@@ -922,10 +953,10 @@ SPECS: dict[Model, ModelSpec] = {
         None, None, _mixture_fit),
     Model.GEOMETRIC: ModelSpec(
         GeometricParams, 1, "1-2", _geometric_log_pmf,
-        _geometric_bind, _rate_init, "geometric", _geometric_fit),
+        _geometric_bind, None, "geometric", _geometric_fit),
     Model.GEOMETRIC_TRUNC: ModelSpec(
         TruncatedGeometricParams, 2, "1-2", _geometric_log_pmf,
-        _geometric_bind, _rate_init, "geometric"),
+        _geometric_bind, None, "geometric", _truncated_geometric_fit),
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
         _two_regime_geometric_bind, _regime_q_inits, "table",
@@ -937,7 +968,7 @@ SPECS: dict[Model, ModelSpec] = {
         bound=partial(_break_bound, _geometric_head_max, _truncated_tail_max)),
     Model.ZETA_TRUNC: ModelSpec(
         ZetaParams, 2, "5", _zeta_log_pmf, _zeta_bind,
-        _exponent_init, "zeta"),
+        None, "zeta", _zeta_fit),
     Model.ZETA_GEOMETRIC: ModelSpec(
         ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
         _zeta_geometric_bind, _zeta_geometric_init, "table",

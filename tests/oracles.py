@@ -7,7 +7,9 @@ force over every ordering.
 
 For the break-point scan of the two-regime fits, the exhaustive scan that
 :func:`depdist.estimation.fit` prunes, and the constrained log-likelihood
-on a dense parameter grid, written from the pmf's definition.
+on a dense parameter grid, written from the pmf's definition.  For the
+one-regime fits of models 1, 2 and 5, the log-likelihood on a dense grid of
+the rate, within the floor on log p(max d), written from the pmf likewise.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from depdist import estimation as est
+from depdist import models as m
 
 
 def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
@@ -112,3 +115,35 @@ def dense_grid_max(model, sample, bp, size=64):
              + ((d[~head] - bp) @ f[~head]) * log1m_q2
              - sample.total * log_z)
     return float(log_l.max())
+
+
+def dense_grid_max_1d(model, sample, size=1001, zooms=6):
+    """Largest log-likelihood of model 1, 2 or 5 over a grid of its rate, q
+    on a logistic grid inside [1e-8, 1 - 1e-8] or gamma on [0, 64], zoomed
+    ``zooms`` times into the cells beside the best point; grid points where
+    log p(max d) falls below the floor are left out.  The pmf is
+    q (1 - q)^(d - 1), divided by 1 - (1 - q)^(max d) for model 2, or
+    d^-gamma / sum of k^-gamma over k = 1..max d for model 5."""
+    d, f = sample.support.astype(float), sample.counts.astype(float)
+    zeta = model is m.Model.ZETA_TRUNC
+    edge = np.log((1.0 - m.EPS) / m.EPS)
+    lo, hi = (0.0, 64.0) if zeta else (-edge, edge)
+    best = -np.inf
+    for _ in range(zooms + 1):
+        u = np.linspace(lo, hi, size)
+        if zeta:
+            log_k = np.log(np.arange(1, sample.max_d + 1))
+            log_p = (-u[:, None] * np.log(d)
+                     - logsumexp(-u[:, None] * log_k, axis=1)[:, None])
+        else:
+            q = np.clip(1.0 / (1.0 + np.exp(-u)), m.EPS, 1.0 - m.EPS)
+            log_p = np.log(q)[:, None] + np.log1p(-q)[:, None] * (d - 1.0)
+            if model.is_truncated:
+                log_p -= np.log(-np.expm1(sample.max_d * np.log1p(-q)))[
+                    :, None]
+        # The support is sorted: its last column is max d.
+        log_l = np.where(log_p[:, -1] < m.LOG_TERM_FLOOR, -np.inf, log_p @ f)
+        i = int(np.argmax(log_l))
+        best = max(best, float(log_l[i]))
+        lo, hi = u[max(i - 1, 0)], u[min(i + 1, size - 1)]
+    return best

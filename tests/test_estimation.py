@@ -23,13 +23,19 @@ from depdist.estimation import (
 from depdist.models import Model
 from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample, LengthDistribution
-from oracles import dense_grid_max, exhaustive_break_scan
+from oracles import dense_grid_max, dense_grid_max_1d, exhaustive_break_scan
 
 TWO_REGIME = [Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC,
               Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC]
 # Every two-regime search on this sample finds no finite log-likelihood
 # for the zeta-geometric models (6 and 7).
 ALL_REJECTED = {1: 1000, 2: 1, 60: 1, 61: 1}
+ONE_REGIME = [Model.GEOMETRIC, Model.GEOMETRIC_TRUNC, Model.ZETA_TRUNC]
+# One outlier: on the far one the floor on log p(max d) caps the rate of
+# models 1 and 2 (q = N/M puts log p(2000) below it); on both it rejects
+# the large gammas of model 5.
+FAR_OUTLIER = {1: 10000, 2000: 1}
+NEAR_OUTLIER = {1: 1000, 60: 1}
 
 
 class TestInformationCriteria:
@@ -56,7 +62,7 @@ class TestInformationCriteria:
 class TestInitialValues:
     def test_rate_is_inverse_mean(self):
         sample = DistanceSample({5: 10})  # mean distance 5
-        (q,) = Model.GEOMETRIC.spec.init(sample, None)
+        q = fit(Model.GEOMETRIC, sample).params.q
         assert q == pytest.approx(0.2)
 
     def test_exact_log_linear_frequencies(self):
@@ -80,14 +86,12 @@ class TestInitialValues:
         expected = 1 + sample.total / math.fsum(
             c * math.log(d) for d, c in sample.freq.items()
         )
-        (gamma,) = Model.ZETA_TRUNC.spec.init(sample, None)
+        # The zeta-geometric's start with every distance in its first
+        # regime (break point max d).
+        gamma, _ = Model.ZETA_GEOMETRIC.spec.init(sample, 4)
         assert gamma == pytest.approx(expected)
         # The fit pins the truncation bound at the observed maximum.
         assert fit(Model.ZETA_TRUNC, sample).params.d_max == 4
-
-    def test_gamma_degenerate_falls_back(self):
-        sample = DistanceSample({3: 25})  # all distances at min(d)
-        assert Model.ZETA_TRUNC.spec.init(sample, None) == (10.0,)
 
     def test_tail_rate_uses_distances_beyond_break(self):
         sample = DistanceSample({1: 10, 4: 5, 8: 5})
@@ -118,13 +122,18 @@ class TestFit:
         assert result.aic == pytest.approx(2 - 2 * result.log_l)
 
     def test_no_finite_value_is_not_converged(self):
-        # The zeta start (gamma 245) and every point the search probes put
-        # log p(60) below the floor: no finite log-likelihood is found.
-        result = fit(Model.ZETA_TRUNC, DistanceSample({1: 1000, 60: 1}))
-        assert result.log_l == -math.inf
-        assert not result.converged
-        _, value, converged = est._maximize(lambda *x: -math.inf, [0.5],
-                                            [m.Q_BOUNDS])
+        # The floor on log p(60) rejects large gammas here; the fit reaches
+        # the maximum of a dense grid below them, gamma 7.52 at -36.52.
+        sample = DistanceSample(NEAR_OUTLIER)
+        result = fit(Model.ZETA_TRUNC, sample)
+        assert result.params.gamma == pytest.approx(7.52, abs=0.005)
+        assert result.log_l == pytest.approx(-36.52, abs=0.005)
+        assert result.log_l >= dense_grid_max_1d(Model.ZETA_TRUNC,
+                                                 sample) - 1e-9
+        assert result.converged
+        # A search that finds no finite value reports -inf, not converged.
+        _, value, converged = est._maximize(lambda *x: -math.inf, [0.5, 0.5],
+                                            [m.Q_BOUNDS, m.Q_BOUNDS])
         assert value == -math.inf
         assert not converged
 
@@ -176,26 +185,34 @@ class TestFit:
         rng = np.random.default_rng(8)
         sample = DistanceSample.from_values(rng.integers(1, 12, size=300))
         d_max = sample.max_d
+        n = sample.total
 
-        def profile(model, build, x0, bounds):
-            def obj(*x):
-                return m.log_likelihood(model, build(x), sample)
-            _, value, _ = est._maximize(obj, x0, bounds)
-            return value
+        def profile(model, rises, bounds, build):
+            # The fits' solver: bisection on the sign of the slope of the
+            # row's log-likelihood in its rate.
+            x, _ = m._bisect(rises, *bounds, m.FIT_BISECTIONS)
+            return m.log_likelihood(model, build(float(x)), sample)
 
         for extra in range(0, 6):
             dm = d_max + extra
+            geo = m._truncated_geometric(n, sample.weighted_sum - n, dm)[1]
             ll_geo = profile(
                 Model.GEOMETRIC_TRUNC,
-                lambda x, dm=dm: m.TruncatedGeometricParams(float(x[0]), dm),
-                [0.3], [est.Q_BOUNDS],
+                lambda q, geo=geo: geo(math.log1p(-q)) < 0, m.Q_BOUNDS,
+                lambda q, dm=dm: m.TruncatedGeometricParams(q, dm),
             )
+            zeta = m._truncated_zeta(n, sample.log_weighted_sum,
+                                     np.log(np.arange(1, dm + 1)))[1]
             ll_zeta = profile(
                 Model.ZETA_TRUNC,
-                lambda x, dm=dm: m.ZetaParams(float(x[0]), dm),
-                [1.2], [est.GAMMA_BOUNDS],
+                lambda gamma, zeta=zeta: zeta(gamma) > 0, (0.0, m.GAMMA_TOP),
+                lambda gamma, dm=dm: m.ZetaParams(gamma, dm),
             )
             if extra == 0:
+                for model, value in ((Model.GEOMETRIC_TRUNC, ll_geo),
+                                     (Model.ZETA_TRUNC, ll_zeta)):
+                    assert value == pytest.approx(fit(model, sample).log_l,
+                                                  abs=1e-9)
                 base_geo, base_zeta = ll_geo, ll_zeta
             else:
                 assert ll_geo <= base_geo + 1e-9
@@ -255,7 +272,7 @@ class TestForwardDifferences:
         ([m.EPS, 1 - m.EPS], [m.Q_BOUNDS, m.Q_BOUNDS]),
         ([2e8, 0.4], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),       # step rounds to 0
         ([0.0, 1 - m.EPS], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),
-        ([3.7e9], [m.GAMMA_BOUNDS]),
+        ([3.7e9, 0.05], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),
         ([-2e9, 5.0], [(None, None), (None, None)]),
     ])
     def test_matches_scipy_step_for_step(self, x, bounds):
@@ -274,7 +291,7 @@ class TestForwardDifferences:
     @pytest.mark.parametrize("bounds, x, clamped", [
         ([m.GAMMA_BOUNDS, m.Q_BOUNDS], (-1.0, 1.5), (0.0, 1 - m.EPS)),
         ([m.Q_BOUNDS, m.GAMMA_BOUNDS], (0.0, 7.0), (m.EPS, 7.0)),
-        ([m.Q_BOUNDS], (-0.5,), (m.EPS,)),
+        ([m.Q_BOUNDS, m.Q_BOUNDS], (-0.5, 0.3), (m.EPS, 0.3)),
     ])
     def test_points_outside_the_box_are_clamped(self, bounds, x, clamped):
         seen = []
@@ -294,8 +311,6 @@ class TestForwardDifferences:
     def test_maximize_bit_identical_to_scipy_default(self, seed):
         suite = generate_validation_suite(seed)
         cases = []
-        for model in (Model.GEOMETRIC_TRUNC, Model.ZETA_TRUNC):
-            cases.append((model, suite[model], None))
         for model in (Model.TWO_REGIME_GEOMETRIC,
                       Model.TWO_REGIME_GEOMETRIC_TRUNC,
                       Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC):
@@ -322,8 +337,8 @@ class TestForwardDifferences:
 
 
 def optimized_models():
-    """Models 1-7, the ones with continuous parameters."""
-    return [model for model in Model if model.spec.continuous]
+    """Models 3, 4, 6 and 7, the ones that L-BFGS-B fits."""
+    return [model for model in Model if model.spec.fit is None]
 
 
 class TestLbfgsbLoop:
@@ -357,9 +372,7 @@ class TestLbfgsbLoop:
         suite = generate_validation_suite(seed)
         for model in optimized_models():
             sample = suite[model]
-            grid = ([sample.min2_d, 4, sample.max2_d] if model.is_two_regime
-                    else [None])
-            for bp in grid:
+            for bp in (sample.min2_d, 4, sample.max2_d):
                 self.assert_same_as_scipy(model, sample, bp)
 
     def test_abnormal_stops(self):
@@ -367,8 +380,7 @@ class TestLbfgsbLoop:
         messages = [
             self.assert_same_as_scipy(model, sample, bp).message
             for model in optimized_models()
-            for bp in (est._break_grid(sample) if model.is_two_regime
-                       else [None])]
+            for bp in est._break_grid(sample)]
         assert any(text.startswith("ABNORMAL") for text in messages)
 
     @pytest.mark.parametrize("limits, message", [
@@ -392,9 +404,11 @@ class TestLbfgsbLoop:
         # ``_maximize`` reads the start's value from the loop's first
         # evaluation, except where the sentinel stands in for it.
         def objective(*x):
-            return value if rejected(x) else -(x[0] - 0.3) ** 2
-        ours = est._maximize(objective, [0.95], [m.Q_BOUNDS])
-        theirs = scipy_maximize(objective, [0.95], [m.Q_BOUNDS])
+            return (value if rejected(x)
+                    else -(x[0] - 0.3) ** 2 - (x[1] - 0.6) ** 2)
+        box = [m.Q_BOUNDS, m.Q_BOUNDS]
+        ours = est._maximize(objective, [0.95, 0.5], box)
+        theirs = scipy_maximize(objective, [0.95, 0.5], box)
         assert np.array_equal(ours[0], theirs[0])
         assert np.array_equal(ours[1], theirs[1], equal_nan=True)
         assert ours[2] == theirs[2]
@@ -458,6 +472,47 @@ class TestBreakPointBound:
         # Model 3 computes the grid's statistics, the geometric head and
         # tail; 4 adds the truncated tail, 6 the zeta head, and 7 has both.
         assert added == [3, 1, 1, 0]
+
+
+def one_regime_cases():
+    """The bound's samples, one with a single distinct distance, and the two
+    outlier samples."""
+    return bound_cases() + [
+        pytest.param(DistanceSample(freq), id=name) for name, freq in (
+            ("one-distinct", {3: 25}), ("far-outlier", FAR_OUTLIER),
+            ("near-outlier", NEAR_OUTLIER))]
+
+
+class TestOneRegimeFits:
+    """Models 1, 2 and 5 fit exactly, within the floor on log p(max d)."""
+
+    @pytest.mark.parametrize("sample", one_regime_cases())
+    def test_fit_reaches_the_dense_grid_max(self, sample):
+        for model in ONE_REGIME:
+            result = fit(model, sample)
+            assert result.converged, model
+            assert result.log_l >= dense_grid_max_1d(model, sample) - 1e-9, \
+                model
+
+    def test_far_outlier_fits_at_the_floor_cap(self):
+        # Values from a dense grid: the floor caps q at 0.31071 for models
+        # 1 and 2, and the truncated zeta peaks inside it, at gamma 9.88.
+        sample = DistanceSample(FAR_OUTLIER)
+        for model in (Model.GEOMETRIC, Model.GEOMETRIC_TRUNC):
+            result = fit(model, sample)
+            q = result.params.q
+            assert q == pytest.approx(0.31071, abs=1e-5)
+            assert result.log_l == pytest.approx(-12433.77, abs=0.01)
+            # The largest q that the floor allows: a hair above is rejected.
+            above = dataclasses.replace(result.params, q=q * (1 + 1e-12))
+            assert m.log_likelihood(model, above, sample) == -math.inf
+        result = fit(Model.ZETA_TRUNC, sample)
+        assert result.params.gamma == pytest.approx(9.88, abs=0.005)
+        assert result.log_l == pytest.approx(-85.91, abs=0.005)
+        report = select(sample)
+        assert report.fits[Model.NULL_FIXED].log_l == pytest.approx(
+            -69097, abs=1)
+        assert report.best is Model.ZETA_TRUNC
 
 
 class TestBreakPointScan:
@@ -540,9 +595,11 @@ class TestFitCounts:
 
         def objective(*x):
             calls.append(x)
-            return -math.inf if x[0] > 0.9 else -(x[0] - 0.3) ** 2
+            return (-math.inf if x[0] > 0.9
+                    else -(x[0] - 0.3) ** 2 - (x[1] - 0.6) ** 2)
         tally = Counter()
-        est._maximize(objective, [0.95], [m.Q_BOUNDS], tally=tally)
+        est._maximize(objective, [0.95, 0.5], [m.Q_BOUNDS, m.Q_BOUNDS],
+                      tally=tally)
         assert tally["evaluations"] == len(calls)
 
 

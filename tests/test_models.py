@@ -441,9 +441,12 @@ class TestBoundObjective:
                           for name in spec.continuous]
                 for bp in grid:
                     log_l = spec.bind(sample, bp, d_max)
-                    build = spec.build(bp, sample.max_d)
+                    # The integer fields end every parameter class.
+                    integers = [value for name, value in (
+                        ("break_point", bp), ("d_max", sample.max_d))
+                        if name in spec.fields]
                     for x in product(*values):
-                        params = build(*x)
+                        params = spec.params(*x, *integers)
                         direct = summed_log_pmf(model, params, sample)
                         case = (model, bp, x)
                         if direct == float("-inf"):

@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from depdist.arrangement import min_arrangement_cost
 from depdist.estimation import FIXED_ENSEMBLE, fit, select
-from depdist.models import Model
+from depdist.models import (
+    Model,
+    TruncatedGeometricParams,
+    ZetaParams,
+    log_likelihood,
+)
 from depdist.optimality import sum_distances
+from depdist.sampling import draw_sample
 from depdist.treebank import (
     DepTree,
     DistanceSample,
@@ -97,3 +103,19 @@ def test_pruned_break_scan_matches_exhaustive_scan(freq):
         assert result.params == params, model
         assert result.log_l == log_l, model
         assert result.converged == converged, model
+
+
+@settings(max_examples=40)
+@given(st.one_of(
+    st.builds(TruncatedGeometricParams, st.floats(0.01, 0.95),
+              st.integers(1, 200)),
+    st.builds(ZetaParams, st.floats(1.05, 5.0), st.integers(1, 200))),
+    st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_one_regime_fit_beats_the_generating_parameters(params, size, seed):
+    # The fit pins d_max at max d and maximizes the rate there, so it is
+    # never below the likelihood of the parameters that drew the sample.
+    model = (Model.ZETA_TRUNC if isinstance(params, ZetaParams)
+             else Model.GEOMETRIC_TRUNC)
+    sample = draw_sample(model, params, size, seed)
+    truth = log_likelihood(model, params, sample)
+    assert fit(model, sample).log_l >= truth - 1e-9
