@@ -13,6 +13,21 @@ Usage:
     sset = build_samples(trees, language="English", collection="PUD")
     sset.pooled.total          # number of dependencies
     sset.by_length[12].freq    # distance frequencies in 12-word sentences
+
+Reading CoNLL-U: the input is read as UTF-8 bytes, in pieces of about
+256 KB that each end after a blank line, with one numpy pass per piece.
+One leading byte-order mark is dropped, and lines may end in CRLF.  The
+pass reads a sentence (the lines between two blank lines) when every line
+is a comment or a 10-column token line, each token ID is plain ASCII
+digits (at most 18) or holds '-' or '.' (a multiword range or an empty
+node, dropped), the plain ids read 1..n in order, each of their heads is
+plain ASCII digits, and the heads form a tree: in range, no self-loop,
+exactly one root and no cycle.  Any other sentence or line, such as a
+wrong column count, a whitespace-only line that is not empty, an ID or
+HEAD with a sign, a space, an underscore or a non-ASCII digit, ids that
+need renumbering, or an invalid tree, goes through the line-by-line
+reader, which alone words every error and issue; a column-count error is
+raised at its line, a bad ID or HEAD when its sentence ends.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -66,6 +82,13 @@ class DepTree:
     """
 
     heads: tuple[int, ...]
+
+    @classmethod
+    def _unchecked(cls, heads: tuple[int, ...]) -> DepTree:
+        """A tree over a head vector of ints already checked to be one."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "heads", heads)
+        return tree
 
     def __post_init__(self):
         heads = self.heads
@@ -322,6 +345,12 @@ class SampleSet:
 N_COLUMNS = 10
 ID_COLUMN = 0
 HEAD_COLUMN = 6
+# The array pass reads the input in pieces of about this many bytes, each
+# ending after a blank line, so its index arrays stay small.
+PIECE_BYTES = 1 << 18
+# Plain ids and heads of up to 18 digits fit an int64.
+MAX_DIGITS = 18
+BOM = "\ufeff".encode()
 
 
 def parse_conllu(
@@ -334,20 +363,168 @@ def parse_conllu(
     Sentences are blocks of 10-column tab-separated token lines separated by
     blank lines; ``#`` lines are comments.  Multiword-token ranges ("1-2")
     and empty nodes ("1.1") are dropped, the remaining tokens renumbered
-    1..n in order of appearance, and heads remapped.
+    1..n in order of appearance, and heads remapped.  Bytes are decoded as
+    UTF-8; one leading byte-order mark is dropped, and lines may end in
+    ``\\r\\n``.
 
     A malformed line (wrong column count, non-integer head) raises
     :class:`ConlluFormatError` with its line number.  A sentence whose head
     vector is structurally invalid (bad reference, zero or several roots,
     cycle) is skipped and recorded in ``issues``; a summary is logged.
+
+    Most sentences are read and checked by one array pass per piece of
+    the input (see the module docstring); the rest go through the
+    line-by-line reader, which alone words every error and issue.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text.decode("utf-8")  # invalid UTF-8 fails here, before any line
+        data = text
+    else:
+        data = text.encode("utf-8", "surrogatepass")
     if issues is None:
         issues = []
 
     trees: list[DepTree] = []
     sentence_index = 0
+    line_number = 1
+    pos = len(BOM) if data.startswith(BOM) else 0
+    while pos < len(data):
+        end = _piece_end(data, pos)
+        sentence_index, line_number = _read_piece(
+            data, pos, end, line_number, trees, issues, sentence_index)
+        pos = end
+
+    if issues:
+        log.warning(
+            "skipped %d structurally invalid sentence(s) out of %d",
+            len(issues), sentence_index,
+        )
+    return trees
+
+
+def _piece_end(data: bytes, start: int) -> int:
+    """End of the piece that begins at ``start``: just after the first
+    empty or ``\\r`` line at least PIECE_BYTES on, else the end of the
+    data."""
+    lo = start + PIECE_BYTES
+    while lo < len(data):
+        hi = lo + PIECE_BYTES
+        lf = data.find(b"\n\n", lo, hi + 1)
+        crlf = data.find(b"\n\r\n", lo, hi + 2 if lf < 0 else lf + 2)
+        if crlf >= 0:
+            return crlf + 3
+        if lf >= 0:
+            return lf + 2
+        lo = hi
+    return len(data)
+
+
+def _read_piece(data, lo, hi, first_line, trees, issues,
+                sentence_index) -> tuple[int, int]:
+    """Append the trees of ``data[lo:hi]``, whose first line is number
+    ``first_line``; return the sentence count and the next line number.
+
+    The lines between two blank lines (a segment) are read by the array
+    pass when each is a comment or a 10-column token line whose ID is plain
+    digits or holds '-' or '.', and when the plain-ID tokens number 1..n,
+    have plain-digit heads and form a tree.  Any other segment that holds
+    a token or a line of neither kind goes through :func:`_read_lines`.
+    """
+    chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+    # Tabs and newlines; an unterminated last line ends at the piece end.
+    sep = np.flatnonzero(chunk - np.uint8(9) < 2)
+    line_end = np.flatnonzero(chunk[sep] == 10)
+    if chunk[-1] != 10:
+        sep = np.append(sep, len(chunk))
+        line_end = np.append(line_end, len(sep) - 1)
+    ends = sep[line_end]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first_tab = np.concatenate(([0], line_end[:-1] + 1))  # index into sep
+    length = ends - starts
+    first = chunk[starts]
+    blank = (length == 0) | ((length == 1) & (first == 13))
+    comment = first == 35
+    token = np.flatnonzero(
+        (line_end - first_tab == N_COLUMNS - 1) & ~comment)
+    tab = first_tab[token]
+    field_start = np.concatenate((starts[token],
+                                  sep[tab + HEAD_COLUMN - 1] + 1))
+    field_end = np.concatenate((sep[tab + ID_COLUMN], sep[tab + HEAD_COLUMN]))
+    value, plain, dotted = _digits(chunk, field_start, field_end - field_start)
+    m = len(token)
+    plain_id, range_id = plain[:m], dotted[:m]
+
+    # Segment s holds the lines after the s-th blank line of the piece.
+    segment = np.cumsum(blank)
+    n_segments = int(segment[-1]) + 1
+    counts = lambda lines: np.bincount(segment[lines], minlength=n_segments)
+    read = np.zeros(len(starts), dtype=bool)
+    read[token[plain_id | range_id]] = True
+    odd = ~(blank | comment | read)
+    tok = token[plain_id]
+    tok_segment = segment[tok]
+    heads = value[m:][plain_id]
+    n = counts(tok)
+    offset = np.cumsum(n) - n
+    rank = np.arange(len(tok)) - offset[tok_segment] + 1
+    bad = (~plain[m:][plain_id] | (value[:m][plain_id] != rank)
+           | (heads > n[tok_segment]) | (heads == rank))
+    # Pointer doubling: after k rounds each token points 2^k steps up, or
+    # to its root; a token that never gets to a root is on or below a
+    # cycle.  Roots and bad tokens point to themselves.
+    parent = np.arange(len(tok))
+    parent = np.where((heads == 0) | bad, parent,
+                      offset[tok_segment] + heads - 1)
+    for _ in range(int(n.max(initial=1) - 1).bit_length()):
+        parent = parent[parent]
+    bad |= heads[parent] != 0
+    accepted = ((n > 0) & (counts(odd) == 0) & (counts(tok[bad]) == 0)
+                & (counts(tok[heads == 0]) == 1))
+    slow = np.flatnonzero(~accepted & (counts(odd | read) > 0))
+
+    flat = tuple(heads[accepted[tok_segment]].tolist())
+    bounds = np.cumsum(n[accepted]).tolist()
+    fast = [DepTree._unchecked(flat[a:b])
+            for a, b in zip([0] + bounds, bounds)]
+    if len(slow):
+        blank_lines = np.flatnonzero(blank)
+        fast_before = np.searchsorted(np.flatnonzero(accepted), slow)
+        done = 0
+        for s, k in zip(slow.tolist(), fast_before.tolist()):
+            trees.extend(fast[done:k])
+            sentence_index += k - done
+            done = k
+            a = blank_lines[s - 1] + 1 if s else 0
+            b = blank_lines[s] if s < len(blank_lines) else len(starts)
+            text = data[lo + starts[a]:lo + ends[b - 1]].decode(
+                "utf-8", "surrogatepass")
+            sentence_index = _read_lines(text.split("\n"), first_line + a,
+                                         trees, issues, sentence_index)
+        fast = fast[done:]
+    trees.extend(fast)
+    return sentence_index + len(fast), first_line + len(starts)
+
+
+def _digits(chunk, start, length):
+    """Read fields ``chunk[start:start + length]`` as numbers: their values,
+    whether each is 1 to MAX_DIGITS ASCII digits, and whether one of its
+    first MAX_DIGITS bytes is '-' or '.'."""
+    value = np.zeros(len(start), dtype=np.int64)
+    plain = (length >= 1) & (length <= MAX_DIGITS)
+    dotted = np.zeros(len(start), dtype=bool)
+    for k in range(min(int(length.max(initial=0)), MAX_DIGITS)):
+        live = length > k
+        byte = chunk.take(start + k, mode="clip")
+        digit = byte - np.uint8(48)
+        plain &= (digit < 10) | ~live
+        dotted |= live & ((byte == 45) | (byte == 46))
+        value = np.where(live, value * 10 + digit, value)
+    return value, plain, dotted
+
+
+def _read_lines(lines, first_line, trees, issues, sentence_index) -> int:
+    """Read ``lines``, the first numbered ``first_line``, one by one,
+    appending trees and issues; return the sentence count."""
     block: list[tuple[int, str, str]] = []  # (line number, ID, HEAD)
     sent_id: str | None = None
 
@@ -364,7 +541,7 @@ def parse_conllu(
         block.clear()
         sent_id = None
 
-    for line_number, raw in enumerate(text.split("\n"), start=1):
+    for line_number, raw in enumerate(lines, start=first_line):
         line = raw.rstrip("\r")
         if not line.strip():
             flush()
@@ -383,13 +560,7 @@ def parse_conllu(
             )
         block.append((line_number, fields[ID_COLUMN], fields[HEAD_COLUMN]))
     flush()
-
-    if issues:
-        log.warning(
-            "skipped %d structurally invalid sentence(s) out of %d",
-            len(issues), sentence_index,
-        )
-    return trees
+    return sentence_index
 
 
 def _block_to_tree(block: list[tuple[int, str, str]]) -> DepTree:
@@ -471,36 +642,49 @@ def build_samples(
     if not trees:
         raise ValueError("no trees")
 
-    by_length_values: dict[int, list[int]] = {}
-    sentence_counts: dict[int, int] = {}
-    for tree in trees:
-        n = tree.n
-        sentence_counts[n] = sentence_counts.get(n, 0) + 1
-        if n >= 2:
-            by_length_values.setdefault(n, []).extend(distances(tree))
-
-    if not by_length_values:
+    # One (length, distance) key per dependency, counted by one np.unique.
+    head_vectors = [tree.heads for tree in trees]
+    sizes = np.fromiter(map(len, head_vectors), dtype=np.int64,
+                        count=len(trees))
+    heads = np.fromiter(chain.from_iterable(head_vectors), dtype=np.int64,
+                        count=int(sizes.sum()))
+    token_length = np.repeat(sizes, sizes)
+    position = (np.arange(len(heads))
+                - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1)
+    dependent = heads != 0
+    stride = int(sizes.max())
+    keys, key_counts = np.unique(
+        token_length[dependent] * stride
+        + np.abs(position - heads)[dependent],
+        return_counts=True)
+    if not len(keys):
         raise ValueError("corpus has no dependencies (all sentences length 1)")
 
+    key_n, key_d = np.divmod(keys, stride)
+    cuts = np.flatnonzero(np.diff(key_n)) + 1
+    key_d, key_counts = key_d.tolist(), key_counts.tolist()
     by_length = {
-        n: DistanceSample.from_values(
-            values, language=language, collection=collection, length_class=n
+        n: DistanceSample(
+            dict(zip(key_d[a:b], key_counts[a:b])), language=language,
+            collection=collection, length_class=n,
         )
-        for n, values in sorted(by_length_values.items())
+        for n, a, b in zip(key_n[np.r_[0, cuts]].tolist(),
+                           [0, *cuts.tolist()], [*cuts.tolist(), len(keys)])
     }
     pooled_freq: Counter = Counter()
-    for sample in by_length.values():
-        pooled_freq.update(sample.freq)
+    for d, count in zip(key_d, key_counts):
+        pooled_freq[d] += count
     pooled = DistanceSample(
         dict(sorted(pooled_freq.items())), language=language,
         collection=collection, by_length=by_length,
     )
-    lengths = LengthDistribution.from_counts(sentence_counts)
+    n_values, n_counts = np.unique(sizes, return_counts=True)
+    sentence_counts = dict(zip(n_values.tolist(), n_counts.tolist()))
     return SampleSet(
         pooled=pooled,
         by_length=by_length,
-        lengths=lengths,
-        sentence_counts=dict(sorted(sentence_counts.items())),
+        lengths=LengthDistribution.from_counts(sentence_counts),
+        sentence_counts=sentence_counts,
     )
 
 
@@ -521,7 +705,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     path = Path(path)
     base = path.parent
     entries: list[ManifestEntry] = []
-    for line_number, raw in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_text(encoding="utf-8")
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,15 +10,26 @@ For the break-point scan of the two-regime fits, the exhaustive scan that
 on a dense parameter grid, written from the pmf's definition.  For the
 one-regime fits of models 1, 2 and 5, the log-likelihood on a dense grid of
 the rate, within the floor on log p(max d), written from the pmf likewise.
+
+For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
+:func:`depdist.treebank.parse_conllu` replaced with its array pass.
 """
 
 from __future__ import annotations
+
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from depdist import estimation as est
 from depdist import models as m
+from depdist.treebank import (
+    ConlluFormatError,
+    StructuralIssue,
+    TreeStructureError,
+)
 
 
 def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
@@ -147,3 +158,170 @@ def dense_grid_max_1d(model, sample, size=1001, zooms=6):
         best = max(best, float(log_l[i]))
         lo, hi = u[max(i - 1, 0)], u[min(i + 1, size - 1)]
     return best
+
+
+# ---------------------------------------------------------------------------
+# CoNLL-U reference parser: the line-by-line reader and the per-tree checks
+# that depdist.treebank.parse_conllu replaced with its array pass, kept as
+# they were for the differential tests.
+# ---------------------------------------------------------------------------
+
+log = logging.getLogger("depdist.treebank")
+
+N_COLUMNS = 10
+ID_COLUMN = 0
+HEAD_COLUMN = 6
+
+
+@dataclass(frozen=True)
+class ReferenceTree:
+    """A head vector checked by the reference rules of DepTree."""
+
+    heads: tuple[int, ...]
+
+    def __post_init__(self):
+        heads = self.heads
+        if type(heads) is not tuple or set(map(type, heads)) != {int}:
+            try:
+                ints = tuple(map(int, heads))
+            except (TypeError, ValueError, OverflowError):
+                ints = None
+            if ints is None or ints != tuple(heads):
+                raise TreeStructureError(f"heads must be integers: {heads!r}")
+            object.__setattr__(self, "heads", ints)
+        n = len(self.heads)
+        if n == 0:
+            raise TreeStructureError("empty sentence")
+        roots = 0
+        for pos, head in enumerate(self.heads, start=1):
+            if not 0 <= head <= n:
+                raise TreeStructureError(
+                    f"token {pos}: head {head} out of range 1..{n}"
+                )
+            if head == pos:
+                raise TreeStructureError(f"token {pos} is its own head")
+            if head == 0:
+                roots += 1
+        if roots != 1:
+            raise TreeStructureError(f"{roots} roots (exactly one required)")
+        # Cycle check: every token must reach the root by climbing heads.
+        # Each token is climbed through once: its state is 0 until the climb
+        # reaches it, 1 while it is on the current climb, 2 once that climb
+        # reached the root.
+        state = [2] + [0] * n
+        for pos in range(1, n + 1):
+            chain = []
+            cur = pos
+            while state[cur] == 0:
+                state[cur] = 1
+                chain.append(cur)
+                cur = self.heads[cur - 1]
+            if state[cur] == 1:
+                raise TreeStructureError(f"cycle through token {cur}")
+            for token in chain:
+                state[token] = 2
+
+
+def reference_parse_conllu(
+    text: str | bytes,
+    *,
+    issues: list[StructuralIssue] | None = None,
+) -> list[ReferenceTree]:
+    """Parse CoNLL-U text into dependency trees.
+
+    Sentences are blocks of 10-column tab-separated token lines separated by
+    blank lines; ``#`` lines are comments.  Multiword-token ranges ("1-2")
+    and empty nodes ("1.1") are dropped, the remaining tokens renumbered
+    1..n in order of appearance, and heads remapped.
+
+    A malformed line (wrong column count, non-integer head) raises
+    :class:`ConlluFormatError` with its line number.  A sentence whose head
+    vector is structurally invalid (bad reference, zero or several roots,
+    cycle) is skipped and recorded in ``issues``; a summary is logged.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    if issues is None:
+        issues = []
+
+    trees: list[ReferenceTree] = []
+    sentence_index = 0
+    block: list[tuple[int, str, str]] = []  # (line number, ID, HEAD)
+    sent_id: str | None = None
+
+    def flush():
+        nonlocal sentence_index, sent_id
+        if not block:
+            sent_id = None
+            return
+        sentence_index += 1
+        try:
+            trees.append(_reference_block_to_tree(block))
+        except TreeStructureError as exc:
+            issues.append(StructuralIssue(sentence_index, str(exc), sent_id))
+        block.clear()
+        sent_id = None
+
+    for line_number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("#"):
+            if "=" in line:
+                key, _, value = line[1:].partition("=")
+                if key.strip() == "sent_id":
+                    sent_id = value.strip()
+            continue
+        fields = line.split("\t")
+        if len(fields) != N_COLUMNS:
+            raise ConlluFormatError(
+                f"expected {N_COLUMNS} tab-separated columns, got {len(fields)}",
+                line_number,
+            )
+        block.append((line_number, fields[ID_COLUMN], fields[HEAD_COLUMN]))
+    flush()
+
+    if issues:
+        log.warning(
+            "skipped %d structurally invalid sentence(s) out of %d",
+            len(issues), sentence_index,
+        )
+    return trees
+
+
+def _reference_block_to_tree(
+        block: list[tuple[int, str, str]]) -> ReferenceTree:
+    """Turn one sentence block, (line number, ID, HEAD) per token line,
+    into a ReferenceTree (renumbering token ids)."""
+    old_ids: list[int] = []
+    raw_heads: list[int] = []
+    for line_number, token_id, head_field in block:
+        if "-" in token_id or "." in token_id:
+            continue  # multiword range / empty node
+        try:
+            tid = int(token_id)
+        except ValueError:
+            raise ConlluFormatError(f"bad token id {token_id!r}", line_number)
+        try:
+            head = int(head_field)
+        except ValueError:
+            raise ConlluFormatError(f"bad head {head_field!r}", line_number)
+        old_ids.append(tid)
+        raw_heads.append(head)
+
+    if not old_ids:
+        raise TreeStructureError("no syntactic tokens")
+    renumber = {0: 0}
+    for new_id, old in enumerate(old_ids, start=1):
+        if old in renumber:
+            raise TreeStructureError(f"duplicate token id {old}")
+        renumber[old] = new_id
+    heads = []
+    for old, head in zip(old_ids, raw_heads):
+        if head not in renumber:
+            raise TreeStructureError(
+                f"token {old} has head {head}, which is skipped or missing"
+            )
+        heads.append(renumber[head])
+    return ReferenceTree(tuple(heads))

@@ -480,6 +480,34 @@ def test_commands_that_fit_nothing_leave_scipy_unloaded(toy_corpus,
 
 
 @pytest.mark.parametrize("argv", [
+    ["extract", "--manifest", "manifest.txt", "--out", "out"],
+    ["fit-select", "--manifest", "manifest.txt", "--out", "out"],
+    ["omega", "--manifest", "manifest.txt", "--out", "out"],
+    ["validate", "--n-draws", "200", "--out", "out"],
+    ["sample", "--model", "1", "--q", "0.5", "--n-draws", "10",
+     "--out-file", "out"],
+])
+def test_commands_use_no_locale_encoding(argv, tmp_path, monkeypatch):
+    # Every file the package reads or writes is UTF-8: opening one in the
+    # locale's encoding raises EncodingWarning, an error under these flags.
+    (tmp_path / "c.conllu").write_text(
+        to_conllu([DepTree((2, 0, 2, 3, 2))]), encoding="utf-8")
+    (tmp_path / "manifest.txt").write_text("c.conllu\tC\tL\n",
+                                           encoding="utf-8")
+    src = str(Path(depdist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    strict = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-m", "depdist.cli",
+         *argv[:-1], "strict"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert "EncodingWarning" not in strict.stderr
+    monkeypatch.chdir(tmp_path)
+    assert strict.returncode == run_cli(argv)
+
+
+@pytest.mark.parametrize("argv", [
     ["extract", "--criterion", "aic"],
     ["extract", "--threshold", "1,2"],
     ["extract", "--min-distinct-d", "3"],

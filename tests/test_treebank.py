@@ -1,11 +1,17 @@
 import math
 import time
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tree
+from depdist import treebank
 from depdist.treebank import (
+    BOM,
     ConlluFormatError,
     DepTree,
     DistanceSample,
@@ -17,6 +23,8 @@ from depdist.treebank import (
     read_manifest,
     to_conllu,
 )
+from oracles import reference_parse_conllu
+from test_cli import MALFORMED_CONLLU, mutants
 
 # "John gave Bill the painting that Mary hated": gave is the root; the
 # relative clause head attaches to "painting".
@@ -121,6 +129,132 @@ class TestParsing:
     def test_bytes_input(self):
         trees = parse_conllu(block((0,)).encode("utf-8") + b"\n")
         assert trees[0].n == 1
+
+    def test_byte_order_mark_dropped(self):
+        text = "\ufeff# sent_id = a\n1\tw\t_\t_\t_\t_\t0\t_\t_\t_\n\n"
+        assert [t.heads for t in parse_conllu(text.encode())] == [(0,)]
+        assert [t.heads for t in parse_conllu(text)] == [(0,)]
+        # Only one mark is dropped; a second is text on line 1.
+        with pytest.raises(ConlluFormatError, match="line 1: expected 10"):
+            parse_conllu("\ufeff" + text)
+
+
+def outcome(parse, data):
+    """Head vectors, issues and error (type and message) of one parse."""
+    issues = []
+    try:
+        heads = [tree.heads for tree in parse(data, issues=issues)]
+    except ValueError as exc:
+        return None, issues, (type(exc), str(exc))
+    return heads, issues, None
+
+
+# Parts of the generated text.  Odd numbers, whitespace-only lines that are
+# not empty and wrong column counts send a sentence to the line-by-line
+# reader.
+ODD_NUMBERS = ["+1", "-1", " 1", "1 ", "1_0", "\u0663", "\uff11", "_", "",
+               "x", "1:", "1/", "1\r", "\r1", "\udc80", "0" * 18 + "1",
+               "1" * 19]
+RANGE_IDS = ["1-2", "2-3", "1.1", "0.1", "1-", "."]
+BLANKS = ["", "\r", "\r\r", " ", "\t", "\t" * 9, "\xa0", "\x0c"]
+COMMENTS = ["# sent_id = s1", "#sent_id=x y ", "# sent_id = \udc80",
+            "# text = caf\xe9", "#", "# sent_id", "# a\tb"]
+WRONG_COLUMNS = ["1", "1\tw\t_", "\t".join("1" * 9), "\t".join("1" * 11)]
+ENDINGS = ["\n"] * 8 + ["\r\n"] * 4 + ["\r\r\n", "\r"]
+
+
+def token_line(token_id, head):
+    return f"{token_id}\tw\t_\t_\t_\t_\t{head}\t_\t_\t_"
+
+
+EXTRA_LINES = ([token_line(i, "_") for i in RANGE_IDS] * 2 + BLANKS + COMMENTS
+               + WRONG_COLUMNS)
+
+
+@st.composite
+def sentence_heads(draw):
+    """A tree (shuffled attachment order) or any head vector."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for i in range(1, n):
+        heads[order[i]] = order[draw(st.integers(0, i - 1))] + 1
+    return heads
+
+
+@st.composite
+def conllu_texts(draw):
+    """CoNLL-U text with mostly valid sentences, among odd lines, fields
+    and line ends."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(st.lists(st.sampled_from(COMMENTS), max_size=2))
+        heads = draw(sentence_heads())
+        n = len(heads)
+        ids = list(range(1, n + 1))
+        if draw(st.integers(0, 5)) == 0:  # gaps, duplicates, disorder
+            ids = draw(st.lists(st.integers(0, n + 2), min_size=n,
+                                max_size=n))
+        fields = [[str(i), str(h)] for i, h in zip(ids, heads)]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            row = fields[draw(st.integers(0, n - 1))]
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_NUMBERS))
+        sentence = [token_line(*row) for row in fields]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            extra = draw(st.sampled_from(EXTRA_LINES))
+            sentence.insert(draw(st.integers(0, len(sentence))), extra)
+        lines += sentence
+        lines.append(draw(st.sampled_from(["", "", "", "\r"] + BLANKS)))
+    # LF, CRLF, or each line's end drawn.
+    end = draw(st.sampled_from(["\n", "\r\n", None]))
+    ends = [end] * len(lines) if end else draw(st.lists(
+        st.sampled_from(ENDINGS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:len(text) - draw(st.integers(0, 1))]
+
+
+class TestReferenceParser:
+    """The array pass and the line-by-line reader it falls back to read
+    everything as the reference parser does: the same trees, issues and
+    errors, whatever the piece boundaries."""
+
+    PIECES = [1, 2, 16, 64, treebank.PIECE_BYTES]
+
+    @settings(max_examples=400)
+    @given(text=conllu_texts(), piece=st.sampled_from(PIECES),
+           as_bytes=st.booleans(), bom=st.booleans())
+    def test_generated(self, text, piece, as_bytes, bom):
+        data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+        expected = outcome(reference_parse_conllu, data)
+        # A mark moves the reported position of an invalid byte.
+        if bom and not (expected[2] and expected[2][0] is UnicodeDecodeError):
+            data = (BOM if as_bytes else BOM.decode()) + data
+        with mock.patch.object(treebank, "PIECE_BYTES", piece):
+            assert outcome(parse_conllu, data) == expected
+
+    def test_odd_fields(self):
+        # In a long sentence: as the root's head, another token's head or
+        # another token's id.
+        chain = [[str(i), str(i - 1)] for i in range(1, 31)]
+        for odd in ODD_NUMBERS:
+            for row, column in ((0, 1), (24, 1), (2, 0)):
+                fields = [list(f) for f in chain]
+                fields[row][column] = odd
+                text = "\n".join(token_line(*f) for f in fields) + "\n"
+                assert outcome(parse_conllu, text) \
+                    == outcome(reference_parse_conllu, text), (odd, row)
+
+    @pytest.mark.parametrize("piece", PIECES)
+    @pytest.mark.parametrize("case", [*sorted(MALFORMED_CONLLU),
+                                      *range(12)])
+    def test_malformed_and_mutated(self, case, piece):
+        data = MALFORMED_CONLLU[case] if isinstance(case, str) \
+            else mutants(case)
+        with mock.patch.object(treebank, "PIECE_BYTES", piece):
+            assert outcome(parse_conllu, data) \
+                == outcome(reference_parse_conllu, data)
 
 
 class TestDepTree:
@@ -239,6 +373,22 @@ class TestBuildSamples:
         assert sset.lengths.probs[3] == pytest.approx(2 / 3)
         assert sset.lengths.probs[4] == pytest.approx(1 / 3)
         assert sset.sentence_counts == {3: 2, 4: 1}
+
+    def test_matches_per_tree_distances(self):
+        rng = np.random.default_rng(8)
+        trees = [random_tree(int(rng.integers(1, 25)), rng)
+                 for _ in range(400)]
+        by_length = {}
+        for tree in trees:
+            if tree.n >= 2:
+                by_length.setdefault(tree.n, Counter()).update(
+                    distances(tree))
+        sset = build_samples(trees)
+        assert {n: s.freq for n, s in sset.by_length.items()} == by_length
+        assert list(sset.by_length) == sorted(by_length)
+        assert sset.pooled.freq == sum(by_length.values(), Counter())
+        assert sset.sentence_counts == dict(sorted(
+            Counter(tree.n for tree in trees).items()))
 
     def test_reparse_roundtrip_identical(self):
         rng = np.random.default_rng(11)
