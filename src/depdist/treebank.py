@@ -15,19 +15,19 @@ Usage:
     sset.by_length[12].freq    # distance frequencies in 12-word sentences
 
 Reading CoNLL-U: the input is read as UTF-8 bytes, in pieces of about
-256 KB that each end after a blank line, with one numpy pass per piece.
-One leading byte-order mark is dropped, and lines may end in CRLF.  The
-pass reads a sentence (the lines between two blank lines) when every line
-is a comment or a 10-column token line, each token ID is plain ASCII
-digits (at most 18) or holds '-' or '.' (a multiword range or an empty
-node, dropped), the plain ids read 1..n in order, each of their heads is
-plain ASCII digits, and the heads form a tree: in range, no self-loop,
-exactly one root and no cycle.  Any other sentence or line, such as a
-wrong column count, a whitespace-only line that is not empty, an ID or
-HEAD with a sign, a space, an underscore or a non-ASCII digit, ids that
-need renumbering, or an invalid tree, goes through the line-by-line
-reader, which alone words every error and issue; a column-count error is
-raised at its line, a bad ID or HEAD when its sentence ends.
+256 KB that each end after a line of ASCII spaces, tabs and CRs, with one
+numpy pass per piece.  One leading byte-order mark is dropped, and lines
+may end in CRLF.  A line is blank when it is all whitespace (as
+``str.strip`` has it), a comment when it starts with '#', and otherwise a
+token line, which must have 10 tab-separated columns.  The lines between
+two blank lines that hold a token line are a sentence.  A token's ID is 1
+to 18 ASCII digits, or holds '-' or '.' (a multiword range or an empty
+node, dropped); the HEAD of every other token is 1 to 18 ASCII digits.  A
+wrong column count raises :class:`ConlluFormatError` at its line, a bad ID
+or HEAD when its sentence ends.  A sentence whose ids read 1..n and whose
+heads form a tree (in range, no self-loop, exactly one root and no cycle)
+is read by the pass alone; any other is renumbered and checked by
+:class:`DepTree`, which words why it is skipped.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -351,6 +352,8 @@ PIECE_BYTES = 1 << 18
 # Plain ids and heads of up to 18 digits fit an int64.
 MAX_DIGITS = 18
 BOM = "\ufeff".encode()
+# A line after which a piece may end.
+_SEPARATOR = re.compile(rb"\n[ \t\r]*\n")
 
 
 def parse_conllu(
@@ -367,14 +370,11 @@ def parse_conllu(
     UTF-8; one leading byte-order mark is dropped, and lines may end in
     ``\\r\\n``.
 
-    A malformed line (wrong column count, non-integer head) raises
-    :class:`ConlluFormatError` with its line number.  A sentence whose head
-    vector is structurally invalid (bad reference, zero or several roots,
-    cycle) is skipped and recorded in ``issues``; a summary is logged.
-
-    Most sentences are read and checked by one array pass per piece of
-    the input (see the module docstring); the rest go through the
-    line-by-line reader, which alone words every error and issue.
+    A malformed line (wrong column count, an ID or HEAD that is not 1 to 18
+    ASCII digits) raises :class:`ConlluFormatError` with its line number.
+    A sentence whose head vector is structurally invalid (bad reference,
+    zero or several roots, cycle) is skipped and recorded in ``issues``; a
+    summary is logged.  The module docstring gives the rules in full.
     """
     if isinstance(text, bytes):
         text.decode("utf-8")  # invalid UTF-8 fails here, before any line
@@ -403,33 +403,19 @@ def parse_conllu(
 
 
 def _piece_end(data: bytes, start: int) -> int:
-    """End of the piece that begins at ``start``: just after the first
-    empty or ``\\r`` line at least PIECE_BYTES on, else the end of the
-    data."""
-    lo = start + PIECE_BYTES
-    while lo < len(data):
-        hi = lo + PIECE_BYTES
-        lf = data.find(b"\n\n", lo, hi + 1)
-        crlf = data.find(b"\n\r\n", lo, hi + 2 if lf < 0 else lf + 2)
-        if crlf >= 0:
-            return crlf + 3
-        if lf >= 0:
-            return lf + 2
-        lo = hi
-    return len(data)
+    """End of the piece that begins at ``start``: just after the first line
+    of ASCII spaces, tabs and CRs at least PIECE_BYTES on, else the end of
+    the data."""
+    match = _SEPARATOR.search(data, start + PIECE_BYTES)
+    return match.end() if match else len(data)
 
 
 def _read_piece(data, lo, hi, first_line, trees, issues,
                 sentence_index) -> tuple[int, int]:
-    """Append the trees of ``data[lo:hi]``, whose first line is number
-    ``first_line``; return the sentence count and the next line number.
-
-    The lines between two blank lines (a segment) are read by the array
-    pass when each is a comment or a 10-column token line whose ID is plain
-    digits or holds '-' or '.', and when the plain-ID tokens number 1..n,
-    have plain-digit heads and form a tree.  Any other segment that holds
-    a token or a line of neither kind goes through :func:`_read_lines`.
-    """
+    """Append the trees and issues of ``data[lo:hi]``, whose first line is
+    number ``first_line``; return the sentence count and the next line
+    number, or raise the piece's first :class:`ConlluFormatError` once the
+    sentences that end before it are read."""
     chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
     # Tabs and newlines; an unterminated last line ends at the piece end.
     sep = np.flatnonzero(chunk - np.uint8(9) < 2)
@@ -443,66 +429,106 @@ def _read_piece(data, lo, hi, first_line, trees, issues,
     length = ends - starts
     first = chunk[starts]
     blank = (length == 0) | ((length == 1) & (first == 13))
+    # A line that starts with a space, a control byte or a non-ASCII byte
+    # may be all whitespace: str.strip decides.
+    maybe = ((first <= 32) | (first >= 128)) & ~blank
+    for i in np.flatnonzero(maybe).tolist():
+        blank[i] = not _text(data, lo + starts[i], lo + ends[i]).strip()
     comment = first == 35
-    token = np.flatnonzero(
-        (line_end - first_tab == N_COLUMNS - 1) & ~comment)
+    columns = line_end - first_tab + 1
+    token = np.flatnonzero(~blank & ~comment & (columns == N_COLUMNS))
+    wrong = np.flatnonzero(~blank & ~comment & (columns != N_COLUMNS))
     tab = first_tab[token]
     field_start = np.concatenate((starts[token],
                                   sep[tab + HEAD_COLUMN - 1] + 1))
     field_end = np.concatenate((sep[tab + ID_COLUMN], sep[tab + HEAD_COLUMN]))
     value, plain, dotted = _digits(chunk, field_start, field_end - field_start)
     m = len(token)
-    plain_id, range_id = plain[:m], dotted[:m]
+    # A token whose ID holds '-' or '.' (a multiword range or an empty node)
+    # is dropped; _digits looks for them in the first MAX_DIGITS bytes.
+    for i in np.flatnonzero(field_end[:m] - field_start[:m] > MAX_DIGITS):
+        field = data[lo + field_start[i]:lo + field_end[i]]
+        dotted[i] = b"-" in field or b"." in field
+    kept = ~dotted[:m]
 
-    # Segment s holds the lines after the s-th blank line of the piece.
+    # Segment s holds lines limits[s] to limits[s + 1] - 1: the s-th blank
+    # line of the piece and the lines after it.  A segment with a token line
+    # is a sentence.  A bad ID or HEAD is raised when its sentence ends, a
+    # wrong column count at its line.
     segment = np.cumsum(blank)
-    n_segments = int(segment[-1]) + 1
-    counts = lambda lines: np.bincount(segment[lines], minlength=n_segments)
-    read = np.zeros(len(starts), dtype=bool)
-    read[token[plain_id | range_id]] = True
-    odd = ~(blank | comment | read)
-    tok = token[plain_id]
+    limits = np.concatenate(([0], np.flatnonzero(blank), [len(starts)]))
+    counts = lambda lines: np.diff(np.searchsorted(lines, limits))  # sorted
+    stop, error = len(limits) - 1, None
+    bad_field = np.flatnonzero(kept & ~(plain[:m] & plain[m:]))
+    if len(bad_field):
+        k = int(bad_field[0])
+        f = k if not plain[k] else k + m
+        stop = segment[token[k]]
+        text = _text(data, lo + field_start[f], lo + field_end[f])
+        error = ConlluFormatError(
+            f"bad {'token id' if f == k else 'head'} {text!r}",
+            first_line + int(token[k]))
+    if len(wrong) and segment[wrong[0]] <= stop:
+        stop = segment[wrong[0]]
+        error = ConlluFormatError(
+            f"expected {N_COLUMNS} tab-separated columns, "
+            f"got {columns[wrong[0]]}", first_line + int(wrong[0]))
+    is_sentence = counts(token) > 0
+    if error is not None:
+        is_sentence[stop:] = False
+        kept &= segment[token] < stop
+
+    # The ids of a read sentence must be 1..n and its heads a tree: in
+    # range, no self-loop, one root and no cycle, found by pointer
+    # doubling: after k rounds each token points 2^k steps up, or to its
+    # root; a token that never gets to a root is on or below a cycle.
+    # Roots and bad tokens point to themselves.
+    tok = token[kept]
     tok_segment = segment[tok]
-    heads = value[m:][plain_id]
+    ids, heads = value[:m][kept], value[m:][kept]
     n = counts(tok)
     offset = np.cumsum(n) - n
     rank = np.arange(len(tok)) - offset[tok_segment] + 1
-    bad = (~plain[m:][plain_id] | (value[:m][plain_id] != rank)
-           | (heads > n[tok_segment]) | (heads == rank))
-    # Pointer doubling: after k rounds each token points 2^k steps up, or
-    # to its root; a token that never gets to a root is on or below a
-    # cycle.  Roots and bad tokens point to themselves.
+    bad = (ids != rank) | (heads > n[tok_segment]) | (heads == rank)
     parent = np.arange(len(tok))
     parent = np.where((heads == 0) | bad, parent,
                       offset[tok_segment] + heads - 1)
     for _ in range(int(n.max(initial=1) - 1).bit_length()):
         parent = parent[parent]
     bad |= heads[parent] != 0
-    accepted = ((n > 0) & (counts(odd) == 0) & (counts(tok[bad]) == 0)
+    accepted = (is_sentence & (n > 0) & (counts(tok[bad]) == 0)
                 & (counts(tok[heads == 0]) == 1))
-    slow = np.flatnonzero(~accepted & (counts(odd | read) > 0))
 
     flat = tuple(heads[accepted[tok_segment]].tolist())
     bounds = np.cumsum(n[accepted]).tolist()
     fast = [DepTree._unchecked(flat[a:b])
             for a, b in zip([0] + bounds, bounds)]
-    if len(slow):
-        blank_lines = np.flatnonzero(blank)
-        fast_before = np.searchsorted(np.flatnonzero(accepted), slow)
-        done = 0
-        for s, k in zip(slow.tolist(), fast_before.tolist()):
-            trees.extend(fast[done:k])
-            sentence_index += k - done
-            done = k
-            a = blank_lines[s - 1] + 1 if s else 0
-            b = blank_lines[s] if s < len(blank_lines) else len(starts)
-            text = data[lo + starts[a]:lo + ends[b - 1]].decode(
-                "utf-8", "surrogatepass")
-            sentence_index = _read_lines(text.split("\n"), first_line + a,
-                                         trees, issues, sentence_index)
-        fast = fast[done:]
-    trees.extend(fast)
-    return sentence_index + len(fast), first_line + len(starts)
+    # Any other sentence is renumbered and checked by DepTree.
+    ordinal = sentence_index + np.cumsum(is_sentence)
+    rejected = np.flatnonzero(is_sentence & ~accepted)
+    done = 0
+    for s, k in zip(rejected.tolist(), np.searchsorted(
+            np.flatnonzero(accepted), rejected).tolist()):
+        trees.extend(fast[done:k])
+        done = k
+        rows = slice(offset[s], offset[s] + n[s])
+        try:
+            trees.append(_renumbered(ids[rows].tolist(),
+                                     heads[rows].tolist()))
+        except TreeStructureError as exc:
+            a, b = limits[s], limits[s + 1]
+            lines = np.flatnonzero(comment[a:b]) + a
+            issues.append(StructuralIssue(
+                int(ordinal[s]), str(exc),
+                _sent_id(data, lo + starts[lines], lo + ends[lines])))
+    trees.extend(fast[done:])
+    if error is not None:
+        raise error
+    return int(ordinal[-1]), first_line + len(starts)
+
+
+def _text(data, lo, hi) -> str:
+    return data[lo:hi].decode("utf-8", "surrogatepass")
 
 
 def _digits(chunk, start, length):
@@ -522,81 +548,33 @@ def _digits(chunk, start, length):
     return value, plain, dotted
 
 
-def _read_lines(lines, first_line, trees, issues, sentence_index) -> int:
-    """Read ``lines``, the first numbered ``first_line``, one by one,
-    appending trees and issues; return the sentence count."""
-    block: list[tuple[int, str, str]] = []  # (line number, ID, HEAD)
-    sent_id: str | None = None
-
-    def flush():
-        nonlocal sentence_index, sent_id
-        if not block:
-            sent_id = None
-            return
-        sentence_index += 1
-        try:
-            trees.append(_block_to_tree(block))
-        except TreeStructureError as exc:
-            issues.append(StructuralIssue(sentence_index, str(exc), sent_id))
-        block.clear()
-        sent_id = None
-
-    for line_number, raw in enumerate(lines, start=first_line):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            if "=" in line:
-                key, _, value = line[1:].partition("=")
-                if key.strip() == "sent_id":
-                    sent_id = value.strip()
-            continue
-        fields = line.split("\t")
-        if len(fields) != N_COLUMNS:
-            raise ConlluFormatError(
-                f"expected {N_COLUMNS} tab-separated columns, got {len(fields)}",
-                line_number,
-            )
-        block.append((line_number, fields[ID_COLUMN], fields[HEAD_COLUMN]))
-    flush()
-    return sentence_index
-
-
-def _block_to_tree(block: list[tuple[int, str, str]]) -> DepTree:
-    """Turn one sentence block, (line number, ID, HEAD) per token line,
-    into a DepTree (renumbering token ids)."""
-    old_ids: list[int] = []
-    raw_heads: list[int] = []
-    for line_number, token_id, head_field in block:
-        if "-" in token_id or "." in token_id:
-            continue  # multiword range / empty node
-        try:
-            tid = int(token_id)
-        except ValueError:
-            raise ConlluFormatError(f"bad token id {token_id!r}", line_number)
-        try:
-            head = int(head_field)
-        except ValueError:
-            raise ConlluFormatError(f"bad head {head_field!r}", line_number)
-        old_ids.append(tid)
-        raw_heads.append(head)
-
-    if not old_ids:
+def _renumbered(ids: list[int], heads: list[int]) -> DepTree:
+    """The tree of tokens with ``ids`` and ``heads``, renumbered 1..n in
+    order of appearance."""
+    if not ids:
         raise TreeStructureError("no syntactic tokens")
     renumber = {0: 0}
-    for new_id, old in enumerate(old_ids, start=1):
+    for new_id, old in enumerate(ids, start=1):
         if old in renumber:
             raise TreeStructureError(f"duplicate token id {old}")
         renumber[old] = new_id
-    heads = []
-    for old, head in zip(old_ids, raw_heads):
+    for old, head in zip(ids, heads):
         if head not in renumber:
             raise TreeStructureError(
                 f"token {old} has head {head}, which is skipped or missing"
             )
-        heads.append(renumber[head])
-    return DepTree(tuple(heads))
+    return DepTree(tuple(renumber[head] for head in heads))
+
+
+def _sent_id(data, starts, ends) -> str | None:
+    """The value of the last ``sent_id`` comment among the comment lines
+    ``data[starts[i]:ends[i]]``."""
+    sent_id = None
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        key, eq, value = _text(data, lo + 1, hi).partition("=")
+        if eq and key.strip() == "sent_id":
+            sent_id = value.strip()
+    return sent_id
 
 
 def load_conllu(
@@ -705,7 +683,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     path = Path(path)
     base = path.parent
     entries: list[ManifestEntry] = []
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -18,6 +18,7 @@ For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +164,8 @@ def dense_grid_max_1d(model, sample, size=1001, zooms=6):
 # ---------------------------------------------------------------------------
 # CoNLL-U reference parser: the line-by-line reader and the per-tree checks
 # that depdist.treebank.parse_conllu replaced with its array pass, kept as
-# they were for the differential tests.
+# they were for the differential tests, but for IDs and HEADs, which must be
+# 1 to 18 ASCII digits (_plain_int) where int() took any number.
 # ---------------------------------------------------------------------------
 
 log = logging.getLogger("depdist.treebank")
@@ -300,11 +302,11 @@ def _reference_block_to_tree(
         if "-" in token_id or "." in token_id:
             continue  # multiword range / empty node
         try:
-            tid = int(token_id)
+            tid = _plain_int(token_id)
         except ValueError:
             raise ConlluFormatError(f"bad token id {token_id!r}", line_number)
         try:
-            head = int(head_field)
+            head = _plain_int(head_field)
         except ValueError:
             raise ConlluFormatError(f"bad head {head_field!r}", line_number)
         old_ids.append(tid)
@@ -325,3 +327,10 @@ def _reference_block_to_tree(
             )
         heads.append(renumber[head])
     return ReferenceTree(tuple(heads))
+
+
+def _plain_int(field: str) -> int:
+    """A CoNLL-U ID or HEAD: 1 to 18 ASCII digits."""
+    if not re.fullmatch("[0-9]{1,18}", field):
+        raise ValueError(field)
+    return int(field)

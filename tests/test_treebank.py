@@ -149,13 +149,14 @@ def outcome(parse, data):
     return heads, issues, None
 
 
-# Parts of the generated text.  Odd numbers, whitespace-only lines that are
-# not empty and wrong column counts send a sentence to the line-by-line
-# reader.
+# Parts of the generated text.  Odd numbers are IDs and HEADs at the edge of
+# the rule of 1 to 18 ASCII digits: mostly bad fields, or IDs that mark a
+# dropped token.
 ODD_NUMBERS = ["+1", "-1", " 1", "1 ", "1_0", "\u0663", "\uff11", "_", "",
                "x", "1:", "1/", "1\r", "\r1", "\udc80", "0" * 18 + "1",
-               "1" * 19]
-RANGE_IDS = ["1-2", "2-3", "1.1", "0.1", "1-", "."]
+               "1" * 19, "0" * 17 + "1", "1" * 17 + "x", "1" * 18 + ".1",
+               "\xff" * 9]
+RANGE_IDS = ["1-2", "2-3", "1.1", "0.1", "1-", ".", "1" * 18 + "-2"]
 BLANKS = ["", "\r", "\r\r", " ", "\t", "\t" * 9, "\xa0", "\x0c"]
 COMMENTS = ["# sent_id = s1", "#sent_id=x y ", "# sent_id = \udc80",
             "# text = caf\xe9", "#", "# sent_id", "# a\tb"]
@@ -215,10 +216,14 @@ def conllu_texts(draw):
     return text[:len(text) - draw(st.integers(0, 1))]
 
 
+# IDs and HEADs that int() reads as numbers but CoNLL-U does not.
+NOT_PLAIN = ["+1", " 1", "1 ", "1_0", "\u0663", "\uff11", "1\r",
+             "1" * 19, "0" * 18 + "1"]
+
+
 class TestReferenceParser:
-    """The array pass and the line-by-line reader it falls back to read
-    everything as the reference parser does: the same trees, issues and
-    errors, whatever the piece boundaries."""
+    """The array pass reads everything as the reference parser does: the
+    same trees, issues and errors, whatever the piece boundaries."""
 
     PIECES = [1, 2, 16, 64, treebank.PIECE_BYTES]
 
@@ -245,6 +250,42 @@ class TestReferenceParser:
                 text = "\n".join(token_line(*f) for f in fields) + "\n"
                 assert outcome(parse_conllu, text) \
                     == outcome(reference_parse_conllu, text), (odd, row)
+
+    @pytest.mark.parametrize("odd, row, column", [
+        *[(odd, row, column) for odd in NOT_PLAIN
+          for row, column in ((0, 1), (24, 1), (2, 0))],
+        ("-1", 0, 1), ("-1", 24, 1)])
+    def test_field_not_plain_digits_is_fatal(self, odd, row, column):
+        fields = [[str(i), str(i - 1)] for i in range(1, 31)]
+        fields[row][column] = odd
+        text = ("\n".join(token_line(*f) for f in fields) + "\n\n"
+                + block((0, 1)) + "\n")
+        name = ("token id", "head")[column]
+        with pytest.raises(ConlluFormatError,
+                           match=f"line {row + 1}: bad {name} ") as err:
+            parse_conllu(text)
+        assert str(err.value).endswith(repr(odd))
+
+    @pytest.mark.parametrize("piece", PIECES)
+    @pytest.mark.parametrize("separator", ["\n\n", "\n \n", "\n\t\r\n"])
+    def test_whitespace_separators(self, separator, piece):
+        rng = np.random.default_rng(4)
+        trees = [random_tree(int(rng.integers(1, 12)), rng)
+                 for _ in range(40)]
+        # The last sent_id comment of a sentence names it.
+        text = (to_conllu(trees[:20]) + "# sent_id = first\n"
+                + block((1, 0)) + "\n# sent_id = loop\n\n"
+                + to_conllu(trees[20:]))
+        expected = ([tree.heads for tree in trees],
+                    [treebank.StructuralIssue(21, "token 1 is its own head",
+                                              "loop")], None)
+        data = text.replace("\n\n", separator)
+        with mock.patch.object(treebank, "PIECE_BYTES", piece), \
+                mock.patch.object(treebank, "_read_piece",
+                                  wraps=treebank._read_piece) as read:
+            assert outcome(parse_conllu, data) == expected
+        # The file is read in pieces of about PIECE_BYTES.
+        assert read.call_count > len(data) // (piece + 200)
 
     @pytest.mark.parametrize("piece", PIECES)
     @pytest.mark.parametrize("case", [*sorted(MALFORMED_CONLLU),
@@ -415,6 +456,11 @@ class TestManifest:
         assert entries[0].collection == "PUD"
         assert entries[1].collection == "SUD"
         assert entries[0].path == corpus
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        manifest = tmp_path / "man.txt"
+        manifest.write_bytes(BOM + b"x.conllu\tPUD\tEnglish\n")
+        assert read_manifest(manifest)[0].path == tmp_path / "x.conllu"
 
     def test_bad_line(self, tmp_path):
         manifest = tmp_path / "man.txt"
