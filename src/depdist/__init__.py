@@ -44,6 +44,7 @@ from .treebank import (
     DistanceSample,
     LengthDistribution,
     SampleSet,
+    Treebank,
     build_samples,
     distances,
     load_conllu,
@@ -65,6 +66,7 @@ __all__ = [
     "SampleSet",
     "SelectionReport",
     "SlopeSummary",
+    "Treebank",
     "average_omega",
     "build_samples",
     "distances",

@@ -27,6 +27,7 @@ from .models import Model
 from .treebank import (
     ConlluFormatError,
     ManifestEntry,
+    Treebank,
     build_samples,
     load_conllu,
     read_manifest,
@@ -44,7 +45,7 @@ NEAR_ZERO_BAND = 0.1  # |mean score| below this counts as "around zero"
 @dataclass
 class CorpusData:
     entry: ManifestEntry
-    trees: list
+    trees: Treebank
     sample_set: object
     skipped: int
 

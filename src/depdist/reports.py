@@ -17,6 +17,7 @@ import numpy as np
 
 from . import estimation, models as m
 from .models import Model
+from .treebank import Treebank
 
 CONSOLE_DIGITS = 3  # decimals of the floats printed to stdout
 
@@ -90,19 +91,19 @@ def print_table(records: Sequence[Mapping]) -> None:
 def corpus_summary_record(collection: str, language: str, trees,
                           sample_set, skipped: int) -> dict:
     pooled = sample_set.pooled
-    lengths = [tree.n for tree in trees]
+    lengths = Treebank.from_trees(trees).sizes
     return {
         "collection": collection,
         "language": language,
-        "sentences": len(trees),
+        "sentences": len(lengths),
         "skipped_sentences": skipped,
         "distances": pooled.total,
         "min_d": pooled.min_d,
         "mean_d": pooled.mean_d,
         "max_d": pooled.max_d,
-        "min_n": min(lengths),
-        "mean_n": sum(lengths) / len(lengths),
-        "max_n": max(lengths),
+        "min_n": int(lengths.min()),
+        "mean_n": int(lengths.sum()) / len(lengths),
+        "max_n": int(lengths.max()),
     }
 
 

@@ -5,43 +5,44 @@ token ``heads[i-1]``, with 0 marking the root.  The distance of a dependency
 is the absolute difference of the two token positions, so adjacent words are
 at distance 1.
 
+A corpus is a :class:`Treebank`, its head vectors back to back in one
+array, that builds each :class:`DepTree` only when asked.
+
 Usage:
 
     from depdist.treebank import load_conllu, build_samples, distances
 
-    trees = load_conllu("corpus.conllu")
+    trees = load_conllu("corpus.conllu")    # a Treebank
     sset = build_samples(trees, language="English", collection="PUD")
     sset.pooled.total          # number of dependencies
     sset.by_length[12].freq    # distance frequencies in 12-word sentences
 
-Reading CoNLL-U: the input is read as UTF-8 bytes, in pieces of about
-256 KB that each end after a line of ASCII spaces, tabs and CRs, with one
-numpy pass per piece.  One leading byte-order mark is dropped, and lines
-may end in CRLF.  A line is blank when it is all whitespace (as
-``str.strip`` has it), a comment when it starts with '#', and otherwise a
-token line, which must have 10 tab-separated columns.  The lines between
-two blank lines that hold a token line are a sentence.  A token's ID is 1
-to 18 ASCII digits, or holds '-' or '.' (a multiword range or an empty
-node, dropped); the HEAD of every other token is 1 to 18 ASCII digits.  A
-wrong column count raises :class:`ConlluFormatError` at its line, a bad ID
-or HEAD when its sentence ends.  A sentence whose ids read 1..n and whose
-heads form a tree (in range, no self-loop, exactly one root and no cycle)
-is read by the pass alone; any other is renumbered and checked by
-:class:`DepTree`, which words why it is skipped.
+Reading CoNLL-U: the input is read as UTF-8 bytes (not decoded when all
+ASCII), in pieces of about 256 KB that each end after a line of ASCII
+spaces, tabs and CRs, with one numpy pass per piece.  One leading BOM is
+dropped, and lines may end in CRLF.  A line is blank when it is all
+whitespace (as ``str.strip`` has it), a comment when it starts with '#',
+and otherwise a token line, which must have 10 tab-separated columns.  The
+lines between two blank lines that hold a token line are a sentence.  A
+token's ID is 1 to 18 ASCII digits, or holds '-' or '.' (a multiword range
+or an empty node, dropped); the HEAD of every other token is 1 to 18 ASCII
+digits.  A wrong column count raises :class:`ConlluFormatError` at its
+line, a bad ID or HEAD when its sentence ends.  A sentence whose ids read
+1..n and whose heads form a tree (in range, no self-loop, exactly one root
+and no cycle) is read by the pass alone; any other is renumbered and
+checked by :class:`DepTree`, which words why it is skipped.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 import re
-from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -158,6 +159,46 @@ def distances(tree: DepTree) -> list[int]:
         for pos, head in enumerate(tree.heads, start=1)
         if head != 0
     ]
+
+
+class Treebank(Sequence):
+    """Dependency trees held as two int64 arrays: ``heads``, the head
+    vectors of all sentences back to back, and ``sizes``, the token count
+    of each.  Indexing and iteration build each :class:`DepTree` only when
+    asked; a treebank equals any sequence of the same trees."""
+
+    def __init__(self, heads: np.ndarray, sizes: np.ndarray):
+        self.heads, self.sizes = heads, sizes
+
+    @classmethod
+    def from_trees(cls, trees: Iterable[DepTree]) -> Treebank:
+        """The treebank of ``trees``, or ``trees`` itself if it is one."""
+        if isinstance(trees, Treebank):
+            return trees
+        vectors = [tree.heads for tree in trees]
+        sizes = np.fromiter(map(len, vectors), np.int64, len(vectors))
+        return cls(np.fromiter(chain.from_iterable(vectors), np.int64,
+                               int(sizes.sum())), sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]  # a slice gives a list of trees
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        a = int(self.sizes[:i].sum())
+        return DepTree._unchecked(
+            tuple(self.heads[a:a + int(self.sizes[i])].tolist()))
+
+    def __iter__(self) -> Iterator[DepTree]:
+        flat, cut = tuple(self.heads.tolist()), np.cumsum(self.sizes).tolist()
+        return (DepTree._unchecked(flat[a:b]) for a, b in zip([0] + cut, cut))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -360,15 +401,15 @@ def parse_conllu(
     text: str | bytes,
     *,
     issues: list[StructuralIssue] | None = None,
-) -> list[DepTree]:
-    """Parse CoNLL-U text into dependency trees.
+) -> Treebank:
+    """Parse CoNLL-U text into a :class:`Treebank`.
 
     Sentences are blocks of 10-column tab-separated token lines separated by
     blank lines; ``#`` lines are comments.  Multiword-token ranges ("1-2")
     and empty nodes ("1.1") are dropped, the remaining tokens renumbered
-    1..n in order of appearance, and heads remapped.  Bytes are decoded as
-    UTF-8; one leading byte-order mark is dropped, and lines may end in
-    ``\\r\\n``.
+    1..n in order of appearance, and heads remapped.  Bytes must be UTF-8
+    (checked by decoding them, unless all are ASCII); one leading
+    byte-order mark is dropped, and lines may end in ``\\r\\n``.
 
     A malformed line (wrong column count, an ID or HEAD that is not 1 to 18
     ASCII digits) raises :class:`ConlluFormatError` with its line number.
@@ -377,21 +418,22 @@ def parse_conllu(
     summary is logged.  The module docstring gives the rules in full.
     """
     if isinstance(text, bytes):
-        text.decode("utf-8")  # invalid UTF-8 fails here, before any line
+        if not text.isascii():
+            text.decode("utf-8")  # invalid UTF-8 fails here, before any line
         data = text
     else:
         data = text.encode("utf-8", "surrogatepass")
     if issues is None:
         issues = []
 
-    trees: list[DepTree] = []
+    pieces = [(np.zeros(0, dtype=np.int64),) * 2]
     sentence_index = 0
     line_number = 1
     pos = len(BOM) if data.startswith(BOM) else 0
     while pos < len(data):
         end = _piece_end(data, pos)
         sentence_index, line_number = _read_piece(
-            data, pos, end, line_number, trees, issues, sentence_index)
+            data, pos, end, line_number, pieces, issues, sentence_index)
         pos = end
 
     if issues:
@@ -399,7 +441,7 @@ def parse_conllu(
             "skipped %d structurally invalid sentence(s) out of %d",
             len(issues), sentence_index,
         )
-    return trees
+    return Treebank(*map(np.concatenate, zip(*pieces)))
 
 
 def _piece_end(data: bytes, start: int) -> int:
@@ -410,12 +452,13 @@ def _piece_end(data: bytes, start: int) -> int:
     return match.end() if match else len(data)
 
 
-def _read_piece(data, lo, hi, first_line, trees, issues,
+def _read_piece(data, lo, hi, first_line, pieces, issues,
                 sentence_index) -> tuple[int, int]:
-    """Append the trees and issues of ``data[lo:hi]``, whose first line is
-    number ``first_line``; return the sentence count and the next line
-    number, or raise the piece's first :class:`ConlluFormatError` once the
-    sentences that end before it are read."""
+    """Append the trees of ``data[lo:hi]`` (first line ``first_line``) to
+    ``pieces`` as a (heads, sizes) pair and its issues to ``issues``; return
+    the sentence count and the next line number, or raise the piece's first
+    :class:`ConlluFormatError` once the sentences that end before it are
+    read."""
     chunk = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
     # Tabs and newlines; an unterminated last line ends at the piece end.
     sep = np.flatnonzero(chunk - np.uint8(9) < 2)
@@ -499,29 +542,22 @@ def _read_piece(data, lo, hi, first_line, trees, issues,
     accepted = (is_sentence & (n > 0) & (counts(tok[bad]) == 0)
                 & (counts(tok[heads == 0]) == 1))
 
-    flat = tuple(heads[accepted[tok_segment]].tolist())
-    bounds = np.cumsum(n[accepted]).tolist()
-    fast = [DepTree._unchecked(flat[a:b])
-            for a, b in zip([0] + bounds, bounds)]
-    # Any other sentence is renumbered and checked by DepTree.
+    # Any other sentence is renumbered and checked by DepTree; renumbering
+    # keeps its size, so a tree takes its place in ``heads``.
     ordinal = sentence_index + np.cumsum(is_sentence)
-    rejected = np.flatnonzero(is_sentence & ~accepted)
-    done = 0
-    for s, k in zip(rejected.tolist(), np.searchsorted(
-            np.flatnonzero(accepted), rejected).tolist()):
-        trees.extend(fast[done:k])
-        done = k
+    for s in np.flatnonzero(is_sentence & ~accepted).tolist():
         rows = slice(offset[s], offset[s] + n[s])
         try:
-            trees.append(_renumbered(ids[rows].tolist(),
-                                     heads[rows].tolist()))
+            heads[rows] = _renumbered(ids[rows].tolist(),
+                                      heads[rows].tolist()).heads
+            accepted[s] = True
         except TreeStructureError as exc:
             a, b = limits[s], limits[s + 1]
             lines = np.flatnonzero(comment[a:b]) + a
             issues.append(StructuralIssue(
                 int(ordinal[s]), str(exc),
                 _sent_id(data, lo + starts[lines], lo + ends[lines])))
-    trees.extend(fast[done:])
+    pieces.append((heads[accepted[tok_segment]], n[accepted]))
     if error is not None:
         raise error
     return int(ordinal[-1]), first_line + len(starts)
@@ -581,22 +617,17 @@ def load_conllu(
     path: str | Path,
     *,
     issues: list[StructuralIssue] | None = None,
-) -> list[DepTree]:
+) -> Treebank:
     """Parse a CoNLL-U file from disk."""
-    data = Path(path).read_bytes()
-    return parse_conllu(data, issues=issues)
+    return parse_conllu(Path(path).read_bytes(), issues=issues)
 
 
 def to_conllu(trees: Iterable[DepTree]) -> str:
     """Serialize trees back to minimal CoNLL-U (placeholder word forms)."""
-    out = io.StringIO()
-    for tree in trees:
-        for pos, head in enumerate(tree.heads, start=1):
-            cols = [str(pos), f"w{pos}", "_", "_", "_", "_", str(head), "_",
-                    "_", "_"]
-            out.write("\t".join(cols) + "\n")
-        out.write("\n")
-    return out.getvalue()
+    return "".join(
+        "".join(f"{pos}\tw{pos}\t_\t_\t_\t_\t{head}\t_\t_\t_\n"
+                for pos, head in enumerate(tree.heads, start=1)) + "\n"
+        for tree in trees)
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +647,12 @@ def build_samples(
     them in ``by_length``), the sentence-length distribution, and sentence
     counts per length.
     """
-    trees = list(trees)
-    if not trees:
+    trees = Treebank.from_trees(trees)
+    if not len(trees):
         raise ValueError("no trees")
 
     # One (length, distance) key per dependency, counted by one np.unique.
-    head_vectors = [tree.heads for tree in trees]
-    sizes = np.fromiter(map(len, head_vectors), dtype=np.int64,
-                        count=len(trees))
-    heads = np.fromiter(chain.from_iterable(head_vectors), dtype=np.int64,
-                        count=int(sizes.sum()))
+    heads, sizes = trees.heads, trees.sizes
     token_length = np.repeat(sizes, sizes)
     position = (np.arange(len(heads))
                 - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1)
@@ -649,13 +676,12 @@ def build_samples(
         for n, a, b in zip(key_n[np.r_[0, cuts]].tolist(),
                            [0, *cuts.tolist()], [*cuts.tolist(), len(keys)])
     }
-    pooled_freq: Counter = Counter()
-    for d, count in zip(key_d, key_counts):
-        pooled_freq[d] += count
+    pooled_freq = np.zeros(stride, dtype=np.int64)
+    np.add.at(pooled_freq, key_d, key_counts)
+    support = np.flatnonzero(pooled_freq)
     pooled = DistanceSample(
-        dict(sorted(pooled_freq.items())), language=language,
-        collection=collection, by_length=by_length,
-    )
+        dict(zip(support.tolist(), pooled_freq[support].tolist())),
+        language=language, collection=collection, by_length=by_length)
     n_values, n_counts = np.unique(sizes, return_counts=True)
     sentence_counts = dict(zip(n_values.tolist(), n_counts.tolist()))
     return SampleSet(

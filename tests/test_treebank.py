@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree
-from depdist import treebank
+from depdist import reports, treebank
 from depdist.treebank import (
     BOM,
     ConlluFormatError,
@@ -17,6 +17,7 @@ from depdist.treebank import (
     DistanceSample,
     LengthDistribution,
     TreeStructureError,
+    Treebank,
     build_samples,
     distances,
     parse_conllu,
@@ -441,6 +442,122 @@ class TestBuildSamples:
         assert original.pooled.freq == again.pooled.freq
         assert {n: s.freq for n, s in original.by_length.items()} \
             == {n: s.freq for n, s in again.by_length.items()}
+
+
+@st.composite
+def corpora(draw):
+    """Random trees of 1 to 12 words, at least one with a dependency."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=30)
+                 .filter(lambda sizes: max(sizes) >= 2))
+    return [random_tree(n, rng) for n in sizes]
+
+
+class TestTreebank:
+    TREES = [DepTree((0,)), DepTree((2, 0, 2)), DepTree((0, 1, 2, 3))]
+
+    def treebank(self):
+        return parse_conllu(to_conllu(self.TREES))
+
+    def test_columns_len_and_iteration(self):
+        trees = self.treebank()
+        assert isinstance(trees, Treebank)
+        assert trees.heads.tolist() == [0, 2, 0, 2, 0, 1, 2, 3]
+        assert trees.sizes.tolist() == [1, 3, 4]
+        assert len(trees) == 3
+        assert [tree.heads for tree in trees] \
+            == [tree.heads for tree in self.TREES]
+        assert len(parse_conllu("")) == 0 and parse_conllu("") == []
+
+    @pytest.mark.parametrize("index, expected", [
+        (0, 0), (2, 2), (-1, 2), (-3, 0), (np.int64(1), 1),
+        (np.int64(-2), 1), (np.int32(2), 2)])
+    def test_indexing(self, index, expected):
+        tree = self.treebank()[index]
+        assert tree == self.TREES[expected]
+        assert type(tree.heads) is tuple
+        assert {type(head) for head in tree.heads} == {int}
+
+    @pytest.mark.parametrize("index", [3, -4, np.int64(3), np.int64(-4)])
+    def test_index_past_either_end(self, index):
+        with pytest.raises(IndexError):
+            self.treebank()[index]
+
+    def test_slices_are_lists_of_trees(self):
+        assert self.treebank()[1:] == self.TREES[1:]
+        assert self.treebank()[::-1] == self.TREES[::-1]
+
+    def test_equality(self):
+        trees = self.treebank()
+        assert trees == self.TREES and self.TREES == trees
+        assert trees == Treebank.from_trees(self.TREES)
+        assert not trees != self.treebank()
+        other = [*self.TREES[:2], DepTree((0, 1, 1, 3))]
+        assert trees != other and other != trees
+        assert trees != Treebank.from_trees(other)
+        assert trees != self.TREES[:2]
+        assert trees != "abc" and trees != 3
+
+    @settings(max_examples=60)
+    @given(trees=corpora())
+    def test_parsed_corpus_builds_the_samples_of_its_trees(self, trees):
+        parsed = parse_conllu(to_conllu(trees))
+        assert parsed == trees
+        expected, got = build_samples(trees), build_samples(parsed)
+        assert list(got.by_length) == list(expected.by_length)
+        assert got.by_length == expected.by_length
+        assert got.pooled == expected.pooled
+        assert got.sentence_counts == expected.sentence_counts
+        assert got.lengths == expected.lengths
+        assert reports.corpus_summary_record("C", "L", parsed, got, 0) \
+            == reports.corpus_summary_record("C", "L", trees, expected, 0)
+
+
+class TestTreesBuiltOnlyWhenAsked:
+    """Parsing, sample building and the summary record read the arrays:
+    a DepTree is built only for a sentence that must be renumbered."""
+
+    def counted(self, text, piece=treebank.PIECE_BYTES):
+        with mock.patch.object(DepTree, "_unchecked",
+                               wraps=DepTree._unchecked) as unchecked, \
+                mock.patch.object(DepTree, "__post_init__", autospec=True,
+                                  side_effect=DepTree.__post_init__) as check, \
+                mock.patch.object(treebank, "_renumbered",
+                                  wraps=treebank._renumbered) as renumbered, \
+                mock.patch.object(treebank, "PIECE_BYTES", piece), \
+                mock.patch.object(treebank, "_read_piece",
+                                  wraps=treebank._read_piece) as read:
+            trees = parse_conllu(text)
+            sset = build_samples(trees)
+            reports.corpus_summary_record("C", "L", trees, sset, 0)
+        return trees, unchecked.call_count, check.call_count, \
+            renumbered.call_count, read.call_count
+
+    def test_valid_corpus_builds_no_tree(self):
+        rng = np.random.default_rng(5)
+        expected = [random_tree(int(rng.integers(1, 20)), rng)
+                    for _ in range(200)]
+        trees, unchecked, checked, renumbered, pieces = self.counted(
+            to_conllu(expected), piece=1024)
+        assert pieces > 1
+        assert (unchecked, checked, renumbered) == (0, 0, 0)
+        assert trees == expected
+
+    @pytest.mark.parametrize("last_id, built", [(3, 0), (4, 1)])
+    def test_only_a_renumbered_sentence_builds_a_tree(self, last_id, built):
+        # The pass drops the range line; ids 1, 2, 3 then read 1..n, while
+        # ids 1, 2, 4 must be renumbered, which builds and checks one tree.
+        rng = np.random.default_rng(6)
+        expected = [random_tree(int(rng.integers(1, 20)), rng)
+                    for _ in range(50)]
+        text = to_conllu(expected[:30]) + "\n".join([
+            "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_",
+            conllu_line(1, 2), conllu_line(2, 0), conllu_line(last_id, 2),
+        ]) + "\n\n" + to_conllu(expected[30:])
+        trees, unchecked, checked, renumbered, _ = self.counted(text)
+        assert (unchecked, checked, renumbered) == (0, built, built)
+        assert trees == [*expected[:30], DepTree((2, 0, 2)),
+                         *expected[30:]]
 
 
 class TestManifest:
