@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -62,9 +63,10 @@ log = logging.getLogger(__name__)
 class FitResult:
     """One model fitted to one sample.
 
-    ``break_points`` counts the grid's break points and ``evaluations`` the
-    objective evaluations of the searches that ran (none for the fits
-    through a spec row's ``fit`` and for excluded fits).
+    ``break_points`` counts the grid's break points, ``searches`` those
+    that the bounded scan searched and ``evaluations`` the objective
+    evaluations of those searches (none for the fits through a spec row's
+    ``fit`` and for excluded fits).
     """
 
     model: Model
@@ -78,6 +80,7 @@ class FitResult:
     status: str = "ok"          # "ok" or "excluded"
     note: str | None = None
     break_points: int = 0
+    searches: int = 0
     evaluations: int = 0
 
     @property
@@ -177,6 +180,23 @@ def _kernel():
     return setulb, status_messages, task_messages
 
 
+@functools.cache
+def _workspace(bounds: tuple, thread: int) -> tuple:
+    """The kernel's arrays for one box, built once per box and thread:
+    ``nbd``, ``low`` and ``high`` as scipy's ``bounds_map`` builds them,
+    then the gradient and the work arrays, which each search zero-fills."""
+    lows, highs = _box(bounds)
+    n, m = len(bounds), LBFGSB_MAXCOR
+    nbd = np.array([_NBD[not math.isinf(lo), not math.isinf(hi)]
+                    for lo, hi in zip(lows, highs)], np.int32)
+    low = np.array([0.0 if math.isinf(lo) else lo for lo in lows])
+    high = np.array([0.0 if math.isinf(hi) else hi for hi in highs])
+    work = (np.zeros(n), np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m),
+            *(np.zeros(size, np.int32) for size in (3 * n, 2, 2, 4, 44)),
+            np.zeros(29))
+    return nbd, low, high, work
+
+
 def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
             maxfun=LBFGSB_MAXFUN) -> LbfgsbResult:
     """Minimize ``fun_and_grad`` (a list of floats -> (value, gradient))
@@ -189,7 +209,10 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
     and again only where the kernel asks for it at a new point (counted as
     scipy counts ``nfev``), and the iteration and evaluation limits checked
     at each new iterate.  Same kernel, same inputs, same iterates (all
-    inside the box), same result.
+    inside the box), same result.  The arrays are built once per box (and
+    thread) by :func:`_workspace` and zero-filled at the start of each
+    search, the state scipy's freshly built arrays start from; the
+    gradient is copied into its array at each point the kernel asks for.
 
     This calls ``scipy.optimize._lbfgsb.setulb``, the 17-argument kernel of
     scipy's C port of L-BFGS-B (scipy >= 1.15).  It is private to scipy
@@ -197,29 +220,20 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
     in ``tests/test_estimation.py`` compare this loop with scipy's.
     """
     setulb, status_messages, task_messages = _kernel()
-    lows, highs = _box(bounds)
+    nbd, low, high, work = _workspace(tuple(bounds), threading.get_ident())
+    for array in work:
+        array.fill(0)
+    g, wa, iwa, task, ln_task, lsave, isave, dsave = work
     x = np.array(x0, dtype=float)   # a copy: the kernel writes into x
-    n, m = len(x), LBFGSB_MAXCOR
-    nbd = np.array([_NBD[not math.isinf(lo), not math.isinf(hi)]
-                    for lo, hi in zip(lows, highs)], np.int32)
-    low = np.array([0.0 if math.isinf(lo) else lo for lo in lows])
-    high = np.array([0.0 if math.isinf(hi) else hi for hi in highs])
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
     factr = FTOL / np.finfo(float).eps
 
     seen = x.tolist()
     fun0, grad_seen = fun_and_grad(seen)
     fun_seen, nfev, nit = fun0, 1, 0
-    f, g = np.array(0.0), np.zeros(n)
+    f = np.array(0.0)
     while True:
-        setulb(m, x, low, high, nbd, f, g, factr, LBFGSB_PGTOL, wa, iwa,
-               task, lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        setulb(LBFGSB_MAXCOR, x, low, high, nbd, f, g, factr, LBFGSB_PGTOL,
+               wa, iwa, task, lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
         status = task[0]
         if status == _FG:
             point = x.tolist()
@@ -227,8 +241,8 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
                 seen = point
                 fun_seen, grad_seen = fun_and_grad(point)
                 nfev += 1
-            # A copy: the kernel may write into g, never into the cache.
-            f, g = fun_seen, np.array(grad_seen, dtype=float)
+            # Copied: the kernel may write into g, never into the cache.
+            f, g[:] = fun_seen, grad_seen
         elif status == _NEW_X:
             nit += 1
             if nit >= maxiter:
@@ -326,6 +340,7 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
                 1.0 + abs(best[1])):
             break
         fitted = _optimize(model, sample, grid[i], tally)
+        tally["searches"] += 1
         if best is None or (fitted[1], -grid[i]) > (
                 best[1], -best[0].break_point):
             best = fitted

@@ -22,9 +22,10 @@ twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.  The one-regime rows carry their own fits (a
-d_max scan, a fixed value, q = N/M, and the break-point bound's 1-D solver
-for the truncated geometric and zeta), which return plain tuples; the
-optimizer in :mod:`depdist.estimation` fits the two-regime rows.
+d_max scan, a fixed value, q = N/M, and bisection on the slope of the
+break-point bound's curves for the truncated geometric and zeta), which
+return plain tuples; the optimizer in :mod:`depdist.estimation` fits the
+two-regime rows.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
 summed over the per-length samples that a pooled sample carries
 (``DistanceSample.by_length``); a sample without them leaves it excluded.
@@ -658,10 +659,15 @@ def _zeta_geometric_bind(sample, bp, d_max):
 # with a free split weight, a larger model whose maximum is a sum of three
 # parts: the split term, the first regime's maximum on 1..b and the tail's
 # beyond b.  Regimes are 1-D concave exponential families in theta =
-# log(1 - q) or gamma; each part is one array over the grid, kept in the
-# sample's memo (keyed by the part and the grid) so that twins share it.
+# log(1 - q) or gamma, maximized for the whole grid at once by safeguarded
+# Newton steps from a closed-form start; the tangent at each iterate bounds
+# the maximum from above, so a part is an upper bound however far Newton
+# got, and a loose one only costs searches.  Each part is one array over the
+# grid, kept in the sample's memo (keyed by the part and the grid) so that
+# twins share it.
 
-BISECTIONS = 24
+NEWTON_STEPS = 12  # most iterates of a grid; most grids certify in 5
+NEWTON_GAP = 1e-12  # relative rise of a certified bound above its iterate
 GAMMA_TOP = 64.0  # the slope at gamma 64 is negative unless N* >= 2^64
 THETA_BOUNDS = (math.log1p(-Q_BOUNDS[1]), math.log1p(-Q_BOUNDS[0]))
 ZETA_CELLS = 2 ** 20  # largest (b, k) matrix of the zeta head
@@ -676,11 +682,12 @@ def _part(sample, part, grid):
 def _grid_stats(sample, grid):
     """At each b of the grid: N*, the sums of d - 1 and of log d over d <=
     b, the count T beyond b and the sum of d - b - 1 there."""
-    n_star, m_star, log_star = np.array(
-        [sample.stats_upto(b) for b in grid], dtype=float).T
+    bs = np.array(grid)
+    n_star, m_star, log_star = sample.stats_upto(bs)
+    n_star, m_star = n_star.astype(float), m_star.astype(float)
     tail = sample.total - n_star
     return (n_star, m_star - n_star, log_star, tail,
-            sample.weighted_sum - m_star - tail * (np.array(grid) + 1.0))
+            sample.weighted_sum - m_star - tail * (bs + 1.0))
 
 
 def _bisect(up, lo, hi, steps):
@@ -693,28 +700,62 @@ def _bisect(up, lo, hi, steps):
     return lo, width
 
 
-def _concave_max(value, slope, lo, hi, size):
-    """Upper bounds on the maxima over [lo, hi] of ``size`` concave functions:
-    bisect on the sign of the slope, which keeps each maximizer inside its
-    bracket, then take the lower of the tangents at the bracket's ends."""
-    lo, width = _bisect(lambda x: slope(x) > 0, np.full(size, lo), hi,
-                        BISECTIONS)
-    hi = lo + width
-    return np.minimum(value(lo) + np.maximum(slope(lo), 0.0) * width,
-                      value(hi) + np.maximum(-slope(hi), 0.0) * width)
+def _concave_max(curve, lo, hi, x):
+    """Upper bounds on the maxima over [lo, hi] of concave functions, one per
+    entry of the start ``x``; ``curve`` gives their values, slopes and
+    curvatures at an array of points.  Safeguarded Newton: the slope's sign
+    at each iterate keeps a bracket around each maximizer, and a step that
+    leaves the bracket goes to the end of [lo, hi] on its side if no iterate
+    has ruled that end out, else to the bracket's middle.  The tangent at an
+    iterate, highest at one end of the bracket, bounds the maximum; each row
+    keeps its lowest, valid however far the iteration got.  The iteration
+    stops when every row's bound is within NEWTON_GAP (1 + |value|) of its
+    iterate's value, or after NEWTON_STEPS iterates."""
+    x = np.fmin(np.fmax(x, lo), hi)
+    lo, hi = np.full_like(x, lo), np.full_like(x, hi)
+    closed_lo = closed_hi = False   # an iterate has ruled out that end
+    bound = np.full_like(x, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            value, slope, curvature = curve(x)
+            up, down = slope > 0, slope < 0
+            lo, hi = np.where(up, x, lo), np.where(down, x, hi)
+            closed_lo, closed_hi = closed_lo | up, closed_hi | down
+            bound = np.fmin(bound, value + np.maximum(slope * (hi - x),
+                                                      slope * (lo - x)))
+            if (bound - value <= NEWTON_GAP * (1.0 + np.abs(value))).all():
+                break
+            x = x - slope / curvature
+            outside = ~((lo <= x) & (x <= hi))
+            if outside.any():
+                mid = (lo + hi) / 2.0
+                x = np.where(outside, np.where(
+                    x > hi, np.where(closed_hi, mid, hi),
+                    np.where(closed_lo, mid, lo)), x)
+    return bound
 
 
 def _truncated_geometric(n, offsets, k):
-    """Log-likelihood and slope, in theta = log(1 - q), of n distances whose
-    offsets from the first of k support points sum to ``offsets``."""
-    def value(theta):
-        return theta * offsets - n * np.log(np.expm1(k * theta)
-                                            / np.expm1(theta))
+    """The log-likelihood of n distances whose offsets from the first of k
+    support points sum to ``offsets``, in theta = log(1 - q): (curve,
+    slope), where ``curve`` returns its value, slope and curvature, and
+    ``slope`` the slope alone, ``offsets`` less n times the mean offset.
+    The curvature is -n times the offset's variance."""
+    def ratios(theta):  # the mean offset is their difference
+        r, a = np.exp(theta), -np.expm1(theta)
+        rk, ak = np.exp(k * theta), -np.expm1(k * theta)
+        return r / a, k * rk / ak, a, ak
 
-    def slope(theta):  # the mean offset is 1/expm1(-theta) - k/expm1(-k theta)
-        return offsets - n * (np.exp(theta) / -np.expm1(theta)
-                              - k * np.exp(k * theta) / -np.expm1(k * theta))
-    return value, slope
+    def slope(theta):
+        ratio, ratio_k, _, _ = ratios(theta)
+        return offsets - n * (ratio - ratio_k)
+
+    def curve(theta):
+        ratio, ratio_k, a, ak = ratios(theta)
+        return (theta * offsets - n * np.log(ak / a),
+                offsets - n * (ratio - ratio_k),
+                n * (ratio_k * k / ak - ratio / a))
+    return curve, slope
 
 
 def _xlogy(x, y):
@@ -723,36 +764,63 @@ def _xlogy(x, y):
     return x * np.log(np.where(x > 0, y, 1.0))
 
 
+def _geometric_maxima(sample, grid):
+    """The truncated geometric's maxima on 1..b and on b+1..max d at each b,
+    solved as one array from the untruncated geometric's theta, log(1 - q)
+    at q = 1 / (1 + mean offset): the first regime of models 3 and 4 and the
+    tail of models 4 and 7."""
+    n_star, offsets, _, tail, tail_offsets = _part(sample, _grid_stats, grid)
+    bs = np.array(grid)
+    n, total = np.concatenate([n_star, tail]), np.concatenate([offsets,
+                                                                tail_offsets])
+    with np.errstate(divide="ignore"):  # -inf where every offset is 0
+        start = np.log(total / (n + total))
+    curve, _ = _truncated_geometric(n, total,
+                                    np.concatenate([bs, sample.max_d - bs]))
+    return np.split(_concave_max(curve, *THETA_BOUNDS, start), 2)
+
+
 def _geometric_head_max(sample, grid):
-    n_star, offsets, *_ = _part(sample, _grid_stats, grid)
-    return _concave_max(*_truncated_geometric(n_star, offsets, np.array(grid)),
-                        *THETA_BOUNDS, len(grid))
+    return _part(sample, _geometric_maxima, grid)[0]
 
 
 def _zeta_head_max(sample, grid):
-    """The truncated zeta on 1..b, gamma >= 0, in blocks of rows of b."""
+    """The truncated zeta on 1..b, gamma >= 0, in blocks of rows of b, from
+    the discrete power law's approximate estimate 1 + 1 / (mean log d +
+    log 2) (Clauset, Shalizi & Newman, 2009)."""
     n_star, _, log_star, *_ = _part(sample, _grid_stats, grid)
     bs, ks = np.array(grid), np.arange(1, grid[-1] + 1)
     rows, log_k = max(1, ZETA_CELLS // len(ks)), np.log(ks)
+    start = 1.0 + 1.0 / (log_star / n_star + math.log(2.0))
     blocks = [slice(i, i + rows) for i in range(0, len(bs), rows)]
-    return np.concatenate([_concave_max(*_truncated_zeta(
-        n_star[b], log_star[b], log_k, ks <= bs[b, None]), 0.0, GAMMA_TOP,
-        len(bs[b])) for b in blocks])
+    return np.concatenate([_concave_max(_truncated_zeta(
+        n_star[b], log_star[b], log_k, ks <= bs[b, None])[0], 0.0, GAMMA_TOP,
+        start[b]) for b in blocks])
 
 
 def _truncated_zeta(n, log_sum, log_k, inside=True):
-    """Log-likelihood and slope in gamma of n distances whose logs sum to
-    ``log_sum``: on a float, or on arrays over the rows of the mask inside."""
-    def weights(gamma):
-        return np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
+    """The log-likelihood of n distances whose logs sum to ``log_sum``, in
+    gamma: (curve, slope), where ``curve`` returns its value, slope and
+    curvature, and ``slope`` the slope alone, n times the mean log k less
+    ``log_sum``.  The curvature is -n times the variance of log k.  On a
+    float, or on arrays over the rows of the mask inside."""
+    log_k2 = log_k * log_k
 
-    def value(gamma):
-        return -gamma * log_sum - n * np.log(weights(gamma).sum(axis=-1))
+    def weights(gamma):
+        w = np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
+        return w, w.sum(axis=-1), w @ log_k
 
     def slope(gamma):
-        w = weights(gamma)
-        return n * (w @ log_k) / w.sum(axis=-1) - log_sum
-    return value, slope
+        _, z, first = weights(gamma)
+        return n * first / z - log_sum
+
+    def curve(gamma):
+        w, z, first = weights(gamma)
+        mean = first / z
+        return (-gamma * log_sum - n * np.log(z),
+                n * first / z - log_sum,
+                n * (mean * mean - (w @ log_k2) / z))
+    return curve, slope
 
 
 def _geometric_tail_max(sample, grid):
@@ -763,10 +831,7 @@ def _geometric_tail_max(sample, grid):
 
 
 def _truncated_tail_max(sample, grid):
-    *_, tail, offsets = _part(sample, _grid_stats, grid)
-    return _concave_max(*_truncated_geometric(
-        tail, offsets, sample.max_d - np.array(grid)), *THETA_BOUNDS,
-        len(grid))
+    return _part(sample, _geometric_maxima, grid)[1]
 
 
 def _break_bound(head, tail, sample, grid):

@@ -183,17 +183,21 @@ class Treebank(Sequence):
     def __len__(self) -> int:
         return len(self.sizes)
 
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Where each sentence's heads start, then where the last ends."""
+        return np.concatenate([[0], np.cumsum(self.sizes)])
+
     def __getitem__(self, index):
         i = range(len(self))[index]  # a slice gives a list of trees
         if isinstance(i, range):
             return [self[k] for k in i]
-        a = int(self.sizes[:i].sum())
-        return DepTree._unchecked(
-            tuple(self.heads[a:a + int(self.sizes[i])].tolist()))
+        a, b = self._starts[i:i + 2].tolist()
+        return DepTree._unchecked(tuple(self.heads[a:b].tolist()))
 
     def __iter__(self) -> Iterator[DepTree]:
-        flat, cut = tuple(self.heads.tolist()), np.cumsum(self.sizes).tolist()
-        return (DepTree._unchecked(flat[a:b]) for a, b in zip([0] + cut, cut))
+        flat, cut = tuple(self.heads.tolist()), self._starts.tolist()
+        return (DepTree._unchecked(flat[a:b]) for a, b in zip(cut, cut[1:]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -280,23 +284,24 @@ class DistanceSample:
 
     @cached_property
     def _cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cum_n = np.cumsum(self.counts)
-        cum_m = np.cumsum(self.support * self.counts)
-        cum_mlog = np.cumsum(self.counts * np.log(self.support))
-        return cum_n, cum_m, cum_mlog
+        """N*, M* and M'* up to each entry of the support, after a 0."""
+        return tuple(np.concatenate([[0], np.cumsum(values)]) for values in (
+            self.counts, self.support * self.counts,
+            self.counts * np.log(self.support)))
 
     @cached_property
     def memo(self) -> dict:
         """Values other modules derive from the sample and share."""
         return {}
 
-    def stats_upto(self, d: int) -> tuple[int, int, float]:
-        """(N*, M*, M'*) restricted to distances <= d."""
-        idx = int(np.searchsorted(self.support, d, side="right"))
-        if idx == 0:
-            return 0, 0, 0.0
+    def stats_upto(self, d):
+        """(N*, M*, M'*) restricted to distances <= d: on an int, or on an
+        array of them, one array each."""
+        idx = np.searchsorted(self.support, d, side="right")
         cum_n, cum_m, cum_mlog = self._cumulative
-        return int(cum_n[idx - 1]), int(cum_m[idx - 1]), float(cum_mlog[idx - 1])
+        if np.ndim(idx):
+            return cum_n[idx], cum_m[idx], cum_mlog[idx]
+        return int(cum_n[idx]), int(cum_m[idx]), float(cum_mlog[idx])
 
     @property
     def min_d(self) -> int:

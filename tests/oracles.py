@@ -6,10 +6,12 @@ set of vertices (``np.bitwise_count`` needs numpy >= 2.0), and a brute
 force over every ordering.
 
 For the break-point scan of the two-regime fits, the exhaustive scan that
-:func:`depdist.estimation.fit` prunes, and the constrained log-likelihood
-on a dense parameter grid, written from the pmf's definition.  For the
-one-regime fits of models 1, 2 and 5, the log-likelihood on a dense grid of
-the rate, within the floor on log p(max d), written from the pmf likewise.
+:func:`depdist.estimation.fit` prunes, the constrained log-likelihood on a
+dense parameter grid, written from the pmf's definition, and the scan's
+bound as the 24-step bisection computed it before Newton's certificate.
+For the one-regime fits of models 1, 2 and 5, the log-likelihood on a
+dense grid of the rate, within the floor on log p(max d), written from the
+pmf likewise.
 
 For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 :func:`depdist.treebank.parse_conllu` replaced with its array pass.
@@ -97,6 +99,51 @@ def exhaustive_break_scan(model, sample):
         if best is None or fitted[1] > best[1]:
             best = fitted
     return best
+
+
+BISECTIONS = 24
+
+
+def bisection_concave_max(value, slope, lo, hi, size):
+    """Upper bounds on the maxima over [lo, hi] of ``size`` concave functions:
+    bisect on the sign of the slope, which keeps each maximizer inside its
+    bracket, then take the lower of the tangents at the bracket's ends.
+    The break-point bound's solver before safeguarded Newton replaced it."""
+    lo, width = m._bisect(lambda x: slope(x) > 0, np.full(size, lo), hi,
+                          BISECTIONS)
+    hi = lo + width
+    return np.minimum(value(lo) + np.maximum(slope(lo), 0.0) * width,
+                      value(hi) + np.maximum(-slope(hi), 0.0) * width)
+
+
+def bisection_break_bound(model, sample, grid):
+    """The two-regime model's break-point bound on the grid, with each
+    regime's maximum from :func:`bisection_concave_max`: the split term, the
+    first regime's maximum and the tail's (the geometric's closed form, or
+    a truncated geometric)."""
+    n_star, offsets, log_star, tail, tail_offsets = m._grid_stats(sample, grid)
+    bs = np.array(grid)
+
+    def solve(curve_and_slope, lo, hi):
+        curve, slope = curve_and_slope
+        return bisection_concave_max(lambda x: curve(x)[0], slope, lo, hi,
+                                     len(bs))
+    if model.family == "6-7":
+        ks = np.arange(1, bs[-1] + 1)
+        head = solve(m._truncated_zeta(n_star, log_star, np.log(ks),
+                                       ks <= bs[:, None]), 0.0, m.GAMMA_TOP)
+    else:
+        head = solve(m._truncated_geometric(n_star, offsets, bs),
+                     *m.THETA_BOUNDS)
+    if model.is_truncated:
+        rest = solve(m._truncated_geometric(tail, tail_offsets,
+                                            sample.max_d - bs),
+                     *m.THETA_BOUNDS)
+    else:
+        rest = m._geometric_tail_max(sample, grid)
+    total = sample.total
+    return (m._xlogy(n_star, n_star / total) + m._xlogy(tail, tail / total)
+            + head + rest)
 
 
 def dense_grid_max(model, sample, bp, size=64):

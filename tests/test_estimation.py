@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,12 @@ from depdist.estimation import (
 from depdist.models import Model
 from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample, LengthDistribution
-from oracles import dense_grid_max, dense_grid_max_1d, exhaustive_break_scan
+from oracles import (
+    bisection_break_bound,
+    dense_grid_max,
+    dense_grid_max_1d,
+    exhaustive_break_scan,
+)
 
 TWO_REGIME = [Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC,
               Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC]
@@ -375,6 +381,29 @@ class TestLbfgsbLoop:
             for bp in (sample.min2_d, 4, sample.max2_d):
                 self.assert_same_as_scipy(model, sample, bp)
 
+    def test_reused_arrays_carry_no_state(self):
+        # The kernel's arrays are built once per box and zero-filled by each
+        # search: a search of another row in the same box, stopped midway,
+        # leaves no trace in the next run of the first.
+        suite = generate_validation_suite(1)
+
+        def search(model, bp, **limits):
+            sample, spec = suite[model], model.spec
+            return est._lbfgsb(
+                est._fused(row_objective(model, sample, bp), spec.bounds),
+                spec.init(sample, bp), spec.bounds, **limits)
+        first = search(Model.TWO_REGIME_GEOMETRIC, 4)
+        assert not search(Model.TWO_REGIME_GEOMETRIC_TRUNC, 7,
+                          maxiter=2).success
+        again = search(Model.TWO_REGIME_GEOMETRIC, 4)
+        assert np.array_equal(first.x, again.x)
+        assert first._replace(x=None) == again._replace(x=None)
+        boxes = {tuple(model.spec.bounds) for model in (
+            Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC)}
+        assert len(boxes) == 1      # one workspace served both rows
+        *_, work = est._workspace(*boxes, threading.get_ident())
+        assert any(array.any() for array in work)   # and the searches used it
+
     def test_abnormal_stops(self):
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
         messages = [
@@ -435,6 +464,9 @@ def bound_cases():
         "next-tail": {1: 30, 2: 12, 3: 5, 4: 1},
         # Two distinct distances in the first regime at every break point.
         "two-head": {2: 10, 5: 3, 6: 1, 7: 1},
+        # A rising head: at b = 2 and 5 to 8 the first regime's maxima sit
+        # at the ends of their boxes, q at 1e-8 and gamma at 0.
+        "rising-head": {1: 1, 2: 3, 5: 400, 9: 2, 40: 1},
         "all-rejected": ALL_REJECTED,
     })
     return [pytest.param(sample if isinstance(sample, DistanceSample)
@@ -461,17 +493,34 @@ class TestBreakPointBound:
                     margin = est.PRUNE_MARGIN * (1.0 + abs(value))
                     assert value <= bound + margin, case
 
-    def test_twins_share_their_parts(self):
+    @pytest.mark.parametrize("sample", bound_cases())
+    def test_bound_is_as_tight_as_bisection(self, sample):
+        # Newton's certificate against the 24-step bisection it replaced.
+        grid = est._break_grid(sample)
+        for model in TWO_REGIME:
+            bounds = model.spec.bound(sample, grid)
+            reference = bisection_break_bound(model, sample, grid)
+            assert np.all(bounds <= reference + 1e-6 * (
+                1.0 + np.abs(reference))), model
+
+    def test_twins_share_their_parts(self, monkeypatch):
         sample = DistanceSample({1: 40, 2: 15, 3: 6, 5: 3, 8: 1})
         grid = est._break_grid(sample)
-        added = []
+        solves, concave_max = [], m._concave_max
+        monkeypatch.setattr(m, "_concave_max", lambda *args: solves.append(
+            args) or concave_max(*args))
+        added, solved = [], []
         for model in TWO_REGIME:
-            before = len(sample.memo)
+            before, count = len(sample.memo), len(solves)
             model.spec.bound(sample, grid)
             added.append(len(sample.memo) - before)
-        # Model 3 computes the grid's statistics, the geometric head and
-        # tail; 4 adds the truncated tail, 6 the zeta head, and 7 has both.
-        assert added == [3, 1, 1, 0]
+            solved.append(len(solves) - count)
+        # Model 3 computes the grid's statistics, the truncated geometric's
+        # maxima on the head and on the tail (one solve), its head and the
+        # geometric tail; 4 reads the truncated tail from the same solve, 6
+        # solves the zeta head, and 7 has both.
+        assert added == [4, 1, 1, 0]
+        assert solved == [1, 0, 1, 0]
 
 
 def one_regime_cases():
@@ -588,6 +637,23 @@ class TestFitCounts:
             assert result.break_points == (
                 len(est._break_grid(sample)) if model.is_two_regime else 0)
         assert set(calls) == set(searched)
+
+    def test_searches_are_counted(self, monkeypatch):
+        # One search per break point that the scan did not prune; none for
+        # the one-regime rows.
+        sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
+        calls, optimize = Counter(), est._optimize
+
+        def counted(model, *args, **kwargs):
+            calls[model] += 1
+            return optimize(model, *args, **kwargs)
+        monkeypatch.setattr(est, "_optimize", counted)
+        report = select(sample, est.FIXED_ENSEMBLE, "aic")
+        for model, result in report.fits.items():
+            assert result.searches == calls[model], model
+            assert result.searches <= result.break_points, model
+        assert all(calls[model] > 0 for model in TWO_REGIME)
+        assert set(calls) == set(TWO_REGIME)
 
     def test_rejected_start_is_counted(self):
         # Every evaluation is counted, the rejected start's too.

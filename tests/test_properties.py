@@ -7,7 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from depdist.arrangement import min_arrangement_cost
-from depdist.estimation import FIXED_ENSEMBLE, fit, select
+from depdist.estimation import (
+    FIXED_ENSEMBLE,
+    PRUNE_MARGIN,
+    _break_grid,
+    _optimize,
+    fit,
+    select,
+)
 from depdist.models import (
     Model,
     TruncatedGeometricParams,
@@ -39,6 +46,7 @@ def trees(draw, max_n=30):
 
 
 corpora = st.lists(trees(), min_size=1, max_size=8)
+TWO_REGIME = [model for model in Model if model.is_two_regime]
 
 
 @given(corpora)
@@ -94,15 +102,28 @@ def test_fits_do_not_depend_on_order_or_shared_work(freq):
 # Every search of models 6 and 7 is rejected: the lowest break point wins.
 @example({1: 1000, 2: 1, 60: 1, 61: 1})
 def test_pruned_break_scan_matches_exhaustive_scan(freq):
-    for model in (Model.TWO_REGIME_GEOMETRIC,
-                  Model.TWO_REGIME_GEOMETRIC_TRUNC, Model.ZETA_GEOMETRIC,
-                  Model.ZETA_GEOMETRIC_TRUNC):
+    for model in TWO_REGIME:
         result = fit(model, DistanceSample(freq))
         params, log_l, converged = exhaustive_break_scan(
             model, DistanceSample(dict(freq)))
         assert result.params == params, model
         assert result.log_l == log_l, model
         assert result.converged == converged, model
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.integers(1, 60), st.integers(1, 400),
+                       min_size=3, max_size=12))
+@example({1: 1000, 2: 1, 60: 1, 61: 1})
+@example({1: 1, 2: 3, 5: 400, 9: 2, 40: 1})  # maxima at the box's ends
+def test_break_point_bound_is_above_every_search(freq):
+    sample = DistanceSample(freq)
+    grid = _break_grid(sample)
+    for model in TWO_REGIME:
+        for bp, bound in zip(grid, model.spec.bound(sample, grid)):
+            log_l = _optimize(model, sample, bp)[1]
+            assert bound >= log_l - PRUNE_MARGIN * (1.0 + abs(log_l)), \
+                (model, bp)
 
 
 @settings(max_examples=40)

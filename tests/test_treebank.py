@@ -487,6 +487,22 @@ class TestTreebank:
         assert self.treebank()[1:] == self.TREES[1:]
         assert self.treebank()[::-1] == self.TREES[::-1]
 
+    def test_indexing_a_large_treebank(self):
+        # 20,000 sentences: every kind of index against the iterated trees.
+        rng = np.random.default_rng(17)
+        trees = parse_conllu(to_conllu(
+            random_tree(int(n), rng) for n in rng.integers(1, 12, 20_000)))
+        expected = list(trees)
+        assert len(expected) == 20_000
+        for index in (0, 1, 9_999, 19_999, -1, -2, -20_000, np.int64(12_345),
+                      np.int64(-7), np.int32(19_998), np.intp(-19_999)):
+            assert trees[index] == expected[index], index
+        for part in (slice(None), slice(None, None, -1), slice(5, 17),
+                     slice(-30, None), slice(None, None, -997),
+                     slice(100, 10, -3), slice(np.int64(3), np.int64(-3), 2),
+                     slice(19_999, None), slice(20_000, None)):
+            assert trees[part] == expected[part], part
+
     def test_equality(self):
         trees = self.treebank()
         assert trees == self.TREES and self.TREES == trees
