@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -401,6 +402,7 @@ def _add_output(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depdist",
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--mode", choices=modes, default="both")
     p_fit.add_argument("--threshold", dest="thresholds",
                        type=_threshold_list,
-                       default=list(DEFAULT_THRESHOLDS),
+                       default=DEFAULT_THRESHOLDS,
                        help="comma-separated minimum sentence counts")
     p_fit.set_defaults(func=cmd_fit_select)
 

@@ -20,7 +20,9 @@ L-BFGS-B is scipy's compiled kernel, imported at the first search
 (:func:`_kernel`) so that importing this module loads no scipy.
 :func:`_lbfgsb` drives it as scipy's own driver does, with one call per
 point, :func:`_fused`, for the value and scipy's default forward-difference
-gradient: every fit is bit-identical to scipy's.  A search that finds no
+gradient: every fit is bit-identical to scipy's; a difference point reuses
+the value's part of the parameter it leaves fixed (the log-likelihood is
+:class:`depdist.models.Factored`).  A search that finds no
 finite log-likelihood reports -inf, not converged; non-converged results
 are logged at DEBUG.
 """
@@ -46,6 +48,7 @@ DEFAULT_MIN_LENGTH = 4          # sentences shorter than this are excluded
 FTOL = 1e-11                    # relative log-likelihood convergence
 FD_STEP = 1e-8                  # scipy's default L-BFGS-B gradient step
 FD_REL_STEP = float(np.finfo(float).eps) ** 0.5  # and its fallback scale
+FACTR = FTOL / np.finfo(float).eps  # FTOL in the kernel's units
 LBFGSB_MAXFUN = 15000           # scipy's default L-BFGS-B evaluation budget
 LBFGSB_MAXITER = 500           # L-BFGS-B iteration limit
 LBFGSB_MAXCOR = 10              # scipy's defaults: stored corrections,
@@ -124,25 +127,31 @@ def _step(xi: float, lo: float, hi: float) -> float:
     return h if lo <= xi + h <= hi else -h
 
 
-def _fused(log_l, bounds):
+def _fused(log_l: m.Factored, bounds):
     """-log_l and its gradient in one call: a function of a list of two
     floats, ``log_l``'s arguments, in ``bounds``.  The value is -log_l at
     the nearest point of the box (line searches probe a hair outside it),
     REJECTED where log_l is not finite; the gradient is the forward
     differences over steps h from :func:`_step`, divided by (x + h) - x:
-    scipy's points and arithmetic, bit for bit."""
+    scipy's points and arithmetic, bit for bit, each part computed once."""
+    first, second, combine = log_l
     (lo0, lo1), (hi0, hi1) = _box(bounds)
 
-    def negated(a, b):
-        value = log_l(lo0 if a < lo0 else hi0 if a > hi0 else a,
-                      lo1 if b < lo1 else hi1 if b > hi1 else b)
+    def negated(head, tail):
+        value = combine(head, tail)
         return -value if math.isfinite(value) else REJECTED
 
     def negated_and_gradient(x):
         a, b = x
-        f0, ha, hb = negated(a, b), _step(a, lo0, hi0), _step(b, lo1, hi1)
-        return f0, ((negated(a + ha, b) - f0) / ((a + ha) - a),
-                    (negated(a, b + hb) - f0) / ((b + hb) - b))
+        ha, hb = _step(a, lo0, hi0), _step(b, lo1, hi1)
+        a_h, b_h = a + ha, b + hb
+        head = first(lo0 if a < lo0 else hi0 if a > hi0 else a)
+        tail = second(lo1 if b < lo1 else hi1 if b > hi1 else b)
+        f0 = negated(head, tail)
+        head_h = first(lo0 if a_h < lo0 else hi0 if a_h > hi0 else a_h)
+        tail_h = second(lo1 if b_h < lo1 else hi1 if b_h > hi1 else b_h)
+        return f0, ((negated(head_h, tail) - f0) / (a_h - a),
+                    (negated(head, tail_h) - f0) / (b_h - b))
     return negated_and_gradient
 
 
@@ -225,16 +234,15 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
         array.fill(0)
     g, wa, iwa, task, ln_task, lsave, isave, dsave = work
     x = np.array(x0, dtype=float)   # a copy: the kernel writes into x
-    factr = FTOL / np.finfo(float).eps
 
     seen = x.tolist()
     fun0, grad_seen = fun_and_grad(seen)
     fun_seen, nfev, nit = fun0, 1, 0
     f = np.array(0.0)
     while True:
-        setulb(LBFGSB_MAXCOR, x, low, high, nbd, f, g, factr, LBFGSB_PGTOL,
+        setulb(LBFGSB_MAXCOR, x, low, high, nbd, f, g, FACTR, LBFGSB_PGTOL,
                wa, iwa, task, lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
-        status = task[0]
+        status = task.item(0)
         if status == _FG:
             point = x.tolist()
             if point != seen:
@@ -256,15 +264,14 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
                         nit, fun0)
 
 
-def _maximize(log_l, x0, bounds, label="objective", tally=None
+def _maximize(log_l: m.Factored, x0, bounds, label="objective", tally=None
               ) -> tuple[list[float], float, bool]:
-    """Maximize ``log_l`` (a function of two floats) within bounds
+    """Maximize ``log_l`` (factored in its two floats) within bounds
     from ``x0``, clipped into the box; return (x, value, converged), with
     the value -inf, not converged, where no finite one was found.
     ``label`` names the fit in the debug log of non-converged results;
     ``tally`` (a Counter), if given, gains the objective ``evaluations``."""
-    lows, highs = _box(bounds)
-    x0 = [min(max(float(v), lo), hi) for v, lo, hi in zip(x0, lows, highs)]
+    x0 = [min(max(float(v), lo), hi) for v, lo, hi in zip(x0, *_box(bounds))]
     n = len(x0)
     # scipy charges maxfun with the n + 1 evaluations of a finite-difference
     # point, a supplied gradient with one: the same budget in points.

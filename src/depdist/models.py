@@ -22,10 +22,9 @@ twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.  The one-regime rows carry their own fits (a
-d_max scan, a fixed value, q = N/M, and bisection on the slope of the
-break-point bound's curves for the truncated geometric and zeta), which
-return plain tuples; the optimizer in :mod:`depdist.estimation` fits the
-two-regime rows.
+d_max scan, a fixed value, q = N/M, and Newton on the break-point bound's
+curves for the truncated geometric and zeta), which return plain tuples;
+the optimizer in :mod:`depdist.estimation` fits the two-regime rows.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
 summed over the per-length samples that a pooled sample carries
 (``DistanceSample.by_length``); a sample without them leaves it excluded.
@@ -36,8 +35,9 @@ caches, their restrictions to d <= break from ``sample.stats_upto``, and
 for the shuffle null the slack sum over the support.  Each row binds its
 log-likelihood to the sample once per break point, computing there what
 the break point fixes; the bound function takes the continuous values as
-plain floats, so an optimizer builds no parameter object per evaluation.
-:func:`log_likelihood` is the same row behind a parameter object.
+plain floats (a two-regime row's is :class:`Factored`), so an optimizer
+builds no parameter object per evaluation.  :func:`log_likelihood` is the
+same row behind a parameter object.
 Parameters whose normalizers overflow or underflow a double get
 log-likelihood -inf, the same rejection as a term below LOG_TERM_FLOOR;
 the one-regime fits read that floor as a cap on their rate.
@@ -45,11 +45,12 @@ the one-regime fits read that floor as a cap on their rate.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -265,16 +266,9 @@ def two_regime_geometric_constants(
     c1*(S1 + tau*S2) = 1 with S1 the first-regime geometric sum and S2 the
     (possibly truncated) second-regime sum.
     """
-    return _two_regime_geometric_constants(
-        q1, math.log1p(-q1), q2, math.log1p(-q2), break_point, d_max)
-
-
-def _two_regime_geometric_constants(q1, log1m_q1, q2, log1m_q2,
-                                    break_point, d_max):
-    # Shared with the bound log-likelihood, which has the log1p(-q).
-    tau = math.exp((break_point - 1) * (log1m_q1 - log1m_q2))
-    s1 = -math.expm1(break_point * log1m_q1) / q1
-    return _normalize(s1, tau, q2, log1m_q2, break_point, d_max)
+    (log1m_q1, s1), (log1m_q2, s2) = (_geometric_first(break_point)(q1),
+                                      _geometric_tail(break_point, d_max)(q2))
+    return _constants((break_point - 1) * (log1m_q1 - log1m_q2), s1, s2)
 
 
 def zeta_geometric_constants(
@@ -286,29 +280,64 @@ def zeta_geometric_constants(
     c2*(1-q)^(d-1) beyond it; tau = break^(-gamma)/(1-q)^(break-1) pins the
     branches together at the break and c1 = 1/(H(break, gamma) + tau*S2).
     """
-    return _zeta_geometric_constants(
-        gamma, q, math.log1p(-q), break_point, math.log(break_point),
-        harmonic(break_point, gamma), d_max)
+    (_, log_head, s1), (log1m_q, s2) = (
+        _zeta_first(break_point)(gamma), _geometric_tail(break_point, d_max)(q))
+    return _constants(log_head - (break_point - 1) * log1m_q, s1, s2)
 
 
-def _zeta_geometric_constants(gamma, q, log1m_q, break_point, log_break,
-                              s1, d_max):
-    # Shared with the bound log-likelihood, which has s1 = H(break, gamma).
-    tau = math.exp(-gamma * log_break - (break_point - 1) * log1m_q)
-    return _normalize(s1, tau, q, log1m_q, break_point, d_max)
+def _geometric_first(break_point):
+    """q1 -> (log(1 - q1), S1), S1 the geometric sum over 1..break_point."""
+    def part(q1):
+        log1m_q1 = math.log1p(-q1)
+        return log1m_q1, -math.expm1(break_point * log1m_q1) / q1
+    return part
 
 
-def _normalize(s1, tau, q, log1m_q, break_point, d_max):
-    """(c1, c2, tau) from the first-regime sum s1 and a geometric second
-    regime of rate q, log1m_q = log1p(-q), with c1*(s1 + tau*s2) = 1."""
-    if d_max is None:
-        s2 = math.exp(break_point * log1m_q) / q
-    else:
-        if break_point > d_max:
-            raise ValueError("break_point > d_max")
-        s2 = (math.exp(break_point * log1m_q) - math.exp(d_max * log1m_q)) / q
+def _zeta_first(break_point):
+    """gamma -> (gamma, log break_point^-gamma, H(break_point, gamma))."""
+    ks, log_break = np.arange(1, break_point + 1, dtype=float), math.log(
+        break_point)
+
+    def part(gamma):
+        return gamma, -gamma * log_break, _power_sum(ks, gamma)
+    return part
+
+
+def _geometric_tail(break_point, d_max):
+    """q -> (log(1 - q), S2), S2 the second regime's sum of (1 - q)^(d - 1)
+    over d > break_point, up to d_max if there is one."""
+    if d_max is not None and break_point > d_max:
+        raise ValueError("break_point > d_max")
+
+    def part(q):
+        log1m_q = math.log1p(-q)
+        if d_max is None:
+            return log1m_q, math.exp(break_point * log1m_q) / q
+        return log1m_q, (math.exp(break_point * log1m_q)
+                         - math.exp(d_max * log1m_q)) / q
+    return part
+
+
+def _constants(log_tau, s1, s2):
+    """(c1, c2, tau) from log tau and the sums s1 and s2, with
+    c1*(s1 + tau*s2) = 1; OverflowError where tau overflows."""
+    tau = math.exp(log_tau)
     c1 = 1.0 / (s1 + tau * s2)
     return c1, tau * c1, tau
+
+
+def _log_constants(log_tau, s1, s2):
+    """(log c1, log c2) of :func:`_constants` (inlined: it runs once per
+    point of a search), or None when a double cannot hold them."""
+    try:
+        tau = math.exp(log_tau)
+    except OverflowError:
+        return None
+    c1 = 1.0 / (s1 + tau * s2)
+    c2 = tau * c1
+    if c1 == 0.0 or c2 == 0.0:
+        return None
+    return math.log(c1), math.log(c2)
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +580,21 @@ def _zeta_bind(sample, break_point, d_max):
 
 
 # Models 3, 4, 6 and 7: log c1 + head(d) up to the break, geometric at rate
-# q_tail beyond it.  ``constants(*args)`` gives (c1, c2, tau); normalizers
-# that a double cannot hold (tau overflows, c1 or c2 underflows to 0) put
-# -inf everywhere: rejected, like a term below LOG_TERM_FLOOR, instead of
-# raising.  The bound log-likelihoods hoist what the break point fixes and
-# compute each log1p(-q) once per evaluation.
+# q_tail beyond it.  ``constants(break_point, d_max)`` gives (c1, c2, tau);
+# normalizers that a double cannot hold (tau overflows, c1 or c2 underflows to
+# 0) put -inf everywhere: rejected, like a term below LOG_TERM_FLOOR, instead
+# of raising.  The bound log-likelihoods hoist what the break point fixes.
 
-def _two_regime_log_constants(constants, *args):
-    """(log c1, log c2), or None when a double cannot hold them."""
-    try:
-        c1, c2, _ = constants(*args)
-    except OverflowError:
-        return None
-    if c1 == 0.0 or c2 == 0.0:
-        return None
-    return math.log(c1), math.log(c2)
+
+class Factored(NamedTuple):
+    """A bound two-regime log-likelihood: combine(first(x1), second(x2))."""
+
+    first: Callable
+    second: Callable
+    combine: Callable
+
+    def __call__(self, x1, x2):
+        return self.combine(self.first(x1), self.second(x2))
 
 
 def _tail_term(log_c2, q_tail, d):
@@ -573,14 +602,17 @@ def _tail_term(log_c2, q_tail, d):
 
 
 def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
-    logs = _two_regime_log_constants(constants, break_point, d_max)
-    if logs is None:
+    try:
+        c1, c2, _ = constants(break_point, d_max)
+    except OverflowError:
+        c1 = c2 = 0.0
+    if c1 == 0.0 or c2 == 0.0:
         return np.full(d.shape, NEG_INF)
     # The tail formula over all of d, then the first regime and the
     # truncation written over it: one array as long as d, not two.
-    out = np.asarray(_tail_term(logs[1], q_tail, d))
+    out = np.asarray(_tail_term(math.log(c2), q_tail, d))
     first = d <= break_point
-    out[first] = logs[0] + head(d[first])
+    out[first] = math.log(c1) + head(d[first])
     if d_max is not None:
         out[d > d_max] = NEG_INF
     return out
@@ -600,10 +632,10 @@ def _two_regime_geometric_bind(sample, bp, d_max):
     n_tail, m_first = sample.total - n_star, m_star - n_star
     m_all = sample.weighted_sum - sample.total
 
-    def log_l(q1, q2):
-        log1m_q1, log1m_q2 = math.log1p(-q1), math.log1p(-q2)
-        logs = _two_regime_log_constants(_two_regime_geometric_constants,
-                                         q1, log1m_q1, q2, log1m_q2, bp, d_max)
+    def combine(head, tail):
+        (log1m_q1, s1), (log1m_q2, s2) = head, tail
+        log_ratio = log1m_q1 - log1m_q2
+        logs = _log_constants((bp - 1) * log_ratio, s1, s2)
         if logs is None:
             return NEG_INF
         log_c1, log_c2 = logs
@@ -612,8 +644,8 @@ def _two_regime_geometric_bind(sample, bp, d_max):
         if top < LOG_TERM_FLOOR:
             return NEG_INF
         return (n_star * log_c1 + n_tail * log_c2
-                + m_first * (log1m_q1 - log1m_q2) + m_all * log1m_q2)
-    return log_l
+                + m_first * log_ratio + m_all * log1m_q2)
+    return Factored(_geometric_first(bp), _geometric_tail(bp, d_max), combine)
 
 
 def _zeta_geometric_log_pmf(params, d, d_max):
@@ -626,23 +658,13 @@ def _zeta_geometric_log_pmf(params, d, d_max):
 
 def _zeta_geometric_bind(sample, bp, d_max):
     steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
-    log_bp, ks = math.log(bp), np.arange(1, bp + 1, dtype=float)
     n_star, m_star, log_first = sample.stats_upto(bp)
     log_top, n_tail = float(np.log(sample.max_d)), sample.total - n_star
     m_tail = sample.weighted_sum - m_star - n_tail
-    # H(bp, gamma) of the last two gammas: a gradient's probe in q, after
-    # its probe in gamma, reuses the value's sum.
-    sums = {}
 
-    def log_l(gamma, q):
-        log1m_q = math.log1p(-q)
-        if gamma not in sums:
-            if len(sums) == 2:
-                sums.clear()
-            sums[gamma] = _power_sum(ks, gamma)
-        logs = _two_regime_log_constants(
-            _zeta_geometric_constants, gamma, q, log1m_q, bp, log_bp,
-            sums[gamma], d_max)
+    def combine(head, tail):
+        (gamma, log_head, s1), (log1m_q, s2) = head, tail
+        logs = _log_constants(log_head - (bp - 1) * log1m_q, s1, s2)
         if logs is None:
             return NEG_INF
         log_c1, log_c2 = logs
@@ -651,7 +673,7 @@ def _zeta_geometric_bind(sample, bp, d_max):
             return NEG_INF
         return (n_star * log_c1 - gamma * log_first + n_tail * log_c2
                 + m_tail * log1m_q)
-    return log_l
+    return Factored(_zeta_first(bp), _geometric_tail(bp, d_max), combine)
 
 
 # Upper bounds on the two-regime log-likelihoods at every break point b of a
@@ -673,10 +695,11 @@ THETA_BOUNDS = (math.log1p(-Q_BOUNDS[1]), math.log1p(-Q_BOUNDS[0]))
 ZETA_CELLS = 2 ** 20  # largest (b, k) matrix of the zeta head
 
 
-def _part(sample, part, grid):
-    if (part, grid) not in sample.memo:
-        sample.memo[part, grid] = part(sample, grid)
-    return sample.memo[part, grid]
+def _part(sample, part, *args):
+    key = (part, *args)
+    if key not in sample.memo:
+        sample.memo[key] = part(sample, *args)
+    return sample.memo[key]
 
 
 def _grid_stats(sample, grid):
@@ -737,25 +760,18 @@ def _concave_max(curve, lo, hi, x):
 
 def _truncated_geometric(n, offsets, k):
     """The log-likelihood of n distances whose offsets from the first of k
-    support points sum to ``offsets``, in theta = log(1 - q): (curve,
-    slope), where ``curve`` returns its value, slope and curvature, and
-    ``slope`` the slope alone, ``offsets`` less n times the mean offset.
-    The curvature is -n times the offset's variance."""
-    def ratios(theta):  # the mean offset is their difference
+    support points sum to ``offsets``, in theta = log(1 - q): a function
+    that returns its value, slope and curvature.  The slope is ``offsets``
+    less n times the mean offset, the curvature -n times the offset's
+    variance."""
+    def curve(theta):
         r, a = np.exp(theta), -np.expm1(theta)
         rk, ak = np.exp(k * theta), -np.expm1(k * theta)
-        return r / a, k * rk / ak, a, ak
-
-    def slope(theta):
-        ratio, ratio_k, _, _ = ratios(theta)
-        return offsets - n * (ratio - ratio_k)
-
-    def curve(theta):
-        ratio, ratio_k, a, ak = ratios(theta)
+        ratio, ratio_k = r / a, k * rk / ak  # the mean offset's two terms
         return (theta * offsets - n * np.log(ak / a),
                 offsets - n * (ratio - ratio_k),
                 n * (ratio_k * k / ak - ratio / a))
-    return curve, slope
+    return curve
 
 
 def _xlogy(x, y):
@@ -775,8 +791,8 @@ def _geometric_maxima(sample, grid):
                                                                 tail_offsets])
     with np.errstate(divide="ignore"):  # -inf where every offset is 0
         start = np.log(total / (n + total))
-    curve, _ = _truncated_geometric(n, total,
-                                    np.concatenate([bs, sample.max_d - bs]))
+    curve = _truncated_geometric(n, total,
+                                 np.concatenate([bs, sample.max_d - bs]))
     return np.split(_concave_max(curve, *THETA_BOUNDS, start), 2)
 
 
@@ -794,33 +810,26 @@ def _zeta_head_max(sample, grid):
     start = 1.0 + 1.0 / (log_star / n_star + math.log(2.0))
     blocks = [slice(i, i + rows) for i in range(0, len(bs), rows)]
     return np.concatenate([_concave_max(_truncated_zeta(
-        n_star[b], log_star[b], log_k, ks <= bs[b, None])[0], 0.0, GAMMA_TOP,
+        n_star[b], log_star[b], log_k, ks <= bs[b, None]), 0.0, GAMMA_TOP,
         start[b]) for b in blocks])
 
 
 def _truncated_zeta(n, log_sum, log_k, inside=True):
     """The log-likelihood of n distances whose logs sum to ``log_sum``, in
-    gamma: (curve, slope), where ``curve`` returns its value, slope and
-    curvature, and ``slope`` the slope alone, n times the mean log k less
-    ``log_sum``.  The curvature is -n times the variance of log k.  On a
-    float, or on arrays over the rows of the mask inside."""
+    gamma: a function that returns its value, slope and curvature.  The
+    slope is n times the mean log k less ``log_sum``, the curvature -n
+    times the variance of log k.  On a float, or on arrays over the rows
+    of the mask inside."""
     log_k2 = log_k * log_k
 
-    def weights(gamma):
-        w = np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
-        return w, w.sum(axis=-1), w @ log_k
-
-    def slope(gamma):
-        _, z, first = weights(gamma)
-        return n * first / z - log_sum
-
     def curve(gamma):
-        w, z, first = weights(gamma)
+        w = np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
+        z, first = w.sum(axis=-1), w @ log_k
         mean = first / z
         return (-gamma * log_sum - n * np.log(z),
                 n * first / z - log_sum,
                 n * (mean * mean - (w @ log_k2) / z))
-    return curve, slope
+    return curve
 
 
 def _geometric_tail_max(sample, grid):
@@ -842,13 +851,40 @@ def _break_bound(head, tail, sample, grid):
             + _part(sample, head, grid) + _part(sample, tail, grid))
 
 
-# Models 1, 2 and 5 fit exactly, concave in q, theta = log(1 - q) or gamma:
-# model 1 has q = N/M, and 2 and 5 bisect on the bound's slope at b = max d,
-# where N* = N, until log L is at its maximum to rounding.  log p(max d)
-# falls with the rate above 1 / max d (0 for gamma): the floor caps the rate.
+# Models 1, 2 and 5 fit exactly, concave in q, u = -log(1 - q) or gamma:
+# model 1 has q = N/M, and 2 and 5 take Newton steps on the bound's curves at
+# b = max d, where N* = N.  log p(max d) falls with the rate above 1 / max d
+# (0 for gamma): the floor caps the rate.
 
-FIT_BISECTIONS = 40  # rates to 1e-12 (q), 6e-11 (gamma): log L is flat there
+FIT_STEPS = 64  # cap on a fit's Newton iterates; most fits take 4 or 5
 CAP_BISECTIONS = 64  # the cap to a double's spacing, where log L is steep
+
+
+def _newton_rate(curve, lo, hi, x):
+    """The maximizer over [lo, hi] of a concave function of a rate (value,
+    slope, curvature = curve(x)): :func:`_concave_max`'s steps from x until
+    one is within 4 ulps of the rate (or of 1).  A slope of 0 counts as
+    falling, so a flat curve gives lo; a curvature >= 0 steps to an end."""
+    x = min(max(x, lo), hi)
+    closed_lo = closed_hi = False   # an iterate has ruled out that end
+    for _ in range(FIT_STEPS):
+        _, slope, curvature = curve(x)
+        rising = slope > 0
+        if rising:
+            lo, closed_lo = x, True
+        else:
+            hi, closed_hi = x, True
+        if lo == hi:
+            break
+        new = (x - slope / curvature if curvature < 0
+               else math.inf if rising else -math.inf)
+        if not lo <= new <= hi:
+            new = ((lo + hi) / 2.0 if (closed_hi if rising else closed_lo)
+                   else hi if rising else lo)
+        if abs(new - x) <= 4.0 * math.ulp(max(abs(x), 1.0)):
+            break
+        x = new
+    return float(x)
 
 
 def _floor_capped(build, log_l, lo, rate):
@@ -867,18 +903,24 @@ def _geometric_fit(sample):
 
 def _truncated_geometric_fit(sample):
     n, d_max = sample.total, sample.max_d
-    _, slope = _truncated_geometric(n, sample.weighted_sum - n, d_max)
-    q, _ = _bisect(lambda q: slope(math.log1p(-q)) < 0, *Q_BOUNDS,
-                   FIT_BISECTIONS)
+    offsets = sample.weighted_sum - n
+    curve = _truncated_geometric(n, offsets, d_max)
+
+    def rate_curve(u):  # in u = -theta, which rises with q
+        value, slope, curvature = curve(-u)
+        return value, -slope, curvature
+    u = _newton_rate(rate_curve, -THETA_BOUNDS[1], -THETA_BOUNDS[0],
+                     math.log1p(n / offsets) if offsets else 0.0)
     return _floor_capped(partial(TruncatedGeometricParams, d_max=d_max),
-                         _geometric_bind(sample, None, d_max), 1.0 / d_max, q)
+                         _geometric_bind(sample, None, d_max), 1.0 / d_max,
+                         _clamp_q(-math.expm1(-u)))
 
 
 def _zeta_fit(sample):
-    d_max = sample.max_d
-    _, slope = _truncated_zeta(sample.total, sample.log_weighted_sum,
-                               np.log(np.arange(1, d_max + 1)))
-    gamma, _ = _bisect(lambda g: slope(g) > 0, 0.0, GAMMA_TOP, FIT_BISECTIONS)
+    n, d_max, log_sum = sample.total, sample.max_d, sample.log_weighted_sum
+    gamma = _newton_rate(
+        _truncated_zeta(n, log_sum, np.log(np.arange(1, d_max + 1))),
+        0.0, GAMMA_TOP, 1.0 + 1.0 / (log_sum / n + math.log(2.0)))
     return _floor_capped(partial(ZetaParams, d_max=d_max),
                          _zeta_bind(sample, None, d_max), 0.0, gamma)
 
@@ -890,22 +932,6 @@ def _zeta_fit(sample):
 
 def _clamp_q(value: float) -> float:
     return min(max(value, EPS), 1.0 - EPS)
-
-
-def _regression_slope(sample: DistanceSample, lo=None, hi=None) -> float | None:
-    """Least-squares slope of log(f(d)/N) on d over observed support."""
-    mask = np.ones(len(sample.support), dtype=bool)
-    if lo is not None:
-        mask &= sample.support >= lo
-    if hi is not None:
-        mask &= sample.support <= hi
-    d = sample.support[mask].astype(float)
-    if len(d) < 2:
-        return None
-    y = np.log(sample.counts[mask] / sample.total)
-    d_mean, y_mean = d.mean(), y.mean()
-    denom = ((d - d_mean) ** 2).sum()
-    return float(((d - d_mean) * (y - y_mean)).sum() / denom)
 
 
 def _q_init_from_slope(slope: float | None, fallback: float) -> float:
@@ -922,37 +948,42 @@ def _rate_init(sample: DistanceSample) -> float:
     return _clamp_q(sample.total / sample.weighted_sum)
 
 
+def _start_columns(sample):
+    """The support (list, floats), log(f/N), f log(d/min d) and 1/mean d."""
+    d = sample.support.astype(float)
+    return (sample.support.tolist(), d, np.log(sample.counts / sample.total),
+            sample.counts * np.log(d / d[0]), _rate_init(sample))
+
+
+def _regression_slope(d, y) -> float | None:
+    """Least-squares slope of y on d; None below two points."""
+    if len(d) < 2:
+        return None
+    # ndarray.mean's sum and division, without its wrapper.
+    d_mean, y_mean = d.sum() / len(d), y.sum() / len(y)
+    spread = d - d_mean
+    return float((spread * (y - y_mean)).sum() / (spread ** 2).sum())
+
+
 def _regime_q_inits(sample, break_point) -> tuple[float, float]:
-    """Log-frequency regression slopes on each side of the break."""
-    q_global = _rate_init(sample)
-    b1 = _regression_slope(sample, hi=break_point)
-    b2 = _regression_slope(sample, lo=break_point)
-    return _q_init_from_slope(b1, q_global), _q_init_from_slope(b2, q_global)
-
-
-def _gamma_init(sample: DistanceSample, upto: int) -> float:
-    """Power-law exponent estimate 1 + N / sum(f(d) log(d / min(d))) over
-    the distances up to ``upto``, a break point: two of them are distinct."""
-    mask = sample.support <= upto
-    support = sample.support[mask].astype(float)
-    counts = sample.counts[mask]
-    denom = float((counts * np.log(support / support[0])).sum())
-    return 1.0 + float(counts.sum()) / denom
-
-
-def _tail_q_init(sample: DistanceSample, break_point: int) -> float:
-    """Geometric rate init from distances strictly beyond the break."""
-    mask = sample.support > break_point
-    if not mask.any():
-        return _rate_init(sample)
-    n_tail = int(sample.counts[mask].sum())
-    m_tail = int((sample.support[mask] * sample.counts[mask]).sum())
-    return _clamp_q(n_tail / m_tail)
+    """Log-frequency regression slopes over d <= and d >= break_point."""
+    support, d, y, _, q_global = _part(sample, _start_columns)
+    sides = (slice(bisect.bisect_right(support, break_point)),
+             slice(bisect.bisect_left(support, break_point), None))
+    return tuple(_q_init_from_slope(_regression_slope(d[side], y[side]),
+                                    q_global) for side in sides)
 
 
 def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
-    return (_gamma_init(sample, upto=break_point),
-            _tail_q_init(sample, break_point))
+    """1 + N* / sum(f(d) log(d / min(d))) over d <= break_point, and the
+    inverse mean of the distances beyond it (or of all, without any)."""
+    support, _, _, log_ratios, q_global = _part(sample, _start_columns)
+    n_star, m_star, _ = sample.stats_upto(break_point)
+    head = log_ratios[:bisect.bisect_right(support, break_point)]
+    n_tail = sample.total - n_star
+    return (1.0 + float(n_star) / float(head.sum()),
+            _clamp_q(n_tail / (sample.weighted_sum - m_star)) if n_tail
+            else q_global)
 
 
 # ---------------------------------------------------------------------------
@@ -994,9 +1025,9 @@ class ModelSpec:
         """Names of the parameters fitted by the continuous optimizer."""
         return tuple(name for name in self.fields if name in BOUNDS)
 
-    @property
-    def bounds(self) -> list[tuple]:
-        return [BOUNDS[name] for name in self.continuous]
+    @cached_property
+    def bounds(self) -> tuple[tuple, ...]:
+        return tuple(BOUNDS[name] for name in self.continuous)
 
     def values(self, params: ModelParams) -> list[float]:
         """The continuous values of a parameter object, in field order."""

@@ -9,9 +9,13 @@ For the break-point scan of the two-regime fits, the exhaustive scan that
 :func:`depdist.estimation.fit` prunes, the constrained log-likelihood on a
 dense parameter grid, written from the pmf's definition, and the scan's
 bound as the 24-step bisection computed it before Newton's certificate.
+For their searches, the starting values as they were computed before the
+starts read cached slices, and the log-likelihood as one function of both
+values, before it was factored into one part per value.
 For the one-regime fits of models 1, 2 and 5, the log-likelihood on a
 dense grid of the rate, within the floor on log p(max d), written from the
-pmf likewise.
+pmf likewise, and the fits of models 2 and 5 by the 40-step bisection that
+safeguarded Newton replaced.
 
 For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 :func:`depdist.treebank.parse_conllu` replaced with its array pass.
@@ -20,8 +24,10 @@ For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -124,10 +130,9 @@ def bisection_break_bound(model, sample, grid):
     n_star, offsets, log_star, tail, tail_offsets = m._grid_stats(sample, grid)
     bs = np.array(grid)
 
-    def solve(curve_and_slope, lo, hi):
-        curve, slope = curve_and_slope
-        return bisection_concave_max(lambda x: curve(x)[0], slope, lo, hi,
-                                     len(bs))
+    def solve(curve, lo, hi):
+        return bisection_concave_max(lambda x: curve(x)[0],
+                                     lambda x: curve(x)[1], lo, hi, len(bs))
     if model.family == "6-7":
         ks = np.arange(1, bs[-1] + 1)
         head = solve(m._truncated_zeta(n_star, log_star, np.log(ks),
@@ -144,6 +149,158 @@ def bisection_break_bound(model, sample, grid):
     total = sample.total
     return (m._xlogy(n_star, n_star / total) + m._xlogy(tail, tail / total)
             + head + rest)
+
+
+FIT_BISECTIONS = 40
+
+
+def bisection_rate(model, sample, d_max=None):
+    """The rate of model 2 or 5 with truncation bound ``d_max`` (max d by
+    default), unconstrained by the floor: 40 bisections on the sign of the
+    slope of its log-likelihood, q to 1e-12 and gamma to 6e-11.  The fits'
+    solver before safeguarded Newton replaced it."""
+    n, d_max = sample.total, sample.max_d if d_max is None else d_max
+    if model is m.Model.ZETA_TRUNC:
+        curve = m._truncated_zeta(n, sample.log_weighted_sum,
+                                  np.log(np.arange(1, d_max + 1)))
+        rate, _ = m._bisect(lambda g: curve(g)[1] > 0, 0.0, m.GAMMA_TOP,
+                            FIT_BISECTIONS)
+    else:
+        curve = m._truncated_geometric(n, sample.weighted_sum - n, d_max)
+        rate, _ = m._bisect(lambda q: curve(math.log1p(-q))[1] < 0,
+                            *m.Q_BOUNDS, FIT_BISECTIONS)
+    return rate
+
+
+def bisection_fit(model, sample):
+    """(params, log_l, converged) of model 2 or 5 as the bisection fitted
+    it: :func:`bisection_rate`, capped by the floor on log p(max d)."""
+    d_max, zeta = sample.max_d, model is m.Model.ZETA_TRUNC
+    return m._floor_capped(
+        partial(m.ZetaParams if zeta else m.TruncatedGeometricParams,
+                d_max=d_max),
+        (m._zeta_bind if zeta else m._geometric_bind)(sample, None, d_max),
+        0.0 if zeta else 1.0 / d_max, bisection_rate(model, sample))
+
+
+# ---------------------------------------------------------------------------
+# The starting values of the two-regime searches and their log-likelihoods
+# as they were computed before the starts read cached slices and the
+# log-likelihoods were factored, kept as they were.
+# ---------------------------------------------------------------------------
+
+def regression_slope(sample, lo=None, hi=None) -> float | None:
+    """Least-squares slope of log(f(d)/N) on d over observed support."""
+    mask = np.ones(len(sample.support), dtype=bool)
+    if lo is not None:
+        mask &= sample.support >= lo
+    if hi is not None:
+        mask &= sample.support <= hi
+    d = sample.support[mask].astype(float)
+    if len(d) < 2:
+        return None
+    y = np.log(sample.counts[mask] / sample.total)
+    d_mean, y_mean = d.mean(), y.mean()
+    denom = ((d - d_mean) ** 2).sum()
+    return float(((d - d_mean) * (y - y_mean)).sum() / denom)
+
+
+def regime_q_inits(sample, break_point) -> tuple[float, float]:
+    """Log-frequency regression slopes on each side of the break."""
+    q_global = m._rate_init(sample)
+    b1 = regression_slope(sample, hi=break_point)
+    b2 = regression_slope(sample, lo=break_point)
+    return (m._q_init_from_slope(b1, q_global),
+            m._q_init_from_slope(b2, q_global))
+
+
+def gamma_init(sample, upto: int) -> float:
+    """Power-law exponent estimate 1 + N / sum(f(d) log(d / min(d))) over
+    the distances up to ``upto``, a break point: two of them are distinct."""
+    mask = sample.support <= upto
+    support = sample.support[mask].astype(float)
+    counts = sample.counts[mask]
+    denom = float((counts * np.log(support / support[0])).sum())
+    return 1.0 + float(counts.sum()) / denom
+
+
+def tail_q_init(sample, break_point: int) -> float:
+    """Geometric rate init from distances strictly beyond the break."""
+    mask = sample.support > break_point
+    if not mask.any():
+        return m._rate_init(sample)
+    n_tail = int(sample.counts[mask].sum())
+    m_tail = int((sample.support[mask] * sample.counts[mask]).sum())
+    return m._clamp_q(n_tail / m_tail)
+
+
+def two_regime_init(model, sample, break_point) -> tuple[float, float]:
+    """The start of a two-regime search at the break point."""
+    if model.family == "6-7":
+        return (gamma_init(sample, upto=break_point),
+                tail_q_init(sample, break_point))
+    return regime_q_inits(sample, break_point)
+
+
+def _log_constants(tau, s1, s2):
+    """(log c1, log c2) with c1 (s1 + tau s2) = 1, c2 = tau c1, or None
+    where a double cannot hold them."""
+    c1 = 1.0 / (s1 + tau * s2)
+    c2 = tau * c1
+    if c1 == 0.0 or c2 == 0.0:
+        return None
+    return math.log(c1), math.log(c2)
+
+
+def unfactored_log_likelihood(model, sample, bp, d_max):
+    """The two-regime log-likelihood at break point ``bp`` as one function
+    of its two continuous values, from N*, M*, M'*, N, M and max d."""
+    steps, first = sample.max_d - 1, sample.max_d <= bp
+    n_star, m_star, log_first = sample.stats_upto(bp)
+    n_tail = sample.total - n_star
+    zeta = model.family == "6-7"
+    ks, log_bp = np.arange(1, bp + 1, dtype=float), math.log(bp)
+    log_top = float(np.log(sample.max_d))
+
+    def tail_sum(log1m_q, q):
+        if d_max is None:
+            return math.exp(bp * log1m_q) / q
+        return (math.exp(bp * log1m_q) - math.exp(d_max * log1m_q)) / q
+
+    def log_l(x1, x2):
+        log1m_q2 = math.log1p(-x2)
+        if zeta:
+            try:
+                tau = math.exp(-x1 * log_bp - (bp - 1) * log1m_q2)
+            except OverflowError:
+                return -math.inf
+            s1 = float(np.power(ks, -x1).sum())
+        else:
+            log1m_q1 = math.log1p(-x1)
+            try:
+                tau = math.exp((bp - 1) * (log1m_q1 - log1m_q2))
+            except OverflowError:
+                return -math.inf
+            s1 = -math.expm1(bp * log1m_q1) / x1
+        logs = _log_constants(tau, s1, tail_sum(log1m_q2, x2))
+        if logs is None:
+            return -math.inf
+        log_c1, log_c2 = logs
+        if zeta:
+            top = (log_c1 + -x1 * log_top if first
+                   else log_c2 + steps * log1m_q2)
+        else:
+            top = (log_c1 + steps * log1m_q1 if first
+                   else log_c2 + steps * log1m_q2)
+        if top < m.LOG_TERM_FLOOR:
+            return -math.inf
+        if zeta:
+            return (n_star * log_c1 - x1 * log_first + n_tail * log_c2
+                    + (sample.weighted_sum - m_star - n_tail) * log1m_q2)
+        return (n_star * log_c1 + n_tail * log_c2
+                + (m_star - n_star) * (log1m_q1 - log1m_q2)
+                + (sample.weighted_sum - sample.total) * log1m_q2)
+    return log_l
 
 
 def dense_grid_max(model, sample, bp, size=64):

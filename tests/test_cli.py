@@ -447,6 +447,36 @@ def run_fresh(argv):
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def written_tables(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("first, second", [
+    (["validate", "--criterion", "aic"], ["validate"]),
+    (["fit-select", "--threshold", "5"], ["fit-select"]),
+])
+def test_back_to_back_calls_match_fresh_processes(first, second,
+                                                  two_regime_corpus,
+                                                  tmp_path):
+    # The parser is built once per process; no option of one call, nor a
+    # default it hands out, reaches the next call.
+    extra = (["--n-draws", "2000"] if first[0] == "validate"
+             else ["--manifest", str(two_regime_corpus)])
+    codes = []
+    for where, run in (("here", main), ("fresh", lambda a: run_fresh(a)[0])):
+        for index, argv in enumerate((first, second)):
+            codes.append(run(argv + extra + [
+                "--out", str(tmp_path / where / str(index))]))
+    assert codes[:2] == codes[2:]
+    for index in ("0", "1"):
+        assert written_tables(tmp_path / "here" / index) == \
+            written_tables(tmp_path / "fresh" / index)
+    # The second call ran with its own defaults.
+    assert written_tables(tmp_path / "here" / "0") != \
+        written_tables(tmp_path / "here" / "1")
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize and scipy.special take most of the command line's
     # start-up time: the fits load the optimizer's kernel at their first

@@ -24,11 +24,16 @@ from depdist.estimation import (
 from depdist.models import Model
 from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample, LengthDistribution
+from benchmark_inputs import benchmark_samples
 from oracles import (
     bisection_break_bound,
+    bisection_fit,
+    bisection_rate,
     dense_grid_max,
     dense_grid_max_1d,
     exhaustive_break_scan,
+    two_regime_init,
+    unfactored_log_likelihood,
 )
 
 TWO_REGIME = [Model.TWO_REGIME_GEOMETRIC, Model.TWO_REGIME_GEOMETRIC_TRUNC,
@@ -101,7 +106,7 @@ class TestInitialValues:
 
     def test_tail_rate_uses_distances_beyond_break(self):
         sample = DistanceSample({1: 10, 4: 5, 8: 5})
-        q = m._tail_q_init(sample, 4)
+        _, q = Model.ZETA_GEOMETRIC.spec.init(sample, 4)
         assert q == pytest.approx(5 / 40)  # only d = 8 is beyond the break
 
 
@@ -138,8 +143,9 @@ class TestFit:
                                                  sample) - 1e-9
         assert result.converged
         # A search that finds no finite value reports -inf, not converged.
-        _, value, converged = est._maximize(lambda *x: -math.inf, [0.5, 0.5],
-                                            [m.Q_BOUNDS, m.Q_BOUNDS])
+        _, value, converged = est._maximize(
+            factored(lambda *x: -math.inf), [0.5, 0.5],
+            [m.Q_BOUNDS, m.Q_BOUNDS])
         assert value == -math.inf
         assert not converged
 
@@ -191,29 +197,16 @@ class TestFit:
         rng = np.random.default_rng(8)
         sample = DistanceSample.from_values(rng.integers(1, 12, size=300))
         d_max = sample.max_d
-        n = sample.total
-
-        def profile(model, rises, bounds, build):
-            # The fits' solver: bisection on the sign of the slope of the
-            # row's log-likelihood in its rate.
-            x, _ = m._bisect(rises, *bounds, m.FIT_BISECTIONS)
-            return m.log_likelihood(model, build(float(x)), sample)
-
         for extra in range(0, 6):
             dm = d_max + extra
-            geo = m._truncated_geometric(n, sample.weighted_sum - n, dm)[1]
-            ll_geo = profile(
-                Model.GEOMETRIC_TRUNC,
-                lambda q, geo=geo: geo(math.log1p(-q)) < 0, m.Q_BOUNDS,
-                lambda q, dm=dm: m.TruncatedGeometricParams(q, dm),
-            )
-            zeta = m._truncated_zeta(n, sample.log_weighted_sum,
-                                     np.log(np.arange(1, dm + 1)))[1]
-            ll_zeta = profile(
-                Model.ZETA_TRUNC,
-                lambda gamma, zeta=zeta: zeta(gamma) > 0, (0.0, m.GAMMA_TOP),
-                lambda gamma, dm=dm: m.ZetaParams(gamma, dm),
-            )
+            # The rows' maxima at bound dm, by the bisection oracle.
+            ll_geo = m.log_likelihood(
+                Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(
+                    bisection_rate(Model.GEOMETRIC_TRUNC, sample, dm), dm),
+                sample)
+            ll_zeta = m.log_likelihood(
+                Model.ZETA_TRUNC, m.ZetaParams(
+                    bisection_rate(Model.ZETA_TRUNC, sample, dm), dm), sample)
             if extra == 0:
                 for model, value in ((Model.GEOMETRIC_TRUNC, ll_geo),
                                      (Model.ZETA_TRUNC, ll_zeta)):
@@ -261,6 +254,12 @@ def scipy_maximize(objective, x0, bounds):
     return best_x, best_val, bool(primary.success)
 
 
+def factored(log_l):
+    """A function of two floats as an objective for ``_fused`` and
+    ``_maximize``: its parts pass each value through to it."""
+    return m.Factored(lambda x: x, lambda x: x, log_l)
+
+
 def row_objective(model, sample, break_point):
     """The objective ``_optimize`` hands to ``_maximize``: the row bound to
     the sample at the break point."""
@@ -287,7 +286,7 @@ class TestForwardDifferences:
         lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
         highs = [hi if hi is not None else np.inf for _, hi in bounds]
         # The fused kernel minimizes -log_l, so log_l = -f gives back f.
-        f0, ours = est._fused(lambda *v: -f(v), bounds)(x)
+        f0, ours = est._fused(factored(lambda *v: -f(v)), bounds)(x)
         assert f0 == f(x)
         theirs = approx_derivative(lambda v: f(v.tolist()), np.array(x),
                                    method="2-point", abs_step=1e-8,
@@ -305,7 +304,7 @@ class TestForwardDifferences:
         def log_l(*v):
             seen.append(v)
             return -1.0
-        f0, _ = est._fused(log_l, bounds)(list(x))
+        f0, _ = est._fused(factored(log_l), bounds)(list(x))
         assert f0 == 1.0
         # The value's point, then the difference points, all in the box.
         assert seen[0] == clamped
@@ -436,7 +435,7 @@ class TestLbfgsbLoop:
             return (value if rejected(x)
                     else -(x[0] - 0.3) ** 2 - (x[1] - 0.6) ** 2)
         box = [m.Q_BOUNDS, m.Q_BOUNDS]
-        ours = est._maximize(objective, [0.95, 0.5], box)
+        ours = est._maximize(factored(objective), [0.95, 0.5], box)
         theirs = scipy_maximize(objective, [0.95, 0.5], box)
         assert np.array_equal(ours[0], theirs[0])
         assert np.array_equal(ours[1], theirs[1], equal_nan=True)
@@ -601,6 +600,145 @@ class TestBreakPointScan:
             assert result.evaluations == exhaustive["evaluations"]
 
 
+# Samples whose model-2 and model-5 curves are flat (max d = 1) or peak at
+# the edge of the box, q = 1e-8 and gamma = 0.
+EDGE_SAMPLES = [{1: 2}, {3: 7}, {1: 5, 2: 5}]
+
+
+class TestNewtonFits:
+    """Models 2 and 5 fit by safeguarded Newton; the 40-step bisection that
+    it replaced and a dense grid of the rate are the oracles."""
+
+    @pytest.mark.parametrize("freq", EDGE_SAMPLES)
+    def test_edge_samples_keep_the_bisection_fits(self, freq):
+        sample = DistanceSample(freq)
+        for model, rate, edge in ((Model.GEOMETRIC_TRUNC, "q", m.EPS),
+                                  (Model.ZETA_TRUNC, "gamma", 0.0)):
+            result = fit(model, sample)
+            params, log_l, converged = bisection_fit(model, sample)
+            assert getattr(result.params, rate) == edge, model
+            assert (result.params, result.log_l, result.converged) == (
+                params, log_l, converged), model
+
+    def test_floor_capped_sample_keeps_the_bisection_fits(self):
+        # The floor caps q, at the same double; the truncated zeta peaks
+        # inside the floor, where Newton and bisection agree to rounding.
+        sample = DistanceSample(FAR_OUTLIER)
+        result = fit(Model.GEOMETRIC_TRUNC, sample)
+        assert result.params.q == pytest.approx(0.3107158, abs=1e-7)
+        assert (result.params, result.log_l) == bisection_fit(
+            Model.GEOMETRIC_TRUNC, sample)[:2]
+        result = fit(Model.ZETA_TRUNC, sample)
+        params, log_l, _ = bisection_fit(Model.ZETA_TRUNC, sample)
+        assert result.params.gamma == pytest.approx(9.8759206, abs=1e-7)
+        assert result.params.gamma == pytest.approx(params.gamma, rel=1e-9)
+        assert result.log_l >= log_l - 1e-10
+
+    def test_fits_reach_the_oracles_on_benchmark_samples(self):
+        # validate seeds 1-20 and fit-select corpora 0-15.
+        for label, sample in benchmark_samples(range(1, 21), range(16)):
+            for model in (Model.GEOMETRIC_TRUNC, Model.ZETA_TRUNC):
+                log_l, case = fit(model, sample).log_l, (label, model)
+                assert log_l >= bisection_fit(model, sample)[1] - 1e-10, case
+                assert log_l >= dense_grid_max_1d(model, sample) - 1e-9 * (
+                    1.0 + abs(log_l)), case
+
+
+class TestStartingValues:
+    """The starts read prefix and suffix slices of arrays cached once per
+    sample, and equal the starts computed from masks, bit for bit."""
+
+    def test_starts_equal_the_masked_starts(self):
+        # Every break point of validate seeds 1-5 and fit-select corpora
+        # 0-3.
+        pairs = 0
+        for label, sample in benchmark_samples(range(1, 6), range(4)):
+            for bp in est._break_grid(sample) if sample.distinct >= 3 else ():
+                for model in (Model.TWO_REGIME_GEOMETRIC, Model.ZETA_GEOMETRIC):
+                    assert model.spec.init(sample, bp) == two_regime_init(
+                        model, sample, bp), (label, model, bp)
+                pairs += 1
+        assert pairs > 1000
+
+
+class TestFactoredObjective:
+    """Each two-regime row's log-likelihood is one part per continuous
+    parameter and a combine step; ``_fused`` shares each part between the
+    value and the difference point that leaves it fixed.  Both agree with
+    the log-likelihood written as one function, bit for bit."""
+
+    @staticmethod
+    def points(model, rng):
+        """Random points, the box's corners and beyond its ends."""
+        gamma = model.family == "6-7"
+        firsts = [0.0, 3.0, 2e8] if gamma else [m.EPS, 1 - m.EPS]
+        corners = [(a, b) for a in firsts for b in (m.EPS, 1 - m.EPS)]
+        random = [(rng.uniform(0.0, 12.0) if gamma else rng.uniform(),
+                   rng.uniform()) for _ in range(30)]
+        outside = [(-0.5, 1.5), (30.0 if gamma else 1.2, -0.1)]
+        return corners + random + outside
+
+    @pytest.mark.parametrize("freq", [
+        {1: 40, 2: 15, 3: 6, 5: 3, 8: 1},
+        ALL_REJECTED,
+        {1: 10000, 2: 5, 3: 2, 2000: 1},
+    ])
+    def test_parts_agree_with_the_unfactored_log_likelihood(self, freq):
+        sample, rng = DistanceSample(freq), np.random.default_rng(3)
+        rejected = 0
+        for model in TWO_REGIME:
+            spec = model.spec
+            lows, highs = est._box(spec.bounds)
+            for bp in est._break_grid(sample):
+                d_max = sample.max_d if model.is_truncated else None
+                reference = unfactored_log_likelihood(model, sample, bp,
+                                                      d_max)
+                fused = est._fused(row_objective(model, sample, bp),
+                                   spec.bounds)
+
+                def negated(*x):
+                    value = reference(*np.clip(x, lows, highs).tolist())
+                    return -value if math.isfinite(value) else est.REJECTED
+                for x in self.points(model, rng):
+                    inside = np.clip(x, lows, highs).tolist()
+                    case = (model, bp, x)
+                    value = reference(*inside)
+                    params = spec.params(*inside, *(
+                        (bp,) if d_max is None else (bp, d_max)))
+                    assert m.log_likelihood(model, params, sample) == value, \
+                        case
+                    rejected += value == -math.inf
+                    f0, gradient = fused(list(x))
+                    assert f0 == negated(*x), case
+                    steps = [est._step(v, lo, hi)
+                             for v, lo, hi in zip(x, lows, highs)]
+                    assert gradient == (
+                        (negated(x[0] + steps[0], x[1]) - f0)
+                        / ((x[0] + steps[0]) - x[0]),
+                        (negated(x[0], x[1] + steps[1]) - f0)
+                        / ((x[1] + steps[1]) - x[1])), case
+        assert rejected
+
+    def test_rejected_regions(self):
+        # tau overflows at a late break with rates at opposite ends; with
+        # finite normalizers, log p(max d) falls below the floor.
+        sample = DistanceSample(ALL_REJECTED)
+        with pytest.raises(OverflowError):
+            m.two_regime_geometric_constants(m.EPS, 1 - m.EPS, 60)
+        with pytest.raises(OverflowError):
+            m.zeta_geometric_constants(0.0, 1 - m.EPS, 60)
+        for model, x in ((Model.TWO_REGIME_GEOMETRIC, (m.EPS, 1 - m.EPS)),
+                         (Model.ZETA_GEOMETRIC, (0.0, 1 - m.EPS))):
+            assert row_objective(model, sample, 60)(*x) == -math.inf
+            assert unfactored_log_likelihood(model, sample, 60, None)(
+                *x) == -math.inf
+        floor = DistanceSample({1: 10000, 2: 5, 3: 2, 2000: 1})
+        assert all(math.isfinite(c) for c in
+                   m.two_regime_geometric_constants(0.5, 0.9, 2))
+        assert row_objective(Model.TWO_REGIME_GEOMETRIC, floor, 2)(
+            0.5, 0.9) == -math.inf
+
+
 class TestFitCounts:
     def test_pruning_skips_searches(self):
         # The break-point count is the grid's; the evaluations are those
@@ -625,10 +763,10 @@ class TestFitCounts:
             def counted_bind(sample, bp, d_max, model=model, bind=spec.bind):
                 log_l = bind(sample, bp, d_max)
 
-                def counted(*x):
+                def counted(*parts):
                     calls[model] += 1
-                    return log_l(*x)
-                return counted
+                    return log_l.combine(*parts)
+                return log_l._replace(combine=counted)
             monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
                 spec, bind=counted_bind))
         report = select(sample, est.FIXED_ENSEMBLE, "aic")
@@ -664,8 +802,8 @@ class TestFitCounts:
             return (-math.inf if x[0] > 0.9
                     else -(x[0] - 0.3) ** 2 - (x[1] - 0.6) ** 2)
         tally = Counter()
-        est._maximize(objective, [0.95, 0.5], [m.Q_BOUNDS, m.Q_BOUNDS],
-                      tally=tally)
+        est._maximize(factored(objective), [0.95, 0.5],
+                      [m.Q_BOUNDS, m.Q_BOUNDS], tally=tally)
         assert tally["evaluations"] == len(calls)
 
 

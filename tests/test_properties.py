@@ -30,7 +30,11 @@ from depdist.treebank import (
     parse_conllu,
     to_conllu,
 )
-from oracles import brute_force_min_arrangement, exhaustive_break_scan
+from oracles import (
+    brute_force_min_arrangement,
+    exhaustive_break_scan,
+    two_regime_init,
+)
 
 
 @st.composite
@@ -124,6 +128,20 @@ def test_break_point_bound_is_above_every_search(freq):
             log_l = _optimize(model, sample, bp)[1]
             assert bound >= log_l - PRUNE_MARGIN * (1.0 + abs(log_l)), \
                 (model, bp)
+
+
+@settings(max_examples=30)
+@given(st.dictionaries(st.integers(1, 400), st.integers(1, 400),
+                       min_size=3, max_size=300))
+@example({1: 1000, 2: 1, 60: 1, 61: 1})
+def test_starts_equal_the_masked_starts(freq):
+    # The starts sum slices of cached arrays; numpy sums blocks of 8 and
+    # halves of 128 and more, which supports of up to 300 distances reach.
+    sample = DistanceSample(freq)
+    for bp in _break_grid(sample):
+        for model in (Model.TWO_REGIME_GEOMETRIC, Model.ZETA_GEOMETRIC):
+            assert model.spec.init(sample, bp) == two_regime_init(
+                model, sample, bp), (model, bp)
 
 
 @settings(max_examples=40)
