@@ -133,26 +133,30 @@ def cmd_extract(args, parser) -> int:
 # fit-select
 # ---------------------------------------------------------------------------
 
-def _fixed_selections(corpus, args):
-    """Per-length reports plus explicit status strings for empty tiles."""
+def _selections(corpus, args, mixed: bool = False, fixed: bool = True):
+    """If ``fixed``, per-length reports plus explicit status strings for
+    empty tiles; if ``mixed``, the pooled sample's report (else None).  The
+    samples of the corpus are selected in one batch."""
     sset = corpus.sample_set
-    selections: dict[int, estimation.SelectionReport] = {}
-    matrix: list[tuple[int, int, str]] = []  # (n, sentences, status)
+    matrix: list[tuple[int, int, str | None]] = []  # (n, sentences, status)
     lengths = sorted(sset.sentence_counts)
-    for n in range(min(lengths), max(lengths) + 1):
+    for n in range(lengths[0], lengths[-1] + 1) if fixed else ():
         sentences = sset.sentence_counts.get(n, 0)
         if sentences == 0:
             matrix.append((n, 0, "no-sentences"))
-            continue
         # Lengths below 2 have no dependency to fit.
-        if n < max(args.exclude_n_below, 2):
+        elif n < max(args.exclude_n_below, 2):
             matrix.append((n, sentences, "excluded-min-size"))
-            continue
-        report = estimation.select(sset.by_length[n],
-                                   criterion=args.criterion)
-        selections[n] = report
-        matrix.append((n, sentences, report.best.id))
-    return selections, matrix
+        else:
+            matrix.append((n, sentences, None))
+    fitted = [n for n, _, status in matrix if status is None]
+    found = estimation.select_all(
+        [sset.pooled] * mixed + [sset.by_length[n] for n in fitted],
+        criterion=args.criterion)
+    pooled = found.pop(0) if mixed else None
+    selections = dict(zip(fitted, found))
+    return selections, [(n, sentences, status or selections[n].best.id)
+                        for n, sentences, status in matrix], pooled
 
 
 def _two_regime_rows(col, lang, n, report, sample, break_rows, slope_rows):
@@ -185,13 +189,14 @@ def cmd_fit_select(args, parser) -> int:
     break_fixed: list[dict] = []
     curve_rows: list[dict] = []
 
+    mixed, fixed = args.mode in ("mixed", "both"), args.mode in ("fixed",
+                                                                  "both")
     for corpus in corpora:
         entry = corpus.entry
         col, lang = entry.collection, entry.language
+        selections, matrix, report = _selections(corpus, args, mixed, fixed)
 
-        if args.mode in ("mixed", "both"):
-            report = estimation.select(corpus.sample_set.pooled,
-                                       criterion=args.criterion)
+        if mixed:
             mixed_rows.extend(reports.fit_records(col, lang, None, report))
             best = report.best
             mixed_best_rows.append({
@@ -206,8 +211,7 @@ def cmd_fit_select(args, parser) -> int:
                              corpus.sample_set.pooled, break_mixed,
                              slope_rows)
 
-        if args.mode in ("fixed", "both"):
-            selections, matrix = _fixed_selections(corpus, args)
+        if fixed:
             for n, sentences, status in matrix:
                 matrix_rows.append(reports.best_matrix_record(
                     col, lang, n, sentences, status
@@ -305,7 +309,7 @@ def cmd_omega(args, parser) -> int:
         entry = corpus.entry
         col, lang = entry.collection, entry.language
         stats = average_omega(corpus.trees)
-        selections, matrix = _fixed_selections(corpus, args)
+        _, matrix, _ = _selections(corpus, args)
         status_by_n = {n: status for n, _, status in matrix}
         for n, length_stats in stats.items():
             profile_rows.append({

@@ -7,10 +7,16 @@ L-BFGS-B at each break point between the second smallest and the second
 largest distance, so that each regime keeps two distinct distances to infer
 a decay from (they are excluded below 3 distinct distances), starting from
 the row's starting values, which the twins 3/4 and 6/7 share.  The scan is
-a branch and bound: the searches run in descending order of the row's
-upper bound on each break point's log-likelihood and stop at the first
-bound below the best fit, less a relative 1e-9 for rounding, so every fit
-is the exhaustive scan's; equal log-likelihoods go to the lower break point.
+a branch and bound in three phases, each run for every row of a batch of
+samples at once (:func:`select_all`; :func:`select` and :func:`fit` are a
+batch of one): the row's relaxed upper bounds on each break point's
+log-likelihood; a search at the highest, then certificates (exact 2-D
+bounds, :func:`depdist.models.certificates`) at every break point that it
+does not rule out; and the remaining searches in descending order of the
+bound, which stop at the first bound below the best fit, less a relative
+1e-9 for rounding.  Every fit is the exhaustive scan's, equal
+log-likelihoods going to the lower break point, and no row's bounds,
+searches or counts depend on the batch.
 
 Truncated models pin d_max to max d: for fixed continuous parameters, a
 larger support only bleeds mass outside the data.  The uniform-shuffle null,
@@ -264,13 +270,14 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
                         nit, fun0)
 
 
-def _maximize(log_l: m.Factored, x0, bounds, label="objective", tally=None
-              ) -> tuple[list[float], float, bool]:
+def _maximize(log_l: m.Factored, x0, bounds, label=("objective",),
+              tally=None) -> tuple[list[float], float, bool]:
     """Maximize ``log_l`` (factored in its two floats) within bounds
     from ``x0``, clipped into the box; return (x, value, converged), with
     the value -inf, not converged, where no finite one was found.
-    ``label`` names the fit in the debug log of non-converged results;
-    ``tally`` (a Counter), if given, gains the objective ``evaluations``."""
+    ``label`` (a format and its arguments) names the fit in the debug log
+    of non-converged results; ``tally`` (a Counter), if given, gains the
+    objective ``evaluations``."""
     x0 = [min(max(float(v), lo), hi) for v, lo, hi in zip(x0, *_box(bounds))]
     n = len(x0)
     # scipy charges maxfun with the n + 1 evaluations of a finite-difference
@@ -287,26 +294,39 @@ def _maximize(log_l: m.Factored, x0, bounds, label="objective", tally=None
     if best_val == -REJECTED:
         best_val, converged = -math.inf, False
     if not converged:
-        log.debug("%s: no converged optimum (%s)", label, result.message)
+        log.debug(label[0] + ": no converged optimum (%s)", *label[1:],
+                  result.message)
     return best_x, best_val, converged
 
 
-def _optimize(model: Model, sample: DistanceSample, break_point: int,
-              tally: Counter | None = None
-              ) -> tuple[ModelParams, float, bool]:
-    """Best continuous parameters of a two-regime model at a fixed break
-    point, from the row's starting values, which the sample keeps (keyed by
-    the row's ``init``) for the twin; a truncation bound is pinned to the
+def _search(model: Model, sample: DistanceSample, break_point: int,
+            tally: Counter | None = None) -> tuple[list[float], float, bool]:
+    """(x, log_l, converged) of a two-regime model at a fixed break point,
+    from the row's starting values, which the sample keeps (keyed by the
+    row's ``init``) for the twin; a truncation bound is pinned to the
     observed maximum.  ``tally`` is handed to :func:`_maximize`."""
     spec, key = model.spec, (model.spec.init, break_point)
     if key not in sample.memo:
         sample.memo[key] = spec.init(sample, break_point)
     d_max = sample.max_d if model.is_truncated else None
-    x, log_l, conv = _maximize(
-        spec.bind(sample, break_point, d_max), sample.memo[key], spec.bounds,
-        f"model {model.id}, break point {break_point}", tally)
-    integers = (break_point,) if d_max is None else (break_point, d_max)
-    return spec.params(*map(float, x), *integers), log_l, conv
+    return _maximize(spec.bind(sample, break_point, d_max), sample.memo[key],
+                     spec.bounds, ("model %s, break point %d", model.id,
+                                   break_point), tally)
+
+
+def _params(model: Model, sample: DistanceSample, break_point: int, x
+            ) -> ModelParams:
+    integers = ((break_point, sample.max_d) if model.is_truncated
+                else (break_point,))
+    return model.spec.params(*map(float, x), *integers)
+
+
+def _optimize(model: Model, sample: DistanceSample, break_point: int,
+              tally: Counter | None = None
+              ) -> tuple[ModelParams, float, bool]:
+    """:func:`_search`'s fit as a parameter object."""
+    x, log_l, conv = _search(model, sample, break_point, tally)
+    return _params(model, sample, break_point, x), log_l, conv
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +337,49 @@ def _break_grid(sample: DistanceSample) -> range:
     return range(sample.min2_d, sample.max2_d + 1)
 
 
+def _floor(best: float) -> float:
+    """The bound below which a break point cannot beat the best fit."""
+    return best - PRUNE_MARGIN * (1.0 + abs(best))
+
+
+def _scan(rows: Sequence[tuple[Model, DistanceSample]]) -> None:
+    """The first two phases of the break-point scan of the (model, sample)
+    rows that have a grid and are not in their sample's memo yet: the
+    relaxed bounds of all rows in one batch, one search per row at its
+    highest bound, then one batch of certificates
+    (:func:`models.certificates`) at the other break points that the search
+    does not rule out; a bound is the lower of the two.  The memo keeps
+    (grid, bounds, first index, its search's (x, log_l, converged),
+    counts), which depend on the row alone."""
+    rows = [(model, sample) for model, sample in rows
+            if sample.distinct >= DEFAULT_MIN_DISTINCT
+            and (_scan, model) not in sample.memo]
+    if not rows:
+        return
+    grids = [_break_grid(sample) for _, sample in rows]
+    m.fill_bounds([(sample, grid) for (_, sample), grid in zip(rows, grids)])
+    scans, certify = [], []
+    for (model, sample), grid in zip(rows, grids):
+        bounds = model.spec.bound(sample, grid)
+        first, tally = int(np.argmax(bounds)), Counter(searches=1)
+        found = _search(model, sample, grid[first], tally)
+        index = np.flatnonzero(bounds >= _floor(found[1]))
+        scans.append((grid, bounds, first, found, tally))
+        certify.append((model, sample, grid, index[index != first],
+                        found[0], _floor(found[1])))
+    for (model, sample), scan, (*_, index, _, _), certs in zip(
+            rows, scans, certify, m.certificates(certify)):
+        scan[1][index] = np.fmin(scan[1][index], certs)
+        sample.memo[_scan, model] = scan
+
+
 def fit(model: Model, sample: DistanceSample) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
     The one-regime models fit through their spec rows; the two-regime
     models optimize their continuous parameters at each grid break point
-    that their bound does not rule out.  Unmet
+    that their bounds do not rule out (:func:`_scan`), in descending order
+    of the bound.  Unmet
     requirements (too few distinct distances, a length mixture on a sample
     without per-length samples) mark the result excluded instead of
     raising; a non-converged optimizer returns its best parameters with
@@ -338,22 +395,22 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
         return _excluded(model, sample.total,
                          f"needs >= {DEFAULT_MIN_DISTINCT} distinct "
                          f"distances, sample has {sample.distinct}")
+    _scan([(model, sample)])
+    grid, bounds, first, found, tally = sample.memo[_scan, model]
     # Highest bound first, until a bound falls below the best fit.
-    best, tally = None, Counter()
-    grid = _break_grid(sample)
-    bounds = model.spec.bound(sample, grid)
+    best, tally = (grid[first], *found), Counter(tally)
     for i in np.argsort(-bounds, kind="stable"):
-        if best is not None and bounds[i] < best[1] - PRUNE_MARGIN * (
-                1.0 + abs(best[1])):
+        if i == first:
+            continue
+        if bounds[i] < _floor(best[2]):
             break
-        fitted = _optimize(model, sample, grid[i], tally)
+        x, log_l, conv = _search(model, sample, grid[i], tally)
         tally["searches"] += 1
-        if best is None or (fitted[1], -grid[i]) > (
-                best[1], -best[0].break_point):
-            best = fitted
-    params, log_l, conv = best
-    return _result(model, params, log_l, sample.total, conv,
-                   break_points=len(grid), **tally)
+        if (log_l, -grid[i]) > (best[2], -best[0]):
+            best = (grid[i], x, log_l, conv)
+    break_point, x, log_l, conv = best
+    return _result(model, _params(model, sample, break_point, x), log_l,
+                   sample.total, conv, break_points=len(grid), **tally)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +452,7 @@ def select(
         raise ValueError("criterion must be 'aic' or 'bic'")
     if model_set is None:
         model_set = MIXED_ENSEMBLE if sample.by_length else FIXED_ENSEMBLE
+    _scan([(model, sample) for model in model_set if model.is_two_regime])
 
     fits = {model: fit(model, sample) for model in model_set}
 
@@ -413,6 +471,16 @@ def select(
     deltas = {model: value - floor for model, value in scored.items()}
     return SelectionReport(criterion, fits, best, deltas,
                            sample_label=sample.label())
+
+
+def select_all(samples: Sequence[DistanceSample], criterion: str = "aic"
+               ) -> list[SelectionReport]:
+    """:func:`select` of each sample with its default ensemble, with the
+    first phases of every two-regime row's scan (:func:`_scan`) run in one
+    batch across the samples; each report equals ``select(sample)``'s."""
+    _scan([(model, sample) for sample in samples for model in Model
+           if model.is_two_regime])
+    return [select(sample, criterion=criterion) for sample in samples]
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,18 @@ truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.  The one-regime rows carry their own fits (a
 d_max scan, a fixed value, q = N/M, and Newton on the break-point bound's
 curves for the truncated geometric and zeta), which return plain tuples;
-the optimizer in :mod:`depdist.estimation` fits the two-regime rows.
+the optimizer in :mod:`depdist.estimation` fits the two-regime rows, at
+the break points that their bounds (:func:`fill_bounds`, relaxed, and
+:func:`certificates`, exact at a break point) do not rule out.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
 summed over the per-length samples that a pooled sample carries
 (``DistanceSample.by_length``); a sample without them leaves it excluded.
 
 Log-likelihoods are computed from sufficient statistics, never by
 rescanning the sample: N, M, M' and max d, which :class:`DistanceSample`
-caches, their restrictions to d <= break from ``sample.stats_upto``, and
-for the shuffle null the slack sum over the support.  Each row binds its
+caches, their restrictions to d <= break from ``sample.stats_upto`` (read
+from the break grid's table once the bounds have it), and for the shuffle
+null the slack sum over the support.  Each row binds its
 log-likelihood to the sample once per break point, computing there what
 the break point fixes; the bound function takes the continuous values as
 plain floats (a two-regime row's is :class:`Factored`), so an optimizer
@@ -628,7 +631,7 @@ def _two_regime_geometric_log_pmf(params, d, d_max):
 
 def _two_regime_geometric_bind(sample, bp, d_max):
     steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
-    n_star, m_star, _ = sample.stats_upto(bp)
+    n_star, m_star, _ = _upto(sample, bp)
     n_tail, m_first = sample.total - n_star, m_star - n_star
     m_all = sample.weighted_sum - sample.total
 
@@ -658,7 +661,7 @@ def _zeta_geometric_log_pmf(params, d, d_max):
 
 def _zeta_geometric_bind(sample, bp, d_max):
     steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
-    n_star, m_star, log_first = sample.stats_upto(bp)
+    n_star, m_star, log_first = _upto(sample, bp)
     log_top, n_tail = float(np.log(sample.max_d)), sample.total - n_star
     m_tail = sample.weighted_sum - m_star - n_tail
 
@@ -680,19 +683,18 @@ def _zeta_geometric_bind(sample, bp, d_max):
 # grid.  Dropping the continuity at b leaves each regime normalized on its own
 # with a free split weight, a larger model whose maximum is a sum of three
 # parts: the split term, the first regime's maximum on 1..b and the tail's
-# beyond b.  Regimes are 1-D concave exponential families in theta =
-# log(1 - q) or gamma, maximized for the whole grid at once by safeguarded
-# Newton steps from a closed-form start; the tangent at each iterate bounds
-# the maximum from above, so a part is an upper bound however far Newton
-# got, and a loose one only costs searches.  Each part is one array over the
-# grid, kept in the sample's memo (keyed by the part and the grid) so that
-# twins share it.
+# beyond b.  Regimes are 1-D concave exponential families in theta = log(1 -
+# q) or gamma, maximized for every grid of a batch at once by safeguarded
+# Newton steps; the tangent at each iterate bounds the maximum from above, so
+# a part is an upper bound however far Newton got.  Each row stops and sums
+# on its own, so its bound does not depend on the batch; each sample's memo
+# keeps its parts (keyed by the grid) for the twins.
 
 NEWTON_STEPS = 12  # most iterates of a grid; most grids certify in 5
 NEWTON_GAP = 1e-12  # relative rise of a certified bound above its iterate
 GAMMA_TOP = 64.0  # the slope at gamma 64 is negative unless N* >= 2^64
 THETA_BOUNDS = (math.log1p(-Q_BOUNDS[1]), math.log1p(-Q_BOUNDS[0]))
-ZETA_CELLS = 2 ** 20  # largest (b, k) matrix of the zeta head
+CELLS = 2 ** 20  # most terms of the sums that one Newton run holds
 
 
 def _part(sample, part, *args):
@@ -702,15 +704,37 @@ def _part(sample, part, *args):
     return sample.memo[key]
 
 
+def fill_bounds(items):
+    """Solve the regimes (:func:`_regime_maxima`) of the (sample, grid)
+    items whose sample's memo lacks them, in one batch."""
+    todo = [(sample, grid) for sample, grid in items
+            if (_regime_maxima, grid) not in sample.memo]
+    for (sample, grid), share in zip(todo, _regime_maxima(todo) if todo
+                                     else ()):
+        sample.memo[_regime_maxima, grid] = share
+
+
 def _grid_stats(sample, grid):
     """At each b of the grid: N*, the sums of d - 1 and of log d over d <=
-    b, the count T beyond b and the sum of d - b - 1 there."""
+    b, the count T beyond b and the sum of d - b - 1 there.  (N*, M*, M'*)
+    at each b also go to the memo, for :func:`_upto`."""
     bs = np.array(grid)
     n_star, m_star, log_star = sample.stats_upto(bs)
+    sample.memo.setdefault(_upto, {}).update(zip(grid, zip(
+        n_star.tolist(), m_star.tolist(), log_star.tolist())))
     n_star, m_star = n_star.astype(float), m_star.astype(float)
     tail = sample.total - n_star
     return (n_star, m_star - n_star, log_star, tail,
             sample.weighted_sum - m_star - tail * (bs + 1.0))
+
+
+def _upto(sample, b):
+    """``sample.stats_upto(b)`` for an int b, read from the grid's
+    statistics where :func:`_grid_stats` has computed them."""
+    try:
+        return sample.memo[_upto][b]
+    except KeyError:
+        return sample.stats_upto(b)
 
 
 def _bisect(up, lo, hi, steps):
@@ -731,22 +755,23 @@ def _concave_max(curve, lo, hi, x):
     leaves the bracket goes to the end of [lo, hi] on its side if no iterate
     has ruled that end out, else to the bracket's middle.  The tangent at an
     iterate, highest at one end of the bracket, bounds the maximum; each row
-    keeps its lowest, valid however far the iteration got.  The iteration
-    stops when every row's bound is within NEWTON_GAP (1 + |value|) of its
-    iterate's value, or after NEWTON_STEPS iterates."""
+    keeps its lowest, valid however far the iteration got.  A row stops when
+    its bound is within NEWTON_GAP (1 + |value|) of its iterate's value, or
+    after NEWTON_STEPS iterates."""
     x = np.fmin(np.fmax(x, lo), hi)
     lo, hi = np.full_like(x, lo), np.full_like(x, hi)
     closed_lo = closed_hi = False   # an iterate has ruled out that end
-    bound = np.full_like(x, np.inf)
+    bound, active = np.full_like(x, np.inf), np.ones(x.shape, bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_STEPS):
             value, slope, curvature = curve(x)
             up, down = slope > 0, slope < 0
             lo, hi = np.where(up, x, lo), np.where(down, x, hi)
             closed_lo, closed_hi = closed_lo | up, closed_hi | down
-            bound = np.fmin(bound, value + np.maximum(slope * (hi - x),
-                                                      slope * (lo - x)))
-            if (bound - value <= NEWTON_GAP * (1.0 + np.abs(value))).all():
+            bound = np.where(active, np.fmin(bound, value + np.maximum(
+                slope * (hi - x), slope * (lo - x))), bound)
+            active &= bound - value > NEWTON_GAP * (1.0 + np.abs(value))
+            if not active.any():
                 break
             x = x - slope / curvature
             outside = ~((lo <= x) & (x <= hi))
@@ -780,51 +805,88 @@ def _xlogy(x, y):
     return x * np.log(np.where(x > 0, y, 1.0))
 
 
-def _geometric_maxima(sample, grid):
-    """The truncated geometric's maxima on 1..b and on b+1..max d at each b,
-    solved as one array from the untruncated geometric's theta, log(1 - q)
-    at q = 1 / (1 + mean offset): the first regime of models 3 and 4 and the
-    tail of models 4 and 7."""
-    n_star, offsets, _, tail, tail_offsets = _part(sample, _grid_stats, grid)
-    bs = np.array(grid)
-    n, total = np.concatenate([n_star, tail]), np.concatenate([offsets,
-                                                                tail_offsets])
+def _blocks(cells):
+    """Slices of consecutive rows that hold at most CELLS cells each (a row
+    with more alone)."""
+    ends, first = np.cumsum(cells), 0
+    while first < len(cells):
+        last = max(first + 1, int(np.searchsorted(
+            ends, ends[first] - cells[first] + CELLS, side="right")))
+        yield slice(first, last)
+        first = last
+
+
+def _moments(lengths, log):
+    """For runs of T = 0, 1, ..., length - 1 laid end to end (log(T + 1)
+    where ``log``), a function of theta, one per run, that returns the log
+    of each run's sum of exp(theta T) and T's mean and variance under those
+    weights; each run is summed on its own."""
+    starts = np.cumsum(lengths) - lengths
+    t = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    t = np.where(np.repeat(np.broadcast_to(log, lengths.shape), lengths),
+                 np.log1p(t), t)
+
+    def moments(theta):
+        w = np.exp(np.repeat(theta, lengths) * t)
+        z, first, second = (np.add.reduceat(v, starts)
+                            for v in (w, w * t, w * t * t))
+        mean = first / z
+        return np.log(z), mean, second / z - mean * mean
+    return moments
+
+
+def _regime_maxima(items):
+    """The parts of the bound at each b of each (sample, grid) item: the
+    maxima of the truncated geometric on 1..b and on b+1..max d (one solve,
+    from the untruncated geometric's theta, log(1 - q) at q = 1 / (1 + mean
+    offset)), of the truncated zeta on 1..b (gamma >= 0, one solve per
+    CELLS support points, from the discrete power law's approximate
+    estimate 1 + 1 / (mean log d + log 2); Clauset, Shalizi & Newman,
+    2009), of the geometric beyond b in closed form, and the split term."""
+    n_star, offsets, log_star, tail, tail_offsets = (np.concatenate(column)
+                                                     for column in zip(*[
+        _part(sample, _grid_stats, grid) for sample, grid in items]))
+    bs = np.concatenate([np.array(grid) for _, grid in items])
+    total, top = (np.repeat(column, [len(grid) for _, grid in items])
+                  for column in zip(*[(float(sample.total), sample.max_d)
+                                      for sample, _ in items]))
+    n, sums = np.concatenate([n_star, tail]), np.concatenate([offsets,
+                                                               tail_offsets])
     with np.errstate(divide="ignore"):  # -inf where every offset is 0
-        start = np.log(total / (n + total))
-    curve = _truncated_geometric(n, total,
-                                 np.concatenate([bs, sample.max_d - bs]))
-    return np.split(_concave_max(curve, *THETA_BOUNDS, start), 2)
-
-
-def _geometric_head_max(sample, grid):
-    return _part(sample, _geometric_maxima, grid)[0]
-
-
-def _zeta_head_max(sample, grid):
-    """The truncated zeta on 1..b, gamma >= 0, in blocks of rows of b, from
-    the discrete power law's approximate estimate 1 + 1 / (mean log d +
-    log 2) (Clauset, Shalizi & Newman, 2009)."""
-    n_star, _, log_star, *_ = _part(sample, _grid_stats, grid)
-    bs, ks = np.array(grid), np.arange(1, grid[-1] + 1)
-    rows, log_k = max(1, ZETA_CELLS // len(ks)), np.log(ks)
+        start = np.log(sums / (n + sums))
+    geometric = _concave_max(_truncated_geometric(n, sums, np.concatenate(
+        [bs, top - bs])), *THETA_BOUNDS, start)
     start = 1.0 + 1.0 / (log_star / n_star + math.log(2.0))
-    blocks = [slice(i, i + rows) for i in range(0, len(bs), rows)]
-    return np.concatenate([_concave_max(_truncated_zeta(
-        n_star[b], log_star[b], log_k, ks <= bs[b, None]), 0.0, GAMMA_TOP,
-        start[b]) for b in blocks])
+    zeta = [_concave_max(_ragged_zeta(n_star[rows], log_star[rows], bs[rows]),
+                         0.0, GAMMA_TOP, start[rows]) for rows in _blocks(bs)]
+    parts = np.split(geometric, 2) + [np.concatenate(zeta), _xlogy(
+        tail, tail / (tail + tail_offsets)) + _xlogy(
+        tail_offsets, tail_offsets / (tail + tail_offsets)), _xlogy(
+        n_star, n_star / total) + _xlogy(tail, tail / total)]
+    cuts = np.cumsum([len(grid) for _, grid in items])[:-1]
+    return list(zip(*(np.split(part, cuts) for part in parts)))
 
 
-def _truncated_zeta(n, log_sum, log_k, inside=True):
+def _ragged_zeta(n, log_sum, lengths):
+    """:func:`_truncated_zeta` on arrays over rows of support 1..length."""
+    moments = _moments(lengths, True)
+
+    def curve(gamma):
+        log_z, mean, var = moments(-gamma)
+        return -gamma * log_sum - n * log_z, n * mean - log_sum, -n * var
+    return curve
+
+
+def _truncated_zeta(n, log_sum, log_k):
     """The log-likelihood of n distances whose logs sum to ``log_sum``, in
     gamma: a function that returns its value, slope and curvature.  The
     slope is n times the mean log k less ``log_sum``, the curvature -n
-    times the variance of log k.  On a float, or on arrays over the rows
-    of the mask inside."""
+    times the variance of log k."""
     log_k2 = log_k * log_k
 
     def curve(gamma):
-        w = np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
-        z, first = w.sum(axis=-1), w @ log_k
+        w = np.exp(-gamma * log_k)
+        z, first = w.sum(), w @ log_k
         mean = first / z
         return (-gamma * log_sum - n * np.log(z),
                 n * first / z - log_sum,
@@ -832,23 +894,122 @@ def _truncated_zeta(n, log_sum, log_k, inside=True):
     return curve
 
 
-def _geometric_tail_max(sample, grid):
-    """The geometric's closed form, q = 1 / (1 + mean offset)."""
-    *_, tail, offsets = _part(sample, _grid_stats, grid)
-    return (_xlogy(tail, tail / (tail + offsets))
-            + _xlogy(offsets, offsets / (tail + offsets)))
-
-
-def _truncated_tail_max(sample, grid):
-    return _part(sample, _geometric_maxima, grid)[1]
-
-
 def _break_bound(head, tail, sample, grid):
-    """Upper bound on the row's log-likelihood at each b of the grid."""
-    n_star, *_, n_tail, _ = _part(sample, _grid_stats, grid)
-    return (_xlogy(n_star, n_star / sample.total)
-            + _xlogy(n_tail, n_tail / sample.total)
-            + _part(sample, head, grid) + _part(sample, tail, grid))
+    """Upper bound on the row's log-likelihood at each b of the grid: the
+    split term plus the ``head`` and ``tail`` parts of
+    :func:`_regime_maxima`."""
+    fill_bounds([(sample, grid)])
+    parts = sample.memo[_regime_maxima, grid]
+    return parts[4] + parts[head] + parts[tail]
+
+
+# Certificates at a fixed break point b.  In theta = (log(1 - q1) or -gamma,
+# log(1 - q2)) a two-regime row is a concave exponential family, log L =
+# theta . sum T - N log Z, with T1(d) = min(d, b) - 1 or log min(d, b), T2(d)
+# = max(d - b, 0) and Z the head sum over k <= b of exp(theta1 T1(k)) plus
+# exp(theta1 T1(b) + theta2) times the geometric tail's sum of exp(theta2 j),
+# j >= 0 (j < max d - b if truncated).  At any x of the box, concavity bounds
+# the maximum by f(x) + sum_i max(g_i (lo_i - x_i), g_i (hi_i - x_i)).  The
+# box is the search's in theta, gamma capped at GAMMA_TOP: at gamma >= 64, Z
+# >= 1 and E[T1] <= ZETA_SLOPE_CAP (head terms k >= 2 add at most 2 log 2
+# 2^-64, the tail log b b^-64 / EPS), so the slope in theta1, sum T1 - N
+# E[T1], stays positive where sum T1 > N ZETA_SLOPE_CAP, about N 3.8e-12 (sum
+# T1 >= log 2 once a distance exceeds 1).  Elsewhere, and at break points
+# whose sums hold more than CELLS terms, the relaxed bound stays.
+
+CERT_STEPS = 16  # most evaluations of a certificate; most take 3 to 6
+ASCENT_SLACK = 1e-12  # relative fall of a Newton step still accepted
+ZETA_SLOPE_CAP = math.log(2.0) * 2.0 ** -GAMMA_TOP * (2.0 + 1.0 / EPS)
+
+
+def certificates(rows):
+    """Upper bounds on the log-likelihood of each row (model, sample, grid,
+    index, x, floor) at the break points grid[index] (:func:`_certify`, from
+    the continuous values x), one array per row."""
+    sizes = [len(row[3]) for row in rows]
+    bs, n_star, offsets, log_star, tail, tail_offsets = (
+        np.concatenate(column) for column in zip(*[
+            [np.array(grid)[index]] + [part[index] for part in _part(
+                sample, _grid_stats, grid)]
+            for _, sample, grid, index, *_ in rows]))
+    zeta, truncated, n, top, x1, x2, floor = (
+        np.repeat(column, sizes) for column in zip(*[(
+            model.family == "6-7", model.is_truncated, sample.total,
+            sample.max_d, -x[0] if model.family == "6-7"
+            else math.log1p(-x[0]), math.log1p(-x[1]), floor)
+            for model, sample, _, _, x, floor in rows]))
+    t_b = np.where(zeta, np.log(bs), bs - 1.0)
+    columns = (bs, zeta, truncated, top - bs, t_b, n,
+               np.where(zeta, log_star, offsets) + tail * t_b,
+               tail_offsets + tail, x1, x2, floor)
+    cells = bs + np.where(truncated, top - bs, 0)
+    bound, small = np.full(len(bs), np.inf), np.flatnonzero(cells <= CELLS)
+    for rows in _blocks(cells[small]):
+        bound[small[rows]] = _certify(*(column[small[rows]]
+                                        for column in columns))
+    return np.split(bound, np.cumsum(sizes)[:-1])
+
+
+def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2, floor):
+    """Upper bounds at break points bs, from (x1, x2) in theta: projected
+    Newton steps, halved where f falls by more than ASCENT_SLACK (1 + |f|)
+    below its best value, each point a bound, until a bound is within
+    NEWTON_GAP (1 + |f|) of f or below ``floor``, or for CERT_STEPS
+    evaluations; s1 and s2 are the sums of T1 and T2."""
+    lo1, hi1 = np.where(zeta, -GAMMA_TOP, THETA_BOUNDS[0]), np.where(
+        zeta, 0.0, THETA_BOUNDS[1])
+    lo2, hi2 = THETA_BOUNDS
+    head_sums, tail_sums = _moments(bs, zeta), _moments(tail_size[truncated],
+                                                        False)
+
+    def evaluate(x1, x2):
+        log_head, head_mean, head_var = head_sums(x1)
+        r, a = np.exp(x2), -np.expm1(x2)
+        tails = [-np.log(a), r / a, r / (a * a)]  # log sum, mean, variance
+        for array, runs in zip(tails, tail_sums(x2[truncated])):
+            array[truncated] = runs
+        log_weight = x1 * t_b + x2 + tails[0]
+        log_total = np.logaddexp(log_head, log_weight)
+        p_head = np.exp(log_head - log_total)
+        p_tail = np.exp(log_weight - log_total)
+        gap1, gap2, mix = head_mean - t_b, 1.0 + tails[1], p_head * p_tail
+        f = x1 * s1 + x2 * s2 - n * log_total
+        g1 = s1 - n * (p_head * head_mean + p_tail * t_b)
+        g2 = s2 - n * p_tail * gap2
+        return (f, g1, g2, p_head * head_var + mix * gap1 * gap1,
+                p_tail * tails[2] + mix * gap2 * gap2, -mix * gap1 * gap2,
+                f + np.maximum(g1 * (lo1 - x1), g1 * (hi1 - x1))
+                + np.maximum(g2 * (lo2 - x2), g2 * (hi2 - x2)))
+
+    count = len(bs)
+    x1, x2 = np.clip(x1, lo1, hi1), np.clip(x2, lo2, hi2)
+    y1, y2, at_x = x1, x2, (np.full(count, -np.inf),) + (np.zeros(count),) * 5
+    bound, active = np.full(count, np.inf), ~zeta | (n * ZETA_SLOPE_CAP < s1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(CERT_STEPS):
+            *at_y, cert = evaluate(y1, y2)
+            bound = np.where(active, np.fmin(bound, cert), bound)
+            accept = active & (at_y[0] >= at_x[0] - ASCENT_SLACK * (
+                1.0 + np.abs(at_x[0])))
+            x1, x2 = np.where(accept, y1, x1), np.where(accept, y2, x2)
+            at_x = tuple(np.where(accept, *pair) for pair in zip(at_y, at_x))
+            f, g1, g2, c11, c22, c12 = at_x
+            active &= (bound >= floor) & (
+                bound - f > NEWTON_GAP * (1.0 + np.abs(f)))
+            if not active.any():
+                break
+            # Newton's step from x; a coordinate at an end of the box whose
+            # slope points out of it stays, and the other steps alone.
+            fix1 = ((x1 <= lo1) & (g1 < 0)) | ((x1 >= hi1) & (g1 > 0))
+            fix2 = ((x2 <= lo2) & (g2 < 0)) | ((x2 >= hi2) & (g2 > 0))
+            det = n * (c11 * c22 - c12 * c12)
+            d1 = np.where(fix2, g1 / (n * c11), (c22 * g1 - c12 * g2) / det)
+            d2 = np.where(fix1, g2 / (n * c22), (c11 * g2 - c12 * g1) / det)
+            d1 = np.where(fix1 | ~np.isfinite(d1), 0.0, d1)
+            d2 = np.where(fix2 | ~np.isfinite(d2), 0.0, d2)
+            y1 = np.where(accept, np.clip(x1 + d1, lo1, hi1), (x1 + y1) / 2.0)
+            y2 = np.where(accept, np.clip(x2 + d2, lo2, hi2), (x2 + y2) / 2.0)
+    return bound
 
 
 # Models 1, 2 and 5 fit exactly, concave in q, u = -log(1 - q) or gamma:
@@ -978,7 +1139,7 @@ def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
     """1 + N* / sum(f(d) log(d / min(d))) over d <= break_point, and the
     inverse mean of the distances beyond it (or of all, without any)."""
     support, _, _, log_ratios, q_global = _part(sample, _start_columns)
-    n_star, m_star, _ = sample.stats_upto(break_point)
+    n_star, m_star, _ = _upto(sample, break_point)
     head = log_ratios[:bisect.bisect_right(support, break_point)]
     n_tail = sample.total - n_star
     return (1.0 + float(n_star) / float(head.sum()),
@@ -1056,21 +1217,21 @@ SPECS: dict[Model, ModelSpec] = {
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
         _two_regime_geometric_bind, _regime_q_inits, "table",
-        bound=partial(_break_bound, _geometric_head_max, _geometric_tail_max)),
+        bound=partial(_break_bound, 0, 3)),
     Model.TWO_REGIME_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedTwoRegimeGeometricParams, 4, "3-4",
         _two_regime_geometric_log_pmf, _two_regime_geometric_bind,
         _regime_q_inits, "table",
-        bound=partial(_break_bound, _geometric_head_max, _truncated_tail_max)),
+        bound=partial(_break_bound, 0, 1)),
     Model.ZETA_TRUNC: ModelSpec(
         ZetaParams, 2, "5", _zeta_log_pmf, _zeta_bind,
         None, "zeta", _zeta_fit),
     Model.ZETA_GEOMETRIC: ModelSpec(
         ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
         _zeta_geometric_bind, _zeta_geometric_init, "table",
-        bound=partial(_break_bound, _zeta_head_max, _geometric_tail_max)),
+        bound=partial(_break_bound, 2, 3)),
     Model.ZETA_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedZetaGeometricParams, 4, "6-7", _zeta_geometric_log_pmf,
         _zeta_geometric_bind, _zeta_geometric_init, "table",
-        bound=partial(_break_bound, _zeta_head_max, _truncated_tail_max)),
+        bound=partial(_break_bound, 2, 1)),
 }

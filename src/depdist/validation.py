@@ -107,8 +107,8 @@ def run_validation(
     recovered: dict[Model, bool] = {}
     param_checks: list[ParamCheck] = []
 
-    for generator, sample in suite.items():
-        report = estimation.select(sample, criterion=criterion)
+    found = estimation.select_all(list(suite.values()), criterion=criterion)
+    for (generator, sample), report in zip(suite.items(), found):
         selections[generator] = report
         best[generator] = report.best
         recovered[generator] = report.best is generator

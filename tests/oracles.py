@@ -96,12 +96,17 @@ def brute_force_min_arrangement(
     return int(total.min())
 
 
-def exhaustive_break_scan(model, sample):
+def exhaustive_searches(model, sample):
     """(params, log_l, converged) of the search at every break point of the
-    grid, the first strict maximum kept."""
+    grid."""
+    return [est._optimize(model, sample, bp) for bp in est._break_grid(sample)]
+
+
+def exhaustive_break_scan(model, sample, searches=None):
+    """The first strict maximum of the search at every break point of the
+    grid (of ``searches``, :func:`exhaustive_searches`'s result, if given)."""
     best = None
-    for bp in est._break_grid(sample):
-        fitted = est._optimize(model, sample, bp)
+    for fitted in searches or exhaustive_searches(model, sample):
         if best is None or fitted[1] > best[1]:
             best = fitted
     return best
@@ -122,6 +127,21 @@ def bisection_concave_max(value, slope, lo, hi, size):
                       value(hi) + np.maximum(-slope(hi), 0.0) * width)
 
 
+def masked_zeta(n, log_sum, bs):
+    """The truncated zeta's log-likelihood on 1..b at each b of ``bs``, in
+    gamma (value, slope): the rows of a (b, k) matrix of k^-gamma masked to
+    k <= b, as the break-point bound computed it before it summed each row
+    on its own."""
+    log_k = np.log(np.arange(1, bs[-1] + 1))
+    inside = np.arange(1, bs[-1] + 1) <= bs[:, None]
+
+    def curve(gamma):
+        w = np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
+        z = w.sum(axis=-1)
+        return -gamma * log_sum - n * np.log(z), n * (w @ log_k) / z - log_sum
+    return curve
+
+
 def bisection_break_bound(model, sample, grid):
     """The two-regime model's break-point bound on the grid, with each
     regime's maximum from :func:`bisection_concave_max`: the split term, the
@@ -134,9 +154,7 @@ def bisection_break_bound(model, sample, grid):
         return bisection_concave_max(lambda x: curve(x)[0],
                                      lambda x: curve(x)[1], lo, hi, len(bs))
     if model.family == "6-7":
-        ks = np.arange(1, bs[-1] + 1)
-        head = solve(m._truncated_zeta(n_star, log_star, np.log(ks),
-                                       ks <= bs[:, None]), 0.0, m.GAMMA_TOP)
+        head = solve(masked_zeta(n_star, log_star, bs), 0.0, m.GAMMA_TOP)
     else:
         head = solve(m._truncated_geometric(n_star, offsets, bs),
                      *m.THETA_BOUNDS)
@@ -145,7 +163,9 @@ def bisection_break_bound(model, sample, grid):
                                             sample.max_d - bs),
                      *m.THETA_BOUNDS)
     else:
-        rest = m._geometric_tail_max(sample, grid)
+        # The geometric's closed form, q = 1 / (1 + mean offset).
+        rest = (m._xlogy(tail, tail / (tail + tail_offsets))
+                + m._xlogy(tail_offsets, tail_offsets / (tail + tail_offsets)))
     total = sample.total
     return (m._xlogy(n_star, n_star / total) + m._xlogy(tail, tail / total)
             + head + rest)

@@ -431,6 +431,49 @@ def test_csv_and_json_tables_carry_the_same_cells(command, tmp_path,
     assert cells
 
 
+def local_trees(seed, count, attach):
+    """Sentences of 6 to 15 words whose dependents attach to the previous
+    word with probability ``attach`` and anywhere before it otherwise."""
+    rng = np.random.default_rng(seed)
+    return [DepTree(tuple([0] + [i - 1 if rng.random() < attach
+                                 else int(rng.integers(1, i))
+                                 for i in range(2, int(n) + 1)]))
+            for n in rng.integers(6, 16, size=count)]
+
+
+def rows_by_corpus(directory):
+    """Every table's rows, keyed by (table, collection)."""
+    rows = {}
+    for path in sorted(directory.glob("*.csv")):
+        with open(path, newline="") as handle:
+            for row in csv.DictReader(handle):
+                rows.setdefault((path.stem, row["collection"]), []).append(
+                    row)
+    return rows
+
+
+@pytest.mark.parametrize("argv", [["fit-select", "--mode", "both"],
+                                  ["omega"]])
+def test_corpora_fit_alone_as_together(argv, tmp_path):
+    # The samples of each corpus are selected in one batch; every row a
+    # corpus gets from a two-corpus run is the row it gets alone.
+    lines = []
+    for name, seed, attach in (("A", 1, 0.6), ("B", 2, 0.4)):
+        write_corpus(tmp_path / f"{name}.conllu",
+                     local_trees(seed, 80, attach))
+        lines.append(f"{name}.conllu\t{name}\tL{name}\n")
+        (tmp_path / f"{name}.txt").write_text(lines[-1])
+    (tmp_path / "both.txt").write_text("".join(lines))
+    for manifest in ("both", "A", "B"):
+        assert main(argv + ["--manifest", str(tmp_path / f"{manifest}.txt"),
+                            "--out", str(tmp_path / manifest)]) == 0
+    together = rows_by_corpus(tmp_path / "both")
+    alone = {**rows_by_corpus(tmp_path / "A"),
+             **rows_by_corpus(tmp_path / "B")}
+    assert together == alone
+    assert {collection for _, collection in together} == {"A", "B"}
+
+
 def run_fresh(argv):
     """Run ``main(argv)`` in a fresh interpreter on this checkout; return
     its exit code and the ``scipy`` modules it loaded."""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 import threading
@@ -18,6 +19,7 @@ from depdist.estimation import (
     fit,
     information_criteria,
     select,
+    select_all,
     slope_analysis,
     threshold_scan,
 )
@@ -32,6 +34,7 @@ from oracles import (
     dense_grid_max,
     dense_grid_max_1d,
     exhaustive_break_scan,
+    exhaustive_searches,
     two_regime_init,
     unfactored_log_likelihood,
 )
@@ -503,23 +506,41 @@ class TestBreakPointBound:
                 1.0 + np.abs(reference))), model
 
     def test_twins_share_their_parts(self, monkeypatch):
-        sample = DistanceSample({1: 40, 2: 15, 3: 6, 5: 3, 8: 1})
-        grid = est._break_grid(sample)
+        # One batch solves the regimes of every sample's grid in two runs:
+        # the truncated geometric's maxima (the heads of 3 and 4, the tails
+        # of 4 and 7) and the zeta heads (6 and 7).  The four rows then read
+        # their shares from each sample's memo without another solve, and
+        # each share equals the one a batch of that sample alone gives.
+        freqs = [{1: 40, 2: 15, 3: 6, 5: 3, 8: 1}, {1: 40, 2: 15, 3: 6, 9: 2},
+                 {1: 1, 2: 3, 5: 400, 9: 2, 40: 1}]
         solves, concave_max = [], m._concave_max
         monkeypatch.setattr(m, "_concave_max", lambda *args: solves.append(
             args) or concave_max(*args))
-        added, solved = [], []
-        for model in TWO_REGIME:
-            before, count = len(sample.memo), len(solves)
-            model.spec.bound(sample, grid)
-            added.append(len(sample.memo) - before)
-            solved.append(len(solves) - count)
-        # Model 3 computes the grid's statistics, the truncated geometric's
-        # maxima on the head and on the tail (one solve), its head and the
-        # geometric tail; 4 reads the truncated tail from the same solve, 6
-        # solves the zeta head, and 7 has both.
-        assert added == [4, 1, 1, 0]
-        assert solved == [1, 0, 1, 0]
+        items = [(sample, est._break_grid(sample))
+                 for sample in map(DistanceSample, freqs)]
+        m.fill_bounds(items)
+        assert len(solves) == 2
+        batched = [[model.spec.bound(sample, grid) for model in TWO_REGIME]
+                   for sample, grid in items]
+        assert len(solves) == 2
+        for freq, (_, grid), bounds in zip(freqs, items, batched):
+            alone = DistanceSample(freq)
+            for model, bound in zip(TWO_REGIME, bounds):
+                assert np.array_equal(model.spec.bound(alone, grid), bound)
+        assert len(solves) == 2 + 2 * len(freqs)
+
+
+    def test_bounds_do_not_depend_on_the_batch(self):
+        # Every part of every grid of validate seeds 1-5 and fit-select
+        # corpora 0-3 is the same solved in one batch and alone: each row
+        # stops at its own convergence and sums over its own support.
+        items = [(dataclasses.replace(sample), est._break_grid(sample))
+                 for _, sample in benchmark_samples(range(1, 6), range(4))
+                 if sample.distinct >= est.DEFAULT_MIN_DISTINCT]
+        for (sample, grid), parts in zip(items, m._regime_maxima(items)):
+            alone = m._regime_maxima([(dataclasses.replace(sample), grid)])
+            for part, share in zip(alone[0], parts):
+                assert np.array_equal(part, share), sample.label()
 
 
 def one_regime_cases():
@@ -571,15 +592,18 @@ class TestBreakPointScan:
         values = {2: -50.0, 3: -40.0, 4: -60.0, 5: -40.0}
         visited = []
 
-        def optimize(model, sample, bp, tally=None):
+        def search(model, sample, bp, tally=None):
             visited.append(bp)
-            return m.TwoRegimeGeometricParams(0.5, 0.5, bp), values[bp], True
+            return [0.5, 0.5], values[bp], True
         # Break points 4 and 5 are visited before 3, which ties 5; the
-        # bound of 2 is below the tie's value, so 2 is pruned.
+        # bound of 2 is below the tie's value, so 2 is pruned.  No
+        # certificate lowers these bounds.
         bounds = np.array([-45.0, -39.0, -30.0, -30.0])
-        monkeypatch.setattr(est, "_optimize", optimize)
+        monkeypatch.setattr(est, "_search", search)
         monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
             model.spec, bound=lambda sample, grid: bounds))
+        monkeypatch.setattr(m, "certificates", lambda rows: [
+            np.full(len(row[3]), np.inf) for row in rows])
         result = fit(model, sample)
         assert visited == [4, 5, 3]
         assert result.params.break_point == 3
@@ -642,6 +666,181 @@ class TestNewtonFits:
                 assert log_l >= bisection_fit(model, sample)[1] - 1e-10, case
                 assert log_l >= dense_grid_max_1d(model, sample) - 1e-9 * (
                     1.0 + abs(log_l)), case
+
+
+# validate seeds 1-20 and fit-select corpora 0-15, in eight parts: each
+# part is one test case.
+BENCHMARK_PARTS = [((seeds, ()), f"validate-{seeds[0]}-{seeds[-1]}")
+                   for seeds in (range(1, 6), range(6, 11), range(11, 16),
+                                 range(16, 21))] + [
+    (((), variants), f"fit-select-{variants[0]}-{variants[-1]}")
+    for variants in (range(0, 4), range(4, 8), range(8, 12), range(12, 16))]
+
+
+@functools.cache
+def searched(label, model):
+    """The search at every break point of a benchmark sample's grid."""
+    samples = dict(benchmark_samples(range(1, 21), range(16)))
+    return exhaustive_searches(model, samples[label])
+
+
+def certified(sample):
+    """Each two-regime row's certificates at every break point of the
+    sample's grid, from the search at its highest relaxed bound, with no
+    floor to stop them early."""
+    grid, rows = est._break_grid(sample), []
+    for model in TWO_REGIME:
+        bounds = model.spec.bound(sample, grid)
+        x = est._search(model, sample, grid[int(np.argmax(bounds))])[0]
+        rows.append((model, sample, grid, np.arange(len(grid)), x,
+                     -math.inf))
+    return dict(zip(TWO_REGIME, m.certificates(rows)))
+
+
+# Ten thousand 1s and one each of 2, 3 and 2000: the searches of models 3
+# and 4 stop far below the dense grid's maxima, at q2 = 1e-8, and those of 6
+# and 7 find no finite value.
+FAR_TAIL = {1: 10000, 2: 1, 3: 1, 2000: 1}
+
+
+class TestCertificates:
+    """The certificate at a break point bounds the row's log-likelihood
+    there: it is never below the dense grid's maximum, nor below the search
+    there, less the pruning margin."""
+
+    @staticmethod
+    def assert_bounds(sample, certs, searches, size=64):
+        for model in TWO_REGIME:
+            grid = est._break_grid(sample)
+            for bp, cert, (_, log_l, _) in zip(grid, certs[model],
+                                               searches(model)):
+                case = (model, bp)
+                assert cert >= dense_grid_max(model, sample, bp, size), case
+                assert cert >= log_l - est.PRUNE_MARGIN * (
+                    1.0 + abs(log_l)), case
+
+    @pytest.mark.parametrize("seeds, variants", [
+        pytest.param(*part, id=name) for part, name in BENCHMARK_PARTS])
+    def test_benchmark_samples(self, seeds, variants):
+        # Every row, sample and break point; the grid is 32 x 32 here.
+        for label, sample in benchmark_samples(seeds, variants):
+            if sample.distinct >= est.DEFAULT_MIN_DISTINCT:
+                self.assert_bounds(sample, certified(sample),
+                                   lambda model: searched(label, model), 32)
+
+    @pytest.mark.parametrize("freq", [
+        # Box-edge maxima, q2 at 1e-8 among them, and rejected searches.
+        pytest.param(FAR_TAIL, id="far-tail"),
+        # The grid's top break point is max d - 1: the truncated tails of
+        # models 4 and 7 hold one step.
+        pytest.param({1: 30, 2: 12, 3: 5, 4: 1}, id="next-tail"),
+        pytest.param({1: 40, 2: 15, 3: 6, 4: 3, 6: 2, 7: 1}, id="one-step")])
+    def test_edge_samples(self, freq):
+        sample = DistanceSample(freq)
+        certs = certified(sample)
+        self.assert_bounds(sample, certs,
+                           lambda model: exhaustive_searches(model, sample))
+
+    def test_far_tail_certificates_clear_the_rejected_searches(self):
+        # Models 6 and 7 find no finite value; their certificates stay at
+        # or above the dense grid's maxima, about -45.
+        sample = DistanceSample(FAR_TAIL)
+        certs = certified(sample)
+        for model in (Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC):
+            assert all(log_l == -math.inf for _, log_l, _
+                       in exhaustive_searches(model, sample))
+            assert np.all(np.isfinite(certs[model]))
+            assert np.all(certs[model] >= -46.0)
+
+    def test_twins_coincide_at_break_point_two(self):
+        # At b = 2 the first regime holds d = 1 and 2 alone, where the
+        # geometric's q1 and the zeta's gamma reach the same weights: 3 and
+        # 6 have the same maximum, and so have 4 and 7.
+        sample = DistanceSample({1: 50, 2: 20, 4: 8, 6: 3, 9: 1})
+        certs = certified(sample)
+        assert est._break_grid(sample)[0] == 2
+        self.assert_bounds(sample, certs,
+                           lambda model: exhaustive_searches(model, sample))
+        for geometric, zeta in ((Model.TWO_REGIME_GEOMETRIC,
+                                 Model.ZETA_GEOMETRIC),
+                                (Model.TWO_REGIME_GEOMETRIC_TRUNC,
+                                 Model.ZETA_GEOMETRIC_TRUNC)):
+            assert certs[geometric][0] == pytest.approx(certs[zeta][0],
+                                                        rel=1e-12)
+
+    def test_blocks_change_no_bound(self, monkeypatch):
+        # Runs of at most CELLS terms give the bounds of one run; a break
+        # point whose sums hold more than CELLS terms keeps its relaxed
+        # bound (no certificate).
+        freq = {1: 40, 2: 15, 3: 6, 4: 3, 6: 2, 7: 1, 12: 1}
+        sample = DistanceSample(freq)
+        grid = est._break_grid(sample)
+        certs, parts = certified(sample), m._regime_maxima([(sample, grid)])
+        # b runs from 2 to 7 and max d is 12: the heads of 3 and 6 up to
+        # b = 5 fit in 5 terms, no sums of 4 and 7 do.
+        monkeypatch.setattr(m, "CELLS", 5)
+        blocked = DistanceSample(freq)
+        assert all(np.array_equal(part, share) for part, share in zip(
+            m._regime_maxima([(blocked, grid)])[0], parts[0]))
+        for model, cert in certified(blocked).items():
+            bs = np.array(grid)
+            cells = bs + (sample.max_d - bs) * model.is_truncated
+            assert np.array_equal(cert, np.where(cells <= 5, certs[model],
+                                                 np.inf)), model
+            assert np.isfinite(cert).any() != model.is_truncated
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # Each row's certificates are the same in one batch with every row
+        # of three samples and in a batch of its own, with or without a
+        # floor.
+        rows = []
+        for freq in (FAR_TAIL, {1: 40, 2: 15, 3: 6, 5: 3, 8: 1},
+                     {1: 1, 2: 3, 5: 400, 9: 2, 40: 1}):
+            sample = DistanceSample(freq)
+            grid = est._break_grid(sample)
+            for model in TWO_REGIME:
+                x, log_l, _ = est._search(model, sample, grid[0])
+                for floor in (-math.inf, est._floor(log_l)):
+                    rows.append((model, sample, grid, np.arange(len(grid)),
+                                 x, floor))
+        for row, certs in zip(rows, m.certificates(rows)):
+            assert np.array_equal(m.certificates([row])[0], certs), row[:3]
+
+
+class TestExhaustiveFits:
+    """Every fit is the exhaustive scan's, and the batch does not change
+    any field of any fit."""
+
+    @pytest.mark.parametrize("seeds, variants", [
+        pytest.param(*part, id=name) for part, name in BENCHMARK_PARTS])
+    def test_fits_equal_the_exhaustive_scan(self, seeds, variants):
+        for label, sample in benchmark_samples(seeds, variants):
+            if sample.distinct < est.DEFAULT_MIN_DISTINCT:
+                continue
+            for model in TWO_REGIME:
+                result = fit(model, sample)
+                assert (result.params, result.log_l, result.converged) == \
+                    exhaustive_break_scan(model, sample,
+                                          searched(label, model)), (
+                    label, model)
+
+    @pytest.mark.parametrize("seeds, variants", [
+        pytest.param(*part, id=name) for part, name in BENCHMARK_PARTS])
+    def test_select_all_equals_select(self, seeds, variants):
+        # Fresh copies: the samples' memos hold no scan yet.  The batches
+        # are a validate seed's suite and a corpus language's samples, as
+        # the commands batch them.
+        batches = {}
+        for label, sample in benchmark_samples(seeds, variants):
+            batches.setdefault(label.rsplit("-", 1)[0], []).append(sample)
+        for batch in batches.values():
+            alone = [select(dataclasses.replace(sample))
+                     for sample in batch]
+            together = select_all([dataclasses.replace(sample)
+                                   for sample in batch])
+            for one, other in zip(alone, together):
+                assert one.best is other.best
+                assert one.fits == other.fits
 
 
 class TestStartingValues:
@@ -780,12 +979,12 @@ class TestFitCounts:
         # One search per break point that the scan did not prune; none for
         # the one-regime rows.
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
-        calls, optimize = Counter(), est._optimize
+        calls, search = Counter(), est._search
 
         def counted(model, *args, **kwargs):
             calls[model] += 1
-            return optimize(model, *args, **kwargs)
-        monkeypatch.setattr(est, "_optimize", counted)
+            return search(model, *args, **kwargs)
+        monkeypatch.setattr(est, "_search", counted)
         report = select(sample, est.FIXED_ENSEMBLE, "aic")
         for model, result in report.fits.items():
             assert result.searches == calls[model], model
@@ -809,10 +1008,12 @@ class TestFitCounts:
 
 class TestOptimizerLog:
     def test_nonconverged_results_are_logged(self, caplog):
-        # On this sample L-BFGS-B stops early at some break points.
+        # On this sample L-BFGS-B stops early at some break points, among
+        # them model 7's break point 6 (which the scan's certificates
+        # prune, so it is searched here on its own).
         sample = DistanceSample({2: 4, 5: 4, 8: 1, 9: 2})
         with caplog.at_level(logging.DEBUG, logger="depdist.estimation"):
-            select(sample, est.FIXED_ENSEMBLE, "aic")
+            est._optimize(Model.ZETA_GEOMETRIC_TRUNC, sample, 6)
         messages = [r.getMessage() for r in caplog.records]
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
         logged = [text for text in messages if "no converged optimum" in text]
