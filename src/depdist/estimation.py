@@ -7,16 +7,14 @@ L-BFGS-B at each break point between the second smallest and the second
 largest distance, so that each regime keeps two distinct distances to infer
 a decay from (they are excluded below 3 distinct distances), starting from
 the row's starting values, which the twins 3/4 and 6/7 share.  The scan is
-a branch and bound in three phases, each run for every row of a batch of
-samples at once (:func:`select_all`; :func:`select` and :func:`fit` are a
-batch of one): the row's relaxed upper bounds on each break point's
-log-likelihood; a search at the highest, then certificates (exact 2-D
-bounds, :func:`depdist.models.certificates`) at every break point that it
-does not rule out; and the remaining searches in descending order of the
-bound, which stop at the first bound below the best fit, less a relative
-1e-9 for rounding.  Every fit is the exhaustive scan's, equal
-log-likelihoods going to the lower break point, and no row's bounds,
-searches or counts depend on the batch.
+a branch and bound in two phases: certificates (exact upper bounds on the
+log-likelihood, :func:`depdist.models.certificates`) at every break point
+of every row of a batch of samples at once (:func:`select_all`;
+:func:`select` and :func:`fit` are a batch of one), then each row's
+searches in descending order of the bound, which stop at the first bound
+below the best fit, less a relative 1e-9 for rounding.  Every fit is the
+exhaustive scan's, equal log-likelihoods going to the lower break point,
+and no row's bounds, searches or counts depend on the batch.
 
 Truncated models pin d_max to max d: for fixed continuous parameters, a
 larger support only bleeds mass outside the data.  The uniform-shuffle null,
@@ -343,34 +341,17 @@ def _floor(best: float) -> float:
 
 
 def _scan(rows: Sequence[tuple[Model, DistanceSample]]) -> None:
-    """The first two phases of the break-point scan of the (model, sample)
-    rows that have a grid and are not in their sample's memo yet: the
-    relaxed bounds of all rows in one batch, one search per row at its
-    highest bound, then one batch of certificates
-    (:func:`models.certificates`) at the other break points that the search
-    does not rule out; a bound is the lower of the two.  The memo keeps
-    (grid, bounds, first index, its search's (x, log_l, converged),
-    counts), which depend on the row alone."""
-    rows = [(model, sample) for model, sample in rows
+    """The first phase of the break-point scan of the (model, sample) rows
+    that have a grid and are not in their sample's memo yet: the
+    certificates (:func:`models.certificates`) at every break point of
+    every row, in one batch.  The memo keeps (grid, bounds), which depend
+    on the row alone."""
+    rows = [(model, sample, _break_grid(sample)) for model, sample in rows
             if sample.distinct >= DEFAULT_MIN_DISTINCT
             and (_scan, model) not in sample.memo]
-    if not rows:
-        return
-    grids = [_break_grid(sample) for _, sample in rows]
-    m.fill_bounds([(sample, grid) for (_, sample), grid in zip(rows, grids)])
-    scans, certify = [], []
-    for (model, sample), grid in zip(rows, grids):
-        bounds = model.spec.bound(sample, grid)
-        first, tally = int(np.argmax(bounds)), Counter(searches=1)
-        found = _search(model, sample, grid[first], tally)
-        index = np.flatnonzero(bounds >= _floor(found[1]))
-        scans.append((grid, bounds, first, found, tally))
-        certify.append((model, sample, grid, index[index != first],
-                        found[0], _floor(found[1])))
-    for (model, sample), scan, (*_, index, _, _), certs in zip(
-            rows, scans, certify, m.certificates(certify)):
-        scan[1][index] = np.fmin(scan[1][index], certs)
-        sample.memo[_scan, model] = scan
+    for (model, sample, grid), bounds in zip(
+            rows, m.certificates(rows) if rows else ()):
+        sample.memo[_scan, model] = grid, bounds
 
 
 def fit(model: Model, sample: DistanceSample) -> FitResult:
@@ -378,12 +359,11 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
 
     The one-regime models fit through their spec rows; the two-regime
     models optimize their continuous parameters at each grid break point
-    that their bounds do not rule out (:func:`_scan`), in descending order
-    of the bound.  Unmet
-    requirements (too few distinct distances, a length mixture on a sample
-    without per-length samples) mark the result excluded instead of
-    raising; a non-converged optimizer returns its best parameters with
-    ``converged=False``.
+    that their certificates do not rule out (:func:`_scan`), in descending
+    order of the bound.  Unmet requirements (too few distinct distances, a
+    length mixture on a sample without per-length samples) mark the result
+    excluded instead of raising; a non-converged optimizer returns its best
+    parameters with ``converged=False``.
     """
     if model.spec.fit is not None:
         fitted = model.spec.fit(sample)
@@ -396,17 +376,15 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
                          f"needs >= {DEFAULT_MIN_DISTINCT} distinct "
                          f"distances, sample has {sample.distinct}")
     _scan([(model, sample)])
-    grid, bounds, first, found, tally = sample.memo[_scan, model]
+    grid, bounds = sample.memo[_scan, model]
     # Highest bound first, until a bound falls below the best fit.
-    best, tally = (grid[first], *found), Counter(tally)
+    best, tally = None, Counter()
     for i in np.argsort(-bounds, kind="stable"):
-        if i == first:
-            continue
-        if bounds[i] < _floor(best[2]):
+        if best is not None and bounds[i] < _floor(best[2]):
             break
         x, log_l, conv = _search(model, sample, grid[i], tally)
         tally["searches"] += 1
-        if (log_l, -grid[i]) > (best[2], -best[0]):
+        if best is None or (log_l, -grid[i]) > (best[2], -best[0]):
             best = (grid[i], x, log_l, conv)
     break_point, x, log_l, conv = best
     return _result(model, _params(model, sample, break_point, x), log_l,
@@ -476,7 +454,7 @@ def select(
 def select_all(samples: Sequence[DistanceSample], criterion: str = "aic"
                ) -> list[SelectionReport]:
     """:func:`select` of each sample with its default ensemble, with the
-    first phases of every two-regime row's scan (:func:`_scan`) run in one
+    certificates of every two-regime row's scan (:func:`_scan`) run in one
     batch across the samples; each report equals ``select(sample)``'s."""
     _scan([(model, sample) for sample in samples for model in Model
            if model.is_two_regime])

@@ -22,11 +22,11 @@ twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.  The one-regime rows carry their own fits (a
-d_max scan, a fixed value, q = N/M, and Newton on the break-point bound's
-curves for the truncated geometric and zeta), which return plain tuples;
+d_max scan, a fixed value, q = N/M, and Newton on the log-likelihood's
+curve for the truncated geometric and zeta), which return plain tuples;
 the optimizer in :mod:`depdist.estimation` fits the two-regime rows, at
-the break points that their bounds (:func:`fill_bounds`, relaxed, and
-:func:`certificates`, exact at a break point) do not rule out.
+the break points that their certificates (:func:`certificates`, exact
+upper bounds at every break point, from a 2-D Newton) do not rule out.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
 summed over the per-length samples that a pooled sample carries
 (``DistanceSample.by_length``); a sample without them leaves it excluded.
@@ -34,8 +34,8 @@ summed over the per-length samples that a pooled sample carries
 Log-likelihoods are computed from sufficient statistics, never by
 rescanning the sample: N, M, M' and max d, which :class:`DistanceSample`
 caches, their restrictions to d <= break from ``sample.stats_upto`` (read
-from the break grid's table once the bounds have it), and for the shuffle
-null the slack sum over the support.  Each row binds its
+from the break grid's table once the certificates have it), and for the
+shuffle null the slack sum over the support.  Each row binds its
 log-likelihood to the sample once per break point, computing there what
 the break point fixes; the bound function takes the continuous values as
 plain floats (a two-regime row's is :class:`Factored`), so an optimizer
@@ -484,31 +484,42 @@ def _mixture_bind(sample, break_point, d_max):
 # bounds): ``fit(sample)`` gives (params, log_l, converged), or None when
 # the data it needs are missing.
 
+NULL_CELLS = 2 ** 16  # most cells of one block of the null's d_max scan
+
+
 def _null_fit(sample):
     """Scan d_max upward from max d over a window that grows until the
     likelihood peaks inside it (the null's mass leans on low d, so its
-    likelihood can peak above max d)."""
+    likelihood can peak above max d).  The window's rows go in blocks of at
+    most NULL_CELLS cells (but 64 rows or more), so memory stays linear in
+    the support, not in max d; a multiple of 64 rows keeps each row's place
+    in BLAS's groups of rows, so its slack sum is the one-matrix sum."""
     lo = sample.max_d
     window = max(4 * sample.max_d, 256)
     support = sample.support.astype(float)
     counts = sample.counts.astype(float)
     n = float(sample.total)
+    rows = max(NULL_CELLS // len(support) // 64, 1) * 64
     converged = True
     while True:
-        grid = np.arange(lo, lo + window + 1, dtype=float)
-        slack = np.log(grid[:, None] + 1.0 - support[None, :])
-        ll = (
-            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
-            + slack @ counts
-        )
-        best = int(np.argmax(ll))
-        if best < len(grid) - 1:
+        best, top = None, lo + window + 1
+        for first in range(lo, top, rows):
+            grid = np.arange(first, min(first + rows, top), dtype=float)
+            slack = np.log(grid[:, None] + 1.0 - support[None, :])
+            ll = (
+                n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
+                + slack @ counts
+            )
+            i = int(np.argmax(ll))
+            if best is None or ll[i] > best[1]:
+                best = grid[i], ll[i]
+        if best[0] < top - 1:
             break
         if window > 1_000_000:
             converged = False  # pathological sample; report the window edge
             break
         window *= 4
-    return NullParams(int(grid[best])), float(ll[best]), converged
+    return NullParams(int(best[0])), float(best[1]), converged
 
 
 def _mixture_fit(sample):
@@ -679,22 +690,28 @@ def _zeta_geometric_bind(sample, bp, d_max):
     return Factored(_zeta_first(bp), _geometric_tail(bp, d_max), combine)
 
 
-# Upper bounds on the two-regime log-likelihoods at every break point b of a
-# grid.  Dropping the continuity at b leaves each regime normalized on its own
-# with a free split weight, a larger model whose maximum is a sum of three
-# parts: the split term, the first regime's maximum on 1..b and the tail's
-# beyond b.  Regimes are 1-D concave exponential families in theta = log(1 -
-# q) or gamma, maximized for every grid of a batch at once by safeguarded
-# Newton steps; the tangent at each iterate bounds the maximum from above, so
-# a part is an upper bound however far Newton got.  Each row stops and sums
-# on its own, so its bound does not depend on the batch; each sample's memo
-# keeps its parts (keyed by the grid) for the twins.
+# Certificates: upper bounds on the two-regime log-likelihoods at every break
+# point b of a grid.  In theta = (log(1 - q1) or -gamma, log(1 - q2)) a
+# two-regime row is a concave exponential family, log L = theta . sum T - N
+# log Z, with T1(d) = min(d, b) - 1 or log min(d, b), T2(d) = max(d - b, 0)
+# and Z the head sum over k <= b of exp(theta1 T1(k)) plus exp(theta1 T1(b) +
+# theta2) times the geometric tail's sum of exp(theta2 j), j >= 0 (j < max d
+# - b if truncated).  At any x of the box, concavity bounds the maximum by
+# f(x) + sum_i max(g_i (lo_i - x_i), g_i (hi_i - x_i)).  The box is the
+# search's in theta, gamma capped at GAMMA_TOP: at gamma >= 64, Z >= 1 and
+# E[T1] <= ZETA_SLOPE_CAP (head terms k >= 2 add at most 2 log 2 2^-64, the
+# tail log b b^-64 / EPS), so the slope in theta1, sum T1 - N E[T1], stays
+# positive where sum T1 > N ZETA_SLOPE_CAP, about N 3.8e-12 (sum T1 >= log 2
+# once a distance exceeds 1).  Elsewhere, and at break points whose sums hold
+# more than CELLS terms, there is no certificate: the bound is +inf.
 
-NEWTON_STEPS = 12  # most iterates of a grid; most grids certify in 5
+CERT_STEPS = 64  # most evaluations of a certificate; 92% take 8 or fewer
+ASCENT_SLACK = 1e-12  # relative fall of a Newton step still accepted
 NEWTON_GAP = 1e-12  # relative rise of a certified bound above its iterate
 GAMMA_TOP = 64.0  # the slope at gamma 64 is negative unless N* >= 2^64
 THETA_BOUNDS = (math.log1p(-Q_BOUNDS[1]), math.log1p(-Q_BOUNDS[0]))
 CELLS = 2 ** 20  # most terms of the sums that one Newton run holds
+ZETA_SLOPE_CAP = math.log(2.0) * 2.0 ** -GAMMA_TOP * (2.0 + 1.0 / EPS)
 
 
 def _part(sample, part, *args):
@@ -702,16 +719,6 @@ def _part(sample, part, *args):
     if key not in sample.memo:
         sample.memo[key] = part(sample, *args)
     return sample.memo[key]
-
-
-def fill_bounds(items):
-    """Solve the regimes (:func:`_regime_maxima`) of the (sample, grid)
-    items whose sample's memo lacks them, in one batch."""
-    todo = [(sample, grid) for sample, grid in items
-            if (_regime_maxima, grid) not in sample.memo]
-    for (sample, grid), share in zip(todo, _regime_maxima(todo) if todo
-                                     else ()):
-        sample.memo[_regime_maxima, grid] = share
 
 
 def _grid_stats(sample, grid):
@@ -737,50 +744,166 @@ def _upto(sample, b):
         return sample.stats_upto(b)
 
 
+def _blocks(cells):
+    """Slices of consecutive rows that hold at most CELLS cells each (a row
+    with more alone)."""
+    ends, first = np.cumsum(cells), 0
+    while first < len(cells):
+        last = max(first + 1, int(np.searchsorted(
+            ends, ends[first] - cells[first] + CELLS, side="right")))
+        yield slice(first, last)
+        first = last
+
+
+def _moments(lengths, log):
+    """For runs of T = 0, 1, ..., length - 1 laid end to end (log(T + 1)
+    where ``log``), a function of theta and of the ascending indices of
+    some runs, one theta per run, that returns the log of each of those
+    runs' sum of exp(theta T) and T's mean and variance under those
+    weights; each run is summed on its own."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    t = np.arange(len(run)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    t = np.where(np.repeat(np.broadcast_to(log, lengths.shape), lengths),
+                 np.log1p(t), t)
+
+    def moments(theta, rows):
+        sizes, cells = lengths[rows], t
+        if len(rows) < len(lengths):
+            kept = np.zeros(len(lengths), bool)
+            kept[rows] = True
+            cells = t[kept[run]]
+        w = np.exp(np.repeat(theta, sizes) * cells)
+        z, first, second = (np.add.reduceat(v, np.cumsum(sizes) - sizes)
+                            for v in (w, w * cells, w * cells * cells))
+        mean = first / z
+        return np.log(z), mean, second / z - mean * mean
+    return moments
+
+
+def certificates(rows):
+    """Upper bounds on the log-likelihood of each row (model, sample, grid)
+    at every break point of its grid, one array per row: :func:`_certify`
+    from the regimes' own maximum-likelihood values, in theta log(1 - N* /
+    M*) (the head's geometric), -1 - 1 / (M'* / N* + log 2) (the discrete
+    power law's approximate estimate; Clauset, Shalizi & Newman, 2009) and
+    the geometric of d - b over the tail, -1 where one is not finite."""
+    sizes = [len(grid) for _, _, grid in rows]
+    bs, n_star, offsets, log_star, tail, tail_offsets = (
+        np.concatenate(column) for column in zip(*[
+            (np.array(grid), *_part(sample, _grid_stats, grid))
+            for _, sample, grid in rows]))
+    zeta, truncated, n, top = (np.repeat(column, sizes) for column in zip(*[
+        (model.family == "6-7", model.is_truncated, sample.total,
+         sample.max_d) for model, sample, _ in rows]))
+    with np.errstate(divide="ignore"):  # log 0 where every offset is 0
+        starts = (np.where(zeta, -1.0 - 1.0 / (log_star / n_star
+                                                + math.log(2.0)),
+                           np.log(offsets / (n_star + offsets))),
+                  np.log(tail_offsets / (tail + tail_offsets)))
+    t_b = np.where(zeta, np.log(bs), bs - 1.0)
+    columns = (bs, zeta, truncated, top - bs, t_b, n,
+               np.where(zeta, log_star, offsets) + tail * t_b,
+               tail_offsets + tail, *(np.where(np.isfinite(x), x, -1.0)
+                                      for x in starts))
+    cells = bs + np.where(truncated, top - bs, 0)
+    bound, small = np.full(len(bs), np.inf), np.flatnonzero(cells <= CELLS)
+    for rows in _blocks(cells[small]):
+        bound[small[rows]] = _certify(*(column[small[rows]]
+                                        for column in columns))
+    return np.split(bound, np.cumsum(sizes)[:-1])
+
+
+def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
+    """Upper bounds at break points bs, from (x1, x2) in theta: projected
+    Newton steps, halved where f falls by more than ASCENT_SLACK (1 + |f|)
+    below its best value, each point a bound, until a bound is within
+    NEWTON_GAP (1 + |f|) of f, or for CERT_STEPS evaluations; each step
+    evaluates only the break points still running.  s1 and s2 are the sums
+    of T1 and T2."""
+    head_sums, tail_sums = _moments(bs, zeta), _moments(tail_size[truncated],
+                                                        False)
+    tail_runs, lo2, hi2 = np.cumsum(truncated) - 1, *THETA_BOUNDS
+    bound = np.full(len(bs), np.inf)
+    # The break points still running, by index, and their columns.
+    rows = np.flatnonzero(~zeta | (n * ZETA_SLOPE_CAP < s1))
+    zeta, truncated, t_b, n, s1, s2, x1, x2 = (column[rows] for column in (
+        zeta, truncated, t_b, n, s1, s2, x1, x2))
+    lo1, hi1 = (np.where(zeta, -GAMMA_TOP, THETA_BOUNDS[0]),
+                np.where(zeta, 0.0, THETA_BOUNDS[1]))
+    x1, x2 = np.clip(x1, lo1, hi1), np.clip(x2, lo2, hi2)
+    # y is the trial point, at_x f, g1, g2 and the three curvatures at x.
+    y1, y2, cert = x1, x2, bound[rows]
+    at_x = [np.full(len(rows), -np.inf)] + [np.zeros(len(rows))] * 5
+
+    def evaluate(x1, x2):
+        log_head, head_mean, head_var = head_sums(x1, rows)
+        r, a = np.exp(x2), -np.expm1(x2)
+        tails = [-np.log(a), r / a, r / (a * a)]  # log sum, mean, variance
+        for array, runs in zip(tails, tail_sums(
+                x2[truncated], tail_runs[rows[truncated]])):
+            array[truncated] = runs
+        log_weight = x1 * t_b + x2 + tails[0]
+        log_total = np.logaddexp(log_head, log_weight)
+        p_head = np.exp(log_head - log_total)
+        p_tail = np.exp(log_weight - log_total)
+        gap1, gap2, mix = head_mean - t_b, 1.0 + tails[1], p_head * p_tail
+        f = x1 * s1 + x2 * s2 - n * log_total
+        g1 = s1 - n * (p_head * head_mean + p_tail * t_b)
+        g2 = s2 - n * p_tail * gap2
+        return (f, g1, g2, p_head * head_var + mix * gap1 * gap1,
+                p_tail * tails[2] + mix * gap2 * gap2, -mix * gap1 * gap2,
+                f + np.maximum(g1 * (lo1 - x1), g1 * (hi1 - x1))
+                + np.maximum(g2 * (lo2 - x2), g2 * (hi2 - x2)))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(CERT_STEPS):
+            *at_y, point = evaluate(y1, y2)
+            cert = np.fmin(cert, point)
+            accept = at_y[0] >= at_x[0] - ASCENT_SLACK * (
+                1.0 + np.abs(at_x[0]))
+            x1, x2 = np.where(accept, y1, x1), np.where(accept, y2, x2)
+            at_x = [np.where(accept, *pair) for pair in zip(at_y, at_x)]
+            bound[rows] = cert
+            going = cert - at_x[0] > NEWTON_GAP * (1.0 + np.abs(at_x[0]))
+            if not going.all():
+                (rows, truncated, t_b, n, s1, s2, lo1, hi1, x1, x2, y1, y2,
+                 cert, accept, *at_x) = (column[going] for column in (
+                     rows, truncated, t_b, n, s1, s2, lo1, hi1, x1, x2, y1,
+                     y2, cert, accept, *at_x))
+                if not len(rows):
+                    break
+            # Newton's step from x; a coordinate at an end of the box whose
+            # slope points out of it stays, and the other steps alone.
+            f, g1, g2, c11, c22, c12 = at_x
+            fix1 = ((x1 <= lo1) & (g1 < 0)) | ((x1 >= hi1) & (g1 > 0))
+            fix2 = ((x2 <= lo2) & (g2 < 0)) | ((x2 >= hi2) & (g2 > 0))
+            det = n * (c11 * c22 - c12 * c12)
+            d1 = np.where(fix2, g1 / (n * c11), (c22 * g1 - c12 * g2) / det)
+            d2 = np.where(fix1, g2 / (n * c22), (c11 * g2 - c12 * g1) / det)
+            d1 = np.where(fix1 | ~np.isfinite(d1), 0.0, d1)
+            d2 = np.where(fix2 | ~np.isfinite(d2), 0.0, d2)
+            y1 = np.where(accept, np.clip(x1 + d1, lo1, hi1), (x1 + y1) / 2.0)
+            y2 = np.where(accept, np.clip(x2 + d2, lo2, hi2), (x2 + y2) / 2.0)
+    return bound
+
+
+# Models 1, 2 and 5 fit exactly, concave in q, u = -log(1 - q) or gamma:
+# model 1 has q = N/M, and 2 and 5 take Newton steps on the log-likelihood's
+# value, slope and curvature.  log p(max d) falls with the rate above 1 / max
+# d (0 for gamma): the floor caps the rate.
+
+FIT_STEPS = 64  # cap on a fit's Newton iterates; most fits take 4 or 5
+CAP_BISECTIONS = 64  # the cap to a double's spacing, where log L is steep
+
+
 def _bisect(up, lo, hi, steps):
     """(lo, width) of the bracket around the point of [lo, hi] below which
-    ``up`` holds, after ``steps`` halvings; on floats or arrays."""
+    ``up`` holds, after ``steps`` halvings."""
     width = hi - lo
     for _ in range(steps):
         width /= 2.0
         lo = lo + width * up(lo + width)
     return lo, width
-
-
-def _concave_max(curve, lo, hi, x):
-    """Upper bounds on the maxima over [lo, hi] of concave functions, one per
-    entry of the start ``x``; ``curve`` gives their values, slopes and
-    curvatures at an array of points.  Safeguarded Newton: the slope's sign
-    at each iterate keeps a bracket around each maximizer, and a step that
-    leaves the bracket goes to the end of [lo, hi] on its side if no iterate
-    has ruled that end out, else to the bracket's middle.  The tangent at an
-    iterate, highest at one end of the bracket, bounds the maximum; each row
-    keeps its lowest, valid however far the iteration got.  A row stops when
-    its bound is within NEWTON_GAP (1 + |value|) of its iterate's value, or
-    after NEWTON_STEPS iterates."""
-    x = np.fmin(np.fmax(x, lo), hi)
-    lo, hi = np.full_like(x, lo), np.full_like(x, hi)
-    closed_lo = closed_hi = False   # an iterate has ruled out that end
-    bound, active = np.full_like(x, np.inf), np.ones(x.shape, bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(NEWTON_STEPS):
-            value, slope, curvature = curve(x)
-            up, down = slope > 0, slope < 0
-            lo, hi = np.where(up, x, lo), np.where(down, x, hi)
-            closed_lo, closed_hi = closed_lo | up, closed_hi | down
-            bound = np.where(active, np.fmin(bound, value + np.maximum(
-                slope * (hi - x), slope * (lo - x))), bound)
-            active &= bound - value > NEWTON_GAP * (1.0 + np.abs(value))
-            if not active.any():
-                break
-            x = x - slope / curvature
-            outside = ~((lo <= x) & (x <= hi))
-            if outside.any():
-                mid = (lo + hi) / 2.0
-                x = np.where(outside, np.where(
-                    x > hi, np.where(closed_hi, mid, hi),
-                    np.where(closed_lo, mid, lo)), x)
-    return bound
 
 
 def _truncated_geometric(n, offsets, k):
@@ -796,84 +919,6 @@ def _truncated_geometric(n, offsets, k):
         return (theta * offsets - n * np.log(ak / a),
                 offsets - n * (ratio - ratio_k),
                 n * (ratio_k * k / ak - ratio / a))
-    return curve
-
-
-def _xlogy(x, y):
-    """x log y, 0 where x is 0: scipy's ``xlogy`` for x >= 0 without
-    loading ``scipy.special``; y is not read where x is 0."""
-    return x * np.log(np.where(x > 0, y, 1.0))
-
-
-def _blocks(cells):
-    """Slices of consecutive rows that hold at most CELLS cells each (a row
-    with more alone)."""
-    ends, first = np.cumsum(cells), 0
-    while first < len(cells):
-        last = max(first + 1, int(np.searchsorted(
-            ends, ends[first] - cells[first] + CELLS, side="right")))
-        yield slice(first, last)
-        first = last
-
-
-def _moments(lengths, log):
-    """For runs of T = 0, 1, ..., length - 1 laid end to end (log(T + 1)
-    where ``log``), a function of theta, one per run, that returns the log
-    of each run's sum of exp(theta T) and T's mean and variance under those
-    weights; each run is summed on its own."""
-    starts = np.cumsum(lengths) - lengths
-    t = np.arange(lengths.sum()) - np.repeat(starts, lengths)
-    t = np.where(np.repeat(np.broadcast_to(log, lengths.shape), lengths),
-                 np.log1p(t), t)
-
-    def moments(theta):
-        w = np.exp(np.repeat(theta, lengths) * t)
-        z, first, second = (np.add.reduceat(v, starts)
-                            for v in (w, w * t, w * t * t))
-        mean = first / z
-        return np.log(z), mean, second / z - mean * mean
-    return moments
-
-
-def _regime_maxima(items):
-    """The parts of the bound at each b of each (sample, grid) item: the
-    maxima of the truncated geometric on 1..b and on b+1..max d (one solve,
-    from the untruncated geometric's theta, log(1 - q) at q = 1 / (1 + mean
-    offset)), of the truncated zeta on 1..b (gamma >= 0, one solve per
-    CELLS support points, from the discrete power law's approximate
-    estimate 1 + 1 / (mean log d + log 2); Clauset, Shalizi & Newman,
-    2009), of the geometric beyond b in closed form, and the split term."""
-    n_star, offsets, log_star, tail, tail_offsets = (np.concatenate(column)
-                                                     for column in zip(*[
-        _part(sample, _grid_stats, grid) for sample, grid in items]))
-    bs = np.concatenate([np.array(grid) for _, grid in items])
-    total, top = (np.repeat(column, [len(grid) for _, grid in items])
-                  for column in zip(*[(float(sample.total), sample.max_d)
-                                      for sample, _ in items]))
-    n, sums = np.concatenate([n_star, tail]), np.concatenate([offsets,
-                                                               tail_offsets])
-    with np.errstate(divide="ignore"):  # -inf where every offset is 0
-        start = np.log(sums / (n + sums))
-    geometric = _concave_max(_truncated_geometric(n, sums, np.concatenate(
-        [bs, top - bs])), *THETA_BOUNDS, start)
-    start = 1.0 + 1.0 / (log_star / n_star + math.log(2.0))
-    zeta = [_concave_max(_ragged_zeta(n_star[rows], log_star[rows], bs[rows]),
-                         0.0, GAMMA_TOP, start[rows]) for rows in _blocks(bs)]
-    parts = np.split(geometric, 2) + [np.concatenate(zeta), _xlogy(
-        tail, tail / (tail + tail_offsets)) + _xlogy(
-        tail_offsets, tail_offsets / (tail + tail_offsets)), _xlogy(
-        n_star, n_star / total) + _xlogy(tail, tail / total)]
-    cuts = np.cumsum([len(grid) for _, grid in items])[:-1]
-    return list(zip(*(np.split(part, cuts) for part in parts)))
-
-
-def _ragged_zeta(n, log_sum, lengths):
-    """:func:`_truncated_zeta` on arrays over rows of support 1..length."""
-    moments = _moments(lengths, True)
-
-    def curve(gamma):
-        log_z, mean, var = moments(-gamma)
-        return -gamma * log_sum - n * log_z, n * mean - log_sum, -n * var
     return curve
 
 
@@ -894,138 +939,15 @@ def _truncated_zeta(n, log_sum, log_k):
     return curve
 
 
-def _break_bound(head, tail, sample, grid):
-    """Upper bound on the row's log-likelihood at each b of the grid: the
-    split term plus the ``head`` and ``tail`` parts of
-    :func:`_regime_maxima`."""
-    fill_bounds([(sample, grid)])
-    parts = sample.memo[_regime_maxima, grid]
-    return parts[4] + parts[head] + parts[tail]
-
-
-# Certificates at a fixed break point b.  In theta = (log(1 - q1) or -gamma,
-# log(1 - q2)) a two-regime row is a concave exponential family, log L =
-# theta . sum T - N log Z, with T1(d) = min(d, b) - 1 or log min(d, b), T2(d)
-# = max(d - b, 0) and Z the head sum over k <= b of exp(theta1 T1(k)) plus
-# exp(theta1 T1(b) + theta2) times the geometric tail's sum of exp(theta2 j),
-# j >= 0 (j < max d - b if truncated).  At any x of the box, concavity bounds
-# the maximum by f(x) + sum_i max(g_i (lo_i - x_i), g_i (hi_i - x_i)).  The
-# box is the search's in theta, gamma capped at GAMMA_TOP: at gamma >= 64, Z
-# >= 1 and E[T1] <= ZETA_SLOPE_CAP (head terms k >= 2 add at most 2 log 2
-# 2^-64, the tail log b b^-64 / EPS), so the slope in theta1, sum T1 - N
-# E[T1], stays positive where sum T1 > N ZETA_SLOPE_CAP, about N 3.8e-12 (sum
-# T1 >= log 2 once a distance exceeds 1).  Elsewhere, and at break points
-# whose sums hold more than CELLS terms, the relaxed bound stays.
-
-CERT_STEPS = 16  # most evaluations of a certificate; most take 3 to 6
-ASCENT_SLACK = 1e-12  # relative fall of a Newton step still accepted
-ZETA_SLOPE_CAP = math.log(2.0) * 2.0 ** -GAMMA_TOP * (2.0 + 1.0 / EPS)
-
-
-def certificates(rows):
-    """Upper bounds on the log-likelihood of each row (model, sample, grid,
-    index, x, floor) at the break points grid[index] (:func:`_certify`, from
-    the continuous values x), one array per row."""
-    sizes = [len(row[3]) for row in rows]
-    bs, n_star, offsets, log_star, tail, tail_offsets = (
-        np.concatenate(column) for column in zip(*[
-            [np.array(grid)[index]] + [part[index] for part in _part(
-                sample, _grid_stats, grid)]
-            for _, sample, grid, index, *_ in rows]))
-    zeta, truncated, n, top, x1, x2, floor = (
-        np.repeat(column, sizes) for column in zip(*[(
-            model.family == "6-7", model.is_truncated, sample.total,
-            sample.max_d, -x[0] if model.family == "6-7"
-            else math.log1p(-x[0]), math.log1p(-x[1]), floor)
-            for model, sample, _, _, x, floor in rows]))
-    t_b = np.where(zeta, np.log(bs), bs - 1.0)
-    columns = (bs, zeta, truncated, top - bs, t_b, n,
-               np.where(zeta, log_star, offsets) + tail * t_b,
-               tail_offsets + tail, x1, x2, floor)
-    cells = bs + np.where(truncated, top - bs, 0)
-    bound, small = np.full(len(bs), np.inf), np.flatnonzero(cells <= CELLS)
-    for rows in _blocks(cells[small]):
-        bound[small[rows]] = _certify(*(column[small[rows]]
-                                        for column in columns))
-    return np.split(bound, np.cumsum(sizes)[:-1])
-
-
-def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2, floor):
-    """Upper bounds at break points bs, from (x1, x2) in theta: projected
-    Newton steps, halved where f falls by more than ASCENT_SLACK (1 + |f|)
-    below its best value, each point a bound, until a bound is within
-    NEWTON_GAP (1 + |f|) of f or below ``floor``, or for CERT_STEPS
-    evaluations; s1 and s2 are the sums of T1 and T2."""
-    lo1, hi1 = np.where(zeta, -GAMMA_TOP, THETA_BOUNDS[0]), np.where(
-        zeta, 0.0, THETA_BOUNDS[1])
-    lo2, hi2 = THETA_BOUNDS
-    head_sums, tail_sums = _moments(bs, zeta), _moments(tail_size[truncated],
-                                                        False)
-
-    def evaluate(x1, x2):
-        log_head, head_mean, head_var = head_sums(x1)
-        r, a = np.exp(x2), -np.expm1(x2)
-        tails = [-np.log(a), r / a, r / (a * a)]  # log sum, mean, variance
-        for array, runs in zip(tails, tail_sums(x2[truncated])):
-            array[truncated] = runs
-        log_weight = x1 * t_b + x2 + tails[0]
-        log_total = np.logaddexp(log_head, log_weight)
-        p_head = np.exp(log_head - log_total)
-        p_tail = np.exp(log_weight - log_total)
-        gap1, gap2, mix = head_mean - t_b, 1.0 + tails[1], p_head * p_tail
-        f = x1 * s1 + x2 * s2 - n * log_total
-        g1 = s1 - n * (p_head * head_mean + p_tail * t_b)
-        g2 = s2 - n * p_tail * gap2
-        return (f, g1, g2, p_head * head_var + mix * gap1 * gap1,
-                p_tail * tails[2] + mix * gap2 * gap2, -mix * gap1 * gap2,
-                f + np.maximum(g1 * (lo1 - x1), g1 * (hi1 - x1))
-                + np.maximum(g2 * (lo2 - x2), g2 * (hi2 - x2)))
-
-    count = len(bs)
-    x1, x2 = np.clip(x1, lo1, hi1), np.clip(x2, lo2, hi2)
-    y1, y2, at_x = x1, x2, (np.full(count, -np.inf),) + (np.zeros(count),) * 5
-    bound, active = np.full(count, np.inf), ~zeta | (n * ZETA_SLOPE_CAP < s1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(CERT_STEPS):
-            *at_y, cert = evaluate(y1, y2)
-            bound = np.where(active, np.fmin(bound, cert), bound)
-            accept = active & (at_y[0] >= at_x[0] - ASCENT_SLACK * (
-                1.0 + np.abs(at_x[0])))
-            x1, x2 = np.where(accept, y1, x1), np.where(accept, y2, x2)
-            at_x = tuple(np.where(accept, *pair) for pair in zip(at_y, at_x))
-            f, g1, g2, c11, c22, c12 = at_x
-            active &= (bound >= floor) & (
-                bound - f > NEWTON_GAP * (1.0 + np.abs(f)))
-            if not active.any():
-                break
-            # Newton's step from x; a coordinate at an end of the box whose
-            # slope points out of it stays, and the other steps alone.
-            fix1 = ((x1 <= lo1) & (g1 < 0)) | ((x1 >= hi1) & (g1 > 0))
-            fix2 = ((x2 <= lo2) & (g2 < 0)) | ((x2 >= hi2) & (g2 > 0))
-            det = n * (c11 * c22 - c12 * c12)
-            d1 = np.where(fix2, g1 / (n * c11), (c22 * g1 - c12 * g2) / det)
-            d2 = np.where(fix1, g2 / (n * c22), (c11 * g2 - c12 * g1) / det)
-            d1 = np.where(fix1 | ~np.isfinite(d1), 0.0, d1)
-            d2 = np.where(fix2 | ~np.isfinite(d2), 0.0, d2)
-            y1 = np.where(accept, np.clip(x1 + d1, lo1, hi1), (x1 + y1) / 2.0)
-            y2 = np.where(accept, np.clip(x2 + d2, lo2, hi2), (x2 + y2) / 2.0)
-    return bound
-
-
-# Models 1, 2 and 5 fit exactly, concave in q, u = -log(1 - q) or gamma:
-# model 1 has q = N/M, and 2 and 5 take Newton steps on the bound's curves at
-# b = max d, where N* = N.  log p(max d) falls with the rate above 1 / max d
-# (0 for gamma): the floor caps the rate.
-
-FIT_STEPS = 64  # cap on a fit's Newton iterates; most fits take 4 or 5
-CAP_BISECTIONS = 64  # the cap to a double's spacing, where log L is steep
-
-
 def _newton_rate(curve, lo, hi, x):
     """The maximizer over [lo, hi] of a concave function of a rate (value,
-    slope, curvature = curve(x)): :func:`_concave_max`'s steps from x until
-    one is within 4 ulps of the rate (or of 1).  A slope of 0 counts as
-    falling, so a flat curve gives lo; a curvature >= 0 steps to an end."""
+    slope, curvature = curve(x)): safeguarded Newton steps from x, the
+    slope's sign at each iterate keeping a bracket around the maximizer and
+    a step that leaves the bracket going to the end of [lo, hi] on its side
+    if no iterate has ruled that end out, else to the bracket's middle,
+    until a step is within 4 ulps of the rate (or of 1).  A slope of 0
+    counts as falling, so a flat curve gives lo; a curvature >= 0 steps to
+    an end."""
     x = min(max(x, lo), hi)
     closed_lo = closed_hi = False   # an iterate has ruled out that end
     for _ in range(FIT_STEPS):
@@ -1159,8 +1081,8 @@ class ModelSpec:
     a function of the continuous values, in field order; ``sampler`` keys
     :data:`sampling.GENERATORS` (None: no sampler).  One-regime rows have
     ``fit(sample)``, which fits without the optimizer; two-regime rows have
-    ``init(sample, break_point)``, the optimizer's start, and ``bound(sample,
-    grid)``, an upper bound on the log-likelihood at each break point.
+    ``init(sample, break_point)``, the optimizer's start, and
+    :func:`certificates` bounds their log-likelihood at each break point.
 
     The length mixture's ``bind`` conditions each distance on the length of
     its sentence, and its ``log_pmf`` is the marginal over the sample's
@@ -1175,7 +1097,6 @@ class ModelSpec:
     init: Callable | None
     sampler: str | None
     fit: Callable | None = None
-    bound: Callable | None = None
 
     @cached_property
     def fields(self) -> tuple[str, ...]:
@@ -1216,22 +1137,18 @@ SPECS: dict[Model, ModelSpec] = {
         _geometric_bind, None, "geometric", _truncated_geometric_fit),
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
-        _two_regime_geometric_bind, _regime_q_inits, "table",
-        bound=partial(_break_bound, 0, 3)),
+        _two_regime_geometric_bind, _regime_q_inits, "table"),
     Model.TWO_REGIME_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedTwoRegimeGeometricParams, 4, "3-4",
         _two_regime_geometric_log_pmf, _two_regime_geometric_bind,
-        _regime_q_inits, "table",
-        bound=partial(_break_bound, 0, 1)),
+        _regime_q_inits, "table"),
     Model.ZETA_TRUNC: ModelSpec(
         ZetaParams, 2, "5", _zeta_log_pmf, _zeta_bind,
         None, "zeta", _zeta_fit),
     Model.ZETA_GEOMETRIC: ModelSpec(
         ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
-        _zeta_geometric_bind, _zeta_geometric_init, "table",
-        bound=partial(_break_bound, 2, 3)),
+        _zeta_geometric_bind, _zeta_geometric_init, "table"),
     Model.ZETA_GEOMETRIC_TRUNC: ModelSpec(
         TruncatedZetaGeometricParams, 4, "6-7", _zeta_geometric_log_pmf,
-        _zeta_geometric_bind, _zeta_geometric_init, "table",
-        bound=partial(_break_bound, 2, 1)),
+        _zeta_geometric_bind, _zeta_geometric_init, "table"),
 }

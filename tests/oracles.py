@@ -6,16 +6,17 @@ set of vertices (``np.bitwise_count`` needs numpy >= 2.0), and a brute
 force over every ordering.
 
 For the break-point scan of the two-regime fits, the exhaustive scan that
-:func:`depdist.estimation.fit` prunes, the constrained log-likelihood on a
-dense parameter grid, written from the pmf's definition, and the scan's
-bound as the 24-step bisection computed it before Newton's certificate.
+:func:`depdist.estimation.fit` prunes and the constrained log-likelihood on
+a dense parameter grid, written from the pmf's definition.
 For their searches, the starting values as they were computed before the
 starts read cached slices, and the log-likelihood as one function of both
 values, before it was factored into one part per value.
 For the one-regime fits of models 1, 2 and 5, the log-likelihood on a
 dense grid of the rate, within the floor on log p(max d), written from the
 pmf likewise, and the fits of models 2 and 5 by the 40-step bisection that
-safeguarded Newton replaced.
+safeguarded Newton replaced.  For the uniform-shuffle null (model 0.0), its
+d_max scan with the whole window in one matrix, as it was before it went in
+blocks of rows.
 
 For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 :func:`depdist.treebank.parse_conllu` replaced with its array pass.
@@ -112,65 +113,6 @@ def exhaustive_break_scan(model, sample, searches=None):
     return best
 
 
-BISECTIONS = 24
-
-
-def bisection_concave_max(value, slope, lo, hi, size):
-    """Upper bounds on the maxima over [lo, hi] of ``size`` concave functions:
-    bisect on the sign of the slope, which keeps each maximizer inside its
-    bracket, then take the lower of the tangents at the bracket's ends.
-    The break-point bound's solver before safeguarded Newton replaced it."""
-    lo, width = m._bisect(lambda x: slope(x) > 0, np.full(size, lo), hi,
-                          BISECTIONS)
-    hi = lo + width
-    return np.minimum(value(lo) + np.maximum(slope(lo), 0.0) * width,
-                      value(hi) + np.maximum(-slope(hi), 0.0) * width)
-
-
-def masked_zeta(n, log_sum, bs):
-    """The truncated zeta's log-likelihood on 1..b at each b of ``bs``, in
-    gamma (value, slope): the rows of a (b, k) matrix of k^-gamma masked to
-    k <= b, as the break-point bound computed it before it summed each row
-    on its own."""
-    log_k = np.log(np.arange(1, bs[-1] + 1))
-    inside = np.arange(1, bs[-1] + 1) <= bs[:, None]
-
-    def curve(gamma):
-        w = np.where(inside, np.exp(np.multiply.outer(-gamma, log_k)), 0.0)
-        z = w.sum(axis=-1)
-        return -gamma * log_sum - n * np.log(z), n * (w @ log_k) / z - log_sum
-    return curve
-
-
-def bisection_break_bound(model, sample, grid):
-    """The two-regime model's break-point bound on the grid, with each
-    regime's maximum from :func:`bisection_concave_max`: the split term, the
-    first regime's maximum and the tail's (the geometric's closed form, or
-    a truncated geometric)."""
-    n_star, offsets, log_star, tail, tail_offsets = m._grid_stats(sample, grid)
-    bs = np.array(grid)
-
-    def solve(curve, lo, hi):
-        return bisection_concave_max(lambda x: curve(x)[0],
-                                     lambda x: curve(x)[1], lo, hi, len(bs))
-    if model.family == "6-7":
-        head = solve(masked_zeta(n_star, log_star, bs), 0.0, m.GAMMA_TOP)
-    else:
-        head = solve(m._truncated_geometric(n_star, offsets, bs),
-                     *m.THETA_BOUNDS)
-    if model.is_truncated:
-        rest = solve(m._truncated_geometric(tail, tail_offsets,
-                                            sample.max_d - bs),
-                     *m.THETA_BOUNDS)
-    else:
-        # The geometric's closed form, q = 1 / (1 + mean offset).
-        rest = (m._xlogy(tail, tail / (tail + tail_offsets))
-                + m._xlogy(tail_offsets, tail_offsets / (tail + tail_offsets)))
-    total = sample.total
-    return (m._xlogy(n_star, n_star / total) + m._xlogy(tail, tail / total)
-            + head + rest)
-
-
 FIT_BISECTIONS = 40
 
 
@@ -201,6 +143,33 @@ def bisection_fit(model, sample):
                 d_max=d_max),
         (m._zeta_bind if zeta else m._geometric_bind)(sample, None, d_max),
         0.0 if zeta else 1.0 / d_max, bisection_rate(model, sample))
+
+
+def one_matrix_null_fit(sample):
+    """(params, log_l, converged) of model 0.0: the d_max scan of
+    :func:`depdist.models._null_fit` with each window's rows in one
+    (window + 1) x support matrix."""
+    lo = sample.max_d
+    window = max(4 * sample.max_d, 256)
+    support = sample.support.astype(float)
+    counts = sample.counts.astype(float)
+    n = float(sample.total)
+    converged = True
+    while True:
+        grid = np.arange(lo, lo + window + 1, dtype=float)
+        slack = np.log(grid[:, None] + 1.0 - support[None, :])
+        ll = (
+            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
+            + slack @ counts
+        )
+        best = int(np.argmax(ll))
+        if best < len(grid) - 1:
+            break
+        if window > 1_000_000:
+            converged = False
+            break
+        window *= 4
+    return m.NullParams(int(grid[best])), float(ll[best]), converged
 
 
 # ---------------------------------------------------------------------------

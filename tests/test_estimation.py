@@ -3,6 +3,7 @@ import functools
 import logging
 import math
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,13 +29,13 @@ from depdist.sampling import generate_validation_suite
 from depdist.treebank import DistanceSample, LengthDistribution
 from benchmark_inputs import benchmark_samples
 from oracles import (
-    bisection_break_bound,
     bisection_fit,
     bisection_rate,
     dense_grid_max,
     dense_grid_max_1d,
     exhaustive_break_scan,
     exhaustive_searches,
+    one_matrix_null_fit,
     two_regime_init,
     unfactored_log_likelihood,
 )
@@ -194,6 +195,30 @@ class TestFit:
 
         assert all(null_ll(dm) >= null_ll(other)
                    for other in range(19, dm + 50))
+
+    def test_null_scan_memory_is_bounded(self):
+        # One distance far beyond the rest: the scan's window holds 800,001
+        # candidate d_max, 32 MB of slack terms in one matrix; in blocks of
+        # rows the fit peaks below 16 MB and equals the one matrix's.
+        sample = DistanceSample({1: 50, 2: 20, 3: 5, 4: 2, 200_000: 1})
+        tracemalloc.start()
+        try:
+            result = fit(Model.NULL_FIXED, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert (result.params, result.log_l, result.converged) == \
+            one_matrix_null_fit(sample)
+
+    @pytest.mark.parametrize("cells", [m.NULL_CELLS, 1])
+    def test_null_scan_blocks_keep_the_one_matrix_fit(self, monkeypatch,
+                                                      cells):
+        # validate seeds 1-5 and fit-select corpora 0-3, in the default
+        # blocks and in blocks of 64 rows.
+        monkeypatch.setattr(m, "NULL_CELLS", cells)
+        for label, sample in benchmark_samples(range(1, 6), range(4)):
+            assert m._null_fit(sample) == one_matrix_null_fit(sample), label
 
     def test_truncation_bound_never_beats_observed_max(self):
         # Scanning d_max above max(d) can only lose likelihood.
@@ -477,15 +502,15 @@ def bound_cases():
 
 
 class TestBreakPointBound:
-    """The bound that prunes the break-point scan is never below the
-    constrained log-likelihood: not below its maximum on a dense grid of
-    the continuous parameters, nor below the search at the break point."""
+    """The bound that prunes the break-point scan, the certificate, is never
+    below the constrained log-likelihood: not below its maximum on a dense
+    grid of the continuous parameters, nor below the search at the break
+    point."""
 
     @pytest.mark.parametrize("sample", bound_cases())
     def test_bound_is_above_every_fit(self, sample):
-        for model in TWO_REGIME:
-            grid = est._break_grid(sample)
-            bounds = model.spec.bound(sample, grid)
+        grid = est._break_grid(sample)
+        for model, bounds in certified(sample).items():
             assert bounds.shape == (len(grid),)
             for bp, bound in zip(grid, bounds):
                 case = (model, bp)
@@ -495,52 +520,37 @@ class TestBreakPointBound:
                     margin = est.PRUNE_MARGIN * (1.0 + abs(value))
                     assert value <= bound + margin, case
 
-    @pytest.mark.parametrize("sample", bound_cases())
-    def test_bound_is_as_tight_as_bisection(self, sample):
-        # Newton's certificate against the 24-step bisection it replaced.
-        grid = est._break_grid(sample)
-        for model in TWO_REGIME:
-            bounds = model.spec.bound(sample, grid)
-            reference = bisection_break_bound(model, sample, grid)
-            assert np.all(bounds <= reference + 1e-6 * (
-                1.0 + np.abs(reference))), model
-
     def test_twins_share_their_parts(self, monkeypatch):
-        # One batch solves the regimes of every sample's grid in two runs:
-        # the truncated geometric's maxima (the heads of 3 and 4, the tails
-        # of 4 and 7) and the zeta heads (6 and 7).  The four rows then read
-        # their shares from each sample's memo without another solve, and
-        # each share equals the one a batch of that sample alone gives.
+        # One batch reads each sample's grid statistics once: the four rows
+        # of a sample share them through its memo, and a second batch
+        # computes none.
         freqs = [{1: 40, 2: 15, 3: 6, 5: 3, 8: 1}, {1: 40, 2: 15, 3: 6, 9: 2},
                  {1: 1, 2: 3, 5: 400, 9: 2, 40: 1}]
-        solves, concave_max = [], m._concave_max
-        monkeypatch.setattr(m, "_concave_max", lambda *args: solves.append(
-            args) or concave_max(*args))
-        items = [(sample, est._break_grid(sample))
-                 for sample in map(DistanceSample, freqs)]
-        m.fill_bounds(items)
-        assert len(solves) == 2
-        batched = [[model.spec.bound(sample, grid) for model in TWO_REGIME]
-                   for sample, grid in items]
-        assert len(solves) == 2
-        for freq, (_, grid), bounds in zip(freqs, items, batched):
-            alone = DistanceSample(freq)
-            for model, bound in zip(TWO_REGIME, bounds):
-                assert np.array_equal(model.spec.bound(alone, grid), bound)
-        assert len(solves) == 2 + 2 * len(freqs)
-
+        computed, grid_stats = [], m._grid_stats
+        monkeypatch.setattr(m, "_grid_stats", lambda *args: computed.append(
+            args) or grid_stats(*args))
+        rows = [(model, sample, est._break_grid(sample))
+                for sample in map(DistanceSample, freqs)
+                for model in TWO_REGIME]
+        batched = m.certificates(rows)
+        assert len(computed) == len(freqs)
+        assert all(np.array_equal(again, certs) for again, certs in zip(
+            m.certificates(rows), batched))
+        assert len(computed) == len(freqs)
 
     def test_bounds_do_not_depend_on_the_batch(self):
-        # Every part of every grid of validate seeds 1-5 and fit-select
-        # corpora 0-3 is the same solved in one batch and alone: each row
-        # stops at its own convergence and sums over its own support.
-        items = [(dataclasses.replace(sample), est._break_grid(sample))
-                 for _, sample in benchmark_samples(range(1, 6), range(4))
-                 if sample.distinct >= est.DEFAULT_MIN_DISTINCT]
-        for (sample, grid), parts in zip(items, m._regime_maxima(items)):
-            alone = m._regime_maxima([(dataclasses.replace(sample), grid)])
-            for part, share in zip(alone[0], parts):
-                assert np.array_equal(part, share), sample.label()
+        # Every certificate of every grid of validate seeds 1-5 and
+        # fit-select corpora 0-3 is the same in one batch of all their rows
+        # and alone: each break point stops at its own convergence and sums
+        # over its own support.
+        rows = [(model, dataclasses.replace(sample), est._break_grid(sample))
+                for _, sample in benchmark_samples(range(1, 6), range(4))
+                if sample.distinct >= est.DEFAULT_MIN_DISTINCT
+                for model in TWO_REGIME]
+        for (model, sample, grid), certs in zip(rows, m.certificates(rows)):
+            alone = m.certificates([(model, dataclasses.replace(sample),
+                                     grid)])[0]
+            assert np.array_equal(alone, certs), (model, sample.label())
 
 
 def one_regime_cases():
@@ -596,14 +606,11 @@ class TestBreakPointScan:
             visited.append(bp)
             return [0.5, 0.5], values[bp], True
         # Break points 4 and 5 are visited before 3, which ties 5; the
-        # bound of 2 is below the tie's value, so 2 is pruned.  No
-        # certificate lowers these bounds.
+        # bound of 2 is below the tie's value, so 2 is pruned.
         bounds = np.array([-45.0, -39.0, -30.0, -30.0])
         monkeypatch.setattr(est, "_search", search)
-        monkeypatch.setitem(vars(model), "spec", dataclasses.replace(
-            model.spec, bound=lambda sample, grid: bounds))
         monkeypatch.setattr(m, "certificates", lambda rows: [
-            np.full(len(row[3]), np.inf) for row in rows])
+            bounds for _ in rows])
         result = fit(model, sample)
         assert visited == [4, 5, 3]
         assert result.params.break_point == 3
@@ -686,15 +693,10 @@ def searched(label, model):
 
 def certified(sample):
     """Each two-regime row's certificates at every break point of the
-    sample's grid, from the search at its highest relaxed bound, with no
-    floor to stop them early."""
-    grid, rows = est._break_grid(sample), []
-    for model in TWO_REGIME:
-        bounds = model.spec.bound(sample, grid)
-        x = est._search(model, sample, grid[int(np.argmax(bounds))])[0]
-        rows.append((model, sample, grid, np.arange(len(grid)), x,
-                     -math.inf))
-    return dict(zip(TWO_REGIME, m.certificates(rows)))
+    sample's grid."""
+    grid = est._break_grid(sample)
+    return dict(zip(TWO_REGIME, m.certificates([(model, sample, grid)
+                                                for model in TWO_REGIME])))
 
 
 # Ten thousand 1s and one each of 2, 3 and 2000: the searches of models 3
@@ -770,41 +772,65 @@ class TestCertificates:
 
     def test_blocks_change_no_bound(self, monkeypatch):
         # Runs of at most CELLS terms give the bounds of one run; a break
-        # point whose sums hold more than CELLS terms keeps its relaxed
-        # bound (no certificate).
+        # point whose sums hold more than CELLS terms has no certificate:
+        # its bound, in the scan too, is +inf.
         freq = {1: 40, 2: 15, 3: 6, 4: 3, 6: 2, 7: 1, 12: 1}
         sample = DistanceSample(freq)
         grid = est._break_grid(sample)
-        certs, parts = certified(sample), m._regime_maxima([(sample, grid)])
+        certs = certified(sample)
         # b runs from 2 to 7 and max d is 12: the heads of 3 and 6 up to
         # b = 5 fit in 5 terms, no sums of 4 and 7 do.
         monkeypatch.setattr(m, "CELLS", 5)
         blocked = DistanceSample(freq)
-        assert all(np.array_equal(part, share) for part, share in zip(
-            m._regime_maxima([(blocked, grid)])[0], parts[0]))
+        est._scan([(model, blocked) for model in TWO_REGIME])
+        bs = np.array(grid)
         for model, cert in certified(blocked).items():
-            bs = np.array(grid)
             cells = bs + (sample.max_d - bs) * model.is_truncated
-            assert np.array_equal(cert, np.where(cells <= 5, certs[model],
-                                                 np.inf)), model
+            expected = np.where(cells <= 5, certs[model], np.inf)
+            assert np.array_equal(cert, expected), model
+            assert np.array_equal(blocked.memo[est._scan, model][1],
+                                  expected), model
             assert np.isfinite(cert).any() != model.is_truncated
+
+    def test_break_points_without_a_certificate_are_searched(
+            self, monkeypatch):
+        # With CELLS = 5 the sums of every break point of models 4 and 7,
+        # and of the heads of 3 and 6 beyond b = 5, hold too many terms for
+        # a certificate: the scan searches each of them, and every fit is
+        # still the exhaustive scan's.
+        freq = {1: 40, 2: 15, 3: 6, 4: 3, 6: 2, 7: 1, 12: 1}
+        exhaustive = {model: exhaustive_break_scan(model, DistanceSample(freq))
+                      for model in TWO_REGIME}
+        monkeypatch.setattr(m, "CELLS", 5)
+        sample, visited, search = DistanceSample(freq), Counter(), est._search
+
+        def counted(model, sample, bp, tally=None):
+            visited[model, bp] += 1
+            return search(model, sample, bp, tally)
+        monkeypatch.setattr(est, "_search", counted)
+        for model in TWO_REGIME:
+            result = fit(model, sample)
+            grid, bounds = sample.memo[est._scan, model]
+            uncertified = [bp for bp, bound in zip(grid, bounds)
+                           if bound == math.inf]
+            assert uncertified, model
+            assert all(visited[model, bp] == 1 for bp in uncertified), model
+            assert result.searches == sum(
+                count for (row, _), count in visited.items() if row is model)
+            assert (result.params, result.log_l, result.converged) == \
+                exhaustive[model], model
 
     def test_rows_do_not_depend_on_the_batch(self):
         # Each row's certificates are the same in one batch with every row
-        # of three samples and in a batch of its own, with or without a
-        # floor.
+        # of three samples and in a batch of its own.
         rows = []
         for freq in (FAR_TAIL, {1: 40, 2: 15, 3: 6, 5: 3, 8: 1},
                      {1: 1, 2: 3, 5: 400, 9: 2, 40: 1}):
             sample = DistanceSample(freq)
-            grid = est._break_grid(sample)
-            for model in TWO_REGIME:
-                x, log_l, _ = est._search(model, sample, grid[0])
-                for floor in (-math.inf, est._floor(log_l)):
-                    rows.append((model, sample, grid, np.arange(len(grid)),
-                                 x, floor))
+            rows += [(model, sample, est._break_grid(sample))
+                     for model in TWO_REGIME]
         for row, certs in zip(rows, m.certificates(rows)):
-            assert np.array_equal(m.certificates([row])[0], certs), row[:3]
+            assert np.array_equal(m.certificates([row])[0], certs), row[:2]
 
 
 class TestExhaustiveFits:
@@ -939,6 +965,19 @@ class TestFactoredObjective:
 
 
 class TestFitCounts:
+    @pytest.mark.parametrize("seeds, variants, most", [
+        pytest.param(range(1, 6), (), 331, id="validate-1-5"),
+        pytest.param((), range(16), 2104, id="fit-select-0-15")])
+    def test_search_counts(self, seeds, variants, most):
+        # The counts are deterministic: 331 and 2,104 searches with every
+        # break point certified before the first search.  The scan that
+        # searched each row at its highest relaxed bound before it
+        # certified the rest ran 416 and 3,368.
+        total = sum(result.searches
+                    for _, sample in benchmark_samples(seeds, variants)
+                    for result in select(sample).fits.values())
+        assert total <= most
+
     def test_pruning_skips_searches(self):
         # The break-point count is the grid's; the evaluations are those
         # of the searches that ran, fewer than the exhaustive scan's.

@@ -19,6 +19,7 @@ from depdist.models import (
     Model,
     TruncatedGeometricParams,
     ZetaParams,
+    certificates,
     log_likelihood,
 )
 from depdist.optimality import sum_distances
@@ -123,8 +124,9 @@ def test_pruned_break_scan_matches_exhaustive_scan(freq):
 def test_break_point_bound_is_above_every_search(freq):
     sample = DistanceSample(freq)
     grid = _break_grid(sample)
-    for model in TWO_REGIME:
-        for bp, bound in zip(grid, model.spec.bound(sample, grid)):
+    for model, bounds in zip(TWO_REGIME, certificates(
+            [(model, sample, grid) for model in TWO_REGIME])):
+        for bp, bound in zip(grid, bounds):
             log_l = _optimize(model, sample, bp)[1]
             assert bound >= log_l - PRUNE_MARGIN * (1.0 + abs(log_l)), \
                 (model, bp)
