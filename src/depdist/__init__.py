@@ -26,15 +26,11 @@ from .optimality import (
     OmegaLengthStats,
     OmegaResult,
     average_omega,
-    expected_random,
-    min_arrangement,
     omega,
-    sum_distances,
 )
 from .sampling import (
     draw_sample,
     generate_validation_suite,
-    goodness_of_fit,
     sample_geometric,
     sample_tabular,
     sample_zeta_truncated,
@@ -71,16 +67,13 @@ __all__ = [
     "build_samples",
     "distances",
     "draw_sample",
-    "expected_random",
     "fit",
     "generate_validation_suite",
-    "goodness_of_fit",
     "harmonic",
     "information_criteria",
     "load_conllu",
     "log_likelihood",
     "log_pmf",
-    "min_arrangement",
     "min_arrangement_cost",
     "omega",
     "parse_conllu",
@@ -91,7 +84,6 @@ __all__ = [
     "sample_zeta_truncated",
     "select",
     "slope_analysis",
-    "sum_distances",
     "threshold_scan",
     "two_regime_geometric_constants",
     "zeta_geometric_constants",

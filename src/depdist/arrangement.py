@@ -1,117 +1,175 @@
-"""Exact minimum linear arrangement of free trees in polynomial time.
+"""Exact minimum linear arrangement of a dependency tree in polynomial time.
 
-The solver follows F. R. K. Chung, "On optimal linear arrangements of
-trees" (1984).  Alongside the free problem (the minimum total edge length
-D(T) of a tree T) it solves the anchored one: for T rooted at r, the
-minimum of D plus the number of vertices between r and one chosen end,
-i.e. the in-interval length of an edge from r to a vertex beyond that end.
+The solver reads one sentence's 1-based head vector and follows F. R. K.
+Chung, "On optimal linear arrangements of trees" (1984).  Alongside the
+free problem (the minimum total edge length D(T) of a tree T) it solves
+the anchored one: for T rooted at r, A(T, r) is the minimum of D plus the
+number of vertices between r and one chosen end, i.e. the in-interval
+length of an edge from r to a vertex beyond that end.
 
-Chung's structure: with u a centroid of T and T_0 >= T_1 >= ... the
-components of T - u, some optimal arrangement either puts T_0 beside
-T - T_0, both anchored at the edge joining them (case A), or, for some
-p >= 1, lays T_0, T_2, ... T_{2p-2} inward from the left end and T_1, T_3,
-... T_{2p-1} inward from the right end, each anchored toward a freely
-arranged centre T - T_0 - ... - T_{2p-1} (case B).  A tree anchored at its
-root r decomposes the same way around r, with 2p + 1 outer blocks, T_0
-outermost on the side away from the anchor.
+Let h be a centroid of T (free) or r (anchored), and T_0 >= T_1 >= ... the
+components of T - h, each anchored at its vertex next to h.  Some optimal
+arrangement either puts T_0 at an end beside the rest of T (case A;
+anchored, at the end away from the anchor):
 
-Two facts collapse the case analysis.  In case B, u meets as many outer
-edges on its left as on its right (the anchor edge counts on its side),
-so where u sits in the centre adds a constant; any arrangement of the
-centre is admissible, including case B with p = 1 around u, which turns
-p into p + 1.  With the centre solved exactly, p = 1 is thus never worse
-than a larger p, and the anchored case is decided at p = 0.  Anchoring
-T - T_0 at u then puts T_1 at its far end around a free centre, so case
-A is the same arrangement as p = 1.  Hence
+    D(T)    = A(T_0) + A(T - T_0, h) + 1,
+    A(T, r) = A(T_0) + D(T - T_0) + |T - T_0|,
 
-    D(T)    = A(T_0) + A(T_1) + D(T') + |T'| + 1,  T' = T - T_0 - T_1,
-    A(T, r) = A(T_0) + D(T') + |T'|,               T' = T - T_0,
+or keeps T_0 in a free centre C = T - T_1 - ... - T_j and lays T_1 ... T_j
+at the two ends, anchored toward C, largest outermost: T_1 and T_2
+(anchored: T_1 alone, the anchor edge evening the sides), then one pair
+per step inward (case B).  With j even (free) or odd (anchored), where h
+sits in C adds a constant, and the edges from h cross the blocks inside
+theirs and half of C:
 
-where A anchors each T_i at its vertex next to u (or r), T_0 in the second
-line is the largest component of T - r, and a single vertex costs 0 (two
-vertices, free, cost 1).  Each step splits its vertex set into disjoint
-parts, so the minimum is a sum of one term per step.  The solver keeps a
-work list instead of recursing (a path anchored at one end would nest n
-calls), cuts edges instead of copying subtrees, and keeps subtree sizes
-rooted at each pending part's root; moving a root to a centroid rewrites
-the sizes on the path between them only.  A step costs at most
-O(m log m) for a part of m vertices, and there are fewer than 2n steps.
+    sum of A(T_i) + D(C) + ceil(j/2) |C| + floor(j/2)
+        + sum of floor((i - 1 + a)/2) |T_i|,   a = 1 if anchored, else 0.
 
-The tests check it against two independent oracles in ``tests/oracles.py``:
-a subset DP, exact for any connected graph, and a brute force.
+Case B needs outer blocks that are large against the centre; the solver
+takes the largest j with 2|T_j| > |C| and solves case B only where it may
+beat case A.  Without case B the minimum comes out too high, first on an
+anchored tree of 11 vertices with two components of 5.
+
+Each step splits its vertex set into disjoint parts, so the minimum is a
+sum of one term per step.  The solver keeps a work list instead of
+recursing (a path anchored at one end would nest n calls), cuts edges
+instead of copying subtrees, and keeps subtree sizes rooted at each
+pending part's root; moving a root to a centroid rewrites the sizes on the
+path between them only.  A step costs at most O(m log m) for a part of m
+vertices; one that solves both cases solves its part twice, each case in
+a nested work list.  The tests check the solver against a subset DP and a
+brute force (``tests/oracles.py``) and against itself from every root.
 """
 
 from __future__ import annotations
 
 
-def min_arrangement_cost(edges: list[tuple[int, int]], n: int) -> int:
-    """Minimum of sum |pi(u) - pi(v)| over all vertex orderings pi.
+def min_arrangement_cost(heads) -> int:
+    """Minimum of sum |pi(u) - pi(v)| over all orderings pi of a sentence.
 
-    Vertices are 0..n-1 and the edges must form a tree (as every
-    dependency tree does); anything else raises ValueError.
+    ``heads`` is one sentence's head vector (a tuple, a list or a slice of
+    ``Treebank.heads``): token i depends on token ``heads[i - 1]``, and 0
+    marks the root.  Anything but a tree (one root, heads in range, no
+    self-loop, no cycle) raises ValueError.
     """
-    if n <= 1:
-        return 0
+    heads = heads.tolist() if hasattr(heads, "tolist") else list(heads)
+    n = len(heads)
+    if heads.count(0) != 1:
+        raise ValueError("a tree has exactly one root")
     adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    for dependent, head in enumerate(heads):
+        if head:
+            if not 0 < head <= n or head == dependent + 1:
+                raise ValueError(f"token {dependent + 1} has head {head}")
+            adj[dependent].add(head - 1)
+            adj[head - 1].add(dependent)
+    # With one root and one head per token, the root's component is a
+    # tree, and it holds every token unless the heads form a cycle.
+    root = heads.index(0)
     parent = [-1] * n
-    order = [0]
+    order = [root]
     for x in order:
         for y in adj[x]:
             if y != parent[x]:
-                if parent[y] != -1 or y == 0:
-                    raise ValueError("edges do not form a tree")
                 parent[y] = x
                 order.append(y)
-    if len(order) != n or len(edges) != n - 1:
-        raise ValueError("edges do not form a tree")
+    if len(order) != n:
+        raise ValueError("the heads form a cycle")
     size = [1] * n
     for x in reversed(order[1:]):
         size[parent[x]] += size[x]
 
-    def cut(root: int, child: int) -> None:
-        adj[root].discard(child)
-        adj[child].discard(root)
-        parent[child] = -1
-        size[root] -= size[child]
+    def cut(h: int, c: int) -> None:
+        adj[h].discard(c)
+        adj[c].discard(h)
+        parent[c] = -1
+        size[h] -= size[c]
 
     # Pending parts, each a component of the cut forest named by its root.
     # Sizes and parents inside a part are relative to that root.
-    cost = 0
-    work = [(0, False)]
-    while work:
-        r, anchored = work.pop()
-        m = size[r]
-        if m == 1:
-            continue
-        if anchored:
-            c0 = max(adj[r], key=size.__getitem__)
-            cost += m - size[c0]
-            cut(r, c0)
-            work += [(c0, True), (r, False)]
-            continue
-        u = r
-        while True:  # walk down to the centroid
-            heavy = [c for c in adj[u] if c != parent[u] and 2 * size[c] > m]
-            if not heavy:
-                break
-            u = heavy[0]
-        below, x = -1, u  # re-root the part at the centroid
-        while x != -1:
-            parent[x], below, x = below, x, parent[x]
-        x = r
-        while x != u:
-            size[x] = m - size[parent[x]]
-            x = parent[x]
-        size[u] = m
-        if m == 2:
-            cost += 1
-            continue
-        c0, c1 = sorted(adj[u], key=size.__getitem__)[-2:]
-        cut(u, c0)
-        cut(u, c1)
-        cost += size[u] + 1
-        work += [(c0, True), (c1, True), (u, False)]
-    return cost
+    def solve(work: list[tuple[int, bool]]) -> int:
+        cost = 0
+        while work:
+            h, anchored = work.pop()
+            m = size[h]
+            if m <= 2:
+                cost += m - 1
+                continue
+            if not anchored:
+                u = h
+                while True:  # walk down to the centroid
+                    for c in adj[u]:
+                        if c != parent[u] and 2 * size[c] > m:
+                            u = c
+                            break
+                    else:
+                        break
+                below, x = -1, u  # re-root the part at the centroid
+                while x != -1:
+                    parent[x], below, x = below, x, parent[x]
+                x = h
+                while x != u:
+                    size[x] = m - size[parent[x]]
+                    x = parent[x]
+                size[u] = m
+                h = u
+            c0, s0, s1, s2 = -1, 0, 0, 0  # T_0 and the sizes of T_0 ... T_2
+            for c in adj[h]:
+                if size[c] > s2:
+                    if size[c] > s1:
+                        if size[c] > s0:
+                            c0, s0, s1, s2 = c, size[c], s0, s1
+                        else:
+                            s1, s2 = size[c], s1
+                    else:
+                        s2 = size[c]
+            # Case B's centre holds T_0 and h; with j = 1, 2|T_1| > m - |T_1|;
+            # with more blocks, all but T_1 are at most T_2.
+            blocks, crossing = (
+                _case_b(adj[h] - {c0}, m, anchored, size)
+                if 2 * s1 > s0 + 1 and (anchored and 3 * s1 > m
+                                        or s1 + len(adj[h]) * s2 > m)
+                else ((), 0))
+            if not blocks:
+                cut(h, c0)
+                cost += size[h] if anchored else 1
+                work += [(c0, True), (h, not anchored)]
+                continue
+            part = [h]
+            for x in part:
+                part += [y for y in adj[x] if y != parent[x]]
+            saved = [(x, set(adj[x]), parent[x], size[x]) for x in part]
+            cut(h, c0)
+            best = (size[h] if anchored else 1) + solve(
+                [(c0, True), (h, not anchored)])
+            # Each part of case B costs at least its size less one.
+            if crossing + m - len(blocks) - 1 < best:
+                for x, near, up, below in saved:
+                    adj[x], parent[x], size[x] = near, up, below
+                for c in blocks:
+                    cut(h, c)
+                best = min(best, crossing + solve(
+                    [(c, True) for c in blocks] + [(h, False)]))
+            cost += best
+        return cost
+
+    return solve([(root, False)])
+
+
+def _case_b(near: set[int], m: int, anchored: bool,
+            size: list[int]) -> tuple[list[int], int]:
+    """Case B's outer blocks T_1 ... T_j among ``near`` (h's neighbours
+    but T_0's) in a part of ``m`` vertices, for the largest j of its parity
+    with 2|T_j| > |C|, and what the edges from h cross; no blocks if there
+    is no such j."""
+    ranked = sorted(near, key=size.__getitem__, reverse=True)
+    centre, j = m, 0
+    for i, c in enumerate(ranked, start=1):
+        centre -= size[c]
+        if i % 2 == anchored and 2 * size[c] > centre:
+            j, crossing = i, (i + 1) // 2 * centre + i // 2
+    if not j:
+        return [], 0
+    return ranked[:j], crossing + sum(
+        (i - 1 + anchored) // 2 * size[c]
+        for i, c in enumerate(ranked[:j], start=1))

@@ -4,18 +4,21 @@ and the normalized score (random - observed) / (random - minimum).
 The random baseline is the expectation of D over the n! orderings of the
 sentence: every edge has expected length (n + 1)/3, so the tree total is
 (n - 1)(n + 1)/3.  The minimum baseline is an exact minimum linear
-arrangement.  The score is 1 when the sentence attains the minimum, near 0
-when word order behaves as random, and negative when distances exceed the
-random expectation; it is undefined when the two baselines coincide
-(sentences of fewer than 3 words).
+arrangement of the head vector.  The score is 1 when the sentence attains
+the minimum, near 0 when word order behaves as random, and negative when
+distances exceed the random expectation; it is undefined when the two
+baselines coincide (sentences of fewer than 3 words).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arrangement import min_arrangement_cost
-from .treebank import DepTree, distances
+from .treebank import DepTree, Treebank
 
 
 @dataclass(frozen=True)
@@ -42,67 +45,47 @@ class OmegaLengthStats:
     skipped: int
 
 
-def sum_distances(tree: DepTree) -> int:
-    """Observed total dependency distance D (0 for one-word sentences)."""
-    return sum(distances(tree))
-
-
-def expected_random(tree: DepTree) -> float | None:
-    """Expected D under a uniformly random ordering: (n - 1)(n + 1)/3."""
-    n = tree.n
-    if n < 2:
-        return None
-    return (n - 1) * (n + 1) / 3.0
-
-
-def min_arrangement(tree: DepTree) -> int:
-    """Exact minimum total dependency distance over all orderings."""
-    return min_arrangement_cost(tree.edges(), tree.n)
-
-
 def omega(tree: DepTree) -> OmegaResult:
-    """Normalized optimality score of one sentence.
-
-    Computed from the integer identity 3*(random - observed) =
-    n^2 - 1 - 3D, so the score is an exact ratio of integers (the worked
-    3-word cases give exactly 1 and -0.5).
-    """
-    d_obs = sum_distances(tree)
-    n = tree.n
-    if n < 2:
-        return OmegaResult(d_obs, None, None, None)
-    d_min = min_arrangement(tree)
-    d_rand = expected_random(tree)
-    numerator = n * n - 1 - 3 * d_obs
-    denominator = n * n - 1 - 3 * d_min
-    score = numerator / denominator if denominator != 0 else None
-    return OmegaResult(d_obs, d_rand, d_min, score)
+    """Normalized optimality score of one sentence."""
+    return next(_scores(Treebank.from_trees([tree])))
 
 
 def average_omega(trees) -> dict[int, OmegaLengthStats]:
     """Mean score per sentence length, skipping undefined scores.
 
-    Lengths whose sentences all have undefined scores report a None mean
-    with the skip count; empty groups are absent, never zero.
+    Reads the arrays of ``Treebank.from_trees(trees)`` and builds no
+    ``DepTree``.  Lengths whose sentences all have undefined scores report
+    a None mean with the skip count; empty groups are absent, never zero.
     """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    skips: dict[int, int] = {}
-    for tree in trees:
-        n = tree.n
-        counts.setdefault(n, 0)
-        result = omega(tree)
-        if result.omega is None:
-            skips[n] = skips.get(n, 0) + 1
-            continue
-        sums[n] = sums.get(n, 0.0) + result.omega
-        counts[n] += 1
+    trees = Treebank.from_trees(trees)
+    scores: dict[int, list[float | None]] = {}
+    for n, result in zip(trees.sizes.tolist(), _scores(trees)):
+        scores.setdefault(n, []).append(result.omega)
     out: dict[int, OmegaLengthStats] = {}
-    for n in sorted(counts):
-        c = counts[n]
+    for n in sorted(scores):
+        defined = [score for score in scores[n] if score is not None]
         out[n] = OmegaLengthStats(
-            mean_omega=(sums.get(n, 0.0) / c) if c else None,
-            count=c,
-            skipped=skips.get(n, 0),
+            mean_omega=sum(defined) / len(defined) if defined else None,
+            count=len(defined),
+            skipped=len(scores[n]) - len(defined),
         )
     return out
+
+
+def _scores(trees: Treebank) -> Iterator[OmegaResult]:
+    """Each sentence's score, with D from the arrays in one numpy pass and
+    the minimum from the sentence's slice: (n^2 - 1 - 3D) over
+    (n^2 - 1 - 3 min), exact in the worked 3-word cases (1 and -0.5)."""
+    heads, sizes = trees.heads, trees.sizes
+    starts = np.cumsum(sizes) - sizes
+    position = np.arange(len(heads)) - np.repeat(starts, sizes) + 1
+    gaps = np.where(heads != 0, np.abs(position - heads), 0)
+    totals = np.add.reduceat(gaps, starts) if len(heads) else starts
+    for n, a, d_obs in zip(sizes.tolist(), starts.tolist(), totals.tolist()):
+        if n < 2:
+            yield OmegaResult(d_obs, None, None, None)
+            continue
+        d_min = min_arrangement_cost(heads[a:a + n])
+        denominator = n * n - 1 - 3 * d_min
+        score = (n * n - 1 - 3 * d_obs) / denominator if denominator else None
+        yield OmegaResult(d_obs, (n * n - 1) / 3.0, d_min, score)

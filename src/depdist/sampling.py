@@ -209,71 +209,6 @@ def generate_validation_suite(
 
 
 # ---------------------------------------------------------------------------
-# Goodness of fit
-# ---------------------------------------------------------------------------
-
-def goodness_of_fit(
-    sample: DistanceSample,
-    model: Model,
-    params: ModelParams,
-    min_expected: float = 5.0,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> tuple[float, float, int]:
-    """Chi-square test of a sample against a model pmf.
-
-    Support points are pooled left to right until each bin's expected count
-    reaches ``min_expected``; the remaining tail (including mass beyond the
-    table for unbounded models) forms the last bin, merged backwards if too
-    thin.  Returns (statistic, p-value, degrees of freedom).
-    """
-    table = pmf_table(model, params, cutoff)
-    n = sample.total
-    expected_all = n * table
-    observed_all = np.zeros(len(table))
-    sel = sample.support <= len(table)
-    observed_all[sample.support[sel] - 1] = sample.counts[sel]
-
-    obs_bins: list[float] = []
-    exp_bins: list[float] = []
-    acc_obs = acc_exp = 0.0
-    for o, e in zip(observed_all, expected_all):
-        acc_obs += o
-        acc_exp += e
-        if acc_exp >= min_expected:
-            obs_bins.append(acc_obs)
-            exp_bins.append(acc_exp)
-            acc_obs = acc_exp = 0.0
-    # Remaining support plus any analytic mass beyond the table; the
-    # unbinned observed count covers observations beyond the table too.
-    rest_obs = float(n - sum(obs_bins))
-    rest_exp = acc_exp + n * max(0.0, 1.0 - float(table.sum()))
-    if rest_exp > 0 or rest_obs > 0:
-        if exp_bins and rest_exp < min_expected:
-            obs_bins[-1] += rest_obs
-            exp_bins[-1] += rest_exp
-        else:
-            obs_bins.append(rest_obs)
-            exp_bins.append(rest_exp)
-
-    obs = np.array(obs_bins)
-    exp = np.array(exp_bins) * (n / sum(exp_bins))  # exact renormalization
-    if len(obs) < 2:
-        return 0.0, 1.0, 0
-    return (*_chisquare(obs, exp), len(obs) - 1)
-
-
-def _chisquare(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float]:
-    """Pearson's statistic of observed against expected counts with equal
-    totals, and its chi-square p-value at len(obs) - 1 degrees of freedom:
-    ``scipy.stats.chisquare`` without loading ``scipy.stats``.
-    ``scipy.special`` is imported here, at the first test, so that the
-    commands that test no fit do not load it."""
-    from scipy.special import chdtrc
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    return stat, float(chdtrc(len(obs) - 1, stat))
-
-
-# ---------------------------------------------------------------------------
 # Sample files: two columns (d, count) plus metadata header comments
 # ---------------------------------------------------------------------------
 

@@ -139,14 +139,6 @@ class DepTree:
         """Number of tokens."""
         return len(self.heads)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Dependency edges as 0-based vertex pairs (dependent, head)."""
-        return [
-            (pos - 1, head - 1)
-            for pos, head in enumerate(self.heads, start=1)
-            if head != 0
-        ]
-
 
 def distances(tree: DepTree) -> list[int]:
     """Dependency distances |position(head) - position(dependent)|.

@@ -3,7 +3,8 @@
 For the minimum linear arrangement, two exponential references for
 :func:`depdist.arrangement.min_arrangement_cost`: a DP over every prefix
 set of vertices (``np.bitwise_count`` needs numpy >= 2.0), and a brute
-force over every ordering.
+force over every ordering.  Both take 0-based edge lists; :func:`edges`
+turns a head vector into one.
 
 For the break-point scan of the two-regime fits, the exhaustive scan that
 :func:`depdist.estimation.fit` prunes and the constrained log-likelihood on
@@ -20,6 +21,9 @@ blocks of rows.
 
 For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 :func:`depdist.treebank.parse_conllu` replaced with its array pass.
+
+For the samplers, a chi-square goodness-of-fit test of a sample against a
+model's pmf.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -35,11 +40,41 @@ from scipy.special import logsumexp
 
 from depdist import estimation as est
 from depdist import models as m
+from depdist.models import Model, ModelParams
+from depdist.sampling import DEFAULT_CUTOFF, pmf_table
 from depdist.treebank import (
     ConlluFormatError,
+    DistanceSample,
     StructuralIssue,
     TreeStructureError,
 )
+
+
+def edges(heads) -> list[tuple[int, int]]:
+    """Dependency edges of a 1-based head vector as 0-based vertex pairs
+    (dependent, head)."""
+    return [(pos - 1, head - 1)
+            for pos, head in enumerate(heads, start=1) if head != 0]
+
+
+def fraction_average_omega(vectors) -> dict[int, tuple[Fraction | None,
+                                                       int, int]]:
+    """(mean score, scored, skipped) per sentence length of the head
+    vectors, each score an exact fraction with its minimum from the subset
+    DP (test oracle for :func:`depdist.optimality.average_omega`)."""
+    groups: dict[int, tuple[list[Fraction], list[int]]] = {}
+    for heads in vectors:
+        n = len(heads)
+        scores, skipped = groups.setdefault(n, ([], []))
+        d = sum(abs(pos - head)
+                for pos, head in enumerate(heads, start=1) if head != 0)
+        denominator = n * n - 1 - 3 * _minla_subsets_dp(edges(heads), n)
+        if denominator:
+            scores.append(Fraction(n * n - 1 - 3 * d, denominator))
+        else:
+            skipped.append(n)
+    return {n: (sum(scores) / len(scores) if scores else None, len(scores),
+                len(skipped)) for n, (scores, skipped) in groups.items()}
 
 
 def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
@@ -527,3 +562,66 @@ def _plain_int(field: str) -> int:
     if not re.fullmatch("[0-9]{1,18}", field):
         raise ValueError(field)
     return int(field)
+
+
+# ---------------------------------------------------------------------------
+# Goodness of fit
+# ---------------------------------------------------------------------------
+
+def goodness_of_fit(
+    sample: DistanceSample,
+    model: Model,
+    params: ModelParams,
+    min_expected: float = 5.0,
+    cutoff: int = DEFAULT_CUTOFF,
+) -> tuple[float, float, int]:
+    """Chi-square test of a sample against a model pmf.
+
+    Support points are pooled left to right until each bin's expected count
+    reaches ``min_expected``; the remaining tail (including mass beyond the
+    table for unbounded models) forms the last bin, merged backwards if too
+    thin.  Returns (statistic, p-value, degrees of freedom).
+    """
+    table = pmf_table(model, params, cutoff)
+    n = sample.total
+    expected_all = n * table
+    observed_all = np.zeros(len(table))
+    sel = sample.support <= len(table)
+    observed_all[sample.support[sel] - 1] = sample.counts[sel]
+
+    obs_bins: list[float] = []
+    exp_bins: list[float] = []
+    acc_obs = acc_exp = 0.0
+    for o, e in zip(observed_all, expected_all):
+        acc_obs += o
+        acc_exp += e
+        if acc_exp >= min_expected:
+            obs_bins.append(acc_obs)
+            exp_bins.append(acc_exp)
+            acc_obs = acc_exp = 0.0
+    # Remaining support plus any analytic mass beyond the table; the
+    # unbinned observed count covers observations beyond the table too.
+    rest_obs = float(n - sum(obs_bins))
+    rest_exp = acc_exp + n * max(0.0, 1.0 - float(table.sum()))
+    if rest_exp > 0 or rest_obs > 0:
+        if exp_bins and rest_exp < min_expected:
+            obs_bins[-1] += rest_obs
+            exp_bins[-1] += rest_exp
+        else:
+            obs_bins.append(rest_obs)
+            exp_bins.append(rest_exp)
+
+    obs = np.array(obs_bins)
+    exp = np.array(exp_bins) * (n / sum(exp_bins))  # exact renormalization
+    if len(obs) < 2:
+        return 0.0, 1.0, 0
+    return (*_chisquare(obs, exp), len(obs) - 1)
+
+
+def _chisquare(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float]:
+    """Pearson's statistic of observed against expected counts with equal
+    totals, and its chi-square p-value at len(obs) - 1 degrees of freedom:
+    ``scipy.stats.chisquare`` without loading ``scipy.stats``."""
+    from scipy.special import chdtrc
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return stat, float(chdtrc(len(obs) - 1, stat))

@@ -16,10 +16,11 @@ import depdist.models as m
 import depdist.sampling as samp
 from conftest import random_tree
 from depdist.models import Model
-from depdist.optimality import expected_random, min_arrangement, omega
+from depdist.arrangement import min_arrangement_cost
+from depdist.optimality import omega
 from depdist.treebank import DepTree, build_samples
 from depdist.validation import run_validation
-from oracles import brute_force_min_arrangement
+from oracles import brute_force_min_arrangement, edges, goodness_of_fit
 
 SEED = samp.DEFAULT_SEED
 
@@ -174,7 +175,7 @@ def test_criterion_6_sampler_goodness_of_fit():
     worst = 1.0
     for model, params in samp.REFERENCE_PARAMS.items():
         sample = samp.draw_sample(model, params, 10**5, seed=SEED)
-        _, p, dof = samp.goodness_of_fit(sample, model, params)
+        _, p, dof = goodness_of_fit(sample, model, params)
         worst = min(worst, p)
         assert p > 1e-3, (model, p, dof)
     announce(6, f"chi-square accepts every sampler (min p = {worst:.4f})")
@@ -186,8 +187,8 @@ def test_criterion_7_arrangement_oracles():
     for n in range(2, 10):
         for _ in range(200):
             tree = random_tree(n, rng)
-            assert min_arrangement(tree) \
-                == brute_force_min_arrangement(tree.edges(), tree.n)
+            assert min_arrangement_cost(tree.heads) \
+                == brute_force_min_arrangement(edges(tree.heads), tree.n)
             trees_checked += 1
 
     baseline_checked = 0
@@ -197,9 +198,9 @@ def test_criterion_7_arrangement_oracles():
         for _ in range(50):
             tree = random_tree(n, rng)
             total = np.zeros(len(pos_all), dtype=np.int64)
-            for u, v in tree.edges():
+            for u, v in edges(tree.heads):
                 total += np.abs(pos_all[:, u] - pos_all[:, v])
-            assert expected_random(tree) \
+            assert omega(tree).random_baseline \
                 == pytest.approx(total.mean(), abs=1e-12)
             baseline_checked += 1
 

@@ -9,13 +9,14 @@ import depdist.models as m
 from conftest import random_tree
 from depdist.estimation import fit
 from depdist.models import Model
-from depdist.sampling import generate_validation_suite, goodness_of_fit
+from depdist.sampling import generate_validation_suite
 from depdist.treebank import (
     DepTree,
     DistanceSample,
     LengthDistribution,
     build_samples,
 )
+from oracles import goodness_of_fit
 
 
 def shuffle_distance_counts(n):

@@ -5,18 +5,13 @@ import pytest
 
 from conftest import random_tree
 from depdist.arrangement import min_arrangement_cost
-from depdist.optimality import (
-    average_omega,
-    expected_random,
-    min_arrangement,
-    omega,
-    sum_distances,
-)
+from depdist.optimality import average_omega, omega
 from depdist.treebank import DepTree
 from oracles import (
     _all_positions,
     _minla_subsets_dp,
     brute_force_min_arrangement,
+    edges,
 )
 
 FIGURE_TREE = DepTree((2, 0, 2, 5, 2, 8, 8, 5))
@@ -39,9 +34,25 @@ def permutation_average(tree):
     """Oracle: mean total distance over every ordering of the sentence."""
     pos = _all_positions(tree.n).astype(np.int32)
     total = np.zeros(len(pos), dtype=np.int64)
-    for u, v in tree.edges():
+    for u, v in edges(tree.heads):
         total += np.abs(pos[:, u] - pos[:, v])
     return total.mean()
+
+
+def sum_distances(tree):
+    return omega(tree).distance_sum
+
+
+def expected_random(tree):
+    return omega(tree).random_baseline
+
+
+def min_arrangement(tree):
+    return min_arrangement_cost(tree.heads)
+
+
+def dp_minimum(heads):
+    return _minla_subsets_dp(edges(heads), len(heads))
 
 
 class TestSumDistances:
@@ -110,22 +121,27 @@ class TestMinArrangement:
             for _ in range(30):
                 tree = random_tree(n, rng)
                 assert min_arrangement(tree) == brute_force_min_arrangement(
-                    tree.edges(), tree.n)
+                    edges(tree.heads), tree.n)
 
     def test_matches_subsets_dp(self):
         rng = np.random.default_rng(3)
         for _ in range(2000):
             tree = random_tree(int(rng.integers(2, 17)), rng)
-            assert min_arrangement(tree) \
-                == _minla_subsets_dp(tree.edges(), tree.n)
+            assert min_arrangement(tree) == dp_minimum(tree.heads)
+
+    def test_matches_subsets_dp_at_16_to_18(self):
+        # Random trees first need case B at 16 words; one of these does.
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            tree = random_tree(int(rng.integers(16, 19)), rng)
+            assert min_arrangement(tree) == dp_minimum(tree.heads)
 
     def test_matches_subsets_dp_at_18_and_20(self):
         rng = np.random.default_rng(4)
         for n in (18, 20):
             for _ in range(5):
                 tree = random_tree(n, rng)
-                assert min_arrangement(tree) \
-                    == _minla_subsets_dp(tree.edges(), n)
+                assert min_arrangement(tree) == dp_minimum(tree.heads)
 
     def test_long_sentences_solve_fast(self):
         for tree in (random_tree(150, np.random.default_rng(5)), star(150)):
@@ -139,14 +155,33 @@ class TestMinArrangement:
         assert min_arrangement(chain(1500)) == 1499
         assert min_arrangement(caterpillar(750)) == 3 * 750 - 3
 
-    @pytest.mark.parametrize("edges, n", [
-        ([(0, 1), (1, 2), (2, 0)], 3),   # a cycle
-        ([(0, 1), (0, 1)], 3),           # a repeated edge, vertex 2 apart
-        ([(0, 1)], 3),                   # disconnected
-    ])
-    def test_rejects_non_trees(self, edges, n):
+    @pytest.mark.parametrize("heads", [
+        (), (2, 1), (0, 1, 0), (0, 2, 2), (0, 4, 1), (0, 3, 4, 2), (2, 1, 0),
+    ], ids=["empty", "no-root", "two-roots", "self-loop", "out-of-range",
+            "cycle", "two-cycle"])
+    def test_rejects_non_trees(self, heads):
         with pytest.raises(ValueError):
-            min_arrangement_cost(edges, n)
+            min_arrangement_cost(heads)
+
+    @pytest.mark.parametrize("heads", [(0,), (2, 0, 2), (0, 1, 1, 3, 1, 5)])
+    def test_tuple_list_and_int64_slice_agree(self, heads):
+        treebank = np.array((0, 1) + heads + (0,), dtype=np.int64)
+        assert min_arrangement_cost(heads) \
+            == min_arrangement_cost(list(heads)) \
+            == min_arrangement_cost(treebank[2:2 + len(heads)])
+
+    @pytest.mark.parametrize("heads, minimum", [
+        ((0, 1, 1, 3, 1, 5, 4, 4, 7, 1, 1, 3, 12, 13, 14, 8, 12), 27),
+        ((2, 4, 6, 7, 6, 7, 9, 14, 12, 11, 13, 15, 14, 15, 16, 0, 16, 16,
+          17, 18), 30),
+        ((0, 1, 2, 3, 1, 5, 5, 4, 8, 6, 7, 1, 12, 12, 12, 15, 14, 15, 17,
+          19), 30),
+        # Token 14 joins three components of 5 words, one a path; the other
+        # two and token 14 form an anchored part that needs case B.
+        ((0, 9, 1, 7, 7, 8, 14, 1, 16, 9, 6, 5, 9, 11, 4, 14), 23),
+    ])
+    def test_needs_case_b(self, heads, minimum):
+        assert min_arrangement_cost(heads) == minimum == dp_minimum(heads)
 
     def test_never_above_observed(self):
         rng = np.random.default_rng(6)
@@ -243,21 +278,19 @@ class TestStructuredShapes:
                     heads.append(attach)
                     attach = len(heads)
             tree = DepTree(tuple(heads))
-            assert min_arrangement(tree) \
-                == _minla_subsets_dp(tree.edges(), tree.n)
+            assert min_arrangement(tree) == dp_minimum(tree.heads)
 
     def test_double_star_search_equals_dp(self):
         for left, right in ((8, 8), (10, 6), (5, 11)):
             heads = [0] + [1] * left + [1] + [2 + left] * right
             tree = DepTree(tuple(heads))
             assert tree.n == left + right + 2
-            assert min_arrangement(tree) \
-                == _minla_subsets_dp(tree.edges(), tree.n)
+            assert min_arrangement(tree) == dp_minimum(tree.heads)
 
     def test_caterpillars_equal_dp(self):
         for spine in range(1, 10):
             tree = caterpillar(spine)
-            expected = _minla_subsets_dp(tree.edges(), tree.n)
+            expected = dp_minimum(tree.heads)
             assert min_arrangement(tree) == expected
             if spine > 1:
                 assert expected == 3 * spine - 3

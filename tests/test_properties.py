@@ -1,8 +1,10 @@
-"""Property tests over random valid dependency trees (n = 1 to 30) and
+"""Property tests over random valid dependency trees (n = 1 to 200) and
 random distance samples."""
 
+import math
 from collections import Counter
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,18 +24,22 @@ from depdist.models import (
     certificates,
     log_likelihood,
 )
-from depdist.optimality import sum_distances
+from depdist.optimality import average_omega
 from depdist.sampling import draw_sample
 from depdist.treebank import (
     DepTree,
     DistanceSample,
+    Treebank,
     build_samples,
+    distances,
     parse_conllu,
     to_conllu,
 )
 from oracles import (
     brute_force_min_arrangement,
+    edges,
     exhaustive_break_scan,
+    fraction_average_omega,
     two_regime_init,
 )
 
@@ -70,16 +76,67 @@ def test_pooled_sample_is_sum_of_per_length_samples(corpus):
     assert sum(samples.sentence_counts.values()) == len(corpus)
 
 
+def rerooted(heads, relabel, root):
+    """The head vector of the tree of ``heads`` with token i + 1 moved to
+    position relabel[i] + 1 and rooted at token root + 1 (0-based)."""
+    near = [[] for _ in heads]
+    for u, v in edges(heads):
+        near[u].append(v)
+        near[v].append(u)
+    up = {root: -1}
+    order = [root]
+    for x in order:
+        for y in near[x]:
+            if y not in up:
+                up[y] = x
+                order.append(y)
+    out = [0] * len(heads)
+    for x, y in up.items():
+        if y != -1:
+            out[relabel[x]] = relabel[y] + 1
+    return tuple(out)
+
+
 @given(trees(max_n=8), st.data())
 def test_min_arrangement_is_exact_label_free_and_a_lower_bound(tree, data):
-    edges, n = tree.edges(), tree.n
-    cost = min_arrangement_cost(edges, n)
-    assert cost == brute_force_min_arrangement(edges, n)
+    n = tree.n
+    cost = min_arrangement_cost(tree.heads)
+    assert cost == brute_force_min_arrangement(edges(tree.heads), n)
     relabel = data.draw(st.permutations(range(n)))
     assert min_arrangement_cost(
-        [(relabel[u], relabel[v]) for u, v in edges], n) == cost
+        rerooted(tree.heads, relabel, tree.heads.index(0))) == cost
     # The sentence's own word order is one arrangement.
-    assert cost <= sum_distances(tree)
+    assert cost <= sum(distances(tree))
+
+
+@settings(max_examples=60)
+@given(trees(max_n=200), st.data())
+def test_min_arrangement_does_not_depend_on_root_or_labels(tree, data):
+    # Each root gives the solver another decomposition of the same tree.
+    n = tree.n
+    cost = min_arrangement_cost(tree.heads)
+    relabel = data.draw(st.permutations(range(n)))
+    root = data.draw(st.integers(0, n - 1))
+    assert min_arrangement_cost(rerooted(tree.heads, relabel, root)) == cost
+    assert cost <= sum(distances(tree))
+
+
+@settings(max_examples=30)
+@given(st.lists(trees(max_n=14), min_size=1, max_size=40))
+def test_average_omega_matches_exact_fractions(corpus):
+    expected = fraction_average_omega([tree.heads for tree in corpus])
+    columns = Treebank(
+        np.array([h for tree in corpus for h in tree.heads], dtype=np.int64),
+        np.array([tree.n for tree in corpus], dtype=np.int64))
+    for stats in (average_omega(corpus), average_omega(columns)):
+        assert stats.keys() == expected.keys()
+        for n, (mean, scored, skipped) in expected.items():
+            assert (stats[n].count, stats[n].skipped) == (scored, skipped)
+            if mean is None:
+                assert stats[n].mean_omega is None
+            else:
+                assert math.isclose(stats[n].mean_omega, mean,
+                                    rel_tol=1e-12, abs_tol=1e-15)
 
 
 distance_tables = st.dictionaries(st.integers(1, 40), st.integers(1, 60),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_tree
 from depdist import reports, treebank
+from depdist.optimality import average_omega
 from depdist.treebank import (
     BOM,
     ConlluFormatError,
@@ -530,8 +531,9 @@ class TestTreebank:
 
 
 class TestTreesBuiltOnlyWhenAsked:
-    """Parsing, sample building and the summary record read the arrays:
-    a DepTree is built only for a sentence that must be renumbered."""
+    """Parsing, sample building, the summary record and the Omega scores
+    read the arrays: a DepTree is built only for a sentence that must be
+    renumbered."""
 
     def counted(self, text, piece=treebank.PIECE_BYTES):
         with mock.patch.object(DepTree, "_unchecked",
@@ -546,6 +548,7 @@ class TestTreesBuiltOnlyWhenAsked:
             trees = parse_conllu(text)
             sset = build_samples(trees)
             reports.corpus_summary_record("C", "L", trees, sset, 0)
+            average_omega(trees)
         return trees, unchecked.call_count, check.call_count, \
             renumbered.call_count, read.call_count
 
