@@ -36,9 +36,13 @@ recursing (a path anchored at one end would nest n calls), cuts edges
 instead of copying subtrees, and keeps subtree sizes rooted at each
 pending part's root; moving a root to a centroid rewrites the sizes on the
 path between them only.  A step costs at most O(m log m) for a part of m
-vertices; one that solves both cases solves its part twice, each case in
-a nested work list.  The tests check the solver against a subset DP and a
-brute force (``tests/oracles.py``) and against itself from every root.
+vertices.  Where case B may hold, the step keeps a copy of the part's
+shape; once the work list has solved case A, case B is solved on the copy
+in a nested work list, unless its lower bound (each part at least its
+size less one) rules it out.  Case B's parts hold under two thirds of
+theirs, so work lists nest at most log_1.5(n) deep.  The tests check the
+solver against a subset DP and a brute force (``tests/oracles.py``) and
+against itself from every root.
 """
 
 from __future__ import annotations
@@ -87,10 +91,22 @@ def min_arrangement_cost(heads) -> int:
 
     # Pending parts, each a component of the cut forest named by its root.
     # Sizes and parents inside a part are relative to that root.
-    def solve(work: list[tuple[int, bool]]) -> int:
+    def solve(work: list[tuple]) -> int:
         cost = 0
         while work:
-            h, anchored = work.pop()
+            item = work.pop()
+            if len(item) > 2:  # case A of this part is solved: try case B
+                h, m, blocks, crossing, saved, start = item
+                # Each part of case B costs at least its size less one.
+                if crossing + m - len(blocks) - 1 < cost - start:
+                    for x, near, up, below in saved:
+                        adj[x], parent[x], size[x] = near, up, below
+                    for c in blocks:
+                        cut(h, c)
+                    cost = min(cost, start + crossing + solve(
+                        [(c, True) for c in blocks] + [(h, False)]))
+                continue
+            h, anchored = item
             m = size[h]
             if m <= 2:
                 cost += m - 1
@@ -130,27 +146,15 @@ def min_arrangement_cost(heads) -> int:
                 if 2 * s1 > s0 + 1 and (anchored and 3 * s1 > m
                                         or s1 + len(adj[h]) * s2 > m)
                 else ((), 0))
-            if not blocks:
-                cut(h, c0)
-                cost += size[h] if anchored else 1
-                work += [(c0, True), (h, not anchored)]
-                continue
-            part = [h]
-            for x in part:
-                part += [y for y in adj[x] if y != parent[x]]
-            saved = [(x, set(adj[x]), parent[x], size[x]) for x in part]
+            if blocks:  # keep the part's shape to lay out case B later
+                part = [h]
+                for x in part:
+                    part += [y for y in adj[x] if y != parent[x]]
+                work.append((h, m, blocks, crossing, [
+                    (x, set(adj[x]), parent[x], size[x]) for x in part], cost))
             cut(h, c0)
-            best = (size[h] if anchored else 1) + solve(
-                [(c0, True), (h, not anchored)])
-            # Each part of case B costs at least its size less one.
-            if crossing + m - len(blocks) - 1 < best:
-                for x, near, up, below in saved:
-                    adj[x], parent[x], size[x] = near, up, below
-                for c in blocks:
-                    cut(h, c)
-                best = min(best, crossing + solve(
-                    [(c, True) for c in blocks] + [(h, False)]))
-            cost += best
+            cost += size[h] if anchored else 1
+            work += [(c0, True), (h, not anchored)]
         return cost
 
     return solve([(root, False)])
