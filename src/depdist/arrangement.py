@@ -32,17 +32,21 @@ anchored tree of 11 vertices with two components of 5.
 
 Each step splits its vertex set into disjoint parts, so the minimum is a
 sum of one term per step.  The solver keeps a work list instead of
-recursing (a path anchored at one end would nest n calls), cuts edges
-instead of copying subtrees, and keeps subtree sizes rooted at each
-pending part's root; moving a root to a centroid rewrites the sizes on the
-path between them only.  A step costs at most O(m log m) for a part of m
-vertices.  Where case B may hold, the step keeps a copy of the part's
-shape; once the work list has solved case A, case B is solved on the copy
-in a nested work list, unless its lower bound (each part at least its
-size less one) rules it out.  Case B's parts hold under two thirds of
-theirs, so work lists nest at most log_1.5(n) deep.  The tests check the
-solver against a subset DP and a brute force (``tests/oracles.py``) and
-against itself from every root.
+recursing (a path anchored at one end would nest n calls) and one copy of
+the tree: adjacency sets, from which it cuts edges instead of copying
+subtrees, and subtree sizes rooted at each pending part's root, so a
+vertex's children are its smaller neighbours.  Moving a root to a centroid
+rewrites the sizes on the walk between them only.  A step costs at most
+O(m log m) for a part of m vertices.  Where case B may hold, the step
+marks the log of cut edges, which records cuts while a mark waits.  Once
+the work list has solved case A, case B is tried unless its lower bound
+(each part at least its size less one) rules it out: the edges cut since
+the mark are re-joined, the part is re-rooted at h, and a nested work
+list solves case B's parts.  So only case B work actually done costs a
+pass over the part.  Case B's parts hold under two thirds of theirs, so
+work lists nest at most log_1.5(n) deep.  The tests check the solver
+against a subset DP and a brute force (``tests/oracles.py``) and against
+itself from every root.
 """
 
 from __future__ import annotations
@@ -70,37 +74,38 @@ def min_arrangement_cost(heads) -> int:
     # With one root and one head per token, the root's component is a
     # tree, and it holds every token unless the heads form a cycle.
     root = heads.index(0)
-    parent = [-1] * n
-    order = [root]
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
-    if len(order) != n:
-        raise ValueError("the heads form a cycle")
     size = [1] * n
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
+    if _rooted(adj, size, root) != n:
+        raise ValueError("the heads form a cycle")
+    # The edges cut while case B markers wait on the work lists, in order.
+    cuts: list[tuple[int, int]] = []
+    pending = 0  # waiting case B markers
 
     def cut(h: int, c: int) -> None:
         adj[h].discard(c)
         adj[c].discard(h)
-        parent[c] = -1
         size[h] -= size[c]
+        if pending:
+            cuts.append((h, c))
 
     # Pending parts, each a component of the cut forest named by its root.
-    # Sizes and parents inside a part are relative to that root.
+    # Sizes inside a part are relative to that root, so a vertex's children
+    # are its smaller neighbours.
     def solve(work: list[tuple]) -> int:
+        nonlocal pending
         cost = 0
         while work:
             item = work.pop()
             if len(item) > 2:  # case A of this part is solved: try case B
-                h, m, blocks, crossing, saved, start = item
+                h, m, blocks, crossing, mark, start = item
+                pending -= 1
                 # Each part of case B costs at least its size less one.
                 if crossing + m - len(blocks) - 1 < cost - start:
-                    for x, near, up, below in saved:
-                        adj[x], parent[x], size[x] = near, up, below
+                    for x, y in cuts[mark:]:  # re-join the part, root it at h
+                        adj[x].add(y)
+                        adj[y].add(x)
+                    del cuts[mark:]
+                    _rooted(adj, size, h)
                     for c in blocks:
                         cut(h, c)
                     cost = min(cost, start + crossing + solve(
@@ -112,23 +117,18 @@ def min_arrangement_cost(heads) -> int:
                 cost += m - 1
                 continue
             if not anchored:
-                u = h
-                while True:  # walk down to the centroid
-                    for c in adj[u]:
-                        if c != parent[u] and 2 * size[c] > m:
-                            u = c
+                # Walk down to the centroid, re-rooting: a vertex left
+                # behind holds under m/2 from then on, so the walk never
+                # turns back.
+                while True:
+                    for c in adj[h]:
+                        if 2 * size[c] > m:
+                            size[h] = m - size[c]
+                            h = c
                             break
                     else:
                         break
-                below, x = -1, u  # re-root the part at the centroid
-                while x != -1:
-                    parent[x], below, x = below, x, parent[x]
-                x = h
-                while x != u:
-                    size[x] = m - size[parent[x]]
-                    x = parent[x]
-                size[u] = m
-                h = u
+                size[h] = m
             c0, s0, s1, s2 = -1, 0, 0, 0  # T_0 and the sizes of T_0 ... T_2
             for c in adj[h]:
                 if size[c] > s2:
@@ -146,18 +146,30 @@ def min_arrangement_cost(heads) -> int:
                 if 2 * s1 > s0 + 1 and (anchored and 3 * s1 > m
                                         or s1 + len(adj[h]) * s2 > m)
                 else ((), 0))
-            if blocks:  # keep the part's shape to lay out case B later
-                part = [h]
-                for x in part:
-                    part += [y for y in adj[x] if y != parent[x]]
-                work.append((h, m, blocks, crossing, [
-                    (x, set(adj[x]), parent[x], size[x]) for x in part], cost))
+            if blocks:  # lay out case B once case A's cost is known
+                work.append((h, m, blocks, crossing, len(cuts), cost))
+                pending += 1
             cut(h, c0)
             cost += size[h] if anchored else 1
             work += [(c0, True), (h, not anchored)]
         return cost
 
     return solve([(root, False)])
+
+
+def _rooted(adj: list[set[int]], size: list[int], r: int) -> int:
+    """Set the subtree sizes of r's component rooted at r; return its
+    number of vertices."""
+    order, up = [r], [-1]
+    for x, p in zip(order, up):
+        size[x] = 1
+        for y in adj[x]:
+            if y != p:
+                order.append(y)
+                up.append(x)
+    for i in range(len(order) - 1, 0, -1):
+        size[up[i]] += size[order[i]]
+    return len(order)
 
 
 def _case_b(near: set[int], m: int, anchored: bool,

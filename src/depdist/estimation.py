@@ -139,7 +139,7 @@ def _fused(log_l: m.Factored, bounds):
     differences over steps h from :func:`_step`, divided by (x + h) - x:
     scipy's points and arithmetic, bit for bit, each part computed once."""
     first, second, combine = log_l
-    (lo0, lo1), (hi0, hi1) = _box(bounds)
+    (lo0, hi0), (lo1, hi1) = bounds
 
     def negated(head, tail):
         value = combine(head, tail)
@@ -177,12 +177,6 @@ _NBD = {(False, False): 0, (True, False): 1, (True, True): 2,
         (False, True): 3}
 
 
-def _box(bounds) -> tuple[list[float], list[float]]:
-    """Lower and upper ends of ``bounds``, None read as infinite."""
-    return ([-math.inf if lo is None else lo for lo, _ in bounds],
-            [math.inf if hi is None else hi for _, hi in bounds])
-
-
 @functools.cache
 def _kernel():
     """scipy's L-BFGS-B kernel and its task messages, imported at the first
@@ -198,12 +192,11 @@ def _workspace(bounds: tuple, thread: int) -> tuple:
     """The kernel's arrays for one box, built once per box and thread:
     ``nbd``, ``low`` and ``high`` as scipy's ``bounds_map`` builds them,
     then the gradient and the work arrays, which each search zero-fills."""
-    lows, highs = _box(bounds)
     n, m = len(bounds), LBFGSB_MAXCOR
     nbd = np.array([_NBD[not math.isinf(lo), not math.isinf(hi)]
-                    for lo, hi in zip(lows, highs)], np.int32)
-    low = np.array([0.0 if math.isinf(lo) else lo for lo in lows])
-    high = np.array([0.0 if math.isinf(hi) else hi for hi in highs])
+                    for lo, hi in bounds], np.int32)
+    low = np.array([0.0 if math.isinf(lo) else lo for lo, _ in bounds])
+    high = np.array([0.0 if math.isinf(hi) else hi for _, hi in bounds])
     work = (np.zeros(n), np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m),
             *(np.zeros(size, np.int32) for size in (3 * n, 2, 2, 4, 44)),
             np.zeros(29))
@@ -276,7 +269,7 @@ def _maximize(log_l: m.Factored, x0, bounds, label=("objective",),
     ``label`` (a format and its arguments) names the fit in the debug log
     of non-converged results; ``tally`` (a Counter), if given, gains the
     objective ``evaluations``."""
-    x0 = [min(max(float(v), lo), hi) for v, lo, hi in zip(x0, *_box(bounds))]
+    x0 = [min(max(float(v), lo), hi) for v, (lo, hi) in zip(x0, bounds)]
     n = len(x0)
     # scipy charges maxfun with the n + 1 evaluations of a finite-difference
     # point, a supplied gradient with one: the same budget in points.

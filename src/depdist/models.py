@@ -64,9 +64,9 @@ NEG_INF = float("-inf")
 LOG_TERM_FLOOR = -745.0  # log-probability terms below this count as -inf
 
 Q_BOUNDS = (EPS, 1.0 - EPS)
-GAMMA_BOUNDS = (0.0, None)
-#: Domain of each continuous parameter, by field name; the optimizer
-#: searches the same box.
+GAMMA_BOUNDS = (0.0, math.inf)
+#: Domain of each continuous parameter, by field name: a finite value in
+#: [lo, hi]; the optimizer searches the same box.
 BOUNDS = {"q": Q_BOUNDS, "q1": Q_BOUNDS, "q2": Q_BOUNDS,
           "gamma": GAMMA_BOUNDS}
 INTEGER_FIELDS = ("break_point", "d_max")
@@ -145,11 +145,9 @@ class _Checked:
                     raise ValueError("break_point > d_max")
             elif name in BOUNDS:
                 lo, hi = BOUNDS[name]
-                if hi is None:
-                    if value < lo:
-                        raise ValueError(f"{name}={value!r} must be >= {lo:g}")
-                elif not (lo <= value <= hi):
-                    raise ValueError(f"{name}={value!r} outside [{lo}, {hi}]")
+                if not (math.isfinite(value) and lo <= value <= hi):
+                    raise ValueError(f"{name}={value!r} must be finite and "
+                                     f"in [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -488,38 +486,34 @@ NULL_CELLS = 2 ** 16  # most cells of one block of the null's d_max scan
 
 
 def _null_fit(sample):
-    """Scan d_max upward from max d over a window that grows until the
-    likelihood peaks inside it (the null's mass leans on low d, so its
-    likelihood can peak above max d).  The window's rows go in blocks of at
-    most NULL_CELLS cells (but 64 rows or more), so memory stays linear in
-    the support, not in max d; a multiple of 64 rows keeps each row's place
-    in BLAS's groups of rows, so its slack sum is the one-matrix sum."""
+    """Scan d_max upward from max d over a window of max(4 max d, 256)
+    candidates (the null's mass leans on low d, so its likelihood can peak
+    above max d).  The window always holds the peak: log L(D + 1) -
+    log L(D) sums, over the distances d, count(d) times
+    log(1 + 1/(D + 1 - d)) - log((D + 2)/D), which is negative once
+    D >= 2d - 1, so log L falls from D = 2 max d - 1 on.  The window's rows
+    go in blocks of at most NULL_CELLS cells (but 64 rows or more), so
+    memory stays linear in the support, not in max d; a multiple of 64
+    rows keeps each row's place in BLAS's groups of rows, so its slack sum
+    is the one-matrix sum."""
     lo = sample.max_d
-    window = max(4 * sample.max_d, 256)
+    top = lo + max(4 * sample.max_d, 256) + 1
     support = sample.support.astype(float)
     counts = sample.counts.astype(float)
     n = float(sample.total)
     rows = max(NULL_CELLS // len(support) // 64, 1) * 64
-    converged = True
-    while True:
-        best, top = None, lo + window + 1
-        for first in range(lo, top, rows):
-            grid = np.arange(first, min(first + rows, top), dtype=float)
-            slack = np.log(grid[:, None] + 1.0 - support[None, :])
-            ll = (
-                n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
-                + slack @ counts
-            )
-            i = int(np.argmax(ll))
-            if best is None or ll[i] > best[1]:
-                best = grid[i], ll[i]
-        if best[0] < top - 1:
-            break
-        if window > 1_000_000:
-            converged = False  # pathological sample; report the window edge
-            break
-        window *= 4
-    return NullParams(int(best[0])), float(best[1]), converged
+    best = None
+    for first in range(lo, top, rows):
+        grid = np.arange(first, min(first + rows, top), dtype=float)
+        slack = np.log(grid[:, None] + 1.0 - support[None, :])
+        ll = (
+            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
+            + slack @ counts
+        )
+        i = int(np.argmax(ll))
+        if best is None or ll[i] > best[1]:
+            best = grid[i], ll[i]
+    return NullParams(int(best[0])), float(best[1]), True
 
 
 def _mixture_fit(sample):

@@ -266,6 +266,19 @@ class TestSampleCommand:
                   "--out-file", str(tmp_path / "x.csv")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("params", [
+        ["--model", "5", "--gamma", "nan", "--dmax", "10"],
+        ["--model", "7", "--gamma", "inf", "--q", "0.2", "--dstar", "3",
+         "--dmax", "10"],
+    ], ids=["nan-gamma", "infinite-gamma"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, params):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sample", *params, "--n-draws", "100",
+                  "--out-file", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         files = []
         for tag in ("a", "b"):

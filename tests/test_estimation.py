@@ -306,13 +306,12 @@ class TestForwardDifferences:
         ([2e8, 0.4], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),       # step rounds to 0
         ([0.0, 1 - m.EPS], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),
         ([3.7e9, 0.05], [m.GAMMA_BOUNDS, m.Q_BOUNDS]),
-        ([-2e9, 5.0], [(None, None), (None, None)]),
+        ([-2e9, 5.0], [(-math.inf, math.inf), (-math.inf, math.inf)]),
     ])
     def test_matches_scipy_step_for_step(self, x, bounds):
         def f(v):
             return math.sin(3.0 * v[0]) * math.exp(-v[-1]) + v[0] * v[-1]
-        lows = [lo if lo is not None else -np.inf for lo, _ in bounds]
-        highs = [hi if hi is not None else np.inf for _, hi in bounds]
+        lows, highs = zip(*bounds)
         # The fused kernel minimizes -log_l, so log_l = -f gives back f.
         f0, ours = est._fused(factored(lambda *v: -f(v)), bounds)(x)
         assert f0 == f(x)
@@ -336,7 +335,7 @@ class TestForwardDifferences:
         assert f0 == 1.0
         # The value's point, then the difference points, all in the box.
         assert seen[0] == clamped
-        lows, highs = est._box(bounds)
+        lows, highs = zip(*bounds)
         assert all(lo <= v <= hi for point in seen
                    for v, lo, hi in zip(point, lows, highs))
 
@@ -396,7 +395,7 @@ class TestLbfgsbLoop:
         assert ours.message == theirs.message, case
         assert ours.nfev == theirs.nfev, case
         assert ours.nit == theirs.nit, case
-        assert ours.fun0 == fg(np.clip(x0, *est._box(spec.bounds))
+        assert ours.fun0 == fg(np.clip(x0, *zip(*spec.bounds))
                                .tolist())[0], case
         return ours
 
@@ -913,7 +912,7 @@ class TestFactoredObjective:
         rejected = 0
         for model in TWO_REGIME:
             spec = model.spec
-            lows, highs = est._box(spec.bounds)
+            lows, highs = zip(*spec.bounds)
             for bp in est._break_grid(sample):
                 d_max = sample.max_d if model.is_truncated else None
                 reference = unfactored_log_likelihood(model, sample, bp,

@@ -158,6 +158,24 @@ class TestParamValidation:
             m.ZetaParams(-0.5, 10)
         m.ZetaParams(0.0, 10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, value):
+        # gamma has no finite upper end, so only the finiteness test
+        # rejects nan and +inf there.
+        for params in (
+            lambda v: m.ZetaParams(v, 10),
+            lambda v: m.ZetaGeometricParams(v, 0.2, 3),
+            lambda v: m.TruncatedZetaGeometricParams(v, 0.2, 3, 10),
+            lambda v: m.GeometricParams(v),
+            lambda v: m.TruncatedGeometricParams(v, 10),
+            lambda v: m.TwoRegimeGeometricParams(v, 0.2, 3),
+            lambda v: m.TwoRegimeGeometricParams(0.2, v, 3),
+            lambda v: m.ZetaGeometricParams(1.5, v, 3),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                params(value)
+        m.ZetaParams(1e300, 10)  # any finite gamma >= 0 is admissible
+
 
 class TestNormalizers:
     def test_equal_rates_collapse_to_geometric(self):

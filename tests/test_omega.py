@@ -149,6 +149,16 @@ class TestMinArrangement:
             min_arrangement(tree)
             assert time.perf_counter() - start < 0.5
 
+    def test_spider_is_not_quadratic(self):
+        # A hub with 1,001 legs of 3 words: at each step case B may hold,
+        # and keeping a copy of the part there cost seconds.
+        heads = [0]
+        for _ in range(1001):
+            heads += [1, len(heads) + 1, len(heads) + 2]
+        start = time.perf_counter()
+        assert min_arrangement_cost(heads) == 753_003
+        assert time.perf_counter() - start < 1.0
+
     def test_very_long_path_and_caterpillar(self):
         # The solver keeps a work list, so depth is no concern; the
         # caterpillar minimum 3k - 3 is checked against the DP below.

@@ -40,6 +40,7 @@ from oracles import (
     edges,
     exhaustive_break_scan,
     fraction_average_omega,
+    one_matrix_null_fit,
     two_regime_init,
 )
 
@@ -187,6 +188,23 @@ def test_break_point_bound_is_above_every_search(freq):
             log_l = _optimize(model, sample, bp)[1]
             assert bound >= log_l - PRUNE_MARGIN * (1.0 + abs(log_l)), \
                 (model, bp)
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(st.integers(1, 2000), st.integers(1, 400),
+                       min_size=1, max_size=12))
+@example({1: 1})
+@example({10: 100})  # the peak at 2 max d - 1
+@example({1: 50, 2: 20, 3: 5, 4: 2, 2000: 1})
+def test_null_peak_is_inside_the_first_window(freq):
+    # log L(D + 1) < log L(D) from D = 2 max d - 1 on, so the window of
+    # max(4 max d, 256) candidates past max d holds the peak; the oracle
+    # widens its window fourfold until the peak falls inside.
+    sample = DistanceSample(freq)
+    result = fit(Model.NULL_FIXED, sample)
+    assert sample.max_d <= result.params.d_max <= 2 * sample.max_d - 1
+    assert (result.params, result.log_l, result.converged) \
+        == one_matrix_null_fit(DistanceSample(dict(freq)))
 
 
 @settings(max_examples=30)
