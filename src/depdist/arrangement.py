@@ -51,16 +51,21 @@ itself from every root.
 
 from __future__ import annotations
 
+from .treebank import integer_heads
+
 
 def min_arrangement_cost(heads) -> int:
     """Minimum of sum |pi(u) - pi(v)| over all orderings pi of a sentence.
 
-    ``heads`` is one sentence's head vector (a tuple, a list or a slice of
-    ``Treebank.heads``): token i depends on token ``heads[i - 1]``, and 0
-    marks the root.  Anything but a tree (one root, heads in range, no
+    ``heads`` is one sentence's head vector (a tuple, a list, an array or a
+    slice of ``Treebank.heads``): token i depends on token ``heads[i - 1]``,
+    and 0 marks the root.  Heads are read as :class:`DepTree` reads them.
+    Anything but a tree (integral heads, one root, heads in range, no
     self-loop, no cycle) raises ValueError.
     """
-    heads = heads.tolist() if hasattr(heads, "tolist") else list(heads)
+    # An integer array's tolist() holds ints already: no check per token.
+    kind = getattr(getattr(heads, "dtype", None), "kind", None)
+    heads = heads.tolist() if kind in ("i", "u") else integer_heads(heads)
     n = len(heads)
     if heads.count(0) != 1:
         raise ValueError("a tree has exactly one root")

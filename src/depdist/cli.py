@@ -134,9 +134,11 @@ def cmd_extract(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _selections(corpus, args, mixed: bool = False, fixed: bool = True):
-    """If ``fixed``, per-length reports plus explicit status strings for
-    empty tiles; if ``mixed``, the pooled sample's report (else None).  The
-    samples of the corpus are selected in one batch."""
+    """If ``fixed``, each length's best model id or an explicit status for
+    an empty tile; and the selection reports, each tagged with its length
+    (None for the pooled sample) and its sample: the pooled sample's first
+    if ``mixed``, then each fitted length's if ``fixed``.  The samples of
+    the corpus are selected in one batch."""
     sset = corpus.sample_set
     matrix: list[tuple[int, int, str | None]] = []  # (n, sentences, status)
     lengths = sorted(sset.sentence_counts)
@@ -149,29 +151,15 @@ def _selections(corpus, args, mixed: bool = False, fixed: bool = True):
             matrix.append((n, sentences, "excluded-min-size"))
         else:
             matrix.append((n, sentences, None))
-    fitted = [n for n, _, status in matrix if status is None]
-    found = estimation.select_all(
-        [sset.pooled] * mixed + [sset.by_length[n] for n in fitted],
-        criterion=args.criterion)
-    pooled = found.pop(0) if mixed else None
-    selections = dict(zip(fitted, found))
-    return selections, [(n, sentences, status or selections[n].best.id)
-                        for n, sentences, status in matrix], pooled
-
-
-def _two_regime_rows(col, lang, n, report, sample, break_rows, slope_rows):
-    """Break-point and slope rows when the best model has two regimes."""
-    best = report.best
-    if best is None or not best.is_two_regime:
-        return
-    best_fit = report.fits[best]
-    break_rows.append({
-        "collection": col, "family": best.family,
-        "break_point": best_fit.params.break_point,
-    })
-    slope_rows.append(reports.slope_record(
-        col, lang, n, best, estimation.slope_analysis(best_fit, sample),
-    ))
+    samples = [(None, sset.pooled)] * mixed + [
+        (n, sset.by_length[n]) for n, _, status in matrix if status is None]
+    found = estimation.select_all([sample for _, sample in samples],
+                                  criterion=args.criterion)
+    selected = [(n, sample, report)
+                for (n, sample), report in zip(samples, found)]
+    best = {n: report.best.id for n, _, report in selected}
+    return [(n, sentences, status or best[n])
+            for n, sentences, status in matrix], selected
 
 
 def cmd_fit_select(args, parser) -> int:
@@ -179,81 +167,60 @@ def cmd_fit_select(args, parser) -> int:
     if corpora is None:
         return EXIT_INGEST
 
-    mixed_rows: list[dict] = []
-    mixed_best_rows: list[dict] = []
-    fixed_rows: list[dict] = []
-    matrix_rows: list[dict] = []
+    kinds = ("mixed", "fixed") if args.mode == "both" else (args.mode,)
+    names = {"mixed": ("mixed_fits", "mixed_best", "pmf_mixed"),
+             "fixed": ("fixed_fits", "fixed_best_matrix", "threshold_scan")}
+    tables: dict[str, list[dict]] = {
+        name: [] for kind in kinds for name in names[kind]}
+    # Best fits with two regimes; their tables are written only if any.
+    breaks: dict[str, list[dict]] = {kind: [] for kind in kinds}
     slope_rows: list[dict] = []
-    threshold_rows: list[dict] = []
-    break_mixed: list[dict] = []
-    break_fixed: list[dict] = []
-    curve_rows: list[dict] = []
-
-    mixed, fixed = args.mode in ("mixed", "both"), args.mode in ("fixed",
-                                                                  "both")
     for corpus in corpora:
-        entry = corpus.entry
-        col, lang = entry.collection, entry.language
-        selections, matrix, report = _selections(corpus, args, mixed, fixed)
-
-        if mixed:
-            mixed_rows.extend(reports.fit_records(col, lang, None, report))
-            best = report.best
-            mixed_best_rows.append({
-                "collection": col, "language": lang, "best": best.id,
-                "criterion": args.criterion,
-                "value": report.criterion_value(best),
-            })
-            curve_rows.extend(reports.pmf_curve_records(
-                col, lang, corpus.sample_set.pooled, report
-            ))
-            _two_regime_rows(col, lang, None, report,
-                             corpus.sample_set.pooled, break_mixed,
-                             slope_rows)
-
-        if fixed:
-            for n, sentences, status in matrix:
-                matrix_rows.append(reports.best_matrix_record(
-                    col, lang, n, sentences, status
-                ))
-            for n, report in selections.items():
-                fixed_rows.extend(reports.fit_records(col, lang, n, report))
-                _two_regime_rows(col, lang, n, report,
-                                 corpus.sample_set.by_length[n], break_fixed,
-                                 slope_rows)
-            scan = estimation.threshold_scan(
-                selections, corpus.sample_set.sentence_counts,
-                args.thresholds,
-            )
-            for threshold, family in scan.items():
-                threshold_rows.append({
-                    "collection": col, "language": lang,
-                    "threshold": threshold, "family": family,
+        col, lang = corpus.entry.collection, corpus.entry.language
+        matrix, selected = _selections(corpus, args, "mixed" in kinds,
+                                       "fixed" in kinds)
+        for n, sample, report in selected:
+            kind, best = "mixed" if n is None else "fixed", report.best
+            tables[f"{kind}_fits"] += reports.fit_records(col, lang, n, report)
+            if n is None:
+                tables["mixed_best"].append({
+                    "collection": col, "language": lang, "best": best.id,
+                    "criterion": args.criterion,
+                    "value": report.criterion_value(best),
                 })
+                tables["pmf_mixed"] += reports.pmf_curve_records(
+                    col, lang, sample, report)
+            if best is not None and best.is_two_regime:
+                best_fit = report.fits[best]
+                breaks[kind].append({
+                    "collection": col, "family": best.family,
+                    "break_point": best_fit.params.break_point,
+                })
+                slope_rows.append(reports.slope_record(
+                    col, lang, n, best,
+                    estimation.slope_analysis(best_fit, sample)))
+        if "fixed" in kinds:
+            tables["fixed_best_matrix"] += [
+                reports.best_matrix_record(col, lang, *row) for row in matrix]
+            scan = estimation.threshold_scan(
+                {n: report for n, _, report in selected if n is not None},
+                corpus.sample_set.sentence_counts, args.thresholds)
+            tables["threshold_scan"] += [{
+                "collection": col, "language": lang,
+                "threshold": threshold, "family": family,
+            } for threshold, family in scan.items()]
 
-    out, fmt = args.out, args.format
-    if args.mode in ("mixed", "both"):
-        reports.write_records(out, "mixed_fits", mixed_rows, fmt)
-        reports.write_records(out, "mixed_best", mixed_best_rows, fmt)
-        reports.write_records(out, "pmf_mixed", curve_rows, fmt)
-        if break_mixed:
-            reports.write_records(
-                out, "break_point_summary_mixed",
-                reports.break_point_summary(break_mixed), fmt,
-            )
-        print("\nBest model on mixed lengths:")
-        reports.print_table(mixed_best_rows)
-    if args.mode in ("fixed", "both"):
-        reports.write_records(out, "fixed_fits", fixed_rows, fmt)
-        reports.write_records(out, "fixed_best_matrix", matrix_rows, fmt)
-        reports.write_records(out, "threshold_scan", threshold_rows, fmt)
-        if break_fixed:
-            reports.write_records(
-                out, "break_point_summary_fixed",
-                reports.break_point_summary(break_fixed), fmt,
-            )
+    for kind, rows in breaks.items():
+        if rows:
+            tables[f"break_point_summary_{kind}"] = \
+                reports.break_point_summary(rows)
     if slope_rows:
-        reports.write_records(out, "slopes", slope_rows, fmt)
+        tables["slopes"] = slope_rows
+    for name, rows in tables.items():
+        reports.write_records(args.out, name, rows, args.format)
+    if "mixed" in kinds:
+        print("\nBest model on mixed lengths:")
+        reports.print_table(tables["mixed_best"])
     return EXIT_OK
 
 
@@ -309,7 +276,7 @@ def cmd_omega(args, parser) -> int:
         entry = corpus.entry
         col, lang = entry.collection, entry.language
         stats = average_omega(corpus.trees)
-        _, matrix, _ = _selections(corpus, args)
+        matrix, _ = _selections(corpus, args)
         status_by_n = {n: status for n, _, status in matrix}
         for n, length_stats in stats.items():
             profile_rows.append({

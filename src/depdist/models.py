@@ -33,9 +33,8 @@ summed over the per-length samples that a pooled sample carries
 
 Log-likelihoods are computed from sufficient statistics, never by
 rescanning the sample: N, M, M' and max d, which :class:`DistanceSample`
-caches, their restrictions to d <= break from ``sample.stats_upto`` (read
-from the break grid's table once the certificates have it), and for the
-shuffle null the slack sum over the support.  Each row binds its
+caches, their restrictions to d <= break from ``sample.stats_upto``, and
+for the shuffle null the slack sum over the support.  Each row binds its
 log-likelihood to the sample once per break point, computing there what
 the break point fixes; the bound function takes the continuous values as
 plain floats (a two-regime row's is :class:`Factored`), so an optimizer
@@ -636,7 +635,7 @@ def _two_regime_geometric_log_pmf(params, d, d_max):
 
 def _two_regime_geometric_bind(sample, bp, d_max):
     steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
-    n_star, m_star, _ = _upto(sample, bp)
+    n_star, m_star, _ = sample.stats_upto(bp)
     n_tail, m_first = sample.total - n_star, m_star - n_star
     m_all = sample.weighted_sum - sample.total
 
@@ -666,7 +665,7 @@ def _zeta_geometric_log_pmf(params, d, d_max):
 
 def _zeta_geometric_bind(sample, bp, d_max):
     steps, first = sample.max_d - 1, sample.max_d <= bp  # max d's regime
-    n_star, m_star, log_first = _upto(sample, bp)
+    n_star, m_star, log_first = sample.stats_upto(bp)
     log_top, n_tail = float(np.log(sample.max_d)), sample.total - n_star
     m_tail = sample.weighted_sum - m_star - n_tail
 
@@ -717,25 +716,13 @@ def _part(sample, part, *args):
 
 def _grid_stats(sample, grid):
     """At each b of the grid: N*, the sums of d - 1 and of log d over d <=
-    b, the count T beyond b and the sum of d - b - 1 there.  (N*, M*, M'*)
-    at each b also go to the memo, for :func:`_upto`."""
+    b, the count T beyond b and the sum of d - b - 1 there."""
     bs = np.array(grid)
     n_star, m_star, log_star = sample.stats_upto(bs)
-    sample.memo.setdefault(_upto, {}).update(zip(grid, zip(
-        n_star.tolist(), m_star.tolist(), log_star.tolist())))
     n_star, m_star = n_star.astype(float), m_star.astype(float)
     tail = sample.total - n_star
     return (n_star, m_star - n_star, log_star, tail,
             sample.weighted_sum - m_star - tail * (bs + 1.0))
-
-
-def _upto(sample, b):
-    """``sample.stats_upto(b)`` for an int b, read from the grid's
-    statistics where :func:`_grid_stats` has computed them."""
-    try:
-        return sample.memo[_upto][b]
-    except KeyError:
-        return sample.stats_upto(b)
 
 
 def _blocks(cells):
@@ -1055,7 +1042,7 @@ def _zeta_geometric_init(sample, break_point) -> tuple[float, float]:
     """1 + N* / sum(f(d) log(d / min(d))) over d <= break_point, and the
     inverse mean of the distances beyond it (or of all, without any)."""
     support, _, _, log_ratios, q_global = _part(sample, _start_columns)
-    n_star, m_star, _ = _upto(sample, break_point)
+    n_star, m_star, _ = sample.stats_upto(break_point)
     head = log_ratios[:bisect.bisect_right(support, break_point)]
     n_tail = sample.total - n_star
     return (1.0 + float(n_star) / float(head.sum()),

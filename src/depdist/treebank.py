@@ -72,6 +72,19 @@ class StructuralIssue:
     sent_id: str | None = None
 
 
+def integer_heads(heads) -> tuple[int, ...]:
+    """A head vector as Python ints.  A head counts when it equals its int
+    value (so numpy integers and integral floats are read); anything else
+    raises TreeStructureError."""
+    try:
+        ints = tuple(map(int, heads))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != tuple(heads):
+        raise TreeStructureError(f"heads must be integers: {heads!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class DepTree:
     """A dependency tree over ``n`` tokens.
@@ -95,13 +108,7 @@ class DepTree:
     def __post_init__(self):
         heads = self.heads
         if type(heads) is not tuple or set(map(type, heads)) != {int}:
-            try:
-                ints = tuple(map(int, heads))
-            except (TypeError, ValueError, OverflowError):
-                ints = None
-            if ints is None or ints != tuple(heads):
-                raise TreeStructureError(f"heads must be integers: {heads!r}")
-            object.__setattr__(self, "heads", ints)
+            object.__setattr__(self, "heads", integer_heads(heads))
         n = len(self.heads)
         if n == 0:
             raise TreeStructureError("empty sentence")

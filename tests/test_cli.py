@@ -487,6 +487,38 @@ def test_corpora_fit_alone_as_together(argv, tmp_path):
     assert {collection for _, collection in together} == {"A", "B"}
 
 
+def test_each_mode_writes_its_tables_of_both(tmp_path):
+    # --mode mixed and --mode fixed write, byte for byte, the tables that
+    # --mode both writes for their kind; both's slopes hold each corpus's
+    # mixed row and then its fixed rows.
+    lines = []
+    for name, seed in (("A", 1), ("B", 2)):
+        write_corpus(tmp_path / f"{name}.conllu", local_trees(seed, 80, 0.6))
+        lines.append(f"{name}.conllu\t{name}\tL{name}\n")
+    (tmp_path / "m.txt").write_text("".join(lines))
+    tables, slopes = {}, {}
+    for mode in ("both", "mixed", "fixed"):
+        assert main(["fit-select", "--mode", mode, "--manifest",
+                     str(tmp_path / "m.txt"), "--out",
+                     str(tmp_path / mode)]) == 0
+        tables[mode] = written_tables(tmp_path / mode)
+        with open(tmp_path / mode / "slopes.csv", newline="") as handle:
+            slopes[mode] = list(csv.DictReader(handle))
+    assert set(tables["mixed"]) & set(tables["fixed"]) == {Path("slopes.csv")}
+    assert set(tables["mixed"]) | set(tables["fixed"]) == set(tables["both"])
+    for mode in ("mixed", "fixed"):
+        for name, data in tables[mode].items():
+            if name != Path("slopes.csv"):
+                assert data == tables["both"][name], (mode, name)
+    ordered = []
+    for name in ("A", "B"):
+        own = [[row for row in slopes[mode] if row["collection"] == name]
+               for mode in ("mixed", "fixed")]
+        assert [row["length"] for row in own[0]] == ["mixed"] and own[1]
+        ordered += own[0] + own[1]
+    assert slopes["both"] == ordered
+
+
 def run_fresh(argv):
     """Run ``main(argv)`` in a fresh interpreter on this checkout; return
     its exit code and the ``scipy`` modules it loaded."""

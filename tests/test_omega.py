@@ -167,18 +167,23 @@ class TestMinArrangement:
 
     @pytest.mark.parametrize("heads", [
         (), (2, 1), (0, 1, 0), (0, 2, 2), (0, 4, 1), (0, 3, 4, 2), (2, 1, 0),
+        (0, 1.5), (0, None), (0, float("nan")),
     ], ids=["empty", "no-root", "two-roots", "self-loop", "out-of-range",
-            "cycle", "two-cycle"])
+            "cycle", "two-cycle", "fraction", "none", "nan"])
     def test_rejects_non_trees(self, heads):
         with pytest.raises(ValueError):
             min_arrangement_cost(heads)
 
     @pytest.mark.parametrize("heads", [(0,), (2, 0, 2), (0, 1, 1, 3, 1, 5)])
     def test_tuple_list_and_int64_slice_agree(self, heads):
+        # Heads are read as DepTree reads them: integral floats count.
         treebank = np.array((0, 1) + heads + (0,), dtype=np.int64)
+        window = treebank[2:2 + len(heads)]
         assert min_arrangement_cost(heads) \
             == min_arrangement_cost(list(heads)) \
-            == min_arrangement_cost(treebank[2:2 + len(heads)])
+            == min_arrangement_cost(window) \
+            == min_arrangement_cost(window.astype(np.float64)) \
+            == min_arrangement_cost([float(head) for head in heads])
 
     @pytest.mark.parametrize("heads, minimum", [
         ((0, 1, 1, 3, 1, 5, 4, 4, 7, 1, 1, 3, 12, 13, 14, 8, 12), 27),
