@@ -340,6 +340,12 @@ def cmd_sample(args, parser) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _threshold_list(text: str) -> list[int]:
     values = [int(part) for part in text.split(",") if part.strip()]
     if not values or any(v <= 0 for v in values):
@@ -403,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="recover generators from artificial samples")
     p_val.add_argument("--criterion", choices=("aic", "bic"), default="bic")
     p_val.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
-    p_val.add_argument("--n-draws", type=int, default=sampling.SUITE_SIZE)
+    p_val.add_argument("--n-draws", type=_positive_int,
+                       default=sampling.SUITE_SIZE)
     _add_output(p_val)
     p_val.set_defaults(func=cmd_validate)
 
@@ -419,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*m.BOUNDS, *m.INTEGER_FIELDS):
         p_sample.add_argument(f"--{m.FLAGS.get(name, name)}",
                               type=int if name in m.INTEGER_FIELDS else float)
-    p_sample.add_argument("--n-draws", type=int, default=10_000)
-    p_sample.add_argument("--cutoff", type=int,
+    p_sample.add_argument("--n-draws", type=_positive_int, default=10_000)
+    p_sample.add_argument("--cutoff", type=_positive_int,
                           default=sampling.DEFAULT_CUTOFF)
     p_sample.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
     p_sample.add_argument("--out-file", default="sample.csv")

@@ -334,14 +334,19 @@ def _floor(best: float) -> float:
 
 
 def _scan(rows: Sequence[tuple[Model, DistanceSample]]) -> None:
-    """The first phase of the break-point scan of the (model, sample) rows
-    that have a grid and are not in their sample's memo yet: the
-    certificates (:func:`models.certificates`) at every break point of
-    every row, in one batch.  The memo keeps (grid, bounds), which depend
-    on the row alone."""
-    rows = [(model, sample, _break_grid(sample)) for model, sample in rows
-            if sample.distinct >= DEFAULT_MIN_DISTINCT
-            and (_scan, model) not in sample.memo]
+    """The first phase of the break-point scan: the certificates
+    (:func:`models.certificates`) of the (model, sample) rows not in their
+    sample's memo yet, in one batch, at every break point of a two-regime
+    row's grid (with DEFAULT_MIN_DISTINCT distinct distances or more) and
+    at b = max d for models 2 and 5, the truncated one-regime rows with a
+    rate.  The memo keeps (grid, bounds), which depend on the row alone,
+    and the certificates leave the row's Newton iterates there."""
+    rows = [(model, sample, _break_grid(sample) if model.is_two_regime
+             else range(sample.max_d, sample.max_d + 1))
+            for model, sample in rows if (_scan, model) not in sample.memo
+            and (sample.distinct >= DEFAULT_MIN_DISTINCT
+                 if model.is_two_regime
+                 else model.is_truncated and model.spec.continuous)]
     for (model, sample, grid), bounds in zip(
             rows, m.certificates(rows) if rows else ()):
         sample.memo[_scan, model] = grid, bounds
@@ -350,14 +355,16 @@ def _scan(rows: Sequence[tuple[Model, DistanceSample]]) -> None:
 def fit(model: Model, sample: DistanceSample) -> FitResult:
     """Fit one model to a sample by maximum likelihood.
 
-    The one-regime models fit through their spec rows; the two-regime
-    models optimize their continuous parameters at each grid break point
-    that their certificates do not rule out (:func:`_scan`), in descending
-    order of the bound.  Unmet requirements (too few distinct distances, a
-    length mixture on a sample without per-length samples) mark the result
-    excluded instead of raising; a non-converged optimizer returns its best
-    parameters with ``converged=False``.
+    The one-regime models fit through their spec rows, 2 and 5 from their
+    certificate (:func:`_scan`); the two-regime models optimize their
+    continuous parameters at each grid break point that their certificates
+    do not rule out, in descending order of the bound.  Unmet requirements
+    (too few distinct distances, a length mixture on a sample without
+    per-length samples) mark the result excluded instead of raising; a
+    non-converged optimizer returns its best parameters with
+    ``converged=False``.
     """
+    _scan([(model, sample)])
     if model.spec.fit is not None:
         fitted = model.spec.fit(sample)
         if fitted is None:
@@ -368,7 +375,6 @@ def fit(model: Model, sample: DistanceSample) -> FitResult:
         return _excluded(model, sample.total,
                          f"needs >= {DEFAULT_MIN_DISTINCT} distinct "
                          f"distances, sample has {sample.distinct}")
-    _scan([(model, sample)])
     grid, bounds = sample.memo[_scan, model]
     # Highest bound first, until a bound falls below the best fit.
     best, tally = None, Counter()
@@ -403,7 +409,6 @@ class SelectionReport:
     fits: dict[Model, FitResult]
     best: Model | None
     deltas: dict[Model, float]
-    sample_label: str = ""
 
     def criterion_value(self, model: Model) -> float:
         fit_result = self.fits[model]
@@ -423,7 +428,7 @@ def select(
         raise ValueError("criterion must be 'aic' or 'bic'")
     if model_set is None:
         model_set = MIXED_ENSEMBLE if sample.by_length else FIXED_ENSEMBLE
-    _scan([(model, sample) for model in model_set if model.is_two_regime])
+    _scan([(model, sample) for model in model_set])
 
     fits = {model: fit(model, sample) for model in model_set}
 
@@ -432,25 +437,22 @@ def select(
         for model, result in fits.items() if not result.excluded
     }
     if not scored:
-        return SelectionReport(criterion, fits, None, {},
-                               sample_label=sample.label())
+        return SelectionReport(criterion, fits, None, {})
     # Ranked by (criterion, K, ensemble order): ties prefer fewer
     # parameters, then the lower model id.
     best = min(scored, key=lambda model: (scored[model], model.k,
                                           model.order))
     floor = min(scored.values())
     deltas = {model: value - floor for model, value in scored.items()}
-    return SelectionReport(criterion, fits, best, deltas,
-                           sample_label=sample.label())
+    return SelectionReport(criterion, fits, best, deltas)
 
 
 def select_all(samples: Sequence[DistanceSample], criterion: str = "aic"
                ) -> list[SelectionReport]:
     """:func:`select` of each sample with its default ensemble, with the
-    certificates of every two-regime row's scan (:func:`_scan`) run in one
+    certificates of every row that has them (:func:`_scan`) run in one
     batch across the samples; each report equals ``select(sample)``'s."""
-    _scan([(model, sample) for sample in samples for model in Model
-           if model.is_two_regime])
+    _scan([(model, sample) for sample in samples for model in Model])
     return [select(sample, criterion=criterion) for sample in samples]
 
 

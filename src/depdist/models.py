@@ -22,11 +22,11 @@ twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.  The one-regime rows carry their own fits (a
-d_max scan, a fixed value, q = N/M, and Newton on the log-likelihood's
-curve for the truncated geometric and zeta), which return plain tuples;
-the optimizer in :mod:`depdist.estimation` fits the two-regime rows, at
-the break points that their certificates (:func:`certificates`, exact
-upper bounds at every break point, from a 2-D Newton) do not rule out.
+d_max scan, a fixed value, q = N/M, and for models 2 and 5 the Newton
+iterate of their certificate, as 4 and 7 at b = max d), which return
+plain tuples; the optimizer in :mod:`depdist.estimation` fits the
+two-regime rows, at the break points that their certificates (exact upper
+bounds at every break point, from a 2-D Newton) do not rule out.
 The length-mixture null's likelihood is the fixed null's at d_max = n - 1,
 summed over the per-length samples that a pooled sample carries
 (``DistanceSample.by_length``); a sample without them leaves it excluded.
@@ -485,18 +485,17 @@ NULL_CELLS = 2 ** 16  # most cells of one block of the null's d_max scan
 
 
 def _null_fit(sample):
-    """Scan d_max upward from max d over a window of max(4 max d, 256)
-    candidates (the null's mass leans on low d, so its likelihood can peak
-    above max d).  The window always holds the peak: log L(D + 1) -
-    log L(D) sums, over the distances d, count(d) times
-    log(1 + 1/(D + 1 - d)) - log((D + 2)/D), which is negative once
+    """Scan d_max from max d to 2 max d - 1 (the null's mass leans on low
+    d, so its likelihood can peak above max d).  The window holds the
+    peak: log L(D + 1) - log L(D) sums, over the distances d, count(d)
+    times log(1 + 1/(D + 1 - d)) - log((D + 2)/D), which is negative once
     D >= 2d - 1, so log L falls from D = 2 max d - 1 on.  The window's rows
     go in blocks of at most NULL_CELLS cells (but 64 rows or more), so
     memory stays linear in the support, not in max d; a multiple of 64
     rows keeps each row's place in BLAS's groups of rows, so its slack sum
     is the one-matrix sum."""
     lo = sample.max_d
-    top = lo + max(4 * sample.max_d, 256) + 1
+    top = 2 * lo
     support = sample.support.astype(float)
     counts = sample.counts.astype(float)
     n = float(sample.total)
@@ -582,7 +581,7 @@ def _zeta_bind(sample, break_point, d_max):
         log_h = math.log(_power_sum(ks, gamma))
         if _zeta_term(gamma, log_h, top) < LOG_TERM_FLOOR:
             return NEG_INF
-        return -gamma * log_sum - n * log_h
+        return (0.0 - gamma) * log_sum - n * log_h  # 0.0, not -0.0, at 0
     return log_l
 
 
@@ -696,7 +695,9 @@ def _zeta_geometric_bind(sample, bp, d_max):
 # tail log b b^-64 / EPS), so the slope in theta1, sum T1 - N E[T1], stays
 # positive where sum T1 > N ZETA_SLOPE_CAP, about N 3.8e-12 (sum T1 >= log 2
 # once a distance exceeds 1).  Elsewhere, and at break points whose sums hold
-# more than CELLS terms, there is no certificate: the bound is +inf.
+# more than CELLS terms, there is no certificate: the bound is +inf.  A
+# truncated row's bound adds :func:`_tail_rounding`, the most that its
+# search's tail sum can raise log L by rounding.
 
 CERT_STEPS = 64  # most evaluations of a certificate; 92% take 8 or fewer
 ASCENT_SLACK = 1e-12  # relative fall of a Newton step still accepted
@@ -767,48 +768,79 @@ def certificates(rows):
     from the regimes' own maximum-likelihood values, in theta log(1 - N* /
     M*) (the head's geometric), -1 - 1 / (M'* / N* + log 2) (the discrete
     power law's approximate estimate; Clauset, Shalizi & Newman, 2009) and
-    the geometric of d - b over the tail, -1 where one is not finite."""
+    the geometric of d - b over the tail, -1 where one is not finite.
+    Models 2 and 5 are 4 and 7 at b = max d with an empty tail, solved
+    alone above CELLS terms, where other rows get no certificate.  Each
+    row's theta, 2 x len(grid) (nan without a certificate), goes to its
+    sample's memo under (_certify, model)."""
     sizes = [len(grid) for _, _, grid in rows]
     bs, n_star, offsets, log_star, tail, tail_offsets = (
         np.concatenate(column) for column in zip(*[
             (np.array(grid), *_part(sample, _grid_stats, grid))
             for _, sample, grid in rows]))
     zeta, truncated, n, top = (np.repeat(column, sizes) for column in zip(*[
-        (model.family == "6-7", model.is_truncated, sample.total,
+        ("gamma" in model.spec.continuous, model.is_truncated, sample.total,
          sample.max_d) for model, sample, _ in rows]))
-    with np.errstate(divide="ignore"):  # log 0 where every offset is 0
+    # log 0 where every offset is 0, and 0 / 0 where a tail is empty
+    with np.errstate(divide="ignore", invalid="ignore"):
         starts = (np.where(zeta, -1.0 - 1.0 / (log_star / n_star
                                                 + math.log(2.0)),
                            np.log(offsets / (n_star + offsets))),
                   np.log(tail_offsets / (tail + tail_offsets)))
+    x1, x2 = (np.where(np.isfinite(x), x, -1.0) for x in starts)
+    x1[top == 1] = np.inf  # flat rows (max d = 1): the rate's low end
     t_b = np.where(zeta, np.log(bs), bs - 1.0)
     columns = (bs, zeta, truncated, top - bs, t_b, n,
                np.where(zeta, log_star, offsets) + tail * t_b,
-               tail_offsets + tail, *(np.where(np.isfinite(x), x, -1.0)
-                                      for x in starts))
+               tail_offsets + tail, x1, x2)
     cells = bs + np.where(truncated, top - bs, 0)
-    bound, small = np.full(len(bs), np.inf), np.flatnonzero(cells <= CELLS)
-    for rows in _blocks(cells[small]):
-        bound[small[rows]] = _certify(*(column[small[rows]]
-                                        for column in columns))
-    return np.split(bound, np.cumsum(sizes)[:-1])
+    bound, theta = np.full(len(bs), np.inf), np.full((2, len(bs)), np.nan)
+    solved = np.flatnonzero((cells <= CELLS) | truncated & (bs == top))
+    for block in (solved[part] for part in _blocks(cells[solved])):
+        bound[block], theta[:, block] = _certify(*(column[block]
+                                                   for column in columns))
+    cut = truncated & (bs < top)
+    bound[cut] += _tail_rounding(n[cut], top[cut], bs[cut])
+    ends = np.cumsum(sizes)[:-1]
+    for (model, sample, _), iterates in zip(rows, np.split(theta, ends, 1)):
+        sample.memo[_certify, model] = iterates
+    return np.split(bound, ends)
+
+
+def _tail_rounding(n, top, bs):
+    """The most that rounding moves the search's log L, at any theta2 of
+    the box, through a truncated tail sum ((1 - q)^b - (1 - q)^max d) / q
+    with b < max d.  Each power carries a relative error of at most (2 + 2
+    max d |theta2|) u, u = 2^-53 (exp's own, and its argument's through
+    log1p and the product), which the difference divides by 1 - (1 -
+    q)^(max d - b): near q = EPS that is about (max d - b) EPS, so the sum
+    keeps only about half of its digits.  log L moves by at most N times
+    the sum's relative error.  Of the two terms, the first falls with
+    |theta2| and the second rises, so each is taken at its end of the
+    box."""
+    lo, hi = THETA_BOUNDS
+    k = top - bs
+    return n * 2.0 ** -53 * (4.0 / -np.expm1(k * hi)
+                             + 4.0 * top * -lo / -np.expm1(k * lo))
 
 
 def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
-    """Upper bounds at break points bs, from (x1, x2) in theta: projected
-    Newton steps, halved where f falls by more than ASCENT_SLACK (1 + |f|)
-    below its best value, each point a bound, until a bound is within
-    NEWTON_GAP (1 + |f|) of f, or for CERT_STEPS evaluations; each step
-    evaluates only the break points still running.  s1 and s2 are the sums
-    of T1 and T2."""
-    head_sums, tail_sums = _moments(bs, zeta), _moments(tail_size[truncated],
-                                                        False)
-    tail_runs, lo2, hi2 = np.cumsum(truncated) - 1, *THETA_BOUNDS
-    bound = np.full(len(bs), np.inf)
+    """Upper bounds at break points bs and the last accepted theta at each,
+    from (x1, x2): projected Newton steps, halved where f falls by more
+    than ASCENT_SLACK (1 + |f|) below its best value, each point a bound,
+    until a bound is within NEWTON_GAP (1 + |f|) of f, or for CERT_STEPS
+    evaluations; each step evaluates only the break points still running.
+    s1 and s2 are the sums of T1 and T2.  An empty tail (b = max d) has no
+    term, holds theta2 and skips the zeta cap."""
+    empty = truncated & (tail_size == 0)
+    cut = truncated & ~empty
+    head_sums, tail_sums = _moments(bs, zeta), _moments(tail_size[cut], False)
+    tail_runs, lo2, hi2 = np.cumsum(cut) - 1, *THETA_BOUNDS
+    bound, theta = np.full(len(bs), np.inf), np.full((2, len(bs)), np.nan)
     # The break points still running, by index, and their columns.
-    rows = np.flatnonzero(~zeta | (n * ZETA_SLOPE_CAP < s1))
-    zeta, truncated, t_b, n, s1, s2, x1, x2 = (column[rows] for column in (
-        zeta, truncated, t_b, n, s1, s2, x1, x2))
+    rows = np.flatnonzero(~zeta | empty | (n * ZETA_SLOPE_CAP < s1))
+    zeta, cut, empty, t_b, n, s1, s2, x1, x2 = (column[rows] for column in (
+        zeta, cut, empty, t_b, n, s1, s2, x1, x2))
     lo1, hi1 = (np.where(zeta, -GAMMA_TOP, THETA_BOUNDS[0]),
                 np.where(zeta, 0.0, THETA_BOUNDS[1]))
     x1, x2 = np.clip(x1, lo1, hi1), np.clip(x2, lo2, hi2)
@@ -820,9 +852,10 @@ def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
         log_head, head_mean, head_var = head_sums(x1, rows)
         r, a = np.exp(x2), -np.expm1(x2)
         tails = [-np.log(a), r / a, r / (a * a)]  # log sum, mean, variance
-        for array, runs in zip(tails, tail_sums(
-                x2[truncated], tail_runs[rows[truncated]])):
-            array[truncated] = runs
+        for array, runs in zip(tails, tail_sums(x2[cut],
+                                                tail_runs[rows[cut]])):
+            array[cut] = runs
+        tails[0][empty] = -np.inf
         log_weight = x1 * t_b + x2 + tails[0]
         log_total = np.logaddexp(log_head, log_weight)
         p_head = np.exp(log_head - log_total)
@@ -844,12 +877,12 @@ def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
                 1.0 + np.abs(at_x[0]))
             x1, x2 = np.where(accept, y1, x1), np.where(accept, y2, x2)
             at_x = [np.where(accept, *pair) for pair in zip(at_y, at_x)]
-            bound[rows] = cert
+            bound[rows], theta[:, rows] = cert, (x1, x2)
             going = cert - at_x[0] > NEWTON_GAP * (1.0 + np.abs(at_x[0]))
             if not going.all():
-                (rows, truncated, t_b, n, s1, s2, lo1, hi1, x1, x2, y1, y2,
-                 cert, accept, *at_x) = (column[going] for column in (
-                     rows, truncated, t_b, n, s1, s2, lo1, hi1, x1, x2, y1,
+                (rows, cut, empty, t_b, n, s1, s2, lo1, hi1, x1, x2, y1,
+                 y2, cert, accept, *at_x) = (column[going] for column in (
+                     rows, cut, empty, t_b, n, s1, s2, lo1, hi1, x1, x2, y1,
                      y2, cert, accept, *at_x))
                 if not len(rows):
                     break
@@ -857,7 +890,8 @@ def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
             # slope points out of it stays, and the other steps alone.
             f, g1, g2, c11, c22, c12 = at_x
             fix1 = ((x1 <= lo1) & (g1 < 0)) | ((x1 >= hi1) & (g1 > 0))
-            fix2 = ((x2 <= lo2) & (g2 < 0)) | ((x2 >= hi2) & (g2 > 0))
+            fix2 = (((x2 <= lo2) & (g2 < 0)) | ((x2 >= hi2) & (g2 > 0))
+                    | empty)
             det = n * (c11 * c22 - c12 * c12)
             d1 = np.where(fix2, g1 / (n * c11), (c22 * g1 - c12 * g2) / det)
             d2 = np.where(fix1, g2 / (n * c22), (c11 * g2 - c12 * g1) / det)
@@ -865,15 +899,14 @@ def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
             d2 = np.where(fix2 | ~np.isfinite(d2), 0.0, d2)
             y1 = np.where(accept, np.clip(x1 + d1, lo1, hi1), (x1 + y1) / 2.0)
             y2 = np.where(accept, np.clip(x2 + d2, lo2, hi2), (x2 + y2) / 2.0)
-    return bound
+    return bound, theta
 
 
-# Models 1, 2 and 5 fit exactly, concave in q, u = -log(1 - q) or gamma:
-# model 1 has q = N/M, and 2 and 5 take Newton steps on the log-likelihood's
-# value, slope and curvature.  log p(max d) falls with the rate above 1 / max
-# d (0 for gamma): the floor caps the rate.
+# Models 1, 2 and 5 fit exactly: model 1 has q = N/M, and 2 and 5 take
+# theta1 of their certificate at b = max d, q = 1 - exp(theta1) or gamma =
+# -theta1.  log p(max d) falls with the rate above 1 / max d (0 for gamma):
+# the floor caps the rate.
 
-FIT_STEPS = 64  # cap on a fit's Newton iterates; most fits take 4 or 5
 CAP_BISECTIONS = 64  # the cap to a double's spacing, where log L is steep
 
 
@@ -885,70 +918,6 @@ def _bisect(up, lo, hi, steps):
         width /= 2.0
         lo = lo + width * up(lo + width)
     return lo, width
-
-
-def _truncated_geometric(n, offsets, k):
-    """The log-likelihood of n distances whose offsets from the first of k
-    support points sum to ``offsets``, in theta = log(1 - q): a function
-    that returns its value, slope and curvature.  The slope is ``offsets``
-    less n times the mean offset, the curvature -n times the offset's
-    variance."""
-    def curve(theta):
-        r, a = np.exp(theta), -np.expm1(theta)
-        rk, ak = np.exp(k * theta), -np.expm1(k * theta)
-        ratio, ratio_k = r / a, k * rk / ak  # the mean offset's two terms
-        return (theta * offsets - n * np.log(ak / a),
-                offsets - n * (ratio - ratio_k),
-                n * (ratio_k * k / ak - ratio / a))
-    return curve
-
-
-def _truncated_zeta(n, log_sum, log_k):
-    """The log-likelihood of n distances whose logs sum to ``log_sum``, in
-    gamma: a function that returns its value, slope and curvature.  The
-    slope is n times the mean log k less ``log_sum``, the curvature -n
-    times the variance of log k."""
-    log_k2 = log_k * log_k
-
-    def curve(gamma):
-        w = np.exp(-gamma * log_k)
-        z, first = w.sum(), w @ log_k
-        mean = first / z
-        return (-gamma * log_sum - n * np.log(z),
-                n * first / z - log_sum,
-                n * (mean * mean - (w @ log_k2) / z))
-    return curve
-
-
-def _newton_rate(curve, lo, hi, x):
-    """The maximizer over [lo, hi] of a concave function of a rate (value,
-    slope, curvature = curve(x)): safeguarded Newton steps from x, the
-    slope's sign at each iterate keeping a bracket around the maximizer and
-    a step that leaves the bracket going to the end of [lo, hi] on its side
-    if no iterate has ruled that end out, else to the bracket's middle,
-    until a step is within 4 ulps of the rate (or of 1).  A slope of 0
-    counts as falling, so a flat curve gives lo; a curvature >= 0 steps to
-    an end."""
-    x = min(max(x, lo), hi)
-    closed_lo = closed_hi = False   # an iterate has ruled out that end
-    for _ in range(FIT_STEPS):
-        _, slope, curvature = curve(x)
-        rising = slope > 0
-        if rising:
-            lo, closed_lo = x, True
-        else:
-            hi, closed_hi = x, True
-        if lo == hi:
-            break
-        new = (x - slope / curvature if curvature < 0
-               else math.inf if rising else -math.inf)
-        if not lo <= new <= hi:
-            new = ((lo + hi) / 2.0 if (closed_hi if rising else closed_lo)
-                   else hi if rising else lo)
-        if abs(new - x) <= 4.0 * math.ulp(max(abs(x), 1.0)):
-            break
-        x = new
-    return float(x)
 
 
 def _floor_capped(build, log_l, lo, rate):
@@ -965,28 +934,19 @@ def _geometric_fit(sample):
                          1.0 / sample.max_d, _rate_init(sample))
 
 
-def _truncated_geometric_fit(sample):
-    n, d_max = sample.total, sample.max_d
-    offsets = sample.weighted_sum - n
-    curve = _truncated_geometric(n, offsets, d_max)
-
-    def rate_curve(u):  # in u = -theta, which rises with q
-        value, slope, curvature = curve(-u)
-        return value, -slope, curvature
-    u = _newton_rate(rate_curve, -THETA_BOUNDS[1], -THETA_BOUNDS[0],
-                     math.log1p(n / offsets) if offsets else 0.0)
-    return _floor_capped(partial(TruncatedGeometricParams, d_max=d_max),
-                         _geometric_bind(sample, None, d_max), 1.0 / d_max,
-                         _clamp_q(-math.expm1(-u)))
-
-
-def _zeta_fit(sample):
-    n, d_max, log_sum = sample.total, sample.max_d, sample.log_weighted_sum
-    gamma = _newton_rate(
-        _truncated_zeta(n, log_sum, np.log(np.arange(1, d_max + 1))),
-        0.0, GAMMA_TOP, 1.0 + 1.0 / (log_sum / n + math.log(2.0)))
-    return _floor_capped(partial(ZetaParams, d_max=d_max),
-                         _zeta_bind(sample, None, d_max), 0.0, gamma)
+def _rate_fit(model, sample):
+    """Model 2 or 5 at theta1 of its row's certificate at b = max d, from
+    the batch that held the row or from a batch of the row alone: q = 1 -
+    exp(theta1), capped above 1 / max d, or gamma = 0.0 - theta1 (never
+    -0.0), capped above 0."""
+    d_max, zeta = sample.max_d, model is Model.ZETA_TRUNC
+    if (_certify, model) not in sample.memo:
+        certificates([(model, sample, range(d_max, d_max + 1))])
+    theta1 = float(sample.memo[_certify, model][0, 0])
+    return _floor_capped(partial(model.spec.params, d_max=d_max),
+                         model.spec.bind(sample, None, d_max),
+                         *((0.0, 0.0 - theta1) if zeta else (
+                             1.0 / d_max, _clamp_q(-math.expm1(theta1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -1115,7 +1075,8 @@ SPECS: dict[Model, ModelSpec] = {
         _geometric_bind, None, "geometric", _geometric_fit),
     Model.GEOMETRIC_TRUNC: ModelSpec(
         TruncatedGeometricParams, 2, "1-2", _geometric_log_pmf,
-        _geometric_bind, None, "geometric", _truncated_geometric_fit),
+        _geometric_bind, None, "geometric",
+        partial(_rate_fit, Model.GEOMETRIC_TRUNC)),
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,
         _two_regime_geometric_bind, _regime_q_inits, "table"),
@@ -1125,7 +1086,7 @@ SPECS: dict[Model, ModelSpec] = {
         _regime_q_inits, "table"),
     Model.ZETA_TRUNC: ModelSpec(
         ZetaParams, 2, "5", _zeta_log_pmf, _zeta_bind,
-        None, "zeta", _zeta_fit),
+        None, "zeta", partial(_rate_fit, Model.ZETA_TRUNC)),
     Model.ZETA_GEOMETRIC: ModelSpec(
         ZetaGeometricParams, 3, "6-7", _zeta_geometric_log_pmf,
         _zeta_geometric_bind, _zeta_geometric_init, "table"),

@@ -72,15 +72,20 @@ class StructuralIssue:
     sent_id: str | None = None
 
 
-def integer_heads(heads) -> tuple[int, ...]:
-    """A head vector as Python ints.  A head counts when it equals its int
-    value (so numpy integers and integral floats are read); anything else
-    raises TreeStructureError."""
+def _as_ints(values) -> tuple[int, ...] | None:
+    """The values as Python ints, or None unless each equals its int value
+    (so numpy integers and integral floats are read)."""
     try:
-        ints = tuple(map(int, heads))
+        ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints is None or ints != tuple(heads):
+        return None
+    return ints if ints == tuple(values) else None
+
+
+def integer_heads(heads) -> tuple[int, ...]:
+    """A head vector as Python ints (:func:`_as_ints`), else raises."""
+    ints = _as_ints(heads)
+    if ints is None:
         raise TreeStructureError(f"heads must be integers: {heads!r}")
     return ints
 
@@ -227,6 +232,11 @@ class DistanceSample:
     def __post_init__(self):
         if not self.freq:
             raise ValueError("empty distance sample")
+        distances, counts = _as_ints(self.freq), _as_ints(self.freq.values())
+        if distances is None or counts is None:
+            raise ValueError("distances and counts must be integers: "
+                             f"{dict(self.freq)!r}")
+        object.__setattr__(self, "freq", dict(zip(distances, counts)))
         for d, count in self.freq.items():
             if d < 1:
                 raise ValueError(f"distance {d} < 1")

@@ -15,9 +15,10 @@ values, before it was factored into one part per value.
 For the one-regime fits of models 1, 2 and 5, the log-likelihood on a
 dense grid of the rate, within the floor on log p(max d), written from the
 pmf likewise, and the fits of models 2 and 5 by the 40-step bisection that
-safeguarded Newton replaced.  For the uniform-shuffle null (model 0.0), its
-d_max scan with the whole window in one matrix, as it was before it went in
-blocks of rows.
+Newton steps replaced, on the rows' own curves (value, slope and curvature
+in the rate).  For the uniform-shuffle null (model 0.0), its d_max scan
+with the whole window in one matrix, as it was before it went in blocks of
+rows.
 
 For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 :func:`depdist.treebank.parse_conllu` replaced with its array pass.
@@ -151,19 +152,53 @@ def exhaustive_break_scan(model, sample, searches=None):
 FIT_BISECTIONS = 40
 
 
+def _truncated_geometric(n, offsets, k):
+    """The log-likelihood of n distances whose offsets from the first of k
+    support points sum to ``offsets``, in theta = log(1 - q): a function
+    that returns its value, slope and curvature.  The slope is ``offsets``
+    less n times the mean offset, the curvature -n times the offset's
+    variance."""
+    def curve(theta):
+        r, a = np.exp(theta), -np.expm1(theta)
+        rk, ak = np.exp(k * theta), -np.expm1(k * theta)
+        ratio, ratio_k = r / a, k * rk / ak  # the mean offset's two terms
+        return (theta * offsets - n * np.log(ak / a),
+                offsets - n * (ratio - ratio_k),
+                n * (ratio_k * k / ak - ratio / a))
+    return curve
+
+
+def _truncated_zeta(n, log_sum, log_k):
+    """The log-likelihood of n distances whose logs sum to ``log_sum``, in
+    gamma: a function that returns its value, slope and curvature.  The
+    slope is n times the mean log k less ``log_sum``, the curvature -n
+    times the variance of log k."""
+    log_k2 = log_k * log_k
+
+    def curve(gamma):
+        w = np.exp(-gamma * log_k)
+        z, first = w.sum(), w @ log_k
+        mean = first / z
+        return (-gamma * log_sum - n * np.log(z),
+                n * first / z - log_sum,
+                n * (mean * mean - (w @ log_k2) / z))
+    return curve
+
+
 def bisection_rate(model, sample, d_max=None):
     """The rate of model 2 or 5 with truncation bound ``d_max`` (max d by
     default), unconstrained by the floor: 40 bisections on the sign of the
-    slope of its log-likelihood, q to 1e-12 and gamma to 6e-11.  The fits'
-    solver before safeguarded Newton replaced it."""
+    slope of its log-likelihood (:func:`_truncated_geometric` and
+    :func:`_truncated_zeta`), q to 1e-12 and gamma to 6e-11.  The fits'
+    first solver, before Newton steps replaced it."""
     n, d_max = sample.total, sample.max_d if d_max is None else d_max
     if model is m.Model.ZETA_TRUNC:
-        curve = m._truncated_zeta(n, sample.log_weighted_sum,
-                                  np.log(np.arange(1, d_max + 1)))
+        curve = _truncated_zeta(n, sample.log_weighted_sum,
+                                np.log(np.arange(1, d_max + 1)))
         rate, _ = m._bisect(lambda g: curve(g)[1] > 0, 0.0, m.GAMMA_TOP,
                             FIT_BISECTIONS)
     else:
-        curve = m._truncated_geometric(n, sample.weighted_sum - n, d_max)
+        curve = _truncated_geometric(n, sample.weighted_sum - n, d_max)
         rate, _ = m._bisect(lambda q: curve(math.log1p(-q))[1] < 0,
                             *m.Q_BOUNDS, FIT_BISECTIONS)
     return rate

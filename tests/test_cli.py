@@ -279,6 +279,20 @@ class TestSampleCommand:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cutoff", "0"), ("--cutoff", "-5"), ("--n-draws", "-3"),
+        ("--n-draws", "0"), ("--n-draws", "many")])
+    def test_count_flags_must_be_positive(self, tmp_path, capsys, flag,
+                                          value):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--model", "3", "--q1", "0.5", "--q2", "0.1",
+                  "--dstar", "4", "--n-draws", "100", flag, value,
+                  "--out-file", str(out)])
+        assert err.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         files = []
         for tag in ("a", "b"):
@@ -347,6 +361,15 @@ class TestValidateCommand:
         assert "Best model per generated sample" in captured.out
         # Smaller suites may miss a tolerance; exit code reflects it.
         assert code in (0, 4)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_n_draws_must_be_positive(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--n-draws", value, "--out", str(out)])
+        assert err.value.code == 2
+        assert "argument --n-draws: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_with_out_of_range_normalizers_completes(self, tmp_path):
         # The fits of this suite probe parameters whose two-regime

@@ -636,8 +636,9 @@ EDGE_SAMPLES = [{1: 2}, {3: 7}, {1: 5, 2: 5}]
 
 
 class TestNewtonFits:
-    """Models 2 and 5 fit by safeguarded Newton; the 40-step bisection that
-    it replaced and a dense grid of the rate are the oracles."""
+    """Models 2 and 5 fit from the Newton iterate of their certificate at
+    b = max d; the 40-step bisection that Newton replaced and a dense grid
+    of the rate are the oracles."""
 
     @pytest.mark.parametrize("freq", EDGE_SAMPLES)
     def test_edge_samples_keep_the_bisection_fits(self, freq):
@@ -1108,6 +1109,14 @@ class TestSelect:
             assert min(deltas) == 0.0
             assert all(delta >= 0 for delta in deltas)
             assert report.deltas[report.best] == 0.0
+
+    def test_tail_start_that_rounds_to_zero_over_zero(self):
+        # Beside 2^62 ones the float tail count rounds to 0, so the start of
+        # the certificates' tail geometric is 0/0: it starts at -1, as any
+        # start that is not finite, without a RuntimeWarning (an error
+        # under the suite's filter).
+        report = select(DistanceSample({1: 2 ** 62, 2: 3, 5: 1}))
+        assert report.best is Model.ZETA_TRUNC
 
     def test_selection_pure_function_of_multiset(self):
         values = {1: 50, 2: 22, 3: 9, 5: 3, 9: 1}

@@ -368,6 +368,23 @@ class TestDistanceSample:
         with pytest.raises(ValueError):
             DistanceSample({5: 1}, length_class=4)  # d > n - 1
 
+    @pytest.mark.parametrize("freq", [
+        {1.5: 2, 1: 3, 2: 4},    # 1.5 read as 1 gave the support [1, 1, 2]
+        {1.5: 2, 2: 4, 3: 1},    # ... and a KeyError from the counts
+        {2: 2.5}, {"3": 1}, {float("nan"): 1}, {2: float("inf")}])
+    def test_non_integers_are_rejected(self, freq):
+        # Distances and counts are read as heads are: a value counts when
+        # it equals its int.
+        with pytest.raises(ValueError, match="must be integers"):
+            DistanceSample(freq)
+
+    def test_integral_values_read_as_ints(self):
+        sample = DistanceSample({2.0: 3, np.int64(5): np.float64(1.0)})
+        assert sample == DistanceSample({2: 3, 5: 1})
+        assert {type(v) for item in sample.freq.items() for v in item} \
+            == {int}
+        assert sample.support.tolist() == [2, 5]
+        assert sample.counts.tolist() == [3, 1]
 
     def test_from_values_reads_arrays_as_lists(self):
         values = np.random.default_rng(5).integers(1, 40, size=1000)
