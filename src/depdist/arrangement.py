@@ -1,11 +1,12 @@
-"""Exact minimum linear arrangement of a dependency tree in polynomial time.
+"""Exact minimum linear arrangement of dependency trees in polynomial time,
+for a whole treebank at once.
 
-The solver reads one sentence's 1-based head vector and follows F. R. K.
-Chung, "On optimal linear arrangements of trees" (1984).  Alongside the
-free problem (the minimum total edge length D(T) of a tree T) it solves
-the anchored one: for T rooted at r, A(T, r) is the minimum of D plus the
-number of vertices between r and one chosen end, i.e. the in-interval
-length of an edge from r to a vertex beyond that end.
+The solver follows F. R. K. Chung, "On optimal linear arrangements of
+trees" (1984).  Alongside the free problem (the minimum total edge length
+D(T) of a tree T) it solves the anchored one: for T rooted at r, A(T, r)
+is the minimum of D plus the number of vertices between r and one chosen
+end, i.e. the in-interval length of an edge from r to a vertex beyond that
+end.
 
 Let h be a centroid of T (free) or r (anchored), and T_0 >= T_1 >= ... the
 components of T - h, each anchored at its vertex next to h.  Some optimal
@@ -28,169 +29,412 @@ theirs and half of C:
 Case B needs outer blocks that are large against the centre; the solver
 takes the largest j with 2|T_j| > |C| and solves case B only where it may
 beat case A.  Without case B the minimum comes out too high, first on an
-anchored tree of 11 vertices with two components of 5.
+anchored tree of 11 vertices with two components of 5.  Two shapes close
+at once: a path has D = n - 1, and a star whose hub h has k single-word
+components has D = s(k), the leaves split around h, s(k) = l(l + 1)/2 +
+r(r + 1)/2 with l = floor(k/2), r = k - l; anchored at h it has
+A = s(k - 1) + k (case A takes one leaf; case B needs a component of two
+words).
 
-Each step splits its vertex set into disjoint parts, so the minimum is a
-sum of one term per step.  The solver keeps a work list instead of
-recursing (a path anchored at one end would nest n calls) and one copy of
-the tree: adjacency sets, from which it cuts edges instead of copying
-subtrees, and subtree sizes rooted at each pending part's root, so a
-vertex's children are its smaller neighbours.  Moving a root to a centroid
-rewrites the sizes on the walk between them only.  A step costs at most
-O(m log m) for a part of m vertices.  Where case B may hold, the step
-marks the log of cut edges, which records cuts while a mark waits.  Once
-the work list has solved case A, case B is tried unless its lower bound
-(each part at least its size less one) rules it out: the edges cut since
-the mark are re-joined, the part is re-rooted at h, and a nested work
-list solves case B's parts.  So only case B work actually done costs a
-pass over the part.  Case B's parts hold under two thirds of theirs, so
-work lists nest at most log_1.5(n) deep.  The tests check the solver
-against a subset DP and a brute force (``tests/oracles.py``) and against
-itself from every root.
+The treebank is one forest of adjacency arrays (CSR, both directions of
+each edge, each row's alive entries first) with subtree sizes relative to
+each pending part's root, so a vertex's children are its smaller
+neighbours.  Each round steps every pending part of every sentence with
+numpy: the free parts walk to their centroids in an inner loop (moving a
+root rewrites the sizes on the walk only), a sort of each root's alive
+neighbours by size gives T_0, T_1 and T_2, a cut moves an entry past its
+row's alive prefix, and the step's cost goes to the part's account.  Each
+step opens two accounts, one per new part, under its own; parts of one or
+two words and stars settle their words in theirs.
+
+Case B waits for the end of the phase (the rounds until no part is
+pending).  A step where it may hold records a marker: its lower bound
+(each part at least its size less one) and what case B's edges cross.
+Folding the accounts bottom-up gives each marker's case A cost; a marker
+whose bound is below it becomes an instance of the next phase: the tree's
+edges among the words settled under its account, rooted at h, with its
+blocks cut.  Once that phase is solved, the accounts fold again as
+min(A, crossing + B).  Case B's parts hold under two thirds of theirs, so
+phases nest at most log_1.5(n) deep.  The tests check the solver against
+a subset DP, a brute force and the sequential solver it replaced
+(``tests/oracles.py``), and against itself from every root.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .treebank import integer_heads
 
 
-def min_arrangement_cost(heads) -> int:
-    """Minimum of sum |pi(u) - pi(v)| over all orderings pi of a sentence.
+def min_arrangement_cost(heads, sizes=None) -> np.ndarray:
+    """Minimum of sum |pi(u) - pi(v)| over all orderings pi of each
+    sentence, as an int64 array.
 
-    ``heads`` is one sentence's head vector (a tuple, a list, an array or a
-    slice of ``Treebank.heads``): token i depends on token ``heads[i - 1]``,
-    and 0 marks the root.  Heads are read as :class:`DepTree` reads them.
-    Anything but a tree (integral heads, one root, heads in range, no
-    self-loop, no cycle) raises ValueError.
+    ``heads`` holds the sentences' head vectors back to back (as
+    ``Treebank.heads``) and ``sizes`` their lengths; None reads ``heads``
+    as one sentence.  Token i of a sentence depends on its token
+    ``heads[i - 1]``, and 0 marks the root.  Heads are read as
+    :class:`DepTree` reads them.  Anything but trees (integral heads, one
+    root each, heads in range, no self-loop, no cycle) raises ValueError.
     """
-    # An integer array's tolist() holds ints already: no check per token.
     kind = getattr(getattr(heads, "dtype", None), "kind", None)
-    heads = heads.tolist() if kind in ("i", "u") else integer_heads(heads)
-    n = len(heads)
-    if heads.count(0) != 1:
-        raise ValueError("a tree has exactly one root")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for dependent, head in enumerate(heads):
-        if head:
-            if not 0 < head <= n or head == dependent + 1:
-                raise ValueError(f"token {dependent + 1} has head {head}")
-            adj[dependent].add(head - 1)
-            adj[head - 1].add(dependent)
-    # With one root and one head per token, the root's component is a
-    # tree, and it holds every token unless the heads form a cycle.
-    root = heads.index(0)
-    size = [1] * n
-    if _rooted(adj, size, root) != n:
-        raise ValueError("the heads form a cycle")
-    # The edges cut while case B markers wait on the work lists, in order.
-    cuts: list[tuple[int, int]] = []
-    pending = 0  # waiting case B markers
-
-    def cut(h: int, c: int) -> None:
-        adj[h].discard(c)
-        adj[c].discard(h)
-        size[h] -= size[c]
-        if pending:
-            cuts.append((h, c))
-
-    # Pending parts, each a component of the cut forest named by its root.
-    # Sizes inside a part are relative to that root, so a vertex's children
-    # are its smaller neighbours.
-    def solve(work: list[tuple]) -> int:
-        nonlocal pending
-        cost = 0
-        while work:
-            item = work.pop()
-            if len(item) > 2:  # case A of this part is solved: try case B
-                h, m, blocks, crossing, mark, start = item
-                pending -= 1
-                # Each part of case B costs at least its size less one.
-                if crossing + m - len(blocks) - 1 < cost - start:
-                    for x, y in cuts[mark:]:  # re-join the part, root it at h
-                        adj[x].add(y)
-                        adj[y].add(x)
-                    del cuts[mark:]
-                    _rooted(adj, size, h)
-                    for c in blocks:
-                        cut(h, c)
-                    cost = min(cost, start + crossing + solve(
-                        [(c, True) for c in blocks] + [(h, False)]))
-                continue
-            h, anchored = item
-            m = size[h]
-            if m <= 2:
-                cost += m - 1
-                continue
-            if not anchored:
-                # Walk down to the centroid, re-rooting: a vertex left
-                # behind holds under m/2 from then on, so the walk never
-                # turns back.
-                while True:
-                    for c in adj[h]:
-                        if 2 * size[c] > m:
-                            size[h] = m - size[c]
-                            h = c
-                            break
-                    else:
-                        break
-                size[h] = m
-            c0, s0, s1, s2 = -1, 0, 0, 0  # T_0 and the sizes of T_0 ... T_2
-            for c in adj[h]:
-                if size[c] > s2:
-                    if size[c] > s1:
-                        if size[c] > s0:
-                            c0, s0, s1, s2 = c, size[c], s0, s1
-                        else:
-                            s1, s2 = size[c], s1
-                    else:
-                        s2 = size[c]
-            # Case B's centre holds T_0 and h; with j = 1, 2|T_1| > m - |T_1|;
-            # with more blocks, all but T_1 are at most T_2.
-            blocks, crossing = (
-                _case_b(adj[h] - {c0}, m, anchored, size)
-                if 2 * s1 > s0 + 1 and (anchored and 3 * s1 > m
-                                        or s1 + len(adj[h]) * s2 > m)
-                else ((), 0))
-            if blocks:  # lay out case B once case A's cost is known
-                work.append((h, m, blocks, crossing, len(cuts), cost))
-                pending += 1
-            cut(h, c0)
-            cost += size[h] if anchored else 1
-            work += [(c0, True), (h, not anchored)]
-        return cost
-
-    return solve([(root, False)])
+    heads = np.asarray(heads if kind in ("i", "u") else integer_heads(heads),
+                       dtype=np.int64)
+    sizes = np.asarray([len(heads)] if sizes is None else sizes,
+                       dtype=np.int64)
+    if (sizes < 0).any() or sizes.sum() != len(heads):
+        raise ValueError("the sentence lengths do not add up to the heads")
+    parent, roots = _parents(heads, sizes)
+    # A sentence whose words have at most two neighbours each is a path.
+    degree = np.bincount(parent[parent >= 0], minlength=len(heads)) \
+        + (parent >= 0)
+    sentence = np.repeat(np.arange(len(sizes)), sizes)
+    branched = np.bincount(sentence[degree > 2], minlength=len(sizes)) > 0
+    minima = sizes - 1
+    if branched.any():
+        words = branched[sentence]
+        local = np.cumsum(words) - 1  # the words' numbers in the forest
+        child = np.flatnonzero(words & (parent >= 0))
+        count = int(branched.sum())
+        minima[branched] = _phase(
+            int(words.sum()), local[child], local[parent[child]],
+            local[roots[branched]], sizes[branched], np.full(count, -1),
+            np.zeros(count, np.int64), np.zeros(count, np.int64))
+    return minima
 
 
-def _rooted(adj: list[set[int]], size: list[int], r: int) -> int:
-    """Set the subtree sizes of r's component rooted at r; return its
-    number of vertices."""
-    order, up = [r], [-1]
-    for x, p in zip(order, up):
-        size[x] = 1
-        for y in adj[x]:
-            if y != p:
-                order.append(y)
-                up.append(x)
-    for i in range(len(order) - 1, 0, -1):
-        size[up[i]] += size[order[i]]
-    return len(order)
+def _parents(heads: np.ndarray, sizes: np.ndarray):
+    """Each word's head as an index into ``heads`` (-1 at a root) and each
+    sentence's root; raises ValueError unless every sentence is a tree."""
+    sentence = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    is_root = heads == 0
+    roots = np.bincount(sentence[is_root], minlength=len(sizes))
+    if (roots != 1).any():
+        raise ValueError(f"sentence {int(np.argmax(roots != 1)) + 1}: "
+                         "a tree has exactly one root")
+    token = np.arange(len(heads)) - starts[sentence] + 1
+    bad = (heads < 0) | (heads > sizes[sentence]) | (heads == token)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"sentence {int(sentence[i]) + 1}: token "
+                         f"{int(token[i])} has head {int(heads[i])}")
+    parent = np.where(is_root, -1, starts[sentence] + heads - 1)
+    # Pointer doubling: a word reaches its root within bit_length(n)
+    # doublings, unless the heads form a cycle, which never does.
+    up = np.where(is_root, np.arange(len(heads)), parent)
+    for _ in range(int(sizes.max(initial=1)).bit_length()):
+        up = up[up]
+    if not is_root[up].all():
+        i = int(np.argmin(is_root[up]))
+        raise ValueError(f"sentence {int(sentence[i]) + 1}: the heads form "
+                         "a cycle")
+    return parent, np.flatnonzero(is_root)
 
 
-def _case_b(near: set[int], m: int, anchored: bool,
-            size: list[int]) -> tuple[list[int], int]:
-    """Case B's outer blocks T_1 ... T_j among ``near`` (h's neighbours
-    but T_0's) in a part of ``m`` vertices, for the largest j of its parity
-    with 2|T_j| > |C|, and what the edges from h cross; no blocks if there
-    is no such j."""
-    ranked = sorted(near, key=size.__getitem__, reverse=True)
-    centre, j = m, 0
-    for i, c in enumerate(ranked, start=1):
-        centre -= size[c]
-        if i % 2 == anchored and 2 * size[c] > centre:
-            j, crossing = i, (i + 1) // 2 * centre + i // 2
-    if not j:
-        return [], 0
-    return ranked[:j], crossing + sum(
-        (i - 1 + anchored) // 2 * size[c]
-        for i, c in enumerate(ranked[:j], start=1))
+def _star(k):
+    """D of a star of k leaves: the leaves split around the hub."""
+    left = k // 2
+    return (left * (left + 1) + (k - left) * (k - left + 1)) // 2
+
+
+def _spans(lo, count):
+    """The indices lo[i] ... lo[i] + count[i] - 1 for every i, and each
+    one's i."""
+    owner = np.repeat(np.arange(len(lo)), count)
+    return np.arange(len(owner)) + np.repeat(lo - (np.cumsum(count) - count),
+                                             count), owner
+
+
+def _adjacency(n, u, v):
+    """The forest with edges u -> v (each u once) as CSR rows, both
+    directions: a vertex's children (the u of each edge into it), then its
+    parent; each entry's reverse; and each vertex's number of children."""
+    children = np.bincount(v, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(children + np.bincount(u, minlength=n), out=indptr[1:])
+    by = np.argsort(v, kind="stable")
+    into = v[by]
+    down = indptr[into] + np.arange(len(by)) - (
+        np.cumsum(children) - children)[into]
+    upward = indptr[u[by] + 1] - 1
+    nbr = np.empty(2 * len(u), dtype=np.int64)
+    rev = np.empty_like(nbr)
+    nbr[down], nbr[upward] = u[by], into
+    rev[down], rev[upward] = upward, down
+    return indptr, nbr, rev, children
+
+
+def _cut(indptr, alive, nbr, rev, rows, entries):
+    """Remove one alive entry from each of ``rows`` (distinct): swap it
+    with the row's last alive entry and shorten the row."""
+    last = indptr[rows] + alive[rows] - 1
+    near, far = nbr[entries], nbr[last]
+    back, away = rev[entries], rev[last]
+    nbr[entries], nbr[last] = far, near
+    rev[entries], rev[last] = away, back
+    rev[away], rev[back] = entries, last
+    alive[rows] -= 1
+
+
+def _phase(n, u, v, roots, whole, centre, blocks, crossing) -> np.ndarray:
+    """Minimum arrangement cost of each instance of a phase.
+
+    The forest has ``n`` vertices and the edges u -> v; instance i is the
+    tree of ``roots[i]``, of ``whole[i]`` vertices.  Without blocks it is
+    solved free.  Otherwise it is case B at h = ``roots[i]``: T_0, the
+    component of T - h at ``centre[i]``, stays, the ``blocks[i]`` largest
+    of the others are cut off and solved anchored, the rest free, and
+    ``crossing[i]`` is added.
+    """
+    indptr, nbr, rev, children = _adjacency(n, u, v)
+    alive = np.diff(indptr)  # a row's alive entries come first
+    par = np.full(n, -1)
+    par[u] = v
+    size = _sizes(indptr, nbr, children, par)
+    # The sizes hang from each tree's top; re-root them at the instance's
+    # root, which changes only the sizes on the path up to the top.
+    at, below, left = roots, size[roots], whole
+    size[roots] = whole
+    while True:
+        up = par[at]
+        inside = up >= 0
+        if not inside.any():
+            break
+        at, below, left = up[inside], below[inside], left[inside]
+        below, size[at] = size[at], left - below
+
+    # Accounts: 0 ... I - 1 are the instances, then one generation per
+    # round: the parts that it steps.  The first generation's parents are
+    # instances; later ones come in pairs (T_0, then the rest of the part),
+    # each pair's parent the step that made it.
+    instances = len(roots)
+    parents = [None]
+    cost, own = [crossing], [np.zeros(instances, dtype=np.int64)]
+    settle, slot = np.full(n, -1), np.zeros(n, dtype=np.int64)
+    markers = []  # (account, h, T_0's root, j, crossing, bound) per round
+
+    # Open each instance: cut its blocks off h, the largest components
+    # but T_0, which its marker named: the centre keeps the T_0 of case A.
+    entry, owner = _spans(indptr[roots], alive[roots])
+    entry, child, weight, owner, rank, _, _ = _ranked(
+        entry, owner, instances, size, nbr, centre)
+    cut = (rank >= 1) & (rank <= blocks[owner])
+    far = rev[entry[cut]]
+    for r in range(1, int(blocks.max(initial=0)) + 1):
+        ring = far[rank[cut] == r]
+        _cut(indptr, alive, nbr, rev, nbr[ring], rev[ring])
+    _cut(indptr, alive, nbr, rev, child[cut], far)
+    np.subtract.at(size, roots[owner[cut]], weight[cut])
+    up = np.concatenate([owner[cut], np.arange(instances)])
+    order = np.argsort(up, kind="stable")
+    h = np.concatenate([child[cut], roots])[order]
+    anchored = np.concatenate([np.ones(len(far), dtype=bool),
+                               np.zeros(instances, dtype=bool)])[order]
+    parents.append(up[order])
+    start = instances
+
+    while len(h):
+        # This round's accounts.  Parts of one or two words settle at
+        # once: a row's first entry is alive if any is.
+        account = start + np.arange(len(h))
+        start += len(h)
+        m = size[h]
+        small = m <= 2
+        settle[h[small]] = account[small]
+        pair = np.flatnonzero(m == 2)
+        partner = nbr[indptr[h[pair]]]
+        settle[partner] = account[pair]
+        slot[partner] = 1
+        cost.append(np.where(small, m - 1, 0))
+        own.append(np.where(small, m, 0))
+        live = np.flatnonzero(~small)
+        h, anchored, account, m = (
+            h[live], anchored[live], account[live], m[live])
+        index = live  # into this generation's columns
+        parts = len(h)
+        if not parts:
+            break
+
+        # Free parts walk to their centroids: a vertex left behind holds
+        # under m/2 from then on, so the walk never turns back.  A part's
+        # entries at the vertex where it stops are its root's neighbours.
+        free = ~anchored
+        at, active, found = h.copy(), np.arange(parts), []
+        while len(active):
+            entry, owner = _spans(indptr[at[active]], alive[at[active]])
+            near, owner = nbr[entry], active[owner]
+            hit = free[owner] & (2 * size[near] > m[owner])
+            if not hit.any():
+                found.append((entry, owner))
+                break
+            moved = owner[hit]
+            going = np.zeros(parts, dtype=bool)
+            going[moved] = True
+            stays = ~going[owner]
+            found.append((entry[stays], owner[stays]))
+            size[at[moved]] = m[moved] - size[near[hit]]
+            at[moved] = near[hit]
+            active = moved
+        h = at
+        size[h] = m
+        entry, child, weight, owner, rank, first, degree = _ranked(
+            *map(np.concatenate, zip(*found)), parts, size, nbr)
+        last = len(weight) - 1
+        s0 = weight[first]
+        s1 = np.where(degree > 1, weight[np.minimum(first + 1, last)], 0)
+        s2 = np.where(degree > 2, weight[np.minimum(first + 2, last)], 0)
+
+        # Stars settle their words here.
+        done = s0 == 1
+        if done.any():
+            settle[h[done]] = account[done]
+            words = done[owner]
+            settle[child[words]] = account[owner[words]]
+            slot[child[words]] = rank[words] + 1
+            own[-1][index[done]] = m[done]
+            k = m[done] - 1
+            cost[-1][index[done]] = np.where(anchored[done],
+                                             _star(k - 1) + k, _star(k))
+
+        # Case B's centre holds T_0 and h; with j = 1, 2|T_1| > m - |T_1|;
+        # with more blocks, all but T_1 are at most T_2.
+        step = ~done
+        maybe = step & (2 * s1 > s0 + 1) & (
+            anchored & (3 * s1 > m) | (s1 + degree * s2 > m))
+        if maybe.any():
+            markers.append(_case_b(np.flatnonzero(maybe[owner]), owner, rank,
+                                   child, weight, m, anchored, account, h))
+
+        # Case A: cut T_0 off h.
+        part = np.flatnonzero(step)
+        gone, c0, h = entry[first[part]], child[first[part]], h[part]
+        far = rev[gone]
+        _cut(indptr, alive, nbr, rev, h, gone)
+        _cut(indptr, alive, nbr, rev, c0, far)
+        size[h] -= s0[part]
+        cost[-1][index[part]] = np.where(anchored[part], size[h], 1)
+        parents.append(account[part])
+        h = np.stack([c0, h], axis=1).ravel()
+        anchored = np.stack([np.ones(len(part), dtype=bool),
+                             ~anchored[part]], axis=1).ravel()
+    del parents[len(cost):]  # a round that made no parts
+
+    generations = np.cumsum([0] + [len(c) for c in cost])
+    cost = np.concatenate(cost)
+    value = _fold(cost.copy(), parents, generations)
+    if not markers:
+        return value[:instances]
+    account, h, c0, j, crosses, bound = map(np.concatenate, zip(*markers))
+    chosen = bound < value[account]
+    if not chosen.any():
+        return value[:instances]
+    account, h, c0, j, crosses = (
+        account[chosen], h[chosen], c0[chosen], j[chosen], crosses[chosen])
+
+    # The words settled under each account, in one order where every
+    # account's words are a run: runs of siblings follow each other, and
+    # an account that settles words holds them in its slots.
+    count = _fold(np.concatenate(own), parents, generations)
+    offset = np.zeros(len(count), dtype=np.int64)
+    offset[:instances] = np.cumsum(count[:instances]) - count[:instances]
+    for g in range(1, len(parents)):
+        a, b, p = generations[g], generations[g + 1], parents[g]
+        if g == 1:
+            before = np.cumsum(count[a:b]) - count[a:b]
+            new = np.concatenate([[True], p[1:] != p[:-1]])
+            offset[a:b] = offset[p] + before - before[new][np.cumsum(new) - 1]
+        else:
+            offset[a:b:2] = offset[p]
+            offset[a + 1:b:2] = offset[p] + count[a:b:2]
+    pos = offset[settle] + slot
+    order = np.empty_like(pos)
+    order[pos] = np.arange(n)
+
+    # Each chosen marker's part is an instance of the next phase: the
+    # tree's edges among its words, rooted at h, its blocks cut.
+    lo, whole = offset[account], count[account]
+    base = np.cumsum(whole) - whole
+    which = np.repeat(np.arange(len(account)), whole)
+    t = np.arange(int(whole.sum())) - base[which]
+    above = par[order[lo[which] + t]]
+    tp = pos[above] - lo[which]
+    inner = (above >= 0) & (tp >= 0) & (tp < whole[which])
+    best = np.full(len(count), np.iinfo(np.int64).max)
+    best[account] = _phase(
+        len(t), (base[which] + t)[inner], (base[which] + tp)[inner],
+        base + pos[h] - lo, whole, base + pos[c0] - lo, j, crosses)
+    return _fold(cost, parents, generations, best)[:instances]
+
+
+def _ranked(entry, owner, count, size, nbr, first_of=None):
+    """Adjacency entries of ``count`` roots, each root's alive neighbours
+    largest component first (``first_of[i]`` first of all for root i):
+    entries, neighbours, their sizes, owners, ranks, and each root's first
+    index and number of neighbours."""
+    child = nbr[entry]
+    weight = size[child]
+    key = owner * (2 * len(size) + 1) - weight
+    if first_of is not None:
+        key -= len(size) * (child == first_of[owner])
+    order = np.argsort(key, kind="stable")
+    entry, child, weight, owner = (
+        entry[order], child[order], weight[order], owner[order])
+    degree = np.bincount(owner, minlength=count)
+    first = np.cumsum(degree) - degree
+    return (entry, child, weight, owner, np.arange(len(entry)) - first[owner],
+            first, degree)
+
+
+def _case_b(sel, owner, rank, child, weight, m, anchored, account, h):
+    """Markers of the parts whose ranked entries are ``sel``: case B's
+    outer blocks T_1 ... T_j, for the largest j of its parity with
+    2|T_j| > |C|, and what the edges from h cross; (account, h, T_0's
+    root, j, crossing, lower bound) of each part with such a j."""
+    owner, rank, child, weight = owner[sel], rank[sel], child[sel], weight[sel]
+    tilt = anchored[owner]
+    starts = np.flatnonzero(rank == 0)
+    group = np.cumsum(rank == 0) - 1
+    outer = rank >= 1
+    inside = np.cumsum(np.where(outer, weight, 0))
+    centre = m[owner] - (inside - inside[starts][group])
+    fits = outer & (rank % 2 == tilt) & (2 * weight > centre)
+    j = np.zeros(len(starts), dtype=np.int64)
+    np.maximum.at(j, group[fits], rank[fits])
+    crosses = (j + 1) // 2 * centre[starts + j] + j // 2
+    laid = outer & (rank <= j[group])
+    np.add.at(crosses, group[laid],
+              (rank[laid] - 1 + tilt[laid]) // 2 * weight[laid])
+    marked = j > 0
+    part, c0 = owner[starts][marked], child[starts][marked]
+    j, crosses = j[marked], crosses[marked]
+    return account[part], h[part], c0, j, crosses, crosses + m[part] - j - 1
+
+
+def _sizes(indptr, nbr, children, par):
+    """Subtree sizes in the forest of ``par`` (-1 at a tree's top), whose
+    CSR rows start with each vertex's children."""
+    size = np.ones(len(par), dtype=np.int64)
+    levels = [np.flatnonzero(par < 0)]
+    while len(levels[-1]):
+        entry, _ = _spans(indptr[levels[-1]], children[levels[-1]])
+        levels.append(nbr[entry])
+    for level in reversed(levels[1:]):
+        np.add.at(size, par[level], size[level])
+    return size
+
+
+def _fold(value, parents, generations, best=None):
+    """Add each account's value to its parent's, last generation first;
+    with ``best``, an account takes the smaller of its sum and its entry
+    there once its children are in."""
+    for g in range(len(parents) - 1, 0, -1):
+        a, b = generations[g], generations[g + 1]
+        if best is not None:
+            np.minimum(value[a:b], best[a:b], out=value[a:b])
+        if g == 1:
+            np.add.at(value, parents[1], value[a:b])
+        else:
+            value[parents[g]] += value[a:b:2] + value[a + 1:b:2]
+    return value

@@ -923,10 +923,12 @@ def _bisect(up, lo, hi, steps):
 def _floor_capped(build, log_l, lo, rate):
     """(params, log-likelihood, converged) at the rate, or where the floor
     rejects it, at the largest rate above ``lo`` that the floor allows."""
-    if log_l(rate) == NEG_INF:
+    value = log_l(rate)
+    if value == NEG_INF:
         rate, _ = _bisect(lambda x: log_l(x) > NEG_INF, lo, rate,
                           CAP_BISECTIONS)
-    return build(float(rate)), float(log_l(rate)), True
+        value = log_l(rate)
+    return build(float(rate)), float(value), True
 
 
 def _geometric_fit(sample):

@@ -12,7 +12,6 @@ baselines coincide (sentences of fewer than 3 words).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,11 @@ class OmegaLengthStats:
 
 def omega(tree: DepTree) -> OmegaResult:
     """Normalized optimality score of one sentence."""
-    return next(_scores(Treebank.from_trees([tree])))
+    (d_obs,), (d_min,), (score,) = _scores(Treebank.from_trees([tree]))
+    n = tree.n
+    if n < 2:
+        return OmegaResult(d_obs, None, None, None)
+    return OmegaResult(d_obs, (n * n - 1) / 3.0, d_min, score)
 
 
 def average_omega(trees) -> dict[int, OmegaLengthStats]:
@@ -59,8 +62,8 @@ def average_omega(trees) -> dict[int, OmegaLengthStats]:
     """
     trees = Treebank.from_trees(trees)
     scores: dict[int, list[float | None]] = {}
-    for n, result in zip(trees.sizes.tolist(), _scores(trees)):
-        scores.setdefault(n, []).append(result.omega)
+    for n, score in zip(trees.sizes.tolist(), _scores(trees)[2]):
+        scores.setdefault(n, []).append(score)
     out: dict[int, OmegaLengthStats] = {}
     for n in sorted(scores):
         defined = [score for score in scores[n] if score is not None]
@@ -72,20 +75,20 @@ def average_omega(trees) -> dict[int, OmegaLengthStats]:
     return out
 
 
-def _scores(trees: Treebank) -> Iterator[OmegaResult]:
-    """Each sentence's score, with D from the arrays in one numpy pass and
-    the minimum from the sentence's slice: (n^2 - 1 - 3D) over
-    (n^2 - 1 - 3 min), exact in the worked 3-word cases (1 and -0.5)."""
+def _scores(trees: Treebank) -> tuple[list, list, list]:
+    """Each sentence's D, minimum and score, with D from the arrays in one
+    numpy pass and the minima from one solver call for the whole treebank:
+    (n^2 - 1 - 3D) over (n^2 - 1 - 3 min), exact in the worked 3-word
+    cases (1 and -0.5), None where that is 0/0 (under 3 words)."""
     heads, sizes = trees.heads, trees.sizes
+    minima = min_arrangement_cost(heads, sizes).tolist()
     starts = np.cumsum(sizes) - sizes
     position = np.arange(len(heads)) - np.repeat(starts, sizes) + 1
     gaps = np.where(heads != 0, np.abs(position - heads), 0)
-    totals = np.add.reduceat(gaps, starts) if len(heads) else starts
-    for n, a, d_obs in zip(sizes.tolist(), starts.tolist(), totals.tolist()):
-        if n < 2:
-            yield OmegaResult(d_obs, None, None, None)
-            continue
-        d_min = min_arrangement_cost(heads[a:a + n])
+    totals = (np.add.reduceat(gaps, starts) if len(heads) else starts).tolist()
+    scores = []
+    for n, d_obs, d_min in zip(sizes.tolist(), totals, minima):
         denominator = n * n - 1 - 3 * d_min
-        score = (n * n - 1 - 3 * d_obs) / denominator if denominator else None
-        yield OmegaResult(d_obs, (n * n - 1) / 3.0, d_min, score)
+        scores.append((n * n - 1 - 3 * d_obs) / denominator
+                      if denominator else None)
+    return totals, minima, scores

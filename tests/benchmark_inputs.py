@@ -1,6 +1,8 @@
-"""The distance samples that the benchmark's fitting workloads select
-models for, generated by the benchmark's own code (``perfbench/``):
-validate's suites by seed, and fit-select's corpora by variant."""
+"""The inputs of the benchmark's workloads, generated by the benchmark's
+own code (``perfbench/``): the distance samples that validate (by seed)
+and fit-select (by corpus variant) select models for, the treebank that
+omega scores (by seed), and the 20,000-sentence corpus of ROADMAP's
+baseline."""
 
 from __future__ import annotations
 
@@ -9,9 +11,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from depdist.estimation import DEFAULT_MIN_LENGTH
 from depdist.sampling import generate_validation_suite
-from depdist.treebank import build_samples, parse_conllu
+from depdist.treebank import Treebank, build_samples, parse_conllu
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,3 +59,23 @@ def benchmark_samples(seeds, variants) -> list:
                for variant in variants
                for (language, n), sample in fit_select_samples(
                    variant).items()])
+
+
+@functools.cache
+def omega_treebank(seed: int) -> Treebank:
+    """The treebank that ``depdist omega`` scores in the benchmark's omega
+    workload for ``seed``, read back from its CoNLL-U."""
+    gen, run = _perfbench("gen"), _perfbench("run")
+    trees = gen.corpus(np.random.default_rng([seed, 2]), run.OMEGA_LANGUAGE,
+                       run.OMEGA_SENTENCES, hi=run.OMEGA_MAX_LENGTH)
+    return parse_conllu(gen.to_conllu_text(trees))
+
+
+@functools.cache
+def corpus_treebank() -> Treebank:
+    """The 20,000-sentence corpus of ROADMAP's baseline (language Alpha,
+    seed 3)."""
+    gen = _perfbench("gen")
+    trees = gen.corpus(np.random.default_rng(3), gen.LANGUAGES[0], 20000)
+    return Treebank(np.concatenate(trees),
+                    np.array([len(heads) for heads in trees]))

@@ -4,7 +4,9 @@ For the minimum linear arrangement, two exponential references for
 :func:`depdist.arrangement.min_arrangement_cost`: a DP over every prefix
 set of vertices (``np.bitwise_count`` needs numpy >= 2.0), and a brute
 force over every ordering.  Both take 0-based edge lists; :func:`edges`
-turns a head vector into one.
+turns a head vector into one.  For sentences too long for them, the
+sequential work-list solver that the lock-step solver replaced: Chung's
+recursion on one sentence at a time, with adjacency sets.
 
 For the break-point scan of the two-regime fits, the exhaustive scan that
 :func:`depdist.estimation.fit` prunes and the constrained log-likelihood on
@@ -77,6 +79,133 @@ def fraction_average_omega(vectors) -> dict[int, tuple[Fraction | None,
     return {n: (sum(scores) / len(scores) if scores else None, len(scores),
                 len(skipped)) for n, (scores, skipped) in groups.items()}
 
+
+def worklist_min_arrangement(heads) -> int:
+    """Minimum linear arrangement of one sentence by Chung's recursion,
+    one part at a time (test oracle; the package's solver before it ran in
+    lock-step over a treebank).
+
+    A work list of pending parts replaces recursion; the tree is one copy,
+    adjacency sets from which steps cut edges, with subtree sizes relative
+    to each pending part's root.  Where case B may hold, a step marks the
+    log of cut edges; once the work list has solved case A, case B is
+    tried unless its lower bound rules it out: the edges cut since the
+    mark are re-joined, the part is re-rooted at h, and a nested work list
+    solves case B's parts.
+    """
+    heads = list(map(int, heads))
+    n = len(heads)
+    if heads.count(0) != 1:
+        raise ValueError("a tree has exactly one root")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for dependent, head in enumerate(heads):
+        if head:
+            if not 0 < head <= n or head == dependent + 1:
+                raise ValueError(f"token {dependent + 1} has head {head}")
+            adj[dependent].add(head - 1)
+            adj[head - 1].add(dependent)
+    size = [1] * n
+    if _worklist_rooted(adj, size, heads.index(0)) != n:
+        raise ValueError("the heads form a cycle")
+    cuts: list[tuple[int, int]] = []  # cut while case B markers wait
+    pending = 0
+
+    def cut(h: int, c: int) -> None:
+        adj[h].discard(c)
+        adj[c].discard(h)
+        size[h] -= size[c]
+        if pending:
+            cuts.append((h, c))
+
+    def solve(work: list[tuple]) -> int:
+        nonlocal pending
+        cost = 0
+        while work:
+            item = work.pop()
+            if len(item) > 2:  # case A of this part is solved: try case B
+                h, m, blocks, crossing, mark, start = item
+                pending -= 1
+                if crossing + m - len(blocks) - 1 < cost - start:
+                    for x, y in cuts[mark:]:
+                        adj[x].add(y)
+                        adj[y].add(x)
+                    del cuts[mark:]
+                    _worklist_rooted(adj, size, h)
+                    for c in blocks:
+                        cut(h, c)
+                    cost = min(cost, start + crossing + solve(
+                        [(c, True) for c in blocks] + [(h, False)]))
+                continue
+            h, anchored = item
+            m = size[h]
+            if m <= 2:
+                cost += m - 1
+                continue
+            if not anchored:  # walk to the centroid, re-rooting
+                while True:
+                    for c in adj[h]:
+                        if 2 * size[c] > m:
+                            size[h] = m - size[c]
+                            h = c
+                            break
+                    else:
+                        break
+                size[h] = m
+            c0, s0, s1, s2 = -1, 0, 0, 0
+            for c in adj[h]:
+                if size[c] > s2:
+                    if size[c] > s1:
+                        if size[c] > s0:
+                            c0, s0, s1, s2 = c, size[c], s0, s1
+                        else:
+                            s1, s2 = size[c], s1
+                    else:
+                        s2 = size[c]
+            blocks, crossing = (
+                _worklist_case_b(adj[h] - {c0}, m, anchored, size)
+                if 2 * s1 > s0 + 1 and (anchored and 3 * s1 > m
+                                        or s1 + len(adj[h]) * s2 > m)
+                else ((), 0))
+            if blocks:
+                work.append((h, m, blocks, crossing, len(cuts), cost))
+                pending += 1
+            cut(h, c0)
+            cost += size[h] if anchored else 1
+            work += [(c0, True), (h, not anchored)]
+        return cost
+
+    return solve([(heads.index(0), False)])
+
+
+def _worklist_rooted(adj, size, r) -> int:
+    """Subtree sizes of r's component rooted at r; its number of
+    vertices."""
+    order, up = [r], [-1]
+    for x, p in zip(order, up):
+        size[x] = 1
+        for y in adj[x]:
+            if y != p:
+                order.append(y)
+                up.append(x)
+    for i in range(len(order) - 1, 0, -1):
+        size[up[i]] += size[order[i]]
+    return len(order)
+
+
+def _worklist_case_b(near, m, anchored, size):
+    """Case B's blocks among ``near`` (largest j of its parity with
+    2|T_j| > |C|) and what the edges from h cross."""
+    ranked = sorted(near, key=size.__getitem__, reverse=True)
+    centre, j = m, 0
+    for i, c in enumerate(ranked, start=1):
+        centre -= size[c]
+        if i % 2 == anchored and 2 * size[c] > centre:
+            j, crossing = i, (i + 1) // 2 * centre + i // 2
+    if not j:
+        return [], 0
+    return ranked[:j], crossing + sum(
+        (i - 1 + anchored) // 2 * size[c]
+        for i, c in enumerate(ranked[:j], start=1))
 
 def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
     """Exact DP over all 2^n prefix sets (test oracle)."""

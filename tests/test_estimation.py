@@ -665,6 +665,29 @@ class TestNewtonFits:
         assert result.params.gamma == pytest.approx(params.gamma, rel=1e-9)
         assert result.log_l >= log_l - 1e-10
 
+    def test_the_floor_cap_evaluates_an_allowed_rate_once(self, monkeypatch):
+        # A rate that the floor allows is evaluated once, and that value is
+        # the fit's; a rejected one is evaluated again after the bisection.
+        calls = []
+        capped = m._floor_capped
+
+        def counted(build, log_l, lo, rate):
+            def counting(x):
+                calls.append((x, log_l(x), log_l))
+                return calls[-1][1]
+            return capped(build, counting, lo, rate)
+
+        monkeypatch.setattr(m, "_floor_capped", counted)
+        result = fit(Model.GEOMETRIC_TRUNC,
+                     DistanceSample({1: 40, 2: 15, 3: 6, 5: 3, 8: 1}))
+        [(rate, value, log_l)] = calls
+        assert (result.params.q, result.log_l) == (rate, value)
+        assert result.converged and value == log_l(rate)
+        calls.clear()
+        result = fit(Model.GEOMETRIC_TRUNC, DistanceSample(FAR_OUTLIER))
+        assert len(calls) == m.CAP_BISECTIONS + 2
+        assert (result.params.q, result.log_l) == calls[-1][:2]
+
     def test_fits_reach_the_oracles_on_benchmark_samples(self):
         # validate seeds 1-20 and fit-select corpora 0-15.
         for label, sample in benchmark_samples(range(1, 21), range(16)):

@@ -3,15 +3,17 @@ import time
 import numpy as np
 import pytest
 
+from benchmark_inputs import corpus_treebank, omega_treebank
 from conftest import random_tree
 from depdist.arrangement import min_arrangement_cost
 from depdist.optimality import average_omega, omega
-from depdist.treebank import DepTree
+from depdist.treebank import DepTree, Treebank
 from oracles import (
     _all_positions,
     _minla_subsets_dp,
     brute_force_min_arrangement,
     edges,
+    worklist_min_arrangement,
 )
 
 FIGURE_TREE = DepTree((2, 0, 2, 5, 2, 8, 8, 5))
@@ -23,6 +25,20 @@ def chain(n):
 
 def star(n):
     return DepTree((0,) + (1,) * (n - 1))
+
+
+def broom(leaves, handle):
+    """A hub with ``leaves`` leaves and a path of ``handle`` words."""
+    return DepTree((0,) + (1,) * (leaves + 1)
+                   + tuple(range(leaves + 2, leaves + handle + 1)))
+
+
+def spider(legs, length):
+    """A hub with ``legs`` paths of ``length`` words."""
+    heads = [0]
+    for _ in range(legs):
+        heads += [1] + [len(heads) + 1 + i for i in range(length - 1)]
+    return heads
 
 
 def caterpillar(spine):
@@ -144,17 +160,27 @@ class TestMinArrangement:
                 assert min_arrangement(tree) == dp_minimum(tree.heads)
 
     def test_long_sentences_solve_fast(self):
-        for tree in (random_tree(150, np.random.default_rng(5)), star(150)):
+        for tree in (random_tree(150, np.random.default_rng(5)), star(150),
+                     star(3001)):
             start = time.perf_counter()
             min_arrangement(tree)
             assert time.perf_counter() - start < 0.5
 
+    def test_stars_settle_by_the_split_formula(self):
+        # A star of k leaves is solved in one step: free, D = s(k); anchored
+        # at its hub, s(k - 1) + k, as in a broom, whose handle is T_0 at
+        # the hub and leaves an anchored star.
+        for leaves in range(1, 16):
+            tree = star(leaves + 1)
+            assert min_arrangement(tree) == dp_minimum(tree.heads)
+            for handle in (2, 3):
+                tree = broom(leaves, handle)
+                assert min_arrangement(tree) == dp_minimum(tree.heads)
+
     def test_spider_is_not_quadratic(self):
         # A hub with 1,001 legs of 3 words: at each step case B may hold,
         # and keeping a copy of the part there cost seconds.
-        heads = [0]
-        for _ in range(1001):
-            heads += [1, len(heads) + 1, len(heads) + 2]
+        heads = spider(1001, 3)
         start = time.perf_counter()
         assert min_arrangement_cost(heads) == 753_003
         assert time.perf_counter() - start < 1.0
@@ -173,6 +199,22 @@ class TestMinArrangement:
     def test_rejects_non_trees(self, heads):
         with pytest.raises(ValueError):
             min_arrangement_cost(heads)
+
+    @pytest.mark.parametrize("heads, sizes", [
+        ((2, 1), (2,)), ((0, 3, 4, 2), (4,)), ((0, 2, 0, 3), (2, 2)),
+        ((0, 1, 0, 3, 4, 2), (2, 4)), ((0, 1), (1, 2)), ((0, 0), (1,)),
+    ], ids=["two-cycle", "three-cycle", "self-loop-second",
+            "three-cycle-second", "short-sizes", "long-sizes"])
+    def test_rejects_treebanks_with_a_non_tree(self, heads, sizes):
+        with pytest.raises(ValueError):
+            min_arrangement_cost(np.array(heads), np.array(sizes))
+
+    @pytest.mark.parametrize("heads", [(2, 1), (0, 3, 4, 2), (2, 3, 1)],
+                             ids=["two-cycle", "three-cycle", "no-root"])
+    def test_average_omega_rejects_raw_non_trees(self, heads):
+        treebank = Treebank(np.array(heads), np.array([len(heads)]))
+        with pytest.raises(ValueError):
+            average_omega(treebank)
 
     @pytest.mark.parametrize("heads", [(0,), (2, 0, 2), (0, 1, 1, 3, 1, 5)])
     def test_tuple_list_and_int64_slice_agree(self, heads):
@@ -203,6 +245,46 @@ class TestMinArrangement:
         for _ in range(60):
             tree = random_tree(int(rng.integers(2, 14)), rng)
             assert min_arrangement(tree) <= sum_distances(tree)
+
+
+class TestLockStep:
+    """One call solves a whole treebank; the work-list solver it replaced
+    is the oracle for sentences beyond the subset DP."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_oracle_on_the_omega_benchmark(self, seed):
+        treebank = omega_treebank(seed)
+        assert min_arrangement_cost(treebank.heads, treebank.sizes).tolist() \
+            == [worklist_min_arrangement(tree.heads) for tree in treebank]
+
+    def test_matches_the_oracle_on_the_corpus(self):
+        treebank = corpus_treebank()
+        assert min_arrangement_cost(treebank.heads, treebank.sizes).tolist() \
+            == [worklist_min_arrangement(tree.heads) for tree in treebank]
+
+    def test_matches_the_oracle_on_hubs_and_paths(self):
+        shapes = [spider(legs, length) for legs, length in (
+            (40, 2), (25, 3), (9, 5), (301, 1))] + [
+            list(chain(700).heads), list(caterpillar(200).heads)]
+        heads = np.concatenate([np.array(shape) for shape in shapes])
+        sizes = np.array([len(shape) for shape in shapes])
+        assert min_arrangement_cost(heads, sizes).tolist() \
+            == [worklist_min_arrangement(shape) for shape in shapes]
+
+    def test_means_are_the_sums_in_sentence_order(self):
+        # Bit for bit: Python's left-to-right sum of the scores, in the
+        # order of the sentences.
+        treebank = omega_treebank(1)
+        scores: dict[int, list[float]] = {}
+        for tree in treebank:
+            n, d = tree.n, sum_distances(tree)
+            denominator = n * n - 1 - 3 * worklist_min_arrangement(tree.heads)
+            if denominator:
+                scores.setdefault(n, []).append(
+                    (n * n - 1 - 3 * d) / denominator)
+        stats = average_omega(treebank)
+        assert scores and all(stats[n].mean_omega == sum(group) / len(group)
+                              for n, group in scores.items())
 
 
 class TestOmega:

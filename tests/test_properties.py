@@ -36,6 +36,7 @@ from depdist.treebank import (
     to_conllu,
 )
 from oracles import (
+    _minla_subsets_dp,
     brute_force_min_arrangement,
     edges,
     exhaustive_break_scan,
@@ -120,6 +121,23 @@ def test_min_arrangement_does_not_depend_on_root_or_labels(tree, data):
     root = data.draw(st.integers(0, n - 1))
     assert min_arrangement_cost(rerooted(tree.heads, relabel, root)) == cost
     assert cost <= sum(distances(tree))
+
+
+@settings(max_examples=40)
+@given(st.lists(trees(max_n=40), max_size=12), st.data())
+def test_a_treebank_solves_as_its_sentences_alone(corpus, data):
+    # One call for the whole treebank, a 1- and a 2-word sentence among
+    # its sentences, gives each sentence's minimum alone, and up to 12
+    # words the subset DP's.
+    for tree in (DepTree((0,)), DepTree((2, 0))):
+        corpus.insert(data.draw(st.integers(0, len(corpus))), tree)
+    heads = np.array([h for tree in corpus for h in tree.heads])
+    together = min_arrangement_cost(heads, [tree.n for tree in corpus])
+    alone = [int(min_arrangement_cost(tree.heads)[0]) for tree in corpus]
+    assert together.tolist() == alone
+    for tree, cost in zip(corpus, alone):
+        if tree.n <= 12:
+            assert cost == _minla_subsets_dp(edges(tree.heads), tree.n)
 
 
 @settings(max_examples=30)
