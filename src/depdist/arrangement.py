@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .treebank import integer_heads
+from .treebank import tree_arrays
 
 
 def min_arrangement_cost(heads, sizes=None) -> np.ndarray:
@@ -74,18 +74,12 @@ def min_arrangement_cost(heads, sizes=None) -> np.ndarray:
     ``heads`` holds the sentences' head vectors back to back (as
     ``Treebank.heads``) and ``sizes`` their lengths; None reads ``heads``
     as one sentence.  Token i of a sentence depends on its token
-    ``heads[i - 1]``, and 0 marks the root.  Heads are read as
-    :class:`DepTree` reads them.  Anything but trees (integral heads, one
-    root each, heads in range, no self-loop, no cycle) raises ValueError.
+    ``heads[i - 1]``, and 0 marks the root.  Reads and checks the arrays,
+    and raises, as ``Treebank(heads, sizes)`` does (:func:`.tree_arrays`).
     """
-    kind = getattr(getattr(heads, "dtype", None), "kind", None)
-    heads = np.asarray(heads if kind in ("i", "u") else integer_heads(heads),
-                       dtype=np.int64)
-    sizes = np.asarray([len(heads)] if sizes is None else sizes,
-                       dtype=np.int64)
-    if (sizes < 0).any() or sizes.sum() != len(heads):
-        raise ValueError("the sentence lengths do not add up to the heads")
-    parent, roots = _parents(heads, sizes)
+    heads, sizes, parent = tree_arrays(
+        heads, [len(heads)] if sizes is None else sizes)
+    roots = np.flatnonzero(parent < 0)
     # A sentence whose words have at most two neighbours each is a path.
     degree = np.bincount(parent[parent >= 0], minlength=len(heads)) \
         + (parent >= 0)
@@ -102,35 +96,6 @@ def min_arrangement_cost(heads, sizes=None) -> np.ndarray:
             local[roots[branched]], sizes[branched], np.full(count, -1),
             np.zeros(count, np.int64), np.zeros(count, np.int64))
     return minima
-
-
-def _parents(heads: np.ndarray, sizes: np.ndarray):
-    """Each word's head as an index into ``heads`` (-1 at a root) and each
-    sentence's root; raises ValueError unless every sentence is a tree."""
-    sentence = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    is_root = heads == 0
-    roots = np.bincount(sentence[is_root], minlength=len(sizes))
-    if (roots != 1).any():
-        raise ValueError(f"sentence {int(np.argmax(roots != 1)) + 1}: "
-                         "a tree has exactly one root")
-    token = np.arange(len(heads)) - starts[sentence] + 1
-    bad = (heads < 0) | (heads > sizes[sentence]) | (heads == token)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"sentence {int(sentence[i]) + 1}: token "
-                         f"{int(token[i])} has head {int(heads[i])}")
-    parent = np.where(is_root, -1, starts[sentence] + heads - 1)
-    # Pointer doubling: a word reaches its root within bit_length(n)
-    # doublings, unless the heads form a cycle, which never does.
-    up = np.where(is_root, np.arange(len(heads)), parent)
-    for _ in range(int(sizes.max(initial=1)).bit_length()):
-        up = up[up]
-    if not is_root[up].all():
-        i = int(np.argmin(is_root[up]))
-        raise ValueError(f"sentence {int(sentence[i]) + 1}: the heads form "
-                         "a cycle")
-    return parent, np.flatnonzero(is_root)
 
 
 def _star(k):

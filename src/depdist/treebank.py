@@ -27,10 +27,10 @@ lines between two blank lines that hold a token line are a sentence.  A
 token's ID is 1 to 18 ASCII digits, or holds '-' or '.' (a multiword range
 or an empty node, dropped); the HEAD of every other token is 1 to 18 ASCII
 digits.  A wrong column count raises :class:`ConlluFormatError` at its
-line, a bad ID or HEAD when its sentence ends.  A sentence whose ids read
-1..n and whose heads form a tree (in range, no self-loop, exactly one root
-and no cycle) is read by the pass alone; any other is renumbered and
-checked by :class:`DepTree`, which words why it is skipped.
+line, a bad ID or HEAD when its sentence ends.  A sentence whose ids are
+not 1..n, or with a head past n, is renumbered first.  Then one call of
+:func:`check_trees` per piece, the check that :class:`DepTree` and
+``Treebank(heads, sizes)`` run too, words why a sentence is skipped.
 """
 
 from __future__ import annotations
@@ -90,15 +90,83 @@ def integer_heads(heads) -> tuple[int, ...]:
     return ints
 
 
+def check_trees(heads, sizes) -> tuple[dict[int, str], np.ndarray]:
+    """Which sentences of ``sizes`` words, their 1-based head vectors back
+    to back in ``heads`` (ints), are not trees, and why: the first rule
+    each breaks of "empty sentence"; at its first bad token, "token k:
+    head h out of range 1..n" or "token k is its own head"; "r roots
+    (exactly one required)"; "cycle through token k", where a climb from
+    its first word that misses the root meets itself.  Returns the reasons
+    by sentence index (``.get(i)`` is None for a tree) and each word's
+    head as an index into ``heads``, -1 at a root."""
+    try:
+        values = np.asarray(heads, dtype=np.int64)
+    except OverflowError:  # a head beyond int64 is out of range
+        values = np.array([h if abs(h) < 2**62 else -1 for h in heads])
+    sizes = np.asarray(sizes, dtype=np.int64)
+    sentence = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    word = np.arange(len(values))
+    token = word - np.repeat(starts, sizes) + 1
+    bad = (values < 0) | (values > np.repeat(sizes, sizes)) | (values == token)
+    root = values == 0
+    parent = np.where(root, -1, word + values - token)
+    # Pointer doubling: after k rounds each word points 2^k steps up, or
+    # to its root; a word that never gets there is on or below a cycle.
+    # Roots and bad words point to themselves.
+    up = np.where(root | bad, word, parent)
+    for _ in range(int(sizes.max(initial=1) - 1).bit_length()):
+        up = up[up]
+    missed = ~root[up]
+    roots = np.bincount(sentence[root], minlength=len(sizes))
+    reasons = {}
+    for s in np.flatnonzero((sizes == 0) | (roots != 1) | (np.bincount(
+            sentence[missed], minlength=len(sizes)) > 0)).tolist():
+        a, n = int(starts[s]), int(sizes[s])
+        k = int(np.argmax(bad[a:a + n])) if n else 0
+        if not n:
+            reasons[s] = "empty sentence"
+        elif bad[a + k]:
+            reasons[s] = (f"token {k + 1} is its own head"
+                          if values[a + k] == k + 1 else f"token {k + 1}: "
+                          f"head {heads[a + k]} out of range 1..{n}")
+        elif roots[s] != 1:
+            reasons[s] = f"{roots[s]} roots (exactly one required)"
+        else:
+            vector, seen = values[a:a + n].tolist(), set()
+            k = int(np.argmax(missed[a:a + n])) + 1
+            while k not in seen:
+                seen.add(k)
+                k = vector[k - 1]
+            reasons[s] = f"cycle through token {k}"
+    return reasons, parent
+
+
+def tree_arrays(heads, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``heads`` (read as :func:`integer_heads` reads them) and ``sizes`` as
+    int64 arrays, and the parents of :func:`check_trees`; raises ValueError
+    unless the sizes add up to the heads, and TreeStructureError naming
+    the first sentence that is not a tree."""
+    if getattr(getattr(heads, "dtype", None), "kind", None) not in ("i", "u"):
+        heads = integer_heads(heads)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes < 0).any() or sizes.sum() != len(heads):
+        raise ValueError("the sentence lengths do not add up to the heads")
+    reasons, parent = check_trees(heads, sizes)
+    for s, reason in reasons.items():
+        raise TreeStructureError(f"sentence {s + 1}: {reason}")
+    return np.asarray(heads, dtype=np.int64), sizes, parent
+
+
 @dataclass(frozen=True)
 class DepTree:
     """A dependency tree over ``n`` tokens.
 
     ``heads[i]`` is the 1-based position of the head of token ``i+1``;
-    exactly one entry is 0 (the root).  Validity is checked at construction:
-    integral heads (stored as Python ints, so numpy integers are accepted),
-    single root, no self-loops, heads in range, and no cycles (a cyclic head
-    vector is not a tree and would corrupt every downstream statistic).
+    exactly one entry is 0 (the root).  Heads must be integral (stored as
+    Python ints, so numpy integers are accepted), and a head vector that
+    :func:`check_trees` finds is no tree, as a treebank of one, raises
+    TreeStructureError with its reason: it would corrupt every statistic.
     """
 
     heads: tuple[int, ...]
@@ -111,40 +179,9 @@ class DepTree:
         return tree
 
     def __post_init__(self):
-        heads = self.heads
-        if type(heads) is not tuple or set(map(type, heads)) != {int}:
-            object.__setattr__(self, "heads", integer_heads(heads))
-        n = len(self.heads)
-        if n == 0:
-            raise TreeStructureError("empty sentence")
-        roots = 0
-        for pos, head in enumerate(self.heads, start=1):
-            if not 0 <= head <= n:
-                raise TreeStructureError(
-                    f"token {pos}: head {head} out of range 1..{n}"
-                )
-            if head == pos:
-                raise TreeStructureError(f"token {pos} is its own head")
-            if head == 0:
-                roots += 1
-        if roots != 1:
-            raise TreeStructureError(f"{roots} roots (exactly one required)")
-        # Cycle check: every token must reach the root by climbing heads.
-        # Each token is climbed through once: its state is 0 until the climb
-        # reaches it, 1 while it is on the current climb, 2 once that climb
-        # reached the root.
-        state = [2] + [0] * n
-        for pos in range(1, n + 1):
-            chain = []
-            cur = pos
-            while state[cur] == 0:
-                state[cur] = 1
-                chain.append(cur)
-                cur = self.heads[cur - 1]
-            if state[cur] == 1:
-                raise TreeStructureError(f"cycle through token {cur}")
-            for token in chain:
-                state[token] = 2
+        object.__setattr__(self, "heads", integer_heads(self.heads))
+        for reason in check_trees(self.heads, [len(self.heads)])[0].values():
+            raise TreeStructureError(reason)
 
     @property
     def n(self) -> int:
@@ -169,10 +206,18 @@ class Treebank(Sequence):
     """Dependency trees held as two int64 arrays: ``heads``, the head
     vectors of all sentences back to back, and ``sizes``, the token count
     of each.  Indexing and iteration build each :class:`DepTree` only when
-    asked; a treebank equals any sequence of the same trees."""
+    asked; a treebank equals any sequence of the same trees.  Built from
+    raw arrays, it checks them as :func:`tree_arrays` does."""
 
-    def __init__(self, heads: np.ndarray, sizes: np.ndarray):
-        self.heads, self.sizes = heads, sizes
+    def __init__(self, heads, sizes):
+        self.heads, self.sizes, _ = tree_arrays(heads, sizes)
+
+    @classmethod
+    def _unchecked(cls, heads: np.ndarray, sizes: np.ndarray) -> Treebank:
+        """The treebank of int64 arrays already checked to hold trees."""
+        trees = object.__new__(cls)
+        trees.heads, trees.sizes = heads, sizes
+        return trees
 
     @classmethod
     def from_trees(cls, trees: Iterable[DepTree]) -> Treebank:
@@ -181,8 +226,8 @@ class Treebank(Sequence):
             return trees
         vectors = [tree.heads for tree in trees]
         sizes = np.fromiter(map(len, vectors), np.int64, len(vectors))
-        return cls(np.fromiter(chain.from_iterable(vectors), np.int64,
-                               int(sizes.sum())), sizes)
+        return cls._unchecked(np.fromiter(chain.from_iterable(vectors),
+                                          np.int64, int(sizes.sum())), sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -455,7 +500,7 @@ def parse_conllu(
             "skipped %d structurally invalid sentence(s) out of %d",
             len(issues), sentence_index,
         )
-    return Treebank(*map(np.concatenate, zip(*pieces)))
+    return Treebank._unchecked(*map(np.concatenate, zip(*pieces)))
 
 
 def _piece_end(data: bytes, start: int) -> int:
@@ -535,46 +580,36 @@ def _read_piece(data, lo, hi, first_line, pieces, issues,
         is_sentence[stop:] = False
         kept &= segment[token] < stop
 
-    # The ids of a read sentence must be 1..n and its heads a tree: in
-    # range, no self-loop, one root and no cycle, found by pointer
-    # doubling: after k rounds each token points 2^k steps up, or to its
-    # root; a token that never gets to a root is on or below a cycle.
-    # Roots and bad tokens point to themselves.
+    # A sentence whose ids are not 1..n, or with a head past n, keeps its
+    # size when renumbered; then one check finds those that are not trees.
     tok = token[kept]
-    tok_segment = segment[tok]
     ids, heads = value[:m][kept], value[m:][kept]
-    n = counts(tok)
+    segments = np.flatnonzero(is_sentence)
+    n = counts(tok)[segments]
     offset = np.cumsum(n) - n
-    rank = np.arange(len(tok)) - offset[tok_segment] + 1
-    bad = (ids != rank) | (heads > n[tok_segment]) | (heads == rank)
-    parent = np.arange(len(tok))
-    parent = np.where((heads == 0) | bad, parent,
-                      offset[tok_segment] + heads - 1)
-    for _ in range(int(n.max(initial=1) - 1).bit_length()):
-        parent = parent[parent]
-    bad |= heads[parent] != 0
-    accepted = (is_sentence & (n > 0) & (counts(tok[bad]) == 0)
-                & (counts(tok[heads == 0]) == 1))
-
-    # Any other sentence is renumbered and checked by DepTree; renumbering
-    # keeps its size, so a tree takes its place in ``heads``.
-    ordinal = sentence_index + np.cumsum(is_sentence)
-    for s in np.flatnonzero(is_sentence & ~accepted).tolist():
+    odd = (ids != np.arange(len(tok)) - np.repeat(offset, n) + 1) \
+        | (heads > np.repeat(n, n))
+    skipped = {}
+    for s in np.flatnonzero((n == 0)
+                            | (counts(tok[odd])[segments] > 0)).tolist():
         rows = slice(offset[s], offset[s] + n[s])
         try:
             heads[rows] = _renumbered(ids[rows].tolist(),
-                                      heads[rows].tolist()).heads
-            accepted[s] = True
+                                      heads[rows].tolist())
         except TreeStructureError as exc:
-            a, b = limits[s], limits[s + 1]
-            lines = np.flatnonzero(comment[a:b]) + a
-            issues.append(StructuralIssue(
-                int(ordinal[s]), str(exc),
-                _sent_id(data, lo + starts[lines], lo + ends[lines])))
-    pieces.append((heads[accepted[tok_segment]], n[accepted]))
+            skipped[s] = str(exc)
+    skipped = check_trees(heads, n)[0] | skipped
+    for s in sorted(skipped):
+        a, b = limits[segments[s]], limits[segments[s] + 1]
+        lines = np.flatnonzero(comment[a:b]) + a
+        issues.append(StructuralIssue(
+            sentence_index + s + 1, skipped[s],
+            _sent_id(data, lo + starts[lines], lo + ends[lines])))
+    tree = ~np.isin(np.arange(len(n)), list(skipped))
+    pieces.append((heads[np.repeat(tree, n)], n[tree]))
     if error is not None:
         raise error
-    return int(ordinal[-1]), first_line + len(starts)
+    return sentence_index + len(segments), first_line + len(starts)
 
 
 def _text(data, lo, hi) -> str:
@@ -598,9 +633,8 @@ def _digits(chunk, start, length):
     return value, plain, dotted
 
 
-def _renumbered(ids: list[int], heads: list[int]) -> DepTree:
-    """The tree of tokens with ``ids`` and ``heads``, renumbered 1..n in
-    order of appearance."""
+def _renumbered(ids: list[int], heads: list[int]) -> tuple[int, ...]:
+    """``heads`` renumbered 1..n by the order of ``ids``."""
     if not ids:
         raise TreeStructureError("no syntactic tokens")
     renumber = {0: 0}
@@ -610,10 +644,9 @@ def _renumbered(ids: list[int], heads: list[int]) -> DepTree:
         renumber[old] = new_id
     for old, head in zip(ids, heads):
         if head not in renumber:
-            raise TreeStructureError(
-                f"token {old} has head {head}, which is skipped or missing"
-            )
-    return DepTree(tuple(renumber[head] for head in heads))
+            raise TreeStructureError(f"token {old} has head {head}, "
+                                     "which is skipped or missing")
+    return tuple(renumber[head] for head in heads)
 
 
 def _sent_id(data, starts, ends) -> str | None:

@@ -7,7 +7,7 @@ from benchmark_inputs import corpus_treebank, omega_treebank
 from conftest import random_tree
 from depdist.arrangement import min_arrangement_cost
 from depdist.optimality import average_omega, omega
-from depdist.treebank import DepTree, Treebank
+from depdist.treebank import DepTree, TreeStructureError, Treebank
 from oracles import (
     _all_positions,
     _minla_subsets_dp,
@@ -209,12 +209,23 @@ class TestMinArrangement:
         with pytest.raises(ValueError):
             min_arrangement_cost(np.array(heads), np.array(sizes))
 
-    @pytest.mark.parametrize("heads", [(2, 1), (0, 3, 4, 2), (2, 3, 1)],
-                             ids=["two-cycle", "three-cycle", "no-root"])
-    def test_average_omega_rejects_raw_non_trees(self, heads):
-        treebank = Treebank(np.array(heads), np.array([len(heads)]))
-        with pytest.raises(ValueError):
-            average_omega(treebank)
+    @pytest.mark.parametrize("heads, reason", [
+        ((2, 1), "0 roots"), ((0, 3, 4, 2), "cycle through token 2"),
+        ((2, 3, 1), "0 roots"),
+    ], ids=["two-cycle", "three-cycle", "no-root"])
+    def test_average_omega_rejects_raw_non_trees(self, heads, reason):
+        # A raw Treebank raises at construction; the solver checks the
+        # arrays of one built unchecked all the same.
+        arrays = np.array(heads), np.array([len(heads)])
+        with pytest.raises(TreeStructureError, match=f"sentence 1: {reason}"):
+            Treebank(*arrays)
+        with pytest.raises(TreeStructureError, match=f"sentence 1: {reason}"):
+            average_omega(Treebank._unchecked(*arrays))
+
+    def test_head_beyond_int64_is_out_of_range(self):
+        with pytest.raises(TreeStructureError, match="sentence 1: token 2: "
+                           f"head {10**30} out of range 1..2"):
+            min_arrangement_cost([0, 10**30])
 
     @pytest.mark.parametrize("heads", [(0,), (2, 0, 2), (0, 1, 1, 3, 1, 5)])
     def test_tuple_list_and_int64_slice_agree(self, heads):

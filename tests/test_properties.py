@@ -1,13 +1,15 @@
-"""Property tests over random valid dependency trees (n = 1 to 200) and
-random distance samples."""
+"""Property tests over random valid dependency trees (n = 1 to 200), random
+head vectors that may not be trees, and random distance samples."""
 
 import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_tree_heads
 from depdist.arrangement import min_arrangement_cost
 from depdist.estimation import (
     FIXED_ENSEMBLE,
@@ -29,6 +31,7 @@ from depdist.sampling import draw_sample
 from depdist.treebank import (
     DepTree,
     DistanceSample,
+    TreeStructureError,
     Treebank,
     build_samples,
     distances,
@@ -36,6 +39,7 @@ from depdist.treebank import (
     to_conllu,
 )
 from oracles import (
+    ReferenceTree,
     _minla_subsets_dp,
     brute_force_min_arrangement,
     edges,
@@ -76,6 +80,61 @@ def test_pooled_sample_is_sum_of_per_length_samples(corpus):
     assert per_length == Counter(samples.pooled.freq)
     assert samples.pooled.by_length is samples.by_length
     assert sum(samples.sentence_counts.values()) == len(corpus)
+
+
+@st.composite
+def head_vectors(draw, max_n=12):
+    """A head vector of 0 to ``max_n`` heads, each from -1 to n + 1: a
+    random tree; one root and every other head another token, which often
+    makes cycles with tails; or every head drawn at random."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["tree", "rooted", "random"])) if n else ""
+    if kind == "tree":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return random_tree_heads(n, np.random.default_rng(seed))
+    if kind == "rooted":
+        root = draw(st.integers(1, n))
+        others = draw(st.lists(st.integers(1, max(n - 1, 1)), min_size=n,
+                               max_size=n))
+        return tuple(0 if pos == root else other + (other >= pos)
+                     for pos, other in enumerate(others, start=1))
+    return tuple(draw(st.lists(st.integers(-1, n + 1), min_size=n,
+                               max_size=n)))
+
+
+def reference_reason(heads) -> str | None:
+    try:
+        ReferenceTree(heads)
+    except TreeStructureError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(head_vectors())
+def test_tree_check_words_what_the_reference_does(heads):
+    reason = reference_reason(heads)
+    if reason is None:
+        assert DepTree(heads).heads == heads
+    else:
+        with pytest.raises(TreeStructureError) as exc:
+            DepTree(heads)
+        assert str(exc.value) == reason
+
+
+@given(st.lists(head_vectors(), max_size=6))
+def test_a_treebank_is_its_trees_or_names_the_first_non_tree(vectors):
+    heads = np.array([head for vector in vectors for head in vector],
+                     dtype=np.int64)
+    sizes = np.array(list(map(len, vectors)), dtype=np.int64)
+    reasons = [(i, reason) for i, reason in enumerate(
+        map(reference_reason, vectors), start=1) if reason is not None]
+    if reasons:
+        with pytest.raises(TreeStructureError) as exc:
+            Treebank(heads, sizes)
+        assert str(exc.value) == "sentence {}: {}".format(*reasons[0])
+    else:
+        assert [tree.heads for tree in Treebank(heads, sizes)] == vectors
 
 
 def rerooted(heads, relabel, root):

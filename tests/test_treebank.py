@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from collections import Counter
 from unittest import mock
@@ -308,6 +309,9 @@ class TestDepTree:
             DepTree((0, 5))  # head out of range
         with pytest.raises(TreeStructureError):
             DepTree(())
+        with pytest.raises(TreeStructureError, match=re.escape(
+                f"token 2: head {10**30} out of range 1..2")):
+            DepTree((0, 10**30))
 
     @pytest.mark.parametrize("head", [1.5, np.float64(1.5), "1", None])
     def test_non_integral_head_rejected(self, head):
@@ -521,6 +525,21 @@ class TestTreebank:
                      slice(19_999, None), slice(20_000, None)):
             assert trees[part] == expected[part], part
 
+    @pytest.mark.parametrize("heads, sizes, reason", [
+        ((2, 1, 2), (3,), "sentence 1: 0 roots (exactly one required)"),
+        ((0, 4, 1), (3,), "sentence 1: token 2: head 4 out of range 1..3"),
+        ((0, 1, 0, 3, 4, 2), (2, 4), "sentence 2: cycle through token 2"),
+        ((0, 1, 0.5), (2, 1), "heads must be integers"),
+    ])
+    def test_raw_arrays_must_hold_trees(self, heads, sizes, reason):
+        with pytest.raises(TreeStructureError, match=re.escape(reason)):
+            build_samples(Treebank(np.array(heads), np.array(sizes)))
+
+    @pytest.mark.parametrize("sizes", [(2,), (1, 1), (4, -1)])
+    def test_raw_sizes_must_add_up(self, sizes):
+        with pytest.raises(ValueError, match="do not add up"):
+            Treebank(np.array([0, 1, 0]), np.array(sizes))
+
     def test_equality(self):
         trees = self.treebank()
         assert trees == self.TREES and self.TREES == trees
@@ -549,23 +568,28 @@ class TestTreebank:
 
 class TestTreesBuiltOnlyWhenAsked:
     """Parsing, sample building, the summary record and the Omega scores
-    read the arrays: a DepTree is built only for a sentence that must be
-    renumbered."""
+    read the arrays and build no DepTree.  The tree check runs once per
+    piece of the parse and once in the Omega solver, not again when the
+    parsed Treebank is built."""
 
     def counted(self, text, piece=treebank.PIECE_BYTES):
         with mock.patch.object(DepTree, "_unchecked",
                                wraps=DepTree._unchecked) as unchecked, \
                 mock.patch.object(DepTree, "__post_init__", autospec=True,
                                   side_effect=DepTree.__post_init__) as check, \
+                mock.patch.object(treebank, "check_trees",
+                                  wraps=treebank.check_trees) as checks, \
                 mock.patch.object(treebank, "_renumbered",
                                   wraps=treebank._renumbered) as renumbered, \
                 mock.patch.object(treebank, "PIECE_BYTES", piece), \
                 mock.patch.object(treebank, "_read_piece",
                                   wraps=treebank._read_piece) as read:
             trees = parse_conllu(text)
+            assert checks.call_count == read.call_count
             sset = build_samples(trees)
             reports.corpus_summary_record("C", "L", trees, sset, 0)
             average_omega(trees)
+            assert checks.call_count == read.call_count + 1
         return trees, unchecked.call_count, check.call_count, \
             renumbered.call_count, read.call_count
 
@@ -579,10 +603,11 @@ class TestTreesBuiltOnlyWhenAsked:
         assert (unchecked, checked, renumbered) == (0, 0, 0)
         assert trees == expected
 
-    @pytest.mark.parametrize("last_id, built", [(3, 0), (4, 1)])
-    def test_only_a_renumbered_sentence_builds_a_tree(self, last_id, built):
+    @pytest.mark.parametrize("last_id, renumbered", [(3, 0), (4, 1)])
+    def test_a_renumbered_sentence_builds_no_tree(self, last_id, renumbered):
         # The pass drops the range line; ids 1, 2, 3 then read 1..n, while
-        # ids 1, 2, 4 must be renumbered, which builds and checks one tree.
+        # ids 1, 2, 4 must be renumbered, after which the piece's check
+        # covers it with the rest.
         rng = np.random.default_rng(6)
         expected = [random_tree(int(rng.integers(1, 20)), rng)
                     for _ in range(50)]
@@ -590,8 +615,8 @@ class TestTreesBuiltOnlyWhenAsked:
             "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_",
             conllu_line(1, 2), conllu_line(2, 0), conllu_line(last_id, 2),
         ]) + "\n\n" + to_conllu(expected[30:])
-        trees, unchecked, checked, renumbered, _ = self.counted(text)
-        assert (unchecked, checked, renumbered) == (0, built, built)
+        trees, *counts, _ = self.counted(text)
+        assert counts == [0, 0, renumbered]
         assert trees == [*expected[:30], DepTree((2, 0, 2)),
                          *expected[30:]]
 
