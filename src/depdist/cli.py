@@ -320,17 +320,13 @@ def cmd_sample(args, parser) -> int:
     if missing:
         parser.error(f"model {model.id} needs --{missing[0]}")
     params = spec.params(*(getattr(args, flag) for flag in spec.flags))
-    info = sampling.DrawInfo()
     sample = sampling.draw_sample(model, params, args.n_draws,
-                                  seed=args.seed, cutoff=args.cutoff,
-                                  info=info)
+                                  seed=args.seed)
     out_path = Path(args.out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    extra = {"n_draws": args.n_draws}
-    if info.overflow:
-        extra["cutoff_overflow"] = info.overflow
     sampling.write_sample_csv(out_path, sample, model=model, params=params,
-                              seed=args.seed, extra=extra)
+                              seed=args.seed,
+                              extra={"n_draws": args.n_draws})
     print(f"wrote {sample.total} draws over {sample.distinct} distances "
           f"to {out_path}")
     return EXIT_OK
@@ -427,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_sample.add_argument(f"--{m.FLAGS.get(name, name)}",
                               type=int if name in m.INTEGER_FIELDS else float)
     p_sample.add_argument("--n-draws", type=_positive_int, default=10_000)
-    p_sample.add_argument("--cutoff", type=_positive_int,
-                          default=sampling.DEFAULT_CUTOFF)
     p_sample.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
     p_sample.add_argument("--out-file", default="sample.csv")
     p_sample.set_defaults(func=cmd_sample)

@@ -527,9 +527,9 @@ def slope_analysis(fit_result: FitResult,
     if not model.is_two_regime or params is None:
         raise ValueError("slope analysis needs a fitted two-regime model")
 
+    q2 = m.tail_rate(params)
     if model.family == "3-4":
-        q1, q2 = params.q1, params.q2
-        converged = fit_result.converged
+        q1, converged = params.q1, fit_result.converged
     else:
         # Approximate the power-law regime with a geometric one: refit the
         # two-regime geometric at the original break point, keep its q1, and
@@ -539,7 +539,6 @@ def slope_analysis(fit_result: FitResult,
         refit_params, _, converged = _optimize(twin, sample,
                                                params.break_point)
         q1 = refit_params.q1
-        q2 = params.q
     return SlopeSummary(
         q1=q1, q2=q2, ratio=q1 / q2,
         slope1=geometric_log_slope(q1), slope2=geometric_log_slope(q2),

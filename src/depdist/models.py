@@ -381,10 +381,14 @@ def total_mass(model: Model, params: ModelParams, upto: int = 10_000) -> float:
         return head
     if upto < getattr(params, "break_point", 1):
         raise ValueError("summation cutoff below the break point")
-    # Every unbounded model ends in a geometric regime of rate q (q2 for
-    # the two-regime geometric), so the mass beyond upto is p(upto+1)/q.
-    q_tail = getattr(params, "q2", None) or params.q
-    return head + float(pmf(model, params, upto + 1) / q_tail)
+    # The geometric regime beyond upto has mass p(upto+1)/q.
+    return head + float(pmf(model, params, upto + 1) / tail_rate(params))
+
+
+def tail_rate(params: ModelParams) -> float:
+    """Rate q of the geometric regime beyond the break point (or of the
+    whole geometric): q2 for the two-regime geometric, else q."""
+    return getattr(params, "q2", None) or params.q
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +607,8 @@ class Factored(NamedTuple):
         return self.combine(self.first(x1), self.second(x2))
 
 
-def _tail_term(log_c2, q_tail, d):
-    return log_c2 + _geometric_head(q_tail, d)
-
-
-def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
+def _two_regime_log_pmf(params, d, d_max, constants, head):
+    break_point = params.break_point
     try:
         c1, c2, _ = constants(break_point, d_max)
     except OverflowError:
@@ -616,7 +617,7 @@ def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
         return np.full(d.shape, NEG_INF)
     # The tail formula over all of d, then the first regime and the
     # truncation written over it: one array as long as d, not two.
-    out = np.asarray(_tail_term(math.log(c2), q_tail, d))
+    out = np.asarray(math.log(c2) + _geometric_head(tail_rate(params), d))
     first = d <= break_point
     out[first] = math.log(c1) + head(d[first])
     if d_max is not None:
@@ -625,10 +626,9 @@ def _two_regime_log_pmf(d, break_point, d_max, q_tail, constants, head):
 
 
 def _two_regime_geometric_log_pmf(params, d, d_max):
-    q1, q2, break_point = params.q1, params.q2, params.break_point
+    q1, q2 = params.q1, params.q2
     return _two_regime_log_pmf(
-        d, break_point, d_max, q2,
-        partial(two_regime_geometric_constants, q1, q2),
+        params, d, d_max, partial(two_regime_geometric_constants, q1, q2),
         partial(_geometric_head, q1))
 
 
@@ -655,10 +655,9 @@ def _two_regime_geometric_bind(sample, bp, d_max):
 
 
 def _zeta_geometric_log_pmf(params, d, d_max):
-    gamma, q, break_point = params.gamma, params.q, params.break_point
+    gamma, q = params.gamma, params.q
     return _two_regime_log_pmf(
-        d, break_point, d_max, q,
-        partial(zeta_geometric_constants, gamma, q),
+        params, d, d_max, partial(zeta_geometric_constants, gamma, q),
         partial(_zeta_head, gamma))
 
 
@@ -1068,7 +1067,7 @@ class ModelSpec:
 SPECS: dict[Model, ModelSpec] = {
     Model.NULL_FIXED: ModelSpec(
         NullParams, 1, "0", _null_log_pmf, _null_bind,
-        None, "table", _null_fit),
+        None, "null", _null_fit),
     Model.NULL_MIXTURE: ModelSpec(
         MixtureNullParams, 0, "0", _mixture_log_pmf, _mixture_bind,
         None, None, _mixture_fit),

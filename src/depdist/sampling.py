@@ -1,19 +1,19 @@
-"""Random variate generation for every model in the ensemble.
+"""Random variate generation for every model in the ensemble; every draw
+is exact, whatever the support.
 
 Geometric deviates come from inversion (L = 1 + floor(log x / log(1-q))),
 with rejection of overshoots for the truncated variant.  Truncated zeta
 deviates use the classic rejection scheme with acceptance test
-V*X*(T-1)/(b-1) <= T/b, b = 2^(gamma-1).  The null and two-regime models use
-tabular inversion: a cumulative table searched by binary search, with an
-explicit 10^6 cutoff for the models whose support is unbounded, built only
-as far as it changes.  Each model's spec row names its generator in
-:data:`GENERATORS`.
+V*X*(T-1)/(b-1) <= T/b, b = 2^(gamma-1), and a table over the whole support
+below gamma = 1.  The shuffle null inverts its CDF in closed form.  The
+two-regime models search a table over their first regime, 1..b, and invert
+their second, a geometric, in closed form.  Each model's spec row names its
+generator in :data:`GENERATORS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from . import models as m
 from .models import Model, ModelParams
 from .treebank import DistanceSample
 
-DEFAULT_CUTOFF = 10**6
 DEFAULT_SEED = 20260808
 SUITE_SIZE = 10**4
 GENERATOR_NAME = "numpy.random.default_rng (PCG64)"  # recorded in reports
@@ -40,13 +39,6 @@ REFERENCE_PARAMS: dict[Model, ModelParams] = {
     Model.ZETA_GEOMETRIC_TRUNC:
         m.TruncatedZetaGeometricParams(1.6, 0.2, 4, 19),
 }
-
-
-@dataclass
-class DrawInfo:
-    """Bookkeeping for one generated sample."""
-
-    overflow: int = 0  # tabular draws that fell past the cutoff table
 
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -110,61 +102,73 @@ def sample_zeta_truncated(
     return out
 
 
-def pmf_table(model: Model, params: ModelParams,
-              cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """pmf over d = 1..min(d_max, cutoff) as a dense vector."""
-    top = min(m.support_upper(model, params) or cutoff, cutoff)
+def pmf_table(model: Model, params: ModelParams, top: int) -> np.ndarray:
+    """pmf over d = 1..min(d_max, top) as a dense vector."""
+    top = min(m.support_upper(model, params) or top, top)
     d = np.arange(1, top + 1, dtype=float)
     return np.asarray(m.pmf(model, params, d))
 
 
-def sample_tabular(
-    model: Model,
-    params: ModelParams,
-    size: int,
-    rng: np.random.Generator,
-    cutoff: int = DEFAULT_CUTOFF,
-    info: DrawInfo | None = None,
-) -> np.ndarray:
-    """Tabular-inversion deviates located by binary search in the CDF.
+def sample_tabular(model: Model, params: ModelParams, size: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Exact deviates by inversion: for each uniform u, the least d with
+    CDF(d) >= u, by binary search in a cumulative table.
 
-    Returns, for each uniform u, the least index c with CDF(c-1) < u <=
-    CDF(c), or the smaller of d_max and ``cutoff`` for a u past the table,
-    which is counted in ``info.overflow`` (``cutoff_overflow``): its share
-    is the model's mass past the cutoff (37% for model 3 with q2 = 1e-6).
+    A one-regime row (the zeta below gamma = 1) tabulates its whole support,
+    and a u past the table's rounded total draws d_max.  A two-regime row
+    tabulates 1..b only.  Beyond F = CDF(b) its second regime is geometric,
+    r = 1 - q_tail, so with K = d_max - b (r^K = 0 without a bound) d = b +
+    j for the least j >= 1 with (1 - F)(r^j - r^K)/(1 - r^K) <= 1 - u, at
+    most K (Devroye 1986, ch. X).  Without a bound, u = 1 reads as the
+    largest u below 1 that the generator makes, 1 - 2^-53.
     """
-    top = min(m.support_upper(model, params) or cutoff, cutoff)
-    # The table grows fourfold until its last term no longer moves the
-    # sum; every pmf here is non-increasing, so no later term would, and
-    # cumsum adds in order: the table is a prefix of the full one.
-    length = 1024
-    cdf = np.cumsum(pmf_table(model, params, min(length, top)))
-    while len(cdf) < top and cdf[-1] != cdf[-2]:
-        length *= 4
-        cdf = np.cumsum(pmf_table(model, params, min(length, top)))
+    b = getattr(params, "break_point", None)
+    d_max = m.support_upper(model, params)
+    top = d_max if b is None else b
+    cdf = np.cumsum(pmf_table(model, params, top))
     u = _uniform_open(rng, size)
-    idx = np.searchsorted(cdf, u, side="left")
-    overflow = int((idx >= len(cdf)).sum())
-    if overflow and info is not None:
-        info.overflow += overflow
-    return np.where(idx < len(cdf), idx, top - 1).astype(np.int64) + 1
+    draws = np.minimum(np.searchsorted(cdf, u, side="left"), top - 1) + 1
+    if b is None:
+        return draws
+    tail = u > cdf[-1]
+    excess, mass = 1.0 - u[tail], 1.0 - cdf[-1]
+    log_r = math.log1p(-m.tail_rate(params))
+    if d_max is None:
+        span, x = math.inf, np.maximum(excess, 2.0**-53) / mass
+    else:
+        span = d_max - b
+        x = excess * -math.expm1(span * log_r) / mass + math.exp(span * log_r)
+    with np.errstate(divide="ignore"):  # u = 1 with r^K = 0: j = K
+        draws[tail] = b + np.clip(np.ceil(np.log(x) / log_r), 1, span)
+    return draws
 
 
-def _draw_geometric(model, params, size, rng, cutoff, info) -> np.ndarray:
+def _draw_null(model, params, size, rng) -> np.ndarray:
+    """Shuffle-null deviates by closed-form inversion: with D = d_max, the
+    least d with F(d) = d(2D + 1 - d)/(D(D + 1)) >= u is the ceiling of the
+    smaller root of a quadratic, written so that nothing cancels:
+    2uD(D + 1)/(2D + 1 + sqrt(1 + 4D(D + 1)(1 - u)))."""
+    d_max, u = params.d_max, _uniform_open(rng, size)
+    c = d_max * (d_max + 1.0)
+    root = 2.0 * u * c / (2.0 * d_max + 1.0
+                          + np.sqrt(1.0 + 4.0 * c * (1.0 - u)))
+    return np.clip(np.ceil(root), 1, d_max).astype(np.int64)
+
+
+def _draw_geometric(model, params, size, rng) -> np.ndarray:
     return sample_geometric(params.q, size, rng,
                             d_max=getattr(params, "d_max", None))
 
 
-def _draw_zeta(model, params, size, rng, cutoff, info) -> np.ndarray:
+def _draw_zeta(model, params, size, rng) -> np.ndarray:
     if params.gamma > 1.0:
         return sample_zeta_truncated(params.gamma, params.d_max, size, rng)
-    # The rejection scheme needs gamma > 1; the truncated table covers the
-    # rest of the parameter domain.
-    return sample_tabular(model, params, size, rng, cutoff, info)
+    return sample_tabular(model, params, size, rng)
 
 
 #: Generator for each ``ModelSpec.sampler`` name.
 GENERATORS = {
+    "null": _draw_null,
     "geometric": _draw_geometric,
     "zeta": _draw_zeta,
     "table": sample_tabular,
@@ -176,16 +180,13 @@ def draw_sample(
     params: ModelParams,
     size: int,
     seed: int | np.random.Generator = DEFAULT_SEED,
-    cutoff: int = DEFAULT_CUTOFF,
-    info: DrawInfo | None = None,
 ) -> DistanceSample:
     """Generate a frequency-table sample from a model."""
-    rng = (seed if isinstance(seed, np.random.Generator)
-           else np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     sampler = model.spec.sampler
     if sampler is None:
         raise ValueError(f"model {model.id} has no sampler")
-    values = GENERATORS[sampler](model, params, size, rng, cutoff, info)
+    values = GENERATORS[sampler](model, params, size, rng)
     return DistanceSample.from_values(values)
 
 

@@ -143,15 +143,17 @@ def check_trees(heads, sizes) -> tuple[dict[int, str], np.ndarray]:
 
 
 def tree_arrays(heads, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``heads`` (read as :func:`integer_heads` reads them) and ``sizes`` as
+    """``heads`` and ``sizes``, each read by :func:`_as_ints`' rule, as
     int64 arrays, and the parents of :func:`check_trees`; raises ValueError
-    unless the sizes add up to the heads, and TreeStructureError naming
-    the first sentence that is not a tree."""
+    unless the sizes are integers that add up to the heads, and
+    TreeStructureError naming the first sentence that is not a tree."""
     if getattr(getattr(heads, "dtype", None), "kind", None) not in ("i", "u"):
         heads = integer_heads(heads)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if (sizes < 0).any() or sizes.sum() != len(heads):
+    sizes = np.asarray(sizes)
+    if ((sizes.dtype.kind not in ("i", "u") and _as_ints(sizes) is None)
+            or (sizes < 0).any() or sizes.sum() != len(heads)):
         raise ValueError("the sentence lengths do not add up to the heads")
+    sizes = np.asarray(sizes, dtype=np.int64)
     reasons, parent = check_trees(heads, sizes)
     for s, reason in reasons.items():
         raise TreeStructureError(f"sentence {s + 1}: {reason}")

@@ -44,7 +44,7 @@ from scipy.special import logsumexp
 from depdist import estimation as est
 from depdist import models as m
 from depdist.models import Model, ModelParams
-from depdist.sampling import DEFAULT_CUTOFF, pmf_table
+from depdist.sampling import pmf_table
 from depdist.treebank import (
     ConlluFormatError,
     DistanceSample,
@@ -737,14 +737,15 @@ def goodness_of_fit(
     model: Model,
     params: ModelParams,
     min_expected: float = 5.0,
-    cutoff: int = DEFAULT_CUTOFF,
+    cutoff: int = 10**6,
 ) -> tuple[float, float, int]:
     """Chi-square test of a sample against a model pmf.
 
     Support points are pooled left to right until each bin's expected count
     reaches ``min_expected``; the remaining tail (including mass beyond the
     table for unbounded models) forms the last bin, merged backwards if too
-    thin.  Returns (statistic, p-value, degrees of freedom).
+    thin.  The table runs to d_max, or to ``cutoff`` for unbounded models.
+    Returns (statistic, p-value, degrees of freedom).
     """
     table = pmf_table(model, params, cutoff)
     n = sample.total

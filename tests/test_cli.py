@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import depdist
+import depdist.models as m
 from depdist.cli import main
 from depdist.models import Model
 from depdist.sampling import read_sample_csv
@@ -254,6 +255,21 @@ class TestSampleCommand:
         sample, _ = read_sample_csv(out_file)
         assert sample.max_d <= 19
 
+    def test_slow_tail_is_drawn_past_a_million(self, tmp_path):
+        # q2 = 1e-6 leaves 37% of the mass beyond d = 10^6.
+        from scipy.stats import binom
+        out_file = tmp_path / "slow.csv"
+        main(["sample", "--model", "3", "--q1", "0.5", "--q2", "1e-6",
+              "--dstar", "4", "--n-draws", "10000",
+              "--out-file", str(out_file)])
+        sample, meta = read_sample_csv(out_file)
+        assert 10**6 not in sample.freq
+        assert "cutoff_overflow" not in meta
+        params = m.TwoRegimeGeometricParams(0.5, 1e-6, 4)
+        beyond = m.pmf(Model.TWO_REGIME_GEOMETRIC, params, 10**6 + 1) / 1e-6
+        lo, hi = binom.interval(1 - 1e-6, 10000, beyond)
+        assert lo <= sum(c for d, c in sample.freq.items() if d > 10**6) <= hi
+
     def test_missing_parameter_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["sample", "--model", "3", "--q1", "0.5",
@@ -280,8 +296,7 @@ class TestSampleCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--cutoff", "0"), ("--cutoff", "-5"), ("--n-draws", "-3"),
-        ("--n-draws", "0"), ("--n-draws", "many")])
+        ("--n-draws", "-3"), ("--n-draws", "0"), ("--n-draws", "many")])
     def test_count_flags_must_be_positive(self, tmp_path, capsys, flag,
                                           value):
         out = tmp_path / "x.csv"
@@ -291,6 +306,17 @@ class TestSampleCommand:
                   "--out-file", str(out)])
         assert err.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cutoff_flag_is_gone(self, tmp_path, capsys):
+        # Every draw is exact, so there is no table cutoff to set.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--model", "3", "--q1", "0.5", "--q2", "0.1",
+                  "--dstar", "4", "--n-draws", "100", "--cutoff", "5",
+                  "--out-file", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_determinism(self, tmp_path):

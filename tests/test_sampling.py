@@ -7,7 +7,7 @@ import depdist.models as m
 import depdist.sampling as samp
 from depdist.models import Model
 from depdist.sampling import (
-    DrawInfo,
+    GENERATORS,
     draw_sample,
     generate_validation_suite,
     pmf_table,
@@ -17,6 +17,7 @@ from depdist.sampling import (
     sample_zeta_truncated,
     write_sample_csv,
 )
+from depdist.treebank import DistanceSample
 from oracles import _chisquare, goodness_of_fit
 
 
@@ -95,7 +96,7 @@ class TestZetaRejection:
         rng = np.random.default_rng(104)
         n = 10**5
         draws = sample_zeta_truncated(1.6, 19, n, rng)
-        probs = pmf_table(Model.ZETA_TRUNC, m.ZetaParams(1.6, 19))
+        probs = pmf_table(Model.ZETA_TRUNC, m.ZetaParams(1.6, 19), 19)
         observed = np.bincount(draws, minlength=20)[1:] / n
         bound = 3 * np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(observed - probs) <= bound)
@@ -104,19 +105,21 @@ class TestZetaRejection:
 class TestTabularInversion:
     def test_first_bin(self):
         params = m.NullParams(3)
-        rng = FixedRng([1.0 - 0.2])  # u = 0.2 < pmf(1) = 0.5
+        # u = 0.2 < pmf(1) = 0.5, in the table and in closed form.
+        rng = FixedRng([1.0 - 0.2])
         assert sample_tabular(Model.NULL_FIXED, params, 1, rng)[0] == 1
+        assert draw(Model.NULL_FIXED, params, FixedRng([1.0 - 0.2]), 1)[0] == 1
 
     def test_worked_cdf_case(self):
         # Shuffle null with d_max = 3 has CDF (0.5, 5/6, 1): u = 0.95 -> 3.
         params = m.NullParams(3)
         rng = FixedRng([1.0 - 0.95])
         assert sample_tabular(Model.NULL_FIXED, params, 1, rng)[0] == 3
+        assert draw(Model.NULL_FIXED, params, FixedRng([1.0 - 0.95]), 1)[0] == 3
 
     def test_binary_search_matches_linear_scan(self):
         params = m.TwoRegimeGeometricParams(0.5, 0.1, 4)
-        cdf = np.cumsum(pmf_table(Model.TWO_REGIME_GEOMETRIC, params,
-                                  cutoff=200))
+        cdf = np.cumsum(pmf_table(Model.TWO_REGIME_GEOMETRIC, params, 200))
         rng = np.random.default_rng(105)
         us = rng.random(1000)
         via_search = np.searchsorted(cdf, us, side="left") + 1
@@ -126,28 +129,29 @@ class TestTabularInversion:
                 linear += 1
             assert linear == got
 
-    def test_cutoff_overflow_counted(self):
-        params = m.TwoRegimeGeometricParams(0.5, 0.1, 4)
-        info = DrawInfo()
-        rng = np.random.default_rng(106)
-        draws = sample_tabular(Model.TWO_REGIME_GEOMETRIC, params, 10**4,
-                               rng, cutoff=10, info=info)
-        assert draws.max() <= 10
-        # Mass beyond d = 10 is about 2.6%, so overflows must appear.
-        assert info.overflow > 0
+
+#: Length of the oracle's table for a model without a bound.
+FULL_TABLE = 10**6
 
 
-def full_table_draws(model, params, rng, size, cutoff=samp.DEFAULT_CUTOFF):
-    """Oracle: inversion in the cumulative table over all of d = 1..cutoff
-    (1..d_max when bounded), the table as it was before it was cut."""
-    cdf = np.cumsum(pmf_table(model, params, cutoff))
+def full_table_draws(model, params, rng, size):
+    """Oracle: inversion in the cumulative table over all of d = 1..d_max,
+    or 1..FULL_TABLE without a bound (a u past the table maps to its end)."""
+    cdf = np.cumsum(pmf_table(model, params, FULL_TABLE))
     idx = np.searchsorted(cdf, 1.0 - rng.random(size), side="left")
-    return np.minimum(idx, len(cdf) - 1) + 1, int((idx >= len(cdf)).sum())
+    return np.minimum(idx, len(cdf) - 1) + 1
+
+
+def draw(model, params, rng, size):
+    """The package's draws, through the generator that the spec row names."""
+    return GENERATORS[model.spec.sampler](model, params, size, rng)
 
 
 class TestShortTables:
-    """Draws from the table cut where the CDF stops changing equal draws
-    from the full 10^6 table, element for element."""
+    """Draws from the short tables, the first regime 1..b of a two-regime
+    row with its geometric tail inverted beyond b, and the null's closed
+    form with no table, equal draws from the full table, element for
+    element."""
 
     CASES = [
         (Model.TWO_REGIME_GEOMETRIC,
@@ -156,7 +160,7 @@ class TestShortTables:
         # Slow tails: the CDF changes up to d of about 30,000.
         (Model.TWO_REGIME_GEOMETRIC, m.TwoRegimeGeometricParams(0.5, 1e-3, 4)),
         (Model.ZETA_GEOMETRIC, m.ZetaGeometricParams(1.6, 1e-3, 4)),
-        # Bounded tables.
+        # Bounded supports.
         (Model.NULL_FIXED, samp.REFERENCE_PARAMS[Model.NULL_FIXED]),
         (Model.TWO_REGIME_GEOMETRIC_TRUNC,
          samp.REFERENCE_PARAMS[Model.TWO_REGIME_GEOMETRIC_TRUNC]),
@@ -166,30 +170,86 @@ class TestShortTables:
 
     @pytest.mark.parametrize("model, params", CASES)
     def test_draws_equal_full_table(self, model, params):
-        full = np.cumsum(pmf_table(model, params))
-        # Random uniforms, then u at and around every CDF value near the
-        # end of the changing part, and u = 1.
-        last = int(np.nonzero(np.diff(full))[0][-1]) + 1
-        edges = full[max(0, last - 20):last + 2]
+        # Random uniforms, then, on two-regime rows, u at and around every
+        # CDF value up to the break point, where the table hands over to
+        # the tail.
+        top = getattr(params, "break_point", 0)
+        edges = np.cumsum(pmf_table(model, params, top))
         u = np.concatenate([
-            1.0 - np.random.default_rng(7).random(20_000), edges,
-            np.nextafter(edges, 0.0), np.nextafter(edges, 2.0), [1.0]])
-        info = DrawInfo()
-        ours = sample_tabular(model, params, len(u), FixedRng(1.0 - u),
-                              info=info)
-        theirs, overflow = full_table_draws(model, params,
-                                            FixedRng(1.0 - u), len(u))
+            1.0 - np.random.default_rng(7).random(10**6), edges,
+            np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        ours = draw(model, params, FixedRng(1.0 - u), len(u))
+        theirs = full_table_draws(model, params, FixedRng(1.0 - u), len(u))
         assert np.array_equal(ours, theirs)
-        assert info.overflow == overflow
 
-    def test_u_of_one_beyond_the_table_is_the_cutoff(self):
-        # The reference model-3 CDF ends below 1, so u = 1 overflows.
-        params = samp.REFERENCE_PARAMS[Model.TWO_REGIME_GEOMETRIC]
-        info = DrawInfo()
-        draws = sample_tabular(Model.TWO_REGIME_GEOMETRIC, params, 1,
-                               FixedRng([0.0]), info=info)
-        assert draws.tolist() == [samp.DEFAULT_CUTOFF]
-        assert info.overflow == 1
+    @pytest.mark.parametrize("model, params", CASES)
+    def test_u_of_one_is_finite(self, model, params):
+        (d,) = draw(model, params, FixedRng([0.0]), 1)
+        bound = m.support_upper(model, params)
+        assert d == bound if bound is not None else params.break_point < d
+        # The largest u below 1 that the generator makes draws as far.
+        assert draw(model, params, FixedRng([2.0**-53]), 1)[0] <= d
+
+
+def binomial_interval(size, p):
+    """Counts of a binomial(size, p) outside which a test fails."""
+    from scipy.stats import binom
+    return binom.interval(1 - 1e-6, size, p)
+
+
+class TestExactTails:
+    """Draws past d = 10^6, where the table once ended, follow the law."""
+
+    SIZE = 10**4
+
+    @staticmethod
+    def params(model, q2):
+        return (m.TwoRegimeGeometricParams(0.5, q2, 4)
+                if model is Model.TWO_REGIME_GEOMETRIC
+                else m.ZetaGeometricParams(1.6, q2, 4))
+
+    @pytest.mark.parametrize("q2", [1e-6, 1e-3, 0.1])
+    @pytest.mark.parametrize("model", [Model.TWO_REGIME_GEOMETRIC,
+                                       Model.ZETA_GEOMETRIC])
+    def test_share_beyond_a_million(self, model, q2):
+        params = self.params(model, q2)
+        draws = draw(model, params, np.random.default_rng(31), self.SIZE)
+        # The mass beyond the geometric tail's start d = 10^6 + 1.
+        beyond = m.pmf(model, params, 10**6 + 1) / m.tail_rate(params)
+        lo, hi = binomial_interval(self.SIZE, beyond)
+        assert lo <= (draws > 10**6).sum() <= hi
+        at = binomial_interval(self.SIZE, m.pmf(model, params, 10**6))[1]
+        assert (draws == 10**6).sum() <= at
+        _, p, _ = goodness_of_fit(DistanceSample.from_values(draws), model,
+                                  params)
+        assert p > 1e-3
+
+    @pytest.mark.parametrize("model, params", [
+        (Model.NULL_FIXED, m.NullParams(2 * 10**6)),
+        (Model.ZETA_TRUNC, m.ZetaParams(0.8, 2 * 10**6))],
+        ids=["null", "zeta-0.8"])
+    def test_bounded_support_past_a_million(self, model, params):
+        draws = draw(model, params, np.random.default_rng(32), self.SIZE)
+        probs = pmf_table(model, params, params.d_max)
+        lo, hi = binomial_interval(self.SIZE, probs[10**6:].sum())
+        assert lo <= (draws > 10**6).sum() <= hi
+        assert (draws == 10**6).sum() \
+            <= binomial_interval(self.SIZE, probs[10**6 - 1])[1]
+        assert draws.max() <= params.d_max
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_validation_suite_is_the_oracle_inversion(self, seed):
+        suite = generate_validation_suite(seed)
+        streams = np.random.SeedSequence(seed).spawn(len(suite))
+        for stream, model in zip(streams,
+                                 sorted(suite, key=lambda model: model.order)):
+            if model.spec.sampler not in ("null", "table"):
+                continue
+            values = full_table_draws(model, samp.REFERENCE_PARAMS[model],
+                                      np.random.default_rng(stream),
+                                      samp.SUITE_SIZE)
+            assert DistanceSample.from_values(values).freq \
+                == suite[model].freq
 
 
 class TestDrawSample:

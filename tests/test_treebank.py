@@ -535,7 +535,7 @@ class TestTreebank:
         with pytest.raises(TreeStructureError, match=re.escape(reason)):
             build_samples(Treebank(np.array(heads), np.array(sizes)))
 
-    @pytest.mark.parametrize("sizes", [(2,), (1, 1), (4, -1)])
+    @pytest.mark.parametrize("sizes", [(2,), (1, 1), (4, -1), (2.9, 1.2)])
     def test_raw_sizes_must_add_up(self, sizes):
         with pytest.raises(ValueError, match="do not add up"):
             Treebank(np.array([0, 1, 0]), np.array(sizes))
