@@ -22,8 +22,9 @@ twins 1/2, 3/4 and 6/7 share family functions that take ``d_max: int |
 None``.  The rest follows from field names: ``d_max`` makes a model
 truncated, ``break_point`` two-regime, and the fields in :data:`BOUNDS` are
 its continuous parameters.  The one-regime rows carry their own fits (a
-d_max scan, a fixed value, q = N/M, and for models 2 and 5 the Newton
-iterate of their certificate, as 4 and 7 at b = max d), which return
+bisection for d_max that takes the larger of two tied bounds, a fixed
+value, q = N/M, and for models 2 and 5 the Newton iterate of their
+certificate, as 4 and 7 at b = max d), which return
 plain tuples; the optimizer in :mod:`depdist.estimation` fits the
 two-regime rows, at the break points that their certificates (exact upper
 bounds at every break point, from a 2-D Newton) do not rule out.
@@ -485,37 +486,35 @@ def _mixture_bind(sample, break_point, d_max):
 # bounds): ``fit(sample)`` gives (params, log_l, converged), or None when
 # the data it needs are missing.
 
-NULL_CELLS = 2 ** 16  # most cells of one block of the null's d_max scan
-
-
 def _null_fit(sample):
-    """Scan d_max from max d to 2 max d - 1 (the null's mass leans on low
-    d, so its likelihood can peak above max d).  The window holds the
-    peak: log L(D + 1) - log L(D) sums, over the distances d, count(d)
-    times log(1 + 1/(D + 1 - d)) - log((D + 2)/D), which is negative once
-    D >= 2d - 1, so log L falls from D = 2 max d - 1 on.  The window's rows
-    go in blocks of at most NULL_CELLS cells (but 64 rows or more), so
-    memory stays linear in the support, not in max d; a multiple of 64
-    rows keeps each row's place in BLAS's groups of rows, so its slack sum
-    is the one-matrix sum."""
-    lo = sample.max_d
-    top = 2 * lo
-    support = sample.support.astype(float)
-    counts = sample.counts.astype(float)
-    n = float(sample.total)
-    rows = max(NULL_CELLS // len(support) // 64, 1) * 64
-    best = None
-    for first in range(lo, top, rows):
-        grid = np.arange(first, min(first + rows, top), dtype=float)
-        slack = np.log(grid[:, None] + 1.0 - support[None, :])
-        ll = (
-            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
-            + slack @ counts
-        )
-        i = int(np.argmax(ll))
-        if best is None or ll[i] > best[1]:
-            best = grid[i], ll[i]
-    return NullParams(int(best[0])), float(best[1]), True
+    """Bisect [max d, 2 max d - 1] for the bound D (the null's mass leans
+    on low d, so its likelihood can peak above max d), moving up while
+    log L(D + 1) - log L(D) = dL(D) = sum_d f(d) log1p(1 / (D + 1 - d)) -
+    N log1p(2 / D) >= 0, so that of two tied bounds it takes the larger;
+    log L is the row's own (``_null_bind``).
+
+    The window holds the peak: each term f(d) (log1p(1 / (D + 1 - d)) -
+    log1p(2 / D)) is negative once D >= 2d - 1, so log L falls from D = 2
+    max d - 1 on.  The bisection is exact because dL changes sign at most
+    once there: dL(D) = N log1p(2 / D) (sum_d (f(d) / N) r_d(D) - 1), with
+    r_d(D) = log1p(1 / (D + 1 - d)) / log1p(2 / D), and each r_d strictly
+    falls for D >= d.  With x = D + 1 - d and y = D, y >= x >= 1, that is
+    x (x + 1) log1p(1 / x) < y (y + 2) log1p(2 / y) / 2, which holds as x
+    (x + 1) log1p(1 / x) < x + 1/2 <= y + 1 - 1 / (y + 1) < y (y + 2)
+    log1p(2 / y) / 2 (the outer two are log1p(t) < t (2 + t) / (2 (1 +
+    t)) at t = 1 / x and log1p(t) > 2t / (2 + t) at t = 2 / y).  A single
+    distance d ties at D = 2d - 2, where both terms take numpy's log1p of
+    the same double (math.log1p can differ from it by an ulp, as at d =
+    50), so its dL is 0.0 and it takes 2d - 1."""
+    lo, n = sample.max_d, float(sample.total)
+    support, counts = sample.support, sample.counts.astype(float)
+
+    def falls(bound):
+        return counts @ np.log1p(1.0 / (bound + 1.0 - support)) \
+            < n * np.log1p(2.0 / bound)
+
+    d_max = lo + bisect.bisect_left(range(lo, 2 * lo - 1), True, key=falls)
+    return NullParams(d_max), _null_bind(sample, None, d_max)(), True
 
 
 def _mixture_fit(sample):
@@ -936,13 +935,11 @@ def _geometric_fit(sample):
 
 
 def _rate_fit(model, sample):
-    """Model 2 or 5 at theta1 of its row's certificate at b = max d, from
-    the batch that held the row or from a batch of the row alone: q = 1 -
-    exp(theta1), capped above 1 / max d, or gamma = 0.0 - theta1 (never
-    -0.0), capped above 0."""
+    """Model 2 or 5 at theta1 of its row's certificate at b = max d, which
+    the sample's memo must hold (``estimation.fit`` certifies the row
+    first): q = 1 - exp(theta1), capped above 1 / max d, or gamma = 0.0 -
+    theta1 (never -0.0), capped above 0."""
     d_max, zeta = sample.max_d, model is Model.ZETA_TRUNC
-    if (_certify, model) not in sample.memo:
-        certificates([(model, sample, range(d_max, d_max + 1))])
     theta1 = float(sample.memo[_certify, model][0, 0])
     return _floor_capped(partial(model.spec.params, d_max=d_max),
                          model.spec.bind(sample, None, d_max),

@@ -18,9 +18,8 @@ For the one-regime fits of models 1, 2 and 5, the log-likelihood on a
 dense grid of the rate, within the floor on log p(max d), written from the
 pmf likewise, and the fits of models 2 and 5 by the 40-step bisection that
 Newton steps replaced, on the rows' own curves (value, slope and curvature
-in the rate).  For the uniform-shuffle null (model 0.0), its d_max scan
-with the whole window in one matrix, as it was before it went in blocks of
-rows.
+in the rate).  For the uniform-shuffle null (model 0.0), a scan of every
+bound that decides each step of the likelihood exactly, in integers.
 
 For CoNLL-U parsing, the line-by-line reader and the per-tree checks that
 :func:`depdist.treebank.parse_conllu` replaced with its array pass.
@@ -344,31 +343,31 @@ def bisection_fit(model, sample):
         0.0 if zeta else 1.0 / d_max, bisection_rate(model, sample))
 
 
-def one_matrix_null_fit(sample):
-    """(params, log_l, converged) of model 0.0: the d_max scan of
-    :func:`depdist.models._null_fit` with each window's rows in one
-    (window + 1) x support matrix."""
-    lo = sample.max_d
-    window = max(4 * sample.max_d, 256)
-    support = sample.support.astype(float)
-    counts = sample.counts.astype(float)
-    n = float(sample.total)
-    converged = True
-    while True:
-        grid = np.arange(lo, lo + window + 1, dtype=float)
-        slack = np.log(grid[:, None] + 1.0 - support[None, :])
-        ll = (
-            n * (math.log(2.0) - np.log(grid) - np.log(grid + 1.0))
-            + slack @ counts
-        )
-        best = int(np.argmax(ll))
-        if best < len(grid) - 1:
-            break
-        if window > 1_000_000:
-            converged = False
-            break
-        window *= 4
-    return m.NullParams(int(grid[best])), float(ll[best]), converged
+def null_maximizers(sample) -> range:
+    """The bounds D in [max d, 2 max d - 1] at which the uniform-shuffle
+    null's likelihood L(D) = prod_d (2 (D + 1 - d) / (D (D + 1)))^f(d) is
+    largest, by a scan of every bound.  L(D + 1) > L(D) exactly when the
+    integer prod_d (D + 2 - d)^f(d) D^N exceeds prod_d (D + 1 - d)^f(d) (D
+    + 2)^N.  The scan compares these integers wherever the double log of
+    their ratio, from differences of logs, is within 1e-9 N of 0 (its
+    rounding is below 1e-13 N), and reads the double's sign elsewhere.  It
+    checks that L falls at D = 2 max d - 1 and that the steps' signs never
+    rise, so that the bounds where the sign turns are all the maxima."""
+    lo, n = sample.max_d, sample.total
+    freq = list(zip(sample.support.tolist(), sample.counts.tolist()))
+    bounds = np.arange(lo, 2 * lo, dtype=float)
+    logs = np.log(bounds[:, None] + 2.0 - sample.support) \
+        - np.log(bounds[:, None] + 1.0 - sample.support)
+    steps = logs @ sample.counts - n * (np.log(bounds + 2.0) - np.log(bounds))
+    signs = np.sign(steps).astype(int)
+    for i in np.flatnonzero(np.abs(steps) <= 1e-9 * n).tolist():
+        bound = lo + i
+        rise = math.prod((bound + 2 - d) ** f for d, f in freq) * bound ** n
+        fall = math.prod((bound + 1 - d) ** f for d, f in freq) \
+            * (bound + 2) ** n
+        signs[i] = (rise > fall) - (rise < fall)
+    assert signs[-1] < 0 and (np.diff(signs) <= 0).all(), signs
+    return range(lo + int((signs > 0).sum()), lo + int((signs >= 0).sum()) + 1)
 
 
 # ---------------------------------------------------------------------------

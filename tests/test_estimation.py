@@ -35,7 +35,7 @@ from oracles import (
     dense_grid_max_1d,
     exhaustive_break_scan,
     exhaustive_searches,
-    one_matrix_null_fit,
+    null_maximizers,
     two_regime_init,
     unfactored_log_likelihood,
 )
@@ -197,9 +197,9 @@ class TestFit:
                    for other in range(19, dm + 50))
 
     def test_null_scan_memory_is_bounded(self):
-        # One distance far beyond the rest: the scan's window holds 800,001
-        # candidate d_max, 32 MB of slack terms in one matrix; in blocks of
-        # rows the fit peaks below 16 MB and equals the one matrix's.
+        # One distance far beyond the rest: the window holds 200,000
+        # candidate d_max, but the bisection reads the support at only
+        # about 18 of them, so the fit peaks far below 16 MB.
         sample = DistanceSample({1: 50, 2: 20, 3: 5, 4: 2, 200_000: 1})
         tracemalloc.start()
         try:
@@ -208,17 +208,20 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        assert (result.params, result.log_l, result.converged) == \
-            one_matrix_null_fit(sample)
+        assert result.params.d_max in null_maximizers(sample)
+        assert result.log_l == m.log_likelihood(Model.NULL_FIXED,
+                                                result.params, sample)
+        assert result.converged
 
-    @pytest.mark.parametrize("cells", [m.NULL_CELLS, 1])
-    def test_null_scan_blocks_keep_the_one_matrix_fit(self, monkeypatch,
-                                                      cells):
-        # validate seeds 1-5 and fit-select corpora 0-3, in the default
-        # blocks and in blocks of 64 rows.
-        monkeypatch.setattr(m, "NULL_CELLS", cells)
-        for label, sample in benchmark_samples(range(1, 6), range(4)):
-            assert m._null_fit(sample) == one_matrix_null_fit(sample), label
+    def test_one_regime_fits_report_their_own_log_likelihood(self):
+        # validate seeds 1-20 and fit-select corpora 0-15: each fit's log L
+        # is log_likelihood's at the fit's parameters, bit for bit.
+        for label, sample in benchmark_samples(range(1, 21), range(16)):
+            for model in (Model.NULL_FIXED, Model.NULL_MIXTURE, *ONE_REGIME):
+                result = fit(model, sample)
+                if not result.excluded:
+                    assert result.log_l == m.log_likelihood(
+                        model, result.params, sample), (label, model)
 
     def test_truncation_bound_never_beats_observed_max(self):
         # Scanning d_max above max(d) can only lose likelihood.

@@ -67,6 +67,12 @@ def min_arrangement(tree):
     return min_arrangement_cost(tree.heads)
 
 
+def min_arrangement_costs(trees):
+    """The minima of the trees, solved together as one treebank."""
+    return min_arrangement_cost(np.concatenate([tree.heads for tree in trees]),
+                                [tree.n for tree in trees])
+
+
 def dp_minimum(heads):
     return _minla_subsets_dp(edges(heads), len(heads))
 
@@ -141,16 +147,18 @@ class TestMinArrangement:
 
     def test_matches_subsets_dp(self):
         rng = np.random.default_rng(3)
-        for _ in range(2000):
-            tree = random_tree(int(rng.integers(2, 17)), rng)
-            assert min_arrangement(tree) == dp_minimum(tree.heads)
+        trees = [random_tree(int(rng.integers(2, 17)), rng)
+                 for _ in range(2000)]
+        for tree, cost in zip(trees, min_arrangement_costs(trees)):
+            assert cost == dp_minimum(tree.heads)
 
     def test_matches_subsets_dp_at_16_to_18(self):
         # Random trees first need case B at 16 words; one of these does.
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            tree = random_tree(int(rng.integers(16, 19)), rng)
-            assert min_arrangement(tree) == dp_minimum(tree.heads)
+        trees = [random_tree(int(rng.integers(16, 19)), rng)
+                 for _ in range(200)]
+        for tree, cost in zip(trees, min_arrangement_costs(trees)):
+            assert cost == dp_minimum(tree.heads)
 
     def test_matches_subsets_dp_at_18_and_20(self):
         rng = np.random.default_rng(4)

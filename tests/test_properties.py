@@ -45,7 +45,7 @@ from oracles import (
     edges,
     exhaustive_break_scan,
     fraction_average_omega,
-    one_matrix_null_fit,
+    null_maximizers,
     two_regime_init,
 )
 
@@ -273,15 +273,23 @@ def test_break_point_bound_is_above_every_search(freq):
 @example({1: 1})
 @example({10: 100})  # the peak at 2 max d - 1
 @example({1: 50, 2: 20, 3: 5, 4: 2, 2000: 1})
+@example({50: 1})  # math.log1p(2 / 98) can exceed np.log1p(1 / 49)
 def test_null_peak_is_inside_the_first_window(freq):
-    # log L(D + 1) < log L(D) from D = 2 max d - 1 on, so the window of
-    # max(4 max d, 256) candidates past max d holds the peak; the oracle
-    # widens its window fourfold until the peak falls inside.
+    # log L(D + 1) < log L(D) from D = 2 max d - 1 on, so the window
+    # [max d, 2 max d - 1] holds the peak; the bisection finds an exact
+    # maximizer there, by the oracle's exact scan of every bound.  A
+    # single distance d ties at 2d - 2 and 2d - 1, where its step computes
+    # to exactly 0.0, and takes the larger bound.
     sample = DistanceSample(freq)
     result = fit(Model.NULL_FIXED, sample)
-    assert sample.max_d <= result.params.d_max <= 2 * sample.max_d - 1
-    assert (result.params, result.log_l, result.converged) \
-        == one_matrix_null_fit(DistanceSample(dict(freq)))
+    maxima = null_maximizers(DistanceSample(dict(freq)))
+    assert result.params.d_max in maxima
+    if len(freq) == 1:
+        assert len(maxima) == min(sample.max_d, 2)
+        assert result.params.d_max == maxima[-1] == 2 * sample.max_d - 1
+    assert result.log_l == log_likelihood(Model.NULL_FIXED, result.params,
+                                          sample)
+    assert result.converged
 
 
 @settings(max_examples=30)
