@@ -133,16 +133,14 @@ def cmd_extract(args, parser) -> int:
 # fit-select
 # ---------------------------------------------------------------------------
 
-def _selections(corpus, args, mixed: bool = False, fixed: bool = True):
-    """If ``fixed``, each length's best model id or an explicit status for
-    an empty tile; and the selection reports, each tagged with its length
-    (None for the pooled sample) and its sample: the pooled sample's first
-    if ``mixed``, then each fitted length's if ``fixed``.  The samples of
-    the corpus are selected in one batch."""
+def _lengths(corpus, args) -> tuple[list, list]:
+    """Each length's (n, sentences, status), the status an explicit one for
+    an empty tile or None for a length to select; and (n, sample) of each
+    length to select, in order."""
     sset = corpus.sample_set
-    matrix: list[tuple[int, int, str | None]] = []  # (n, sentences, status)
+    matrix: list[tuple[int, int, str | None]] = []
     lengths = sorted(sset.sentence_counts)
-    for n in range(lengths[0], lengths[-1] + 1) if fixed else ():
+    for n in range(lengths[0], lengths[-1] + 1):
         sentences = sset.sentence_counts.get(n, 0)
         if sentences == 0:
             matrix.append((n, 0, "no-sentences"))
@@ -151,15 +149,32 @@ def _selections(corpus, args, mixed: bool = False, fixed: bool = True):
             matrix.append((n, sentences, "excluded-min-size"))
         else:
             matrix.append((n, sentences, None))
-    samples = [(None, sset.pooled)] * mixed + [
-        (n, sset.by_length[n]) for n, _, status in matrix if status is None]
+    return matrix, [(n, sset.by_length[n]) for n, _, status in matrix
+                    if status is None]
+
+
+def _with_best(matrix, best) -> list[tuple[int, int, str]]:
+    """The length matrix with the best model id of each length to select,
+    taken from ``best`` in order, in place of its None status."""
+    best = iter(best)
+    return [(n, sentences, status or next(best).id)
+            for n, sentences, status in matrix]
+
+
+def _selections(corpus, args, mixed: bool = False, fixed: bool = True):
+    """If ``fixed``, each length's best model id or an explicit status for
+    an empty tile; and the selection reports, each tagged with its length
+    (None for the pooled sample) and its sample: the pooled sample's first
+    if ``mixed``, then each fitted length's if ``fixed``.  The samples of
+    the corpus are selected in one batch."""
+    matrix, samples = _lengths(corpus, args) if fixed else ([], [])
+    samples = [(None, corpus.sample_set.pooled)] * mixed + samples
     found = estimation.select_all([sample for _, sample in samples],
                                   criterion=args.criterion)
     selected = [(n, sample, report)
                 for (n, sample), report in zip(samples, found)]
-    best = {n: report.best.id for n, _, report in selected}
-    return [(n, sentences, status or best[n])
-            for n, sentences, status in matrix], selected
+    return (_with_best(matrix, [report.best for report in found[mixed:]]),
+            selected)
 
 
 def cmd_fit_select(args, parser) -> int:
@@ -276,8 +291,11 @@ def cmd_omega(args, parser) -> int:
         entry = corpus.entry
         col, lang = entry.collection, entry.language
         stats = average_omega(corpus.trees)
-        matrix, _ = _selections(corpus, args)
-        status_by_n = {n: status for n, _, status in matrix}
+        # Only each length's winner is needed: no report is built.
+        matrix, samples = _lengths(corpus, args)
+        best = estimation.best_all([sample for _, sample in samples],
+                                   args.criterion)
+        status_by_n = {n: status for n, _, status in _with_best(matrix, best)}
         for n, length_stats in stats.items():
             profile_rows.append({
                 "collection": col, "language": lang, "n": n,

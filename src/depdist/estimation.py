@@ -14,14 +14,19 @@ of every row of a batch of samples at once (:func:`select_all`;
 searches in descending order of the bound, which stop at the first bound
 below the best fit, less a relative 1e-9 for rounding.  Every fit is the
 exhaustive scan's, equal log-likelihoods going to the lower break point,
-and no row's bounds, searches or counts depend on the batch.
+and no row's bounds, searches or counts depend on the batch.  The same
+bound runs across the ensemble (:func:`_best`): after the one-regime rows,
+only the two-regime rows whose highest certificate leaves them a chance to
+win are fitted, which is all that :func:`best_all` does; :func:`select`
+fits the rest after it.
 
 Truncated models pin d_max to max d: for fixed continuous parameters, a
 larger support only bleeds mass outside the data.  The uniform-shuffle null,
 whose mass leans on low d, scans d_max instead.
 
-L-BFGS-B is scipy's compiled kernel, imported at the first search
-(:func:`_kernel`) so that importing this module loads no scipy.
+L-BFGS-B is scipy's compiled kernel, loaded alone at the first search
+(:func:`_kernel`): importing this module loads no scipy, and fitting loads
+no more than the kernel's extension module.
 :func:`_lbfgsb` drives it as scipy's own driver does, with one call per
 point, :func:`_fused`, for the value and scipy's default forward-difference
 gradient: every fit is bit-identical to scipy's; a difference point reuses
@@ -34,8 +39,11 @@ are logged at DEBUG.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -177,14 +185,49 @@ _NBD = {(False, False): 0, (True, False): 1, (True, True): 2,
         (False, True): 3}
 
 
+# scipy's ``status_messages`` and ``task_messages`` (``_lbfgsb_py``): the
+# kernel's task codes as its result message spells them.
+_STATUS_MESSAGES = dict(enumerate((
+    "START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING",
+    "ERROR", "ABNORMAL")))
+_TASK_MESSAGES = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX",
+    603: "STP = STPMIN", 604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0",
+    704: "GTOL < 0", 705: "XTOL < 0", 706: "STP < STPMIN",
+    707: "STP > STPMAX", 708: "STPMIN < 0", 709: "STPMAX < STPMIN",
+    710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0", 713: "INVALID NBD",
+}
+
+
 @functools.cache
 def _kernel():
-    """scipy's L-BFGS-B kernel and its task messages, imported at the first
-    search: ``scipy.optimize`` is most of the package's import time, and
-    the commands that fit nothing never load it."""
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
-    return setulb, status_messages, task_messages
+    """scipy's compiled L-BFGS-B kernel, ``setulb``, loaded at the first
+    search from its extension module alone, found in scipy's
+    ``optimize`` directory: neither ``scipy`` nor ``scipy.optimize`` (321
+    modules, most of a fitting command's start-up) is imported, and the
+    commands that fit nothing load no scipy at all."""
+    scipy, spec = importlib.util.find_spec("scipy"), None
+    if scipy is not None:
+        spec = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "optimize"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES),
+        ).find_spec("scipy.optimize._lbfgsb")
+    if spec is None:
+        raise ImportError("the two-regime fits need scipy's L-BFGS-B "
+                          "kernel, scipy.optimize._lbfgsb (scipy >= 1.15)")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.setulb
 
 
 @functools.cache
@@ -221,11 +264,13 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
     gradient is copied into its array at each point the kernel asks for.
 
     This calls ``scipy.optimize._lbfgsb.setulb``, the 17-argument kernel of
-    scipy's C port of L-BFGS-B (scipy >= 1.15).  It is private to scipy
-    and the one dependency to recheck on a scipy upgrade; the oracle tests
-    in ``tests/test_estimation.py`` compare this loop with scipy's.
+    scipy's C port of L-BFGS-B (scipy >= 1.15), and spells its result
+    with scipy's message tables.  Both are private to scipy and the one
+    dependency to recheck on a scipy upgrade; the oracle tests in
+    ``tests/test_estimation.py`` compare this loop and the tables with
+    scipy's.
     """
-    setulb, status_messages, task_messages = _kernel()
+    setulb = _kernel()
     nbd, low, high, work = _workspace(tuple(bounds), threading.get_ident())
     for array in work:
         array.fill(0)
@@ -256,7 +301,7 @@ def _lbfgsb(fun_and_grad, x0, bounds, maxiter=LBFGSB_MAXITER,
                 task[:] = _STOP, 502        # TOTAL NO. OF F,G EVALUATIONS ...
         else:
             break
-    message = status_messages[task[0]] + ": " + task_messages[task[1]]
+    message = _STATUS_MESSAGES[task[0]] + ": " + _TASK_MESSAGES[task[1]]
     return LbfgsbResult(x, f, bool(task[0] == _CONVERGENCE), message, nfev,
                         nit, fun0)
 
@@ -415,6 +460,51 @@ class SelectionReport:
         return fit_result.aic if self.criterion == "aic" else fit_result.bic
 
 
+def _best(sample: DistanceSample, model_set: Sequence[Model],
+          criterion: str) -> tuple[Model | None, dict[Model, FitResult]]:
+    """The model of ``model_set`` with the lowest criterion on ``sample``,
+    by branch and bound across the rows, and the fits that it made.
+
+    The one-regime rows are fitted first.  The two-regime rows follow in
+    ascending order of a lower bound on their criterion: the row's penalty
+    less twice its highest certificate (:func:`_scan`), widened by the
+    break-point scan's margin (:func:`_floor`), -inf for a row with a
+    +inf bound or none (an excluded row, which :func:`fit` reports at
+    once).  A row whose lower bound is above the best criterion so far
+    cannot win and is not fitted.  Ranked by (criterion, K, ensemble
+    order): ties prefer fewer parameters, then the lower model id."""
+    if criterion not in ("aic", "bic"):
+        raise ValueError("criterion must be 'aic' or 'bic'")
+    _scan([(model, sample) for model in model_set])
+
+    def lower(model: Model) -> float:
+        if (_scan, model) not in sample.memo:
+            return -math.inf
+        # The highest certificate, raised by the margin that _floor takes off.
+        top = -_floor(-float(sample.memo[_scan, model][1].max()))
+        aic, bic = information_criteria(top, model.k, sample.total)
+        return aic if criterion == "aic" else bic
+
+    bounds = {model: lower(model) for model in model_set
+              if model.is_two_regime}
+    one_regime = [model for model in model_set if not model.is_two_regime]
+    fits: dict[Model, FitResult] = {}
+    best, best_rank = None, (math.inf,)
+    for model in one_regime + sorted(bounds, key=bounds.get):
+        if bounds.get(model, -math.inf) > best_rank[0]:
+            continue
+        result = fits[model] = fit(model, sample)
+        if not result.excluded:
+            rank = (getattr(result, criterion), model.k, model.order)
+            if best is None or rank < best_rank:
+                best, best_rank = model, rank
+    return best, fits
+
+
+def _ensemble(sample: DistanceSample) -> list[Model]:
+    return MIXED_ENSEMBLE if sample.by_length else FIXED_ENSEMBLE
+
+
 def select(
     sample: DistanceSample,
     model_set: Sequence[Model] | None = None,
@@ -423,27 +513,19 @@ def select(
     """Fit every applicable model and pick the one with the lowest
     criterion.  Without a ``model_set``, a sample that carries per-length
     samples is fitted with :data:`MIXED_ENSEMBLE`, any other with
-    :data:`FIXED_ENSEMBLE`."""
-    if criterion not in ("aic", "bic"):
-        raise ValueError("criterion must be 'aic' or 'bic'")
+    :data:`FIXED_ENSEMBLE`.  The winner is :func:`_best`'s, found by
+    branch and bound; the rows that it ruled out are fitted after it, so
+    the report holds every fit, in ``model_set`` order."""
     if model_set is None:
-        model_set = MIXED_ENSEMBLE if sample.by_length else FIXED_ENSEMBLE
-    _scan([(model, sample) for model in model_set])
-
-    fits = {model: fit(model, sample) for model in model_set}
-
-    scored = {
-        model: (result.aic if criterion == "aic" else result.bic)
-        for model, result in fits.items() if not result.excluded
-    }
-    if not scored:
+        model_set = _ensemble(sample)
+    best, fits = _best(sample, model_set, criterion)
+    fits = {model: fits.get(model) or fit(model, sample)
+            for model in model_set}
+    if best is None:
         return SelectionReport(criterion, fits, None, {})
-    # Ranked by (criterion, K, ensemble order): ties prefer fewer
-    # parameters, then the lower model id.
-    best = min(scored, key=lambda model: (scored[model], model.k,
-                                          model.order))
-    floor = min(scored.values())
-    deltas = {model: value - floor for model, value in scored.items()}
+    floor = getattr(fits[best], criterion)
+    deltas = {model: getattr(result, criterion) - floor
+              for model, result in fits.items() if not result.excluded}
     return SelectionReport(criterion, fits, best, deltas)
 
 
@@ -454,6 +536,18 @@ def select_all(samples: Sequence[DistanceSample], criterion: str = "aic"
     batch across the samples; each report equals ``select(sample)``'s."""
     _scan([(model, sample) for sample in samples for model in Model])
     return [select(sample, criterion=criterion) for sample in samples]
+
+
+def best_all(samples: Sequence[DistanceSample], criterion: str = "aic"
+             ) -> list[Model | None]:
+    """The best model of each sample under its default ensemble, by
+    :func:`_best`: the certificates run in one batch across the samples as
+    in :func:`select_all`, but only the rows that could win are fitted and
+    no report is built.  Each equals ``select(sample, criterion=criterion)
+    .best``."""
+    _scan([(model, sample) for sample in samples for model in Model])
+    return [_best(sample, _ensemble(sample), criterion)[0]
+            for sample in samples]
 
 
 # ---------------------------------------------------------------------------

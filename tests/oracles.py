@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -206,31 +206,46 @@ def _worklist_case_b(near, m, anchored, size):
         (i - 1 + anchored) // 2 * size[c]
         for i, c in enumerate(ranked[:j], start=1))
 
-def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
-    """Exact DP over all 2^n prefix sets (test oracle)."""
+@cache
+def _subset_layers(n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The subsets of n words as bit masks (0 to 2^n - 1), each word's bit,
+    and the nonempty masks by size, one array per size 1..n: the subset
+    DP's tables, which depend on n alone."""
     dtype = np.int32 if n < 31 else np.int64
-    size = 1 << n
-    masks = np.arange(size, dtype=dtype)
-    cut = np.zeros(size, dtype=np.int16)
-    for u, v in edges:
-        cut += (((masks >> u) ^ (masks >> v)) & 1).astype(np.int16)
+    masks = np.arange(1 << n, dtype=dtype)
+    by_size = np.split(
+        masks[np.argsort(np.bitwise_count(masks), kind="stable")],
+        np.cumsum([math.comb(n, k) for k in range(n)]))
+    return masks, dtype(1) << np.arange(n, dtype=dtype), by_size[1:]
 
-    big = np.iinfo(np.int32).max // 4
-    cost = np.full(size, big, dtype=np.int32)
-    cost[0] = 0
-    popcounts = np.bitwise_count(masks)
-    for k in range(1, n + 1):
-        layer = masks[popcounts == k]
-        best = np.full(len(layer), big, dtype=np.int32)
-        for bit in range(n):
-            has = (layer >> bit) & 1 == 1
-            prev = layer[has] ^ dtype(1 << bit)
-            cand = cost[prev] + cut[prev]
-            best[has] = np.minimum(best[has], cand)
-        cost[layer] = best
-    # cost[full] has accumulated cut(S) over every proper prefix, which is
-    # exactly the arrangement length.
-    return int(cost[size - 1])
+
+def _minla_subsets_dp(edges: list[tuple[int, int]], n: int) -> int:
+    """Exact DP over all 2^n prefix sets (test oracle).
+
+    An arrangement's length is the sum of cut(S), the edges leaving S,
+    over its proper prefixes S, so the least length that puts the words of
+    S first is cost(S) = min over words w of S of cost(S - w) + cut(S - w),
+    with cost of the empty set 0.  The sets are solved by size.  Each
+    reads S ^ w for every word w; where w is not in S that is a larger
+    set, still at the start value, so only S's own words count."""
+    masks, bits, layers = _subset_layers(n)
+    # cut(S + w) = cut(S) + deg(w) - 2 |N(w) & S| for S of words below w.
+    neighbours = [0] * n
+    for u, v in edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    cut = np.zeros(1 << n, dtype=np.int32)
+    for w, near in enumerate(neighbours):
+        low = 1 << w
+        inside = np.bitwise_count(masks[:low] & near).astype(np.int32)
+        cut[low:2 * low] = cut[:low] + near.bit_count() - 2 * inside
+    # through(S) = cost(S) + cut(S); cut of the full set is 0.
+    through = np.full(1 << n, np.iinfo(np.int32).max // 4, dtype=np.int32)
+    through[0] = 0
+    for layer in layers:
+        cost = through[bits[:, None] ^ layer].min(axis=0)
+        through[layer] = cost + cut[layer]
+    return int(cost[0])
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}

@@ -622,6 +622,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_commands_that_fit_nothing_leave_scipy_unloaded(toy_corpus,
+                                                         two_regime_corpus,
                                                          tmp_path):
     assert run_fresh(["extract", "--manifest", str(toy_corpus),
                       "--out", str(tmp_path / "extract")]) == [0, []]
@@ -644,6 +645,12 @@ def test_commands_that_fit_nothing_leave_scipy_unloaded(toy_corpus,
                             if p.is_file())
     for table in tables:
         assert (fresh / table).read_bytes() == (here / table).read_bytes()
+    # The two-regime searches load scipy's L-BFGS-B extension module alone:
+    # neither the scipy package nor scipy.optimize is imported.
+    code, loaded = run_fresh(["fit-select", "--manifest",
+                              str(two_regime_corpus), "--out",
+                              str(tmp_path / "two-regime")])
+    assert [code, loaded] == [0, ["scipy.optimize._lbfgsb"]]
 
 
 @pytest.mark.parametrize("argv", [

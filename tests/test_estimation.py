@@ -26,8 +26,8 @@ from depdist.estimation import (
 )
 from depdist.models import Model
 from depdist.sampling import generate_validation_suite
-from depdist.treebank import DistanceSample, LengthDistribution
-from benchmark_inputs import benchmark_samples
+from depdist.treebank import DistanceSample, LengthDistribution, build_samples
+from benchmark_inputs import benchmark_samples, omega_treebank
 from oracles import (
     bisection_fit,
     bisection_rate,
@@ -379,6 +379,11 @@ def optimized_models():
 class TestLbfgsbLoop:
     """The in-package L-BFGS-B loop against ``scipy.optimize.minimize`` on the
     same function: every field the fits read, bit for bit."""
+
+    def test_message_tables_are_scipys(self):
+        from scipy.optimize import _lbfgsb_py
+        assert est._STATUS_MESSAGES == _lbfgsb_py.status_messages
+        assert est._TASK_MESSAGES == _lbfgsb_py.task_messages
 
     @staticmethod
     def assert_same_as_scipy(model, sample, bp, **limits):
@@ -1210,6 +1215,150 @@ class TestSelect:
         report = validation_report.selections[Model.NULL_FIXED]
         params = report.fits[Model.TWO_REGIME_GEOMETRIC].params
         assert params.q1 < params.q2
+
+
+def ranked(fits, criterion):
+    """The argmin of the fits that are not excluded under (criterion, K,
+    ensemble order), None if there is none (test oracle)."""
+    return min([(getattr(result, criterion), model.k, model.order, model)
+                for model, result in fits.items() if not result.excluded],
+               default=(None,))[-1]
+
+
+def counted_fits(monkeypatch):
+    """Every (model, sample) that ``est.fit`` fits from now on, in order."""
+    made, real = [], est.fit
+
+    def counting(model, sample):
+        made.append((model, sample))
+        return real(model, sample)
+    monkeypatch.setattr(est, "fit", counting)
+    return made
+
+
+class TestBestAcrossTheEnsemble:
+    """The branch and bound across the rows of an ensemble (``est._best``):
+    one-regime rows first, then the two-regime rows that their certificates
+    do not rule out."""
+
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    @pytest.mark.parametrize("seeds, variants", [
+        (range(1, 21), ()), ((), range(16))], ids=["validate", "fit-select"])
+    def test_equals_the_argmin_of_every_fit(self, seeds, variants, criterion,
+                                            monkeypatch):
+        samples = [sample for _, sample in benchmark_samples(seeds, variants)]
+        made = counted_fits(monkeypatch)
+        best = est.best_all(samples, criterion)
+        bounded = len(made)
+        reports = select_all(samples, criterion)
+        for sample, found, report in zip(samples, best, reports):
+            assert list(report.fits) == est._ensemble(sample)
+            assert found is report.best is ranked(report.fits, criterion)
+        # select fits every row; the branch and bound fits fewer.
+        assert bounded < len(made) - bounded
+
+    @staticmethod
+    def stubbed(monkeypatch, log_ls, tops):
+        """A sample whose fits report ``log_ls[model]`` and whose two-regime
+        rows' certificates all read ``tops[model]``; the fits made, in
+        order."""
+        monkeypatch.setattr(m, "certificates", lambda rows: [
+            np.full(len(grid), tops.get(model, 0.0))
+            for model, _, grid in rows])
+        made = []
+
+        def fake_fit(model, sample):
+            made.append(model)
+            return est._result(model, None, log_ls[model], sample.total, True)
+        monkeypatch.setattr(est, "fit", fake_fit)
+        return DistanceSample({1: 40, 2: 15, 3: 6, 5: 3, 8: 1}), made
+
+    # AIC 162 for model 1, the best one-regime row.
+    ONE_REGIME_LOG_LS = {Model.NULL_FIXED: -120.0, Model.GEOMETRIC: -80.0,
+                         Model.GEOMETRIC_TRUNC: -81.0, Model.ZETA_TRUNC: -90.0}
+
+    def test_a_row_without_a_bound_is_fitted(self, monkeypatch):
+        log_ls = {**self.ONE_REGIME_LOG_LS, **dict.fromkeys(TWO_REGIME,
+                                                            -100.0)}
+        tops = {**dict.fromkeys(TWO_REGIME, -300.0),
+                Model.ZETA_GEOMETRIC: math.inf}
+        sample, made = self.stubbed(monkeypatch, log_ls, tops)
+        assert est.best_all([sample]) == [Model.GEOMETRIC]
+        assert made == [Model.NULL_FIXED, Model.GEOMETRIC,
+                        Model.GEOMETRIC_TRUNC, Model.ZETA_TRUNC,
+                        Model.ZETA_GEOMETRIC]
+
+    def test_a_bound_within_the_margin_is_fitted(self, monkeypatch):
+        # Model 3 (K = 3) ties model 1's AIC at log L = -78.  Its certificate
+        # sits half the scan's margin below that, and its search ends a
+        # rounding error above the certificate, as a search may: it wins.
+        need = -78.0
+        top = need - 0.5 * est.PRUNE_MARGIN * (1.0 + abs(need))
+        log_ls = {**self.ONE_REGIME_LOG_LS, **dict.fromkeys(TWO_REGIME,
+                                                            -100.0),
+                  Model.TWO_REGIME_GEOMETRIC: need + 1e-8}
+        tops = {**dict.fromkeys(TWO_REGIME, -300.0),
+                Model.TWO_REGIME_GEOMETRIC: top}
+        sample, made = self.stubbed(monkeypatch, log_ls, tops)
+        assert 6.0 - 2.0 * top > 162.0     # unwidened, the row is ruled out
+        assert est.best_all([sample]) == [Model.TWO_REGIME_GEOMETRIC]
+        assert made[4:] == [Model.TWO_REGIME_GEOMETRIC]
+        made.clear()
+        report = select(sample)
+        assert report.best is Model.TWO_REGIME_GEOMETRIC
+        assert report.best is ranked(report.fits, "aic")
+        # select fits the rows that the bound ruled out after the others.
+        assert made[5:] == [Model.TWO_REGIME_GEOMETRIC_TRUNC,
+                            Model.ZETA_GEOMETRIC, Model.ZETA_GEOMETRIC_TRUNC]
+
+    def test_ties_go_to_fewer_parameters_then_the_lower_id(self,
+                                                           monkeypatch):
+        # Every row but the null at AIC 162, each certificate at its fit:
+        # a bound that ties the best is fitted.
+        log_ls = {Model.NULL_FIXED: -120.0, Model.GEOMETRIC: -80.0,
+                  Model.GEOMETRIC_TRUNC: -79.0, Model.ZETA_TRUNC: -79.0,
+                  Model.TWO_REGIME_GEOMETRIC: -78.0,
+                  Model.ZETA_GEOMETRIC: -78.0,
+                  Model.TWO_REGIME_GEOMETRIC_TRUNC: -77.0,
+                  Model.ZETA_GEOMETRIC_TRUNC: -77.0}
+        for worse, best in [(None, Model.GEOMETRIC),
+                            (Model.GEOMETRIC, Model.GEOMETRIC_TRUNC),
+                            (Model.GEOMETRIC_TRUNC, Model.ZETA_TRUNC),
+                            (Model.ZETA_TRUNC, Model.TWO_REGIME_GEOMETRIC)]:
+            if worse is not None:
+                log_ls[worse] -= 1.0
+            sample, _ = self.stubbed(monkeypatch, log_ls, log_ls)
+            report = select(sample)
+            assert est.best_all([sample]) == [report.best] == [best]
+            assert ranked(report.fits, "aic") is best
+            assert select(sample, est.FIXED_ENSEMBLE[::-1]).best is best
+
+    # Two-regime rows that are not excluded, and at most how many of them
+    # best_all fits under AIC and BIC, on the benchmark's omega input.
+    OMEGA_FITS = {1: (48, 5, 0), 2: (52, 10, 1), 3: (52, 6, 0)}
+
+    @pytest.mark.parametrize("seed", sorted(OMEGA_FITS))
+    def test_fits_few_rows_on_the_omega_input(self, seed, monkeypatch):
+        rows, *most = self.OMEGA_FITS[seed]
+        made = counted_fits(monkeypatch)
+        for criterion, at_most in zip(("aic", "bic"), most):
+            sset = build_samples(omega_treebank(seed))
+            samples = [sample for n, sample in sset.by_length.items()
+                       if n >= est.DEFAULT_MIN_LENGTH]
+            made.clear()
+            reports = select_all(samples, criterion)
+            searched = {(model, id(sample)) for model, sample in made
+                        if model.is_two_regime}
+            assert sum(not fit_result.excluded
+                       for report in reports for model, fit_result
+                       in report.fits.items() if model.is_two_regime) == rows
+            made.clear()
+            assert est.best_all(samples, criterion) == [
+                report.best for report in reports]
+            fitted = {(model, id(sample)) for model, sample in made
+                      if model.is_two_regime
+                      and sample.distinct >= est.DEFAULT_MIN_DISTINCT}
+            assert fitted <= searched and len(fitted) <= at_most
 
 
 def _stub_report(best: Model) -> SelectionReport:
