@@ -52,7 +52,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -87,6 +87,15 @@ class Model(Enum):
     ZETA_GEOMETRIC = "6"
     ZETA_GEOMETRIC_TRUNC = "7"
 
+    # Members are dict keys throughout (memos, fits): object's C-level hash,
+    # consistent with their identity equality.
+    __hash__ = object.__hash__
+
+    def __init__(self, _value):
+        #: Position in the canonical ensemble ordering, which :data:`SPECS`
+        #: follows (for tie-breaks).
+        self.order = len(type(self)._member_names_)
+
     @property
     def id(self) -> str:
         return self.value
@@ -112,11 +121,6 @@ class Model(Enum):
     def family(self) -> str:
         """Model family used when aggregating best-model votes."""
         return self.spec.family
-
-    @property
-    def order(self) -> int:
-        """Position in the canonical ensemble ordering (for tie-breaks)."""
-        return list(SPECS).index(self)
 
     @classmethod
     def from_id(cls, model_id: str) -> "Model":
@@ -576,8 +580,13 @@ def _zeta_log_pmf(params, d, d_max):
         _zeta_term, gamma, math.log(harmonic(d_max, gamma))))
 
 
+def _ranks(sample, d_max):
+    """1.0, 2.0, ..., d_max."""
+    return np.arange(1, d_max + 1, dtype=float)
+
+
 def _zeta_bind(sample, break_point, d_max):
-    ks = np.arange(1, d_max + 1, dtype=float)
+    ks = _part(sample, _ranks, d_max)
     n, log_sum, top = sample.total, sample.log_weighted_sum, sample.max_d
 
     def log_l(gamma):
@@ -692,18 +701,44 @@ def _zeta_geometric_bind(sample, bp, d_max):
 # E[T1] <= ZETA_SLOPE_CAP (head terms k >= 2 add at most 2 log 2 2^-64, the
 # tail log b b^-64 / EPS), so the slope in theta1, sum T1 - N E[T1], stays
 # positive where sum T1 > N ZETA_SLOPE_CAP, about N 3.8e-12 (sum T1 >= log 2
-# once a distance exceeds 1).  Elsewhere, and at break points whose sums hold
-# more than CELLS terms, there is no certificate: the bound is +inf.  A
-# truncated row's bound adds :func:`_tail_rounding`, the most that its
-# search's tail sum can raise log L by rounding.
+# once a distance exceeds 1).  Elsewhere there is no certificate: the bound
+# is +inf.  A sum's cost at a break point is bounded, however long its
+# run: the geometric runs (heads of models 2, 3 and 4, every tail) are in
+# closed form, and a zeta head is summed term by term up to ZETA_EXACT and
+# by Euler-Maclaurin beyond it.  A truncated row's bound adds
+# :func:`_tail_rounding`, the most that its search's tail sum can raise log L
+# by rounding, and a zeta head beyond ZETA_EXACT adds :func:`_em_remainder`,
+# the most that the Euler-Maclaurin remainder can move the bound.
 
 CERT_STEPS = 64  # most evaluations of a certificate; 92% take 8 or fewer
 ASCENT_SLACK = 1e-12  # relative fall of a Newton step still accepted
 NEWTON_GAP = 1e-12  # relative rise of a certified bound above its iterate
 GAMMA_TOP = 64.0  # the slope at gamma 64 is negative unless N* >= 2^64
 THETA_BOUNDS = (math.log1p(-Q_BOUNDS[1]), math.log1p(-Q_BOUNDS[0]))
-CELLS = 2 ** 20  # most terms of the sums that one Newton run holds
 ZETA_SLOPE_CAP = math.log(2.0) * 2.0 ** -GAMMA_TOP * (2.0 + 1.0 / EPS)
+SERIES_BELOW = 0.1  # |theta k| where a geometric run's moments turn series
+UNBOUNDED = 2.0 ** 60  # an untruncated tail's run length: exp(theta k) is 0
+# Zeta head terms summed one by one: Euler-Maclaurin's fixed cost per
+# evaluation (about 70 numpy calls) is more than the direct sums of
+# heads of about 100 terms at a grid's row counts, and from k = 129 on
+# its remainders with 5 corrections are below 3e-18.
+ZETA_EXACT = 128
+EM_TERMS = 5  # Euler-Maclaurin corrections beyond them
+
+# Taylor coefficients, by power of x, of phi1(x) = 1 / (1 - e^-x) - 1 / x =
+# 1/2 + sum_j B_2j x^(2j - 1) / (2j)! and of phi2 = phi1', through x^8: a
+# geometric run's mean is k phi1(theta k) - phi1(theta), its variance k^2
+# phi2(theta k) - phi2(theta).  At |x| < SERIES_BELOW the next terms are
+# below 5e-17 relative.
+_RUN_SERIES = np.array([
+    [1 / 2, 1 / 12, 0, -1 / 720, 0, 1 / 30240, 0, -1 / 1209600, 0],
+    [1 / 12, 0, -1 / 240, 0, 1 / 6048, 0, -1 / 172800, 0, 1 / 5322240]])
+# Taylor coefficients of E_i(z) = integral over [0, 1] of e^(zs) s^i ds,
+# 1 / (m! (m + i + 1)) for z^m; at |z| < 1 the next term is below 1e-17.
+_EXP_SERIES = np.array([[1.0 / (math.factorial(m) * (m + i + 1))
+                         for m in range(18)] for i in range(3)])
+_LOG_K = np.log(np.arange(1.0, ZETA_EXACT + 1.0))
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # B_2, ..., B_10
 
 
 def _part(sample, part, *args):
@@ -724,39 +759,171 @@ def _grid_stats(sample, grid):
             sample.weighted_sum - m_star - tail * (bs + 1.0))
 
 
-def _blocks(cells):
-    """Slices of consecutive rows that hold at most CELLS cells each (a row
-    with more alone)."""
-    ends, first = np.cumsum(cells), 0
-    while first < len(cells):
-        last = max(first + 1, int(np.searchsorted(
-            ends, ends[first] - cells[first] + CELLS, side="right")))
-        yield slice(first, last)
-        first = last
+def _powers(x, count):
+    """x^0, x^1, ..., x^(count - 1), one row each, by products (float
+    pow is slow on most arrays)."""
+    out = np.empty((count, *np.shape(x)))
+    out[0], out[1:] = 1.0, x
+    return np.multiply.accumulate(out, axis=0)
 
 
-def _moments(lengths, log):
-    """For runs of T = 0, 1, ..., length - 1 laid end to end (log(T + 1)
-    where ``log``), a function of theta and of the ascending indices of
-    some runs, one theta per run, that returns the log of each of those
-    runs' sum of exp(theta T) and T's mean and variance under those
-    weights; each run is summed on its own."""
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    t = np.arange(len(run)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    t = np.where(np.repeat(np.broadcast_to(log, lengths.shape), lengths),
-                 np.log1p(t), t)
+def _geometric_runs(theta, k):
+    """log Z, the mean and the variance of T = 0, 1, ..., k - 1 weighted by
+    exp(theta T), for theta < 0 and run lengths k, as a 3 x len(theta)
+    array: log(expm1(theta k) / expm1(theta)), k r(theta k) -
+    r(theta) and r(theta) / expm1(theta) - k^2 r(theta k) / expm1(theta k),
+    with r(x) = exp(x) / expm1(x).  Where |theta k| < SERIES_BELOW the last
+    two cancel and their series replace them; UNBOUNDED runs give the
+    untruncated tail."""
+    tk = theta * k
+    e1, ek = np.expm1(theta), np.expm1(tk)
+    r1, rk = np.exp(theta) / e1, np.exp(tk) / ek
+    out = np.array([np.log(ek / e1), k * rk - r1, r1 / e1 - k * k * rk / ek])
+    near = np.flatnonzero(np.abs(tk) < SERIES_BELOW)
+    if len(near):
+        x = np.array([tk[near], theta[near]])
+        phi = (_RUN_SERIES[:, :, None, None] * _powers(x, 9)).sum(1)
+        k = k[near]
+        out[1:, near] = np.array([k, k * k]) * phi[:, 0] - phi[:, 1]
+    return out
 
-    def moments(theta, rows):
-        sizes, cells = lengths[rows], t
-        if len(rows) < len(lengths):
-            kept = np.zeros(len(lengths), bool)
-            kept[rows] = True
-            cells = t[kept[run]]
-        w = np.exp(np.repeat(theta, sizes) * cells)
-        z, first, second = (np.add.reduceat(v, np.cumsum(sizes) - sizes)
-                            for v in (w, w * cells, w * cells * cells))
-        mean = first / z
-        return np.log(z), mean, second / z - mean * mean
+
+def _exp_moments(z):
+    """E_i(z) = integral over [0, 1] of e^(zs) s^i ds, i = 0, 1, 2, as a 3 x
+    len(z) array: E_0 = expm1(z) / z and E_i = (e^z - i E_(i-1)) / z, or
+    their series where |z| < 1, where that recursion cancels."""
+    ez, e0 = np.exp(z), np.expm1(z) / z
+    e1 = (ez - e0) / z
+    out = np.array([e0, e1, (ez - 2.0 * e1) / z])
+    near = np.flatnonzero(np.abs(z) < 1.0)
+    if len(near):
+        out[:, near] = (_EXP_SERIES[:, :, None] * _powers(
+            z[near], _EXP_SERIES.shape[1])).sum(1)
+    return out
+
+
+@cache
+def _falling_factorial_derivatives(terms):
+    """[r, i, s]: the coefficient of theta^s in B_2i / (2i)! times the r-th
+    derivative of the falling factorial theta (theta - 1) ... (theta - 2i),
+    for i < terms (B_2 first) and r = 0, 1, 2."""
+    table = np.zeros((3, terms, 2 * terms))
+    for i, bernoulli in enumerate(_BERNOULLI[:terms]):
+        poly = np.polynomial.polynomial.polyfromroots(range(2 * i + 1)) * (
+            bernoulli / math.factorial(2 * i + 2))
+        for r in range(3):
+            table[r, i, :len(poly)] = poly
+            poly = np.polynomial.polynomial.polyder(poly)
+    return table
+
+
+def _euler_maclaurin(bs, start=ZETA_EXACT + 1, terms=EM_TERMS):
+    """theta -> the sums of k^theta (log k)^j over k = a, ..., b, for j = 0,
+    1, 2 (3 x len(bs), one theta and one b >= a per column), a = start:
+    the integral of f(x) = x^theta (log x)^j over [a, b],
+    plus (f(a) + f(b)) / 2, plus the sum over i <= terms of B_2i / (2i)!
+    (f^(2i-1)(b) - f^(2i-1)(a)).  With x = a e^t the integral is a^(theta +
+    1) times that of e^(ut) (log a + t)^j over [0, L], u = theta + 1 and L =
+    log(b / a), which is sum_i C(j, i) (log a)^(j - i) L^(i + 1) E_i(uL)
+    (:func:`_exp_moments`).  The m-th derivative of f_j = d^j f_0 / dtheta^j
+    is x^(theta - m) sum_r C(j, r) P_m^(j - r)(theta) (log x)^r, with P_m
+    the falling factorial theta (theta - 1) ... (theta - m + 1) and P^(r)
+    its r-th derivative in theta."""
+    a, table = float(start), _falling_factorial_derivatives(terms)
+    log_a = math.log(a)
+    ends = np.array([np.full(len(bs), a), bs])
+    logs = np.log(ends)  # log a and log b, 2 x len(bs)
+    span = logs[1] - log_a
+    spans = _powers(span, 4)[1:]
+    halves = np.array([np.full(logs.shape, 0.5), logs / 2.0,
+                       logs * logs / 2.0])
+    odd = _powers(1.0 / (ends * ends), terms) / ends
+    signs = np.array([-1.0, 1.0])[:, None]
+
+    def sums(theta):
+        powers = np.exp(theta * logs)  # x^theta at both ends
+        e0, e1, e2 = _exp_moments((theta + 1.0) * span) * spans
+        integral = a * powers[0] * np.array([
+            e0, log_a * e0 + e1, log_a * (log_a * e0 + 2.0 * e1) + e2])
+        p = table[..., -1, None]
+        for coefficients in table[..., -2::-1].T:
+            p = p * theta + coefficients.T[..., None]
+        q0, q1, q2 = (p[:, :, None] * odd).sum(1)
+        corrections = np.array([q0, q1 + logs * q0,
+                                q2 + logs * (2.0 * q1 + logs * q0)])
+        return integral + ((halves + signs * corrections) * powers).sum(1)
+    return sums
+
+
+def _short_sums(bs):
+    """theta -> the sums of k^theta (log k)^j over k = 1, ..., b for j = 0,
+    1, 2 (3 x len(bs), one theta and one b <= ZETA_EXACT per column), term
+    by term, each head on its own."""
+    starts = np.cumsum(bs) - bs
+    logs = _LOG_K[np.arange(starts[-1] + bs[-1]) - np.repeat(starts, bs)]
+    cells = np.array([np.ones(len(logs)), logs, logs * logs])
+    return lambda theta: np.add.reduceat(
+        np.exp(np.repeat(theta, bs) * logs) * cells, starts, axis=1)
+
+
+def _long_sums(bs):
+    """The same sums for b > ZETA_EXACT: the first ZETA_EXACT terms one by
+    one, the rest by :func:`_euler_maclaurin`."""
+    rest = _euler_maclaurin(bs)
+
+    def sums(theta):
+        w = np.multiply.outer(theta, _LOG_K)  # updated in place: it is big
+        np.exp(w, out=w)
+        s0 = w.sum(1)
+        w *= _LOG_K
+        s1 = w.sum(1)
+        w *= _LOG_K
+        return np.array([s0, s1, w.sum(1)]) + rest(theta)
+    return sums
+
+
+def _zeta_heads(bs):
+    """theta -> log Z, the mean and the variance of log k over k = 1, ...,
+    b weighted by k^theta (3 x len(bs), one theta and one b per column),
+    from :func:`_short_sums` and :func:`_long_sums`, each on its own
+    heads."""
+    long = bs > ZETA_EXACT
+    parts = [(rows, sums(bs[rows])) for rows, sums in (
+        (np.flatnonzero(~long), _short_sums),
+        (np.flatnonzero(long), _long_sums)) if len(rows)]
+
+    def heads(theta):
+        if len(parts) == 1:
+            sums = parts[0][1](theta)
+        else:
+            sums = np.empty((3, len(bs)))
+            for rows, part in parts:
+                sums[:, rows] = part(theta[rows])
+        mean = sums[1] / sums[0]
+        return np.array([np.log(sums[0]), mean,
+                         sums[2] / sums[0] - mean * mean])
+    return heads
+
+
+def _runs(bs, zeta, tails):
+    """(theta1, theta2) -> the moments (log Z, mean, variance) of the head
+    runs and of the tail runs at break points bs, two 3 x len(bs) arrays;
+    ``tails`` holds the tail runs' lengths.  The geometric heads and the
+    tails go through :func:`_geometric_runs` together, the zeta heads
+    through :func:`_zeta_heads`."""
+    geometric, heads = np.flatnonzero(~zeta), np.flatnonzero(zeta)
+    k = np.concatenate([bs[geometric], tails]).astype(float)
+    split = len(geometric)
+    zeta_heads = _zeta_heads(bs[heads]) if len(heads) else None
+
+    def moments(x1, x2):
+        out = _geometric_runs(np.concatenate([x1[geometric], x2]), k)
+        if zeta_heads is None:
+            return out[:, :split], out[:, split:]
+        head = np.empty((3, len(bs)))
+        head[:, geometric] = out[:, :split]
+        head[:, heads] = zeta_heads(x1[heads])
+        return head, out[:, split:]
     return moments
 
 
@@ -767,10 +934,9 @@ def certificates(rows):
     M*) (the head's geometric), -1 - 1 / (M'* / N* + log 2) (the discrete
     power law's approximate estimate; Clauset, Shalizi & Newman, 2009) and
     the geometric of d - b over the tail, -1 where one is not finite.
-    Models 2 and 5 are 4 and 7 at b = max d with an empty tail, solved
-    alone above CELLS terms, where other rows get no certificate.  Each
-    row's theta, 2 x len(grid) (nan without a certificate), goes to its
-    sample's memo under (_certify, model)."""
+    Models 2 and 5 are 4 and 7 at b = max d with an empty tail.  Each row's
+    theta, 2 x len(grid) (nan without a certificate), goes to its sample's
+    memo under (_certify, model)."""
     sizes = [len(grid) for _, _, grid in rows]
     bs, n_star, offsets, log_star, tail, tail_offsets = (
         np.concatenate(column) for column in zip(*[
@@ -788,17 +954,14 @@ def certificates(rows):
     x1, x2 = (np.where(np.isfinite(x), x, -1.0) for x in starts)
     x1[top == 1] = np.inf  # flat rows (max d = 1): the rate's low end
     t_b = np.where(zeta, np.log(bs), bs - 1.0)
-    columns = (bs, zeta, truncated, top - bs, t_b, n,
-               np.where(zeta, log_star, offsets) + tail * t_b,
-               tail_offsets + tail, x1, x2)
-    cells = bs + np.where(truncated, top - bs, 0)
-    bound, theta = np.full(len(bs), np.inf), np.full((2, len(bs)), np.nan)
-    solved = np.flatnonzero((cells <= CELLS) | truncated & (bs == top))
-    for block in (solved[part] for part in _blocks(cells[solved])):
-        bound[block], theta[:, block] = _certify(*(column[block]
-                                                   for column in columns))
+    bound, theta = _certify(bs, zeta, truncated, top - bs, t_b, n,
+                            np.where(zeta, log_star, offsets) + tail * t_b,
+                            tail_offsets + tail, x1, x2)
     cut = truncated & (bs < top)
     bound[cut] += _tail_rounding(n[cut], top[cut], bs[cut])
+    summed = zeta & (bs > ZETA_EXACT)
+    bound[summed] += _em_remainder(n[summed], bs[summed], np.where(
+        truncated, top - bs, 1.0 / EPS)[summed])
     ends = np.cumsum(sizes)[:-1]
     for (model, sample, _), iterates in zip(rows, np.split(theta, ends, 1)):
         sample.memo[_certify, model] = iterates
@@ -822,6 +985,38 @@ def _tail_rounding(n, top, bs):
                              + 4.0 * top * -lo / -np.expm1(k * lo))
 
 
+def _em_bounds(terms, start):
+    """Bounds on the remainders of :func:`_euler_maclaurin`'s three sums
+    with ``terms`` corrections from k = ``start``, at every theta of
+    [-GAMMA_TOP, 0] and every b, where log(start) >= H(2 terms + 1) - 1
+    (:func:`_em_remainder` derives them): |B_2p| / (2p)! (2p + 1)! a^(1 -
+    2p) (2p + log a + 2 / (2p - 1))^j / (2p - 1), p = terms, a = start."""
+    m, log_a = 2 * terms, math.log(start)
+    scale = abs(_BERNOULLI[terms - 1]) * (m + 1) * start ** (1 - m) / (m - 1)
+    return [scale * (m + log_a + 2.0 / (m - 1)) ** j for j in range(3)]
+
+
+def _em_remainder(n, bs, tail_mean):
+    """The most that the Euler-Maclaurin remainders R_j of a zeta head's
+    sums (:func:`_euler_maclaurin`) move a certificate, to first order, at
+    b > ZETA_EXACT; ``tail_mean`` bounds E[T2] over the box (max d - b, or
+    1 / EPS untruncated).  A remainder is at most |B_2p| / (2p)! times the
+    integral of |f^(2p)| over x >= a, p = EM_TERMS.  For theta in
+    [-GAMMA_TOP, 0], |P_m|, |P_m'| / m and |P_m''| / (m (m - 1)) are at
+    most D = Gamma(gamma + 2 + m) / Gamma(gamma + 2), so |f_j^(m)(x)| <=
+    D x^(-gamma - m) (m + log x)^j, whose integral is at most D a^(1 -
+    gamma - m) (m + log a + 2 / c)^j / c, c = gamma + m - 1.  Its log falls
+    with gamma, as sum_l 1 / (gamma + 2 + l) <= H(2p + 1) - 1 < log a, so
+    gamma = 0 bounds it (:func:`_em_bounds`).  Z >= 1, so log Z moves by at
+    most R_0, E[T1] by R_1 + log b R_0 and E[T2] by E[T2] R_0; the bound
+    moves by N times the first plus the box's widths times the other
+    two."""
+    widths = GAMMA_TOP, THETA_BOUNDS[1] - THETA_BOUNDS[0]
+    r0, r1, _ = _em_bounds(EM_TERMS, ZETA_EXACT + 1)
+    return n * (r0 * (1.0 + widths[0] * np.log(bs) + widths[1] * tail_mean)
+                + widths[0] * r1)
+
+
 def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
     """Upper bounds at break points bs and the last accepted theta at each,
     from (x1, x2): projected Newton steps, halved where f falls by more
@@ -831,29 +1026,27 @@ def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
     s1 and s2 are the sums of T1 and T2.  An empty tail (b = max d) has no
     term, holds theta2 and skips the zeta cap."""
     empty = truncated & (tail_size == 0)
-    cut = truncated & ~empty
-    head_sums, tail_sums = _moments(bs, zeta), _moments(tail_size[cut], False)
-    tail_runs, lo2, hi2 = np.cumsum(cut) - 1, *THETA_BOUNDS
+    tails = np.where(truncated & ~empty, tail_size, UNBOUNDED)
+    lo2, hi2 = THETA_BOUNDS
     bound, theta = np.full(len(bs), np.inf), np.full((2, len(bs)), np.nan)
     # The break points still running, by index, and their columns.
     rows = np.flatnonzero(~zeta | empty | (n * ZETA_SLOPE_CAP < s1))
-    zeta, cut, empty, t_b, n, s1, s2, x1, x2 = (column[rows] for column in (
-        zeta, cut, empty, t_b, n, s1, s2, x1, x2))
+    if not len(rows):
+        return bound, theta
+    bs, zeta, tails, empty, t_b, n, s1, s2, x1, x2 = (
+        column[rows] for column in (
+            bs, zeta, tails, empty, t_b, n, s1, s2, x1, x2))
     lo1, hi1 = (np.where(zeta, -GAMMA_TOP, THETA_BOUNDS[0]),
                 np.where(zeta, 0.0, THETA_BOUNDS[1]))
     x1, x2 = np.clip(x1, lo1, hi1), np.clip(x2, lo2, hi2)
     # y is the trial point, at_x f, g1, g2 and the three curvatures at x.
     y1, y2, cert = x1, x2, bound[rows]
     at_x = [np.full(len(rows), -np.inf)] + [np.zeros(len(rows))] * 5
+    moments = _runs(bs, zeta, tails)
 
     def evaluate(x1, x2):
-        log_head, head_mean, head_var = head_sums(x1, rows)
-        r, a = np.exp(x2), -np.expm1(x2)
-        tails = [-np.log(a), r / a, r / (a * a)]  # log sum, mean, variance
-        for array, runs in zip(tails, tail_sums(x2[cut],
-                                                tail_runs[rows[cut]])):
-            array[cut] = runs
-        tails[0][empty] = -np.inf
+        (log_head, head_mean, head_var), tails = moments(x1, x2)
+        tails[0, empty] = -np.inf
         log_weight = x1 * t_b + x2 + tails[0]
         log_total = np.logaddexp(log_head, log_weight)
         p_head = np.exp(log_head - log_total)
@@ -878,12 +1071,14 @@ def _certify(bs, zeta, truncated, tail_size, t_b, n, s1, s2, x1, x2):
             bound[rows], theta[:, rows] = cert, (x1, x2)
             going = cert - at_x[0] > NEWTON_GAP * (1.0 + np.abs(at_x[0]))
             if not going.all():
-                (rows, cut, empty, t_b, n, s1, s2, lo1, hi1, x1, x2, y1,
-                 y2, cert, accept, *at_x) = (column[going] for column in (
-                     rows, cut, empty, t_b, n, s1, s2, lo1, hi1, x1, x2, y1,
-                     y2, cert, accept, *at_x))
+                (rows, bs, zeta, tails, empty, t_b, n, s1, s2, lo1, hi1, x1,
+                 x2, y1, y2, cert, accept, *at_x) = (
+                    column[going] for column in (
+                        rows, bs, zeta, tails, empty, t_b, n, s1, s2, lo1,
+                        hi1, x1, x2, y1, y2, cert, accept, *at_x))
                 if not len(rows):
                     break
+                moments = _runs(bs, zeta, tails)
             # Newton's step from x; a coordinate at an end of the box whose
             # slope points out of it stays, and the other steps alone.
             f, g1, g2, c11, c22, c12 = at_x

@@ -11,6 +11,8 @@ recursion on one sentence at a time, with adjacency sets.
 For the break-point scan of the two-regime fits, the exhaustive scan that
 :func:`depdist.estimation.fit` prunes and the constrained log-likelihood on
 a dense parameter grid, written from the pmf's definition.
+For their certificates, the run moments summed term by term, as they were
+before closed forms replaced them.
 For their searches, the starting values as they were computed before the
 starts read cached slices, and the log-likelihood as one function of both
 values, before it was factored into one part per value.
@@ -442,6 +444,24 @@ def two_regime_init(model, sample, break_point) -> tuple[float, float]:
         return (gamma_init(sample, upto=break_point),
                 tail_q_init(sample, break_point))
     return regime_q_inits(sample, break_point)
+
+
+def run_moments(lengths, log, theta):
+    """The direct sums that the certificates' closed forms replaced: for
+    runs of T = 0, 1, ..., length - 1 laid end to end (log(T + 1) where
+    ``log``), one theta per run, the log of each run's sum of exp(theta
+    T) and T's mean and variance under those weights (about the mean),
+    each run summed term by term on its own."""
+    lengths = np.asarray(lengths)
+    firsts = np.cumsum(lengths) - lengths
+    t = np.arange(lengths.sum()) - np.repeat(firsts, lengths)
+    t = np.where(np.repeat(np.broadcast_to(log, lengths.shape), lengths),
+                 np.log1p(t), t)
+    w = np.exp(np.repeat(theta, lengths) * t)
+    z = np.add.reduceat(w, firsts)
+    mean = np.add.reduceat(w * t, firsts) / z
+    spread = t - np.repeat(mean, lengths)
+    return np.log(z), mean, np.add.reduceat(w * spread * spread, firsts) / z
 
 
 def _log_constants(tau, s1, s2):

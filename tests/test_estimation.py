@@ -734,6 +734,21 @@ def certified(sample):
 # and 4 stop far below the dense grid's maxima, at q2 = 1e-8, and those of 6
 # and 7 find no finite value.
 FAR_TAIL = {1: 10000, 2: 1, 3: 1, 2000: 1}
+# Ten trillion 1s: the zeta rows' slope in gamma has no cap (no certificate).
+CAPPED = {1: 10 ** 13, 2: 3, 3: 2, 4: 1, 6: 1}
+# A distance of 2 million: truncated tails of about 2 million terms.
+LONG_TAIL = {1: 5, 2: 3, 3: 2, 2_000_000: 1}
+
+
+def grid_log_likelihood_max(model, sample, bp, size=24):
+    """The largest ``models.log_likelihood`` of a truncated two-regime row
+    at break point ``bp`` over a size x size grid: q1 or gamma (0 to 20)
+    and q2, each q on a logistic grid inside [1e-8, 1 - 1e-8]."""
+    q = 1.0 / (1.0 + np.exp(-np.linspace(-18.0, 18.0, size)))
+    first = np.linspace(0.0, 20.0, size) if model.family == "6-7" else q
+    return max(m.log_likelihood(model, model.spec.params(
+        float(x1), float(x2), bp, sample.max_d), sample)
+        for x1 in first for x2 in q)
 
 
 class TestCertificates:
@@ -801,39 +816,31 @@ class TestCertificates:
             assert certs[geometric][0] == pytest.approx(certs[zeta][0],
                                                         rel=1e-12)
 
-    def test_blocks_change_no_bound(self, monkeypatch):
-        # Runs of at most CELLS terms give the bounds of one run; a break
-        # point whose sums hold more than CELLS terms has no certificate:
-        # its bound, in the scan too, is +inf.
-        freq = {1: 40, 2: 15, 3: 6, 4: 3, 6: 2, 7: 1, 12: 1}
-        sample = DistanceSample(freq)
-        grid = est._break_grid(sample)
-        certs = certified(sample)
-        # b runs from 2 to 7 and max d is 12: the heads of 3 and 6 up to
-        # b = 5 fit in 5 terms, no sums of 4 and 7 do.
-        monkeypatch.setattr(m, "CELLS", 5)
-        blocked = DistanceSample(freq)
-        est._scan([(model, blocked) for model in TWO_REGIME])
-        bs = np.array(grid)
-        for model, cert in certified(blocked).items():
-            cells = bs + (sample.max_d - bs) * model.is_truncated
-            expected = np.where(cells <= 5, certs[model], np.inf)
-            assert np.array_equal(cert, expected), model
-            assert np.array_equal(blocked.memo[est._scan, model][1],
-                                  expected), model
-            assert np.isfinite(cert).any() != model.is_truncated
+    def test_capped_zeta_rows_have_no_certificate(self):
+        # N ZETA_SLOPE_CAP is about 38 on CAPPED, above the sum of log d
+        # over its distances: the gamma cap cannot bound the zeta rows,
+        # whose bounds, in the scan too, are +inf at every break point; the
+        # geometric rows have certificates at all of them.
+        certs = certified(DistanceSample(CAPPED))
+        scanned = DistanceSample(CAPPED)
+        est._scan([(model, scanned) for model in TWO_REGIME])
+        for model, cert in certs.items():
+            assert np.array_equal(scanned.memo[est._scan, model][1],
+                                  cert), model
+            zeta = model.family == "6-7"
+            assert np.isinf(cert).all() == zeta, model
+            assert np.isfinite(cert).all() != zeta, model
 
     def test_break_points_without_a_certificate_are_searched(
             self, monkeypatch):
-        # With CELLS = 5 the sums of every break point of models 4 and 7,
-        # and of the heads of 3 and 6 beyond b = 5, hold too many terms for
-        # a certificate: the scan searches each of them, and every fit is
-        # still the exhaustive scan's.
-        freq = {1: 40, 2: 15, 3: 6, 4: 3, 6: 2, 7: 1, 12: 1}
-        exhaustive = {model: exhaustive_break_scan(model, DistanceSample(freq))
+        # The zeta rows of CAPPED have no certificate at any break point:
+        # the scan searches each of them, and every fit is still the
+        # exhaustive scan's.
+        exhaustive = {model: exhaustive_break_scan(model,
+                                                   DistanceSample(CAPPED))
                       for model in TWO_REGIME}
-        monkeypatch.setattr(m, "CELLS", 5)
-        sample, visited, search = DistanceSample(freq), Counter(), est._search
+        sample, visited = DistanceSample(CAPPED), Counter()
+        search = est._search
 
         def counted(model, sample, bp, tally=None):
             visited[model, bp] += 1
@@ -844,12 +851,29 @@ class TestCertificates:
             grid, bounds = sample.memo[est._scan, model]
             uncertified = [bp for bp, bound in zip(grid, bounds)
                            if bound == math.inf]
-            assert uncertified, model
+            assert (uncertified == list(grid)) == (model.family == "6-7")
             assert all(visited[model, bp] == 1 for bp in uncertified), model
             assert result.searches == sum(
                 count for (row, _), count in visited.items() if row is model)
             assert (result.params, result.log_l, result.converged) == \
                 exhaustive[model], model
+
+    def test_long_truncated_tails_are_certified(self):
+        # The truncated tails of models 4 and 7 hold about 2 million terms
+        # at every break point, in closed form: each has a finite
+        # certificate, at or above the search there and the row's
+        # log-likelihood on a grid of its parameters.
+        sample = DistanceSample(LONG_TAIL)
+        certs = certified(sample)
+        for model in (Model.TWO_REGIME_GEOMETRIC_TRUNC,
+                      Model.ZETA_GEOMETRIC_TRUNC):
+            assert np.all(np.isfinite(certs[model])), model
+            for bp, cert in zip(est._break_grid(sample), certs[model]):
+                case = (model, bp)
+                assert sample.max_d - bp > 2 ** 20, case
+                assert cert >= est._search(model, sample, bp)[1], case
+                assert cert >= grid_log_likelihood_max(model, sample, bp), \
+                    case
 
     def test_rows_do_not_depend_on_the_batch(self):
         # Each row's certificates are the same in one batch with every row

@@ -16,7 +16,7 @@ from depdist.treebank import (
     LengthDistribution,
     build_samples,
 )
-from oracles import goodness_of_fit
+from oracles import goodness_of_fit, run_moments
 
 
 def shuffle_distance_counts(n):
@@ -44,6 +44,17 @@ class TestParameterCounts:
         expected = {"0.0": 1, "0.1": 0, "1": 1, "2": 2, "3": 3, "4": 4,
                     "5": 2, "6": 3, "7": 4}
         assert {model.id: model.k for model in Model} == expected
+
+
+class TestModelMembers:
+    def test_order_is_the_spec_tables(self):
+        assert list(m.SPECS) == list(Model)
+        assert [model.order for model in m.SPECS] == list(range(len(Model)))
+
+    def test_hash_is_objects(self):
+        # Members key every memo and fits dict: the C-level identity hash.
+        assert Model.__hash__ is object.__hash__
+        assert len({model: None for model in Model}) == len(Model)
 
 
 class TestPmf:
@@ -605,3 +616,88 @@ class TestDegenerateNormalizers:
         assert m.log_likelihood(model, params, self.SAMPLE) == float("-inf")
         lp = m.log_pmf(model, params, np.arange(1, 61))
         assert np.all(lp == float("-inf"))
+
+
+# Every run length from 1 to 300, and 3,000, for the closed forms.
+RUN_LENGTHS = [*range(1, 301), 3000]
+# The closed forms divide by 0 or overflow where their series or their
+# limits take over; the certificates run them under this state.
+QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
+def assert_run_moments(got, want, case):
+    """log Z within 1e-15 (relative above 1), the mean within 1e-14 and the
+    variance within 1e-12, relative."""
+    (log_z, mean, var), (log_z_want, mean_want, var_want) = got, want
+    for value, expected, tol, floor in ((log_z, log_z_want, 1e-15, 1.0),
+                                        (mean, mean_want, 1e-14, 0.0),
+                                        (var, var_want, 1e-12, 0.0)):
+        scale = np.maximum(np.abs(expected), floor)
+        bad = ~(np.abs(value - expected) <= tol * scale)
+        assert not bad.any(), (case, value[bad][:3], expected[bad][:3])
+
+
+class TestRunMoments:
+    """The certificates' run moments in closed form, against the direct
+    sums they replaced (``oracles.run_moments``)."""
+
+    def test_geometric_runs(self):
+        # theta across THETA_BOUNDS, geometric in |theta|, and on both
+        # sides of the series region's edge |theta k| = SERIES_BELOW.
+        lo, hi = m.THETA_BOUNDS
+        lengths, thetas = [], []
+        for k in RUN_LENGTHS:
+            theta = np.concatenate([-np.geomspace(-hi, -lo, 40),
+                                    -m.SERIES_BELOW / k * np.array(
+                                        [0.5, 0.999, 1.001, 2.0])])
+            theta = theta[(lo <= theta) & (theta <= hi)]
+            lengths += [k] * len(theta)
+            thetas.append(theta)
+        k, theta = np.array(lengths, float), np.concatenate(thetas)
+        assert (np.abs(theta * k) < m.SERIES_BELOW).sum() > 1000
+        with np.errstate(**QUIET):
+            got = m._geometric_runs(theta, k)
+        assert_run_moments(got, run_moments(k.astype(int), False, theta),
+                           "geometric")
+
+    def test_unbounded_runs_are_the_untruncated_tail(self):
+        theta = -np.geomspace(-m.THETA_BOUNDS[1], -m.THETA_BOUNDS[0], 200)
+        r, a = np.exp(theta), -np.expm1(theta)
+        k = np.full(len(theta), m.UNBOUNDED)
+        with np.errstate(**QUIET):
+            got = m._geometric_runs(theta, k)
+        assert_run_moments(got, (-np.log(a), r / a, r / (a * a)), "tail")
+
+    def test_zeta_heads(self):
+        # theta across [-GAMMA_TOP, 0], with 0 and -1 (where the integral's
+        # rate theta + 1 is 0); heads beyond ZETA_EXACT add Euler-Maclaurin.
+        theta = np.concatenate([[0.0, -1.0, -1.0 + 1e-9],
+                                -np.geomspace(1e-9, m.GAMMA_TOP, 40)])
+        bs = np.repeat(RUN_LENGTHS, len(theta))
+        theta = np.tile(theta, len(RUN_LENGTHS))
+        assert (bs > m.ZETA_EXACT).any()
+        with np.errstate(**QUIET):
+            got = m._zeta_heads(bs)(theta)
+        assert_run_moments(got, run_moments(bs, True, theta), "zeta")
+
+    @pytest.mark.parametrize("terms, start", [
+        (1, 3), (1, 9), (2, 5), (2, 17), (3, 9), (3, 33),
+        (m.EM_TERMS, m.ZETA_EXACT + 1)])
+    def test_euler_maclaurin_remainder_within_its_bound(self, terms, start):
+        # With few corrections and a low start the remainder shows in
+        # doubles; it stays within _em_bounds at every theta of the box
+        # and every b, wherever the bound's condition holds.
+        assert math.log(start) >= sum(
+            1.0 / i for i in range(2, 2 * terms + 2))
+        theta = np.concatenate([[0.0, -1.0], -np.geomspace(1e-6, 64.0, 60)])
+        bounds = m._em_bounds(terms, start)
+        for b in (start, start + 1, 2 * start, 300, 3000):
+            with np.errstate(**QUIET):
+                got = m._euler_maclaurin(np.full(len(theta), float(b)),
+                                         start, terms)(theta)
+            logs = np.log(np.arange(start, b + 1.0))
+            w = np.exp(np.multiply.outer(theta, logs))
+            for j, bound in enumerate(bounds):
+                direct = (w * logs ** j).sum(1)
+                error = np.abs(got[j] - direct)
+                assert np.all(error <= bound + 1e-14 * direct), (b, j)
