@@ -31,9 +31,7 @@ from .optimality import (
 from .sampling import (
     draw_sample,
     generate_validation_suite,
-    sample_geometric,
     sample_tabular,
-    sample_zeta_truncated,
 )
 from .treebank import (
     DepTree,
@@ -79,9 +77,7 @@ __all__ = [
     "parse_conllu",
     "pmf",
     "run_validation",
-    "sample_geometric",
     "sample_tabular",
-    "sample_zeta_truncated",
     "select",
     "slope_analysis",
     "threshold_scan",

@@ -1213,10 +1213,13 @@ class ModelSpec:
     ``bind(sample, break_point, d_max)`` takes the sample (the length
     mixture reads its per-length samples) and returns the log-likelihood as
     a function of the continuous values, in field order; ``sampler`` keys
-    :data:`sampling.GENERATORS` (None: no sampler).  One-regime rows have
-    ``fit(sample)``, which fits without the optimizer; two-regime rows have
-    ``init(sample, break_point)``, the optimizer's start, and
-    :func:`certificates` bounds their log-likelihood at each break point.
+    :data:`sampling.GENERATORS`: "null" (closed-form inversion), "zeta"
+    (rejection-inversion) or "table" (a table over 1..b, b = 0 for the
+    geometric rows, and a geometric tail in closed form); None: no sampler.
+    One-regime rows have ``fit(sample)``, which fits without the optimizer;
+    two-regime rows have ``init(sample, break_point)``, the optimizer's
+    start, and :func:`certificates` bounds their log-likelihood at each
+    break point.
 
     The length mixture's ``bind`` conditions each distance on the length of
     its sentence, and its ``log_pmf`` is the marginal over the sample's
@@ -1265,10 +1268,10 @@ SPECS: dict[Model, ModelSpec] = {
         None, None, _mixture_fit),
     Model.GEOMETRIC: ModelSpec(
         GeometricParams, 1, "1-2", _geometric_log_pmf,
-        _geometric_bind, None, "geometric", _geometric_fit),
+        _geometric_bind, None, "table", _geometric_fit),
     Model.GEOMETRIC_TRUNC: ModelSpec(
         TruncatedGeometricParams, 2, "1-2", _geometric_log_pmf,
-        _geometric_bind, None, "geometric",
+        _geometric_bind, None, "table",
         partial(_rate_fit, Model.GEOMETRIC_TRUNC)),
     Model.TWO_REGIME_GEOMETRIC: ModelSpec(
         TwoRegimeGeometricParams, 3, "3-4", _two_regime_geometric_log_pmf,

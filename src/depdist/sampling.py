@@ -1,14 +1,11 @@
 """Random variate generation for every model in the ensemble; every draw
-is exact, whatever the support.
+is exact, whatever the support, and no parameter makes a draw hang.
 
-Geometric deviates come from inversion (L = 1 + floor(log x / log(1-q))),
-with rejection of overshoots for the truncated variant.  Truncated zeta
-deviates use the classic rejection scheme with acceptance test
-V*X*(T-1)/(b-1) <= T/b, b = 2^(gamma-1), and a table over the whole support
-below gamma = 1.  The shuffle null inverts its CDF in closed form.  The
-two-regime models search a table over their first regime, 1..b, and invert
-their second, a geometric, in closed form.  Each model's spec row names its
-generator in :data:`GENERATORS`.
+Three generators, named by each model's spec row in :data:`GENERATORS`:
+the shuffle null inverts its CDF in closed form; the truncated zeta draws
+by rejection-inversion; the geometric and two-regime models search a table
+over their first regime, 1..b (empty for the geometric, b = 0), and invert
+the geometric run beyond b in closed form.
 """
 
 from __future__ import annotations
@@ -42,64 +39,9 @@ REFERENCE_PARAMS: dict[Model, ModelParams] = {
 
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
-    # (0, 1]: keeps log() finite and maps u -> 1 to the smallest deviate.
+    # (0, 1]: u -> 1 draws the largest deviate, and rejection-inversion's
+    # proposals stay below H(d_max + 1/2).
     return 1.0 - rng.random(size)
-
-
-def sample_geometric(
-    q: float,
-    size: int,
-    rng: np.random.Generator,
-    d_max: int | None = None,
-) -> np.ndarray:
-    """Geometric deviates on {1, 2, ...} by inversion.
-
-    With ``d_max`` set, overshoots are rejected and redrawn, which yields
-    exactly the right-truncated law.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
-    lam = math.log1p(-q)
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        x = _uniform_open(rng, size - filled)
-        draws = 1 + np.floor(np.log(x) / lam).astype(np.int64)
-        if d_max is not None:
-            draws = draws[draws <= d_max]
-        out[filled:filled + len(draws)] = draws
-        filled += len(draws)
-    return out
-
-
-def sample_zeta_truncated(
-    gamma: float,
-    d_max: int,
-    size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Right-truncated zeta deviates by rejection (requires gamma > 1)."""
-    if gamma <= 1.0:
-        raise ValueError("rejection sampler needs gamma > 1")
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    b = 2.0 ** (gamma - 1.0)
-    inv_exp = -1.0 / (gamma - 1.0)
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    while filled < size:
-        block = size - filled
-        u = _uniform_open(rng, block)
-        v = rng.random(block)
-        x = np.floor(u ** inv_exp)
-        ok = x <= d_max  # also drops the rare overflow to inf
-        x, v = x[ok], v[ok]
-        t = (1.0 + 1.0 / x) ** (gamma - 1.0)
-        accept = v * x * (t - 1.0) / (b - 1.0) <= t / b
-        draws = x[accept].astype(np.int64)
-        out[filled:filled + len(draws)] = draws
-        filled += len(draws)
-    return out
 
 
 def pmf_table(model: Model, params: ModelParams, top: int) -> np.ndarray:
@@ -112,26 +54,24 @@ def pmf_table(model: Model, params: ModelParams, top: int) -> np.ndarray:
 def sample_tabular(model: Model, params: ModelParams, size: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Exact deviates by inversion: for each uniform u, the least d with
-    CDF(d) >= u, by binary search in a cumulative table.
+    CDF(d) >= u.
 
-    A one-regime row (the zeta below gamma = 1) tabulates its whole support,
-    and a u past the table's rounded total draws d_max.  A two-regime row
-    tabulates 1..b only.  Beyond F = CDF(b) its second regime is geometric,
-    r = 1 - q_tail, so with K = d_max - b (r^K = 0 without a bound) d = b +
-    j for the least j >= 1 with (1 - F)(r^j - r^K)/(1 - r^K) <= 1 - u, at
-    most K (Devroye 1986, ch. X).  Without a bound, u = 1 reads as the
-    largest u below 1 that the generator makes, 1 - 2^-53.
+    A two-regime row searches a cumulative table over its first regime,
+    1..b; the geometric rows (1, 2) have no first regime, b = 0.  Beyond
+    F = CDF(b) (0 for an empty head) the law is geometric, r = 1 - q, so
+    with K = d_max - b (r^K = 0 without a bound) d = b + j for the least
+    j >= 1 with (1 - F)(r^j - r^K)/(1 - r^K) <= 1 - u, at most K (Devroye
+    1986, ch. X).  Without a bound, u = 1 reads as the largest u below 1
+    that the generator makes, 1 - 2^-53.
     """
-    b = getattr(params, "break_point", None)
+    b = getattr(params, "break_point", 0)
     d_max = m.support_upper(model, params)
-    top = d_max if b is None else b
-    cdf = np.cumsum(pmf_table(model, params, top))
+    cdf = np.cumsum(pmf_table(model, params, b))
+    head = cdf[-1] if b else 0.0
     u = _uniform_open(rng, size)
-    draws = np.minimum(np.searchsorted(cdf, u, side="left"), top - 1) + 1
-    if b is None:
-        return draws
-    tail = u > cdf[-1]
-    excess, mass = 1.0 - u[tail], 1.0 - cdf[-1]
+    draws = np.searchsorted(cdf, u, side="left") + 1
+    tail = u > head
+    excess, mass = 1.0 - u[tail], 1.0 - head
     log_r = math.log1p(-m.tail_rate(params))
     if d_max is None:
         span, x = math.inf, np.maximum(excess, 2.0**-53) / mass
@@ -155,21 +95,57 @@ def _draw_null(model, params, size, rng) -> np.ndarray:
     return np.clip(np.ceil(root), 1, d_max).astype(np.int64)
 
 
-def _draw_geometric(model, params, size, rng) -> np.ndarray:
-    return sample_geometric(params.q, size, rng,
-                            d_max=getattr(params, "d_max", None))
+def _ratio(f, z, series):
+    """f(z)/z, or its series where |z| < 1e-8, where the quotient cancels."""
+    small = np.abs(z) < 1e-8
+    safe = np.where(small, 1.0, z)
+    return np.where(small, series, f(safe) / safe)
 
 
 def _draw_zeta(model, params, size, rng) -> np.ndarray:
-    if params.gamma > 1.0:
-        return sample_zeta_truncated(params.gamma, params.d_max, size, rng)
-    return sample_tabular(model, params, size, rng)
+    """Truncated zeta deviates by rejection-inversion (Hoermann and
+    Derflinger, ACM TOMACS 6(3), 1996), for every gamma >= 0 and d_max.
+
+    With h(x) = x^-gamma and H(x) the integral of h from 1 to x, a proposal
+    y, uniform on [H(3/2) - 1, H(d_max + 1/2)), draws k = H^-1(y) rounded,
+    and is kept if y >= H(k + 1/2) - h(k); so d = 1 takes the first unit of
+    the interval and each k > 1 an interval under the hat of the convex h.
+    The hat over k > 1 lies under h(k - 1), so its area is at most 1 +
+    sum h(k): at least half of the proposals are kept, on any parameters.
+    H and H^-1 use the log1p/expm1 forms of Apache Commons RNG's
+    ``RejectionInversionZipfSampler``, which do not cancel near gamma = 1.
+    """
+    gamma, d_max = params.gamma, params.d_max
+
+    def integral(x):  # H(x) = log x expm1(s)/s, s = (1 - gamma) log x
+        log_x = np.log(x)
+        s = (1 - gamma) * log_x
+        return log_x * _ratio(np.expm1, s,
+                              1 + s / 2 * (1 + s / 3 * (1 + s / 4)))
+
+    def inverse(y):  # H^-1(y) = exp(y log1p(t)/t), t = (1 - gamma) y
+        t = np.maximum((1 - gamma) * y, -1.0)
+        # Rounding near H(inf) can reach t = -1, so H^-1 = inf: k = d_max,
+        # which the acceptance test judges.
+        with np.errstate(divide="ignore"):
+            return np.exp(y * _ratio(np.log1p, t,
+                                     1 - t * (1 / 2 - t * (1 / 3 - t / 4))))
+
+    top, low = integral(d_max + 0.5), integral(1.5) - 1.0
+    out = np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        y = top + _uniform_open(rng, size - filled) * (low - top)
+        k = np.clip(np.floor(inverse(y) + 0.5), 1, d_max)
+        draws = k[y >= integral(k + 0.5) - k ** -gamma].astype(np.int64)
+        out[filled:filled + len(draws)] = draws
+        filled += len(draws)
+    return out
 
 
 #: Generator for each ``ModelSpec.sampler`` name.
 GENERATORS = {
     "null": _draw_null,
-    "geometric": _draw_geometric,
     "zeta": _draw_zeta,
     "table": sample_tabular,
 }

@@ -115,8 +115,8 @@ class TestInitialValues:
 
 
 def geometric_sample(q, size, seed):
-    rng = np.random.default_rng(seed)
-    return DistanceSample.from_values(samp.sample_geometric(q, size, rng))
+    return samp.draw_sample(Model.GEOMETRIC, m.GeometricParams(q), size,
+                            seed)
 
 
 class TestFit:
@@ -250,11 +250,13 @@ class TestFit:
 
     def test_break_scan_is_exhaustive(self):
         rng = np.random.default_rng(21)
-        values = np.concatenate([
-            samp.sample_geometric(0.55, 300, rng),
-            4 + samp.sample_geometric(0.15, 200, rng),
-        ])
-        sample = DistanceSample.from_values(values)
+        near = samp.draw_sample(Model.GEOMETRIC, m.GeometricParams(0.55),
+                                300, rng)
+        far = samp.draw_sample(Model.GEOMETRIC, m.GeometricParams(0.15), 200,
+                               rng)
+        freq = Counter(near.freq)
+        freq.update({4 + d: count for d, count in far.freq.items()})
+        sample = DistanceSample(dict(freq))
         result = fit(Model.TWO_REGIME_GEOMETRIC, sample)
         best_by_rescan = max(
             est._optimize(Model.TWO_REGIME_GEOMETRIC, sample, bp)[1]

@@ -1,7 +1,11 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import depdist.models as m
 import depdist.sampling as samp
@@ -12,9 +16,6 @@ from depdist.sampling import (
     generate_validation_suite,
     pmf_table,
     read_sample_csv,
-    sample_geometric,
-    sample_tabular,
-    sample_zeta_truncated,
     write_sample_csv,
 )
 from depdist.treebank import DistanceSample
@@ -36,70 +37,94 @@ class FixedRng:
 
 
 class TestGeometricInversion:
+    """Models 1 and 2 invert their geometric law in closed form: with x the
+    uniform that ``rng.random()`` returns, the least d with r^d <= x."""
+
     def test_inversion_formula(self):
-        # 1 + floor(log x / log(1 - q)) at q = 0.2, x = 0.5 lands on 4.
-        assert 1 + math.floor(math.log(0.5) / math.log(0.8)) == 4
-        # The sampler consumes u and inverts x = 1 - u.
-        rng = FixedRng([0.5])
-        draws = sample_geometric(0.2, 1, rng)
+        # ceil(log x / log(1 - q)) at q = 0.2, x = 0.5 lands on 4.
+        assert math.ceil(math.log(0.5) / math.log(0.8)) == 4
+        draws = draw(Model.GEOMETRIC, m.GeometricParams(0.2), FixedRng([0.5]),
+                     1)
         assert draws[0] == 4
 
     def test_x_near_one_gives_smallest_deviate(self):
-        rng = FixedRng([0.0])  # x = 1 - u = 1
-        assert sample_geometric(0.2, 1, rng)[0] == 1
+        rng = FixedRng([1.0 - 2.0**-53])  # the largest x below 1
+        assert draw(Model.GEOMETRIC, m.GeometricParams(0.2), rng, 1)[0] == 1
 
     def test_head_probability(self):
         rng = np.random.default_rng(100)
-        draws = sample_geometric(0.2, 10**5, rng)
+        draws = draw(Model.GEOMETRIC, m.GeometricParams(0.2), rng, 10**5)
         p_hat = np.mean(draws == 1)
         se = math.sqrt(0.2 * 0.8 / 10**5)
         assert abs(p_hat - 0.2) <= 3 * se
 
     def test_truncated_respects_bound(self):
         rng = np.random.default_rng(101)
-        draws = sample_geometric(0.15, 10**4, rng, d_max=6)
+        draws = draw(Model.GEOMETRIC_TRUNC,
+                     m.TruncatedGeometricParams(0.15, 6), rng, 10**4)
         assert draws.max() <= 6
         assert draws.min() >= 1
 
     def test_truncated_matches_law(self):
-        rng = np.random.default_rng(102)
-        draws = sample_geometric(0.2, 10**5, rng, d_max=19)
-        from depdist.treebank import DistanceSample
-        sample = DistanceSample.from_values(draws)
-        _, p, _ = goodness_of_fit(sample, Model.GEOMETRIC_TRUNC,
-                                  m.TruncatedGeometricParams(0.2, 19))
+        params = m.TruncatedGeometricParams(0.2, 19)
+        sample = draw_sample(Model.GEOMETRIC_TRUNC, params, 10**5, seed=102)
+        _, p, _ = goodness_of_fit(sample, Model.GEOMETRIC_TRUNC, params)
         assert p > 1e-3
 
 
 class TestZetaRejection:
-    def test_x_equals_one_always_accepted(self):
-        # At X = 1 the acceptance test reduces to V <= 1.
-        gamma = 1.6
-        b = 2 ** (gamma - 1)
-        x = 1.0
-        t = (1 + 1 / x) ** (gamma - 1)
-        for v in np.linspace(0.0, 1.0, 11):
-            assert v * x * (t - 1) / (b - 1) <= t / b + 1e-15
-
-    def test_requires_gamma_above_one(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_zeta_truncated(1.0, 19, 5, rng)
+    """Model 5 draws by rejection-inversion, on every gamma >= 0."""
 
     def test_truncation(self):
         rng = np.random.default_rng(103)
-        draws = sample_zeta_truncated(1.6, 19, 10**4, rng)
+        draws = draw(Model.ZETA_TRUNC, m.ZetaParams(1.6, 19), rng, 10**4)
         assert draws.max() <= 19
         assert draws.min() >= 1
 
     def test_pointwise_agreement(self):
         rng = np.random.default_rng(104)
         n = 10**5
-        draws = sample_zeta_truncated(1.6, 19, n, rng)
-        probs = pmf_table(Model.ZETA_TRUNC, m.ZetaParams(1.6, 19), 19)
+        params = m.ZetaParams(1.6, 19)
+        draws = draw(Model.ZETA_TRUNC, params, rng, n)
+        probs = pmf_table(Model.ZETA_TRUNC, params, 19)
         observed = np.bincount(draws, minlength=20)[1:] / n
         bound = 3 * np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(observed - probs) <= bound)
+
+    @pytest.mark.parametrize("d_max", [1, 2, 5, 10**3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.0 + 1e-9, 1.6, 5.0])
+    def test_chi_square(self, gamma, d_max):
+        params = m.ZetaParams(gamma, d_max)
+        sample = draw_sample(Model.ZETA_TRUNC, params, 10**5, seed=3)
+        assert sample.max_d <= d_max
+        _, p, _ = goodness_of_fit(sample, Model.ZETA_TRUNC, params)
+        assert p > 1e-3
+
+    @given(st.floats(0.0, 1e6), st.integers(1, 10**12),
+           st.integers(0, 2**32 - 1))
+    def test_any_parameters_draw_in_support(self, gamma, d_max, seed):
+        # No pmf here: the normalizer would sum d_max terms.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            draws = draw(Model.ZETA_TRUNC, m.ZetaParams(gamma, d_max),
+                         np.random.default_rng(seed), 100)
+        assert len(draws) == 100
+        assert 1 <= draws.min() and draws.max() <= d_max
+
+
+class TestNoHang:
+    """Parameters that once made a sampler reject nearly every proposal:
+    10^4 draws take well under 0.1 s."""
+
+    @pytest.mark.parametrize("model, params", [
+        (Model.ZETA_TRUNC, m.ZetaParams(1.0 + 1e-6, 5)),
+        (Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(1e-8, 5))],
+        ids=["zeta-near-one", "geometric-slow"])
+    def test_draws_are_quick(self, model, params):
+        start = time.perf_counter()
+        sample = draw_sample(model, params, 10**4, seed=5)
+        assert time.perf_counter() - start < 0.1
+        assert sample.total == 10**4 and sample.max_d <= 5
 
 
 class TestTabularInversion:
@@ -107,14 +132,14 @@ class TestTabularInversion:
         params = m.NullParams(3)
         # u = 0.2 < pmf(1) = 0.5, in the table and in closed form.
         rng = FixedRng([1.0 - 0.2])
-        assert sample_tabular(Model.NULL_FIXED, params, 1, rng)[0] == 1
+        assert full_table_draws(Model.NULL_FIXED, params, rng, 1)[0] == 1
         assert draw(Model.NULL_FIXED, params, FixedRng([1.0 - 0.2]), 1)[0] == 1
 
     def test_worked_cdf_case(self):
         # Shuffle null with d_max = 3 has CDF (0.5, 5/6, 1): u = 0.95 -> 3.
         params = m.NullParams(3)
         rng = FixedRng([1.0 - 0.95])
-        assert sample_tabular(Model.NULL_FIXED, params, 1, rng)[0] == 3
+        assert full_table_draws(Model.NULL_FIXED, params, rng, 1)[0] == 3
         assert draw(Model.NULL_FIXED, params, FixedRng([1.0 - 0.95]), 1)[0] == 3
 
     def test_binary_search_matches_linear_scan(self):
@@ -149,9 +174,9 @@ def draw(model, params, rng, size):
 
 class TestShortTables:
     """Draws from the short tables, the first regime 1..b of a two-regime
-    row with its geometric tail inverted beyond b, and the null's closed
-    form with no table, equal draws from the full table, element for
-    element."""
+    row with its geometric tail inverted beyond b, the geometric rows'
+    closed form (an empty head, b = 0) and the null's, equal draws from the
+    full table, element for element."""
 
     CASES = [
         (Model.TWO_REGIME_GEOMETRIC,
@@ -166,6 +191,12 @@ class TestShortTables:
          samp.REFERENCE_PARAMS[Model.TWO_REGIME_GEOMETRIC_TRUNC]),
         (Model.ZETA_GEOMETRIC_TRUNC,
          samp.REFERENCE_PARAMS[Model.ZETA_GEOMETRIC_TRUNC]),
+        # The geometric rows: one run over the whole support.
+        (Model.GEOMETRIC, samp.REFERENCE_PARAMS[Model.GEOMETRIC]),
+        (Model.GEOMETRIC, m.GeometricParams(1e-3)),
+        (Model.GEOMETRIC_TRUNC, samp.REFERENCE_PARAMS[Model.GEOMETRIC_TRUNC]),
+        (Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(1e-3, 19)),
+        (Model.GEOMETRIC_TRUNC, m.TruncatedGeometricParams(1e-8, 5)),
     ]
 
     @pytest.mark.parametrize("model, params", CASES)
@@ -186,7 +217,8 @@ class TestShortTables:
     def test_u_of_one_is_finite(self, model, params):
         (d,) = draw(model, params, FixedRng([0.0]), 1)
         bound = m.support_upper(model, params)
-        assert d == bound if bound is not None else params.break_point < d
+        assert d == bound if bound is not None \
+            else getattr(params, "break_point", 0) < d
         # The largest u below 1 that the generator makes draws as far.
         assert draw(model, params, FixedRng([2.0**-53]), 1)[0] <= d
 
@@ -260,7 +292,7 @@ class TestDrawSample:
                         seed=42)
         assert a.freq == b.freq
 
-    def test_zeta_low_exponent_falls_back_to_table(self):
+    def test_zeta_low_exponent_stays_in_support(self):
         sample = draw_sample(Model.ZETA_TRUNC, m.ZetaParams(0.8, 9), 2000,
                              seed=1)
         assert sample.max_d <= 9
